@@ -3,7 +3,8 @@ vacuum equations and Bethe ansatz equations of open and closed spin chains.
 
 The package splits into root-system data (lie_roots), special functions
 (specfun), the two superpotential realizations and their vacuum products
-(gauge), transfer-matrix oracles and Bethe residuals (chain), the preset
+(gauge), transfer-matrix oracles and Bethe residuals (chain), the one
+evaluator of the equation row tables both sides build (rows), the preset
 dictionaries translating one side into the other (bridge), and seeded
 multi-start solvers (solve).  The command line front end lives in cli.
 """

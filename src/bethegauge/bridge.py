@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain import BetheRoots, ChainSpec, bethe_lhs
+from .chain import BetheRoots, ChainSpec, bethe_lhs, validate_roots
 from .gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
@@ -287,7 +287,7 @@ def map_gauge_to_chain(
             pairs.append((m, mp))
         for site in preset.fixed_sites:
             spins.append(float(site.spin))
-            thetas.append(float(site.theta) * 1.0 if preset.regime == "2d" else float(site.theta))
+            thetas.append(float(site.theta))
 
     n_free = len(pairs)
     xi_p = preset.xi_plus.value(eta, cutoff) if preset.xi_plus is not None else None
@@ -375,6 +375,18 @@ def _vacuum_values(gauge_spec: GaugeTheorySpec, sigma, branch: VacuumBranch, reg
     return [fn(gauge_spec, sigma, j, branch) for j in range(gauge_spec.dim)]
 
 
+def _bethe_values(preset: DictionaryPreset, spec: GaugeTheorySpec, sigma,
+                  cutoff: Optional[float]) -> Optional[List[complex]]:
+    """Bethe products at the mapped point; None if the mapped roots are refused."""
+    chain, pm = map_gauge_to_chain(preset, spec, cutoff=cutoff)
+    try:
+        roots = BetheRoots(pm.sigma_to_u(sigma))
+        validate_roots(chain, roots)
+    except ValueError:  # coincident or reflection-degenerate roots
+        return None
+    return [bethe_lhs(chain, roots, i) for i in range(spec.dim)]
+
+
 def _sample_gauge(
     preset: DictionaryPreset, rank: int, nf: int, rng: np.random.Generator
 ) -> Tuple[GaugeTheorySpec, np.ndarray]:
@@ -429,25 +441,22 @@ def verify_identity(
             # keep magnitudes moderate so the absolute tolerance is meaningful
             if any(not (1e-2 < abs(v) < 1e2) for v in vac):
                 continue
-            if uses_cutoff:
-                per_cut: List[List[complex]] = []
-                for t_cut in cutoffs:
-                    ch, pm = map_gauge_to_chain(preset, spec, cutoff=t_cut)
-                    roots = BetheRoots(pm.sigma_to_u(sigma))
-                    per_cut.append([bethe_lhs(ch, roots, i) for i in range(spec.dim)])
-                for t_cut, vals in zip(cutoffs, per_cut):
-                    r = max(abs(v - branch.sign * b) for v, b in zip(vac, vals))
-                    cutoff_worst[t_cut] = max(cutoff_worst[t_cut], r)
-                bet = [
-                    _extrapolate_geometric([per_cut[k][i] for k in range(len(cutoffs))])
-                    for i in range(spec.dim)
-                ]
-            else:
-                ch, pm = map_gauge_to_chain(preset, spec)
-                roots = BetheRoots(pm.sigma_to_u(sigma))
-                bet = [bethe_lhs(ch, roots, i) for i in range(spec.dim)]
+            per_cut = [_bethe_values(preset, spec, sigma, t)
+                       for t in (cutoffs if uses_cutoff else (None,))]
         except SingularPointError:
             continue
+        if any(vals is None for vals in per_cut):
+            continue  # the mapped roots are not a valid root set
+        if uses_cutoff:
+            for t_cut, vals in zip(cutoffs, per_cut):
+                r = max(abs(v - branch.sign * b) for v, b in zip(vac, vals))
+                cutoff_worst[t_cut] = max(cutoff_worst[t_cut], r)
+            bet = [
+                _extrapolate_geometric([per_cut[k][i] for k in range(len(cutoffs))])
+                for i in range(spec.dim)
+            ]
+        else:
+            bet = per_cut[0]
         res = max(abs(v - branch.sign * b) for v, b in zip(vac, bet))
         if res > max_residual:
             max_residual = res

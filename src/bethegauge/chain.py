@@ -3,14 +3,17 @@
 Closed chains: product of site terms equals the magnon scattering product;
 we return everything moved to one side, so the contract is LHS = 1.  Open
 chains (diagonal boundaries) add two boundary factors and double every site
-and magnon term.
+and magnon term.  The equations are stated once, as one row table per
+(kind, L, M) built by :func:`_bethe_table`; :func:`bethe_lhs` and the
+solver's log residual both evaluate it.
 
 The printed open-chain magnon factor orders the difference terms as
 u_j - u_i; that ordering breaks both the reflection symmetry u_i -> -u_i
 and every closed-form check downstream, so the difference factors here put
 the i-th root first.  The sum factors are symmetric and unaffected.
 
-The oracle builds dense transfer matrices from the spin-1/2 R-matrix:
+The oracle builds dense transfer matrices from the spin-1/2 R-matrix and
+never reads the row table:
 closed t(u) = tr_0 T_0(u), open t(u) = Tr_0 K(u+eta/2, xi_+) U_-(u).  The
 open trace argument follows the displayed A/D-tilde expansion (which fixes
 the K_+ shift uniquely); eigenvector certification calibrates the residual
@@ -19,12 +22,13 @@ root-shift convention delta in {0, +eta/2, -eta/2} and reports the choice.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .rows import RowTable
 from .specfun import BracketContext, SingularPointError, bracket
 
 KINDS = ("closed-xxz", "open-xxz", "closed-xxx", "open-xxx")
@@ -114,17 +118,53 @@ def validate_roots(chain: ChainSpec, roots: BetheRoots) -> None:
                     )
 
 
-def _factor(chain: ChainSpec, x: complex) -> complex:
-    # trig kinds use sin(pi x); the sin(pi eta) normalizations cancel in
-    # every ratio, so the bracket denominator is dropped here
-    return cmath.sin(cmath.pi * x) if chain.is_trig else complex(x)
+@lru_cache(maxsize=None)
+def _bethe_table(kind: str, n_sites: int, n_magnons: int) -> RowTable:
+    """Rows of every Bethe equation of one shape.
+
+    Columns are u || (eta, eta*s_a, theta_a, xi_+, xi_-) || 1.  Trig kinds use
+    sin(pi x); the sin(pi eta) normalizations cancel in every ratio, so the
+    bracket denominator is dropped here.
+    """
+    is_open = kind.startswith("open")
+    m, L = n_magnons, n_sites
+    eta, spin, theta, xi = m, m + 1, m + 1 + L, m + 1 + 2 * L
+    rows: List = []
+
+    def ratio(i, num, den):
+        rows.append((i, 1, num, 0.0))
+        rows.append((i, -1, den, 0.0))
+
+    for i in range(n_magnons):
+        for a in range(n_sites):
+            up = {eta: 0.5, spin + a: 1, theta + a: -1}  # eta/2 + eta*s - theta
+            dn = {eta: 0.5, spin + a: -1, theta + a: -1}  # eta/2 - eta*s - theta
+            if is_open:
+                ratio(i, {**up, i: 1}, {**up, i: -1})
+                ratio(i, {**dn, i: -1}, {**dn, i: 1})
+            else:
+                ratio(i, {**up, i: 1}, {**dn, i: 1})
+        if is_open:
+            for b in (xi, xi + 1):
+                ratio(i, {i: 1, eta: -0.5, b: 1}, {i: 1, eta: 0.5, b: -1})
+        for j in range(n_magnons):
+            if j != i:
+                if is_open:
+                    ratio(i, {i: 1, j: 1, eta: -1}, {i: 1, j: 1, eta: 1})
+                ratio(i, {i: 1, j: -1, eta: -1}, {i: 1, j: -1, eta: 1})
+    kind_f = "sin_pi" if kind.endswith("xxz") else "linear"
+    n_params = 1 + 2 * n_sites + (2 if is_open else 0)
+    return RowTable(kind_f, n_magnons, n_magnons, n_params, rows, "denominator", DENOM_TOL)
 
 
-def _ratio(chain: ChainSpec, num: complex, den: complex, what: str) -> complex:
-    d = _factor(chain, den)
-    if abs(d) < DENOM_TOL:
-        raise SingularPointError("%s denominator vanishes at argument %r" % (what, den))
-    return _factor(chain, num) / d
+def _bethe_system(chain: ChainSpec) -> Tuple[RowTable, np.ndarray]:
+    """The Bethe row table of ``chain`` and its parameter vector."""
+    table = _bethe_table(chain.kind, chain.n_sites, chain.n_magnons)
+    eta = chain.eta
+    params = [eta] + [eta * s for s in chain.spins] + list(chain.inhomogeneities)
+    if chain.is_open:
+        params += [chain.xi_plus, chain.xi_minus]
+    return table, np.array(params + [1.0], dtype=complex)
 
 
 def bethe_lhs(chain: ChainSpec, roots: BetheRoots, i: int) -> complex:
@@ -132,41 +172,8 @@ def bethe_lhs(chain: ChainSpec, roots: BetheRoots, i: int) -> complex:
     validate_roots(chain, roots)
     if not 0 <= i < len(roots):
         raise ValueError("root index %d out of range" % i)
-    u = roots.values
-    ui = u[i]
-    eta = chain.eta
-    out = 1.0 + 0j
-
-    for a in range(chain.n_sites):
-        s, th = chain.spins[a], chain.inhomogeneities[a]
-        if chain.is_open:
-            out *= _ratio(
-                chain, ui + eta / 2 + eta * s - th, -ui + eta / 2 + eta * s - th,
-                "site %d" % a,
-            )
-            out *= _ratio(
-                chain, -ui + eta / 2 - eta * s - th, ui + eta / 2 - eta * s - th,
-                "site %d" % a,
-            )
-        else:
-            out *= _ratio(
-                chain, ui + eta / 2 + eta * s - th, ui + eta / 2 - eta * s - th,
-                "site %d" % a,
-            )
-
-    if chain.is_open:
-        for xi in (chain.xi_plus, chain.xi_minus):
-            out *= _ratio(chain, ui - eta / 2 + xi, ui + eta / 2 - xi, "boundary")
-
-    for j in range(len(u)):
-        if j == i:
-            continue
-        if chain.is_open:
-            out *= _ratio(chain, ui + u[j] - eta, ui + u[j] + eta, "magnon sum")
-            out *= _ratio(chain, ui - u[j] - eta, ui - u[j] + eta, "magnon difference")
-        else:
-            out *= _ratio(chain, ui - u[j] - eta, ui - u[j] + eta, "magnon")
-    return out
+    table, params = _bethe_system(chain)
+    return table.equations[i].product(np.concatenate((roots.values, params)))
 
 
 def bethe_residuals(chain: ChainSpec, roots: BetheRoots) -> np.ndarray:
@@ -181,20 +188,23 @@ def bethe_residuals(chain: ChainSpec, roots: BetheRoots) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def r_matrix(u: complex, ctx: BracketContext) -> np.ndarray:
-    """Six-vertex R-matrix with entries in the bracket normalization."""
-    bu = bracket(u, ctx)
-    bue = bracket(u + ctx.eta, ctx)
-    be = bracket(ctx.eta, ctx)
+def _r(weight, u: complex, eta: float) -> np.ndarray:
+    # six-vertex R-matrix from a weight function [x]
+    a, b, c = weight(u + eta), weight(u), weight(eta)
     return np.array(
         [
-            [bue, 0, 0, 0],
-            [0, bu, be, 0],
-            [0, be, bu, 0],
-            [0, 0, 0, bue],
+            [a, 0, 0, 0],
+            [0, b, c, 0],
+            [0, c, b, 0],
+            [0, 0, 0, a],
         ],
         dtype=complex,
     )
+
+
+def r_matrix(u: complex, ctx: BracketContext) -> np.ndarray:
+    """Six-vertex R-matrix with entries in the bracket normalization."""
+    return _r(lambda x: bracket(x, ctx), u, ctx.eta)
 
 
 def k_matrix(u: complex, xi: complex, ctx: BracketContext) -> np.ndarray:
@@ -249,9 +259,12 @@ def _check_oracle(chain: ChainSpec) -> None:
 
 
 def _br(chain: ChainSpec, x: complex) -> complex:
-    if chain.is_trig:
-        return cmath.sin(cmath.pi * x) / cmath.sin(cmath.pi * chain.eta)
-    return complex(x)
+    # the chain's weight: the bracket for trig kinds, x itself for rational ones
+    return bracket(x, BracketContext(chain.eta)) if chain.is_trig else complex(x)
+
+
+def _chain_r(chain: ChainSpec, u: complex) -> np.ndarray:
+    return _r(lambda x: _br(chain, x), u, chain.eta)
 
 
 def _lift(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
@@ -276,13 +289,9 @@ def monodromy(chain: ChainSpec, u: complex) -> OpMatrix:
         [np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex)],
     ]
     for a in reversed(range(L)):
-        x = u - chain.inhomogeneities[a]
-        bu, bue, be = _br(chain, x), _br(chain, x + chain.eta), _br(chain, chain.eta)
-        blocks = [
-            [np.array([[bue, 0], [0, bu]]), np.array([[0, 0], [be, 0]])],
-            [np.array([[0, be], [0, 0]]), np.array([[bu, 0], [0, bue]])],
-        ]
-        site = [[_lift(blocks[i][j], a, L) for j in range(2)] for i in range(2)]
+        # <i k|R|j l>: auxiliary i, j and site k, l
+        r = _chain_r(chain, u - chain.inhomogeneities[a]).reshape(2, 2, 2, 2)
+        site = [[_lift(r[i, :, j, :], a, L) for j in range(2)] for i in range(2)]
         acc = _op_mul(acc, site)
     return acc
 
@@ -304,12 +313,6 @@ def double_row_monodromy(chain: ChainSpec, u: complex) -> OpMatrix:
         [-t_neg[1][0], t_neg[0][0]],
     ]
     return _op_mul(tk, t_hat)
-
-
-def double_row_dtilde(chain: ChainSpec, u: complex) -> np.ndarray:
-    """Diagnostic combination [2u] D(u) - [eta] A(u) of the double-row entries."""
-    um = double_row_monodromy(chain, u)
-    return _br(chain, 2 * u) * um[1][1] - _br(chain, chain.eta) * um[0][0]
 
 
 def transfer_matrix(chain: ChainSpec, u: complex) -> np.ndarray:
@@ -350,26 +353,10 @@ def rtt_residual(chain: ChainSpec, u: complex, v: complex) -> float:
     tv = monodromy(chain, v)
     t1u = _aux_embed(tu, dim, first=True)
     t2v = _aux_embed(tv, dim, first=False)
-    if chain.is_trig:
-        r = r_matrix(u - v, BracketContext(chain.eta))
-    else:
-        r = _rational_r(u - v, chain.eta)
-    r12 = np.kron(r, np.eye(dim))
+    r12 = np.kron(_chain_r(chain, u - v), np.eye(dim))
     lhs = r12 @ t1u @ t2v
     rhs = t2v @ t1u @ r12
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def _rational_r(u: complex, eta: float) -> np.ndarray:
-    return np.array(
-        [
-            [u + eta, 0, 0, 0],
-            [0, u, eta, 0],
-            [0, eta, u, 0],
-            [0, 0, 0, u + eta],
-        ],
-        dtype=complex,
-    )
 
 
 def _aux_embed(t: OpMatrix, dim: int, first: bool) -> np.ndarray:

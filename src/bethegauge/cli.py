@@ -214,7 +214,8 @@ def _cmd_roots(cfg: RunConfig) -> int:
     return 0 if len(rs.roots) == payload["expected"] else 1
 
 
-def _cmd_specfun_selftest(cfg: RunConfig) -> int:
+def _specfun_checks(seed: int) -> List[Dict[str, object]]:
+    """The special-function checks of specfun-selftest and criterion 7."""
     checks: List[Dict[str, object]] = []
 
     def add(name: str, value: float, bound: float) -> None:
@@ -225,7 +226,7 @@ def _cmd_specfun_selftest(cfg: RunConfig) -> int:
     add("dilog_at_minus_one", abs(dilog(-1.0) + math.pi ** 2 / 12.0), 1e-12)
     ana, fd = dilog_grad_check(0.2 + 0.3j, 1e-5)
     add("derivative_fd_gap", abs(ana - fd), 1e-8)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for r in (2, 3, 4):
         for _ in range(20):
@@ -240,6 +241,11 @@ def _cmd_specfun_selftest(cfg: RunConfig) -> int:
     checks.append({"name": "qpoch_link_monotone",
                    "value": rels, "bound": "decreasing",
                    "pass": rels[0] > rels[1] > rels[2]})
+    return checks
+
+
+def _cmd_specfun_selftest(cfg: RunConfig) -> int:
+    checks = _specfun_checks(cfg.seed)
     ok = all(c["pass"] for c in checks)
     human = ["%-24s %s" % (c["name"], "PASS" if c["pass"] else "FAIL") for c in checks]
     human.append("specfun selftest: %s" % ("PASS" if ok else "FAIL"))
@@ -375,10 +381,6 @@ def _cmd_chain_oracle(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _report_payload(rep) -> Dict[str, object]:
-    return rep.to_dict()
-
-
 def _cmd_verify(cfg: RunConfig) -> int:
     f = cfg.flags
     preset = preset_by_id(f["preset"])
@@ -390,7 +392,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         seed=cfg.seed,
         branch=f.get("branch"),
     )
-    payload = _report_payload(rep)
+    payload = rep.to_dict()
     human = [
         "preset %s: max residual %.3e over %d samples (tol %.1e, branch %+d) -> %s"
         % (rep.preset_id, rep.max_residual, rep.samples, rep.tol,
@@ -418,7 +420,7 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
             "fixed_sites": [str(s.theta) for s in chosen.fixed_sites],
             "branch": chosen.branch.sign,
         },
-        "report": _report_payload(rep),
+        "report": rep.to_dict(),
     }
     human = [
         "calibrated %s %s: %d fixed site(s) theta=[%s], branch %+d, xi=(%s, %s)"
@@ -444,7 +446,7 @@ def _cmd_duality_compare(cfg: RunConfig) -> int:
     g2 = GaugeTheorySpec(family=f["family"], rank=f["rank"], n_fund=nf,
                          masses=masses, m_adj=m_adj, realization="II")
     rep = duality_compare(g1, g2, samples=f["samples"], seed=cfg.seed, tol=f["tol"])
-    payload = _report_payload(rep)
+    payload = rep.to_dict()
     human = ["%s: squared products differ by at most %.3e over %d points -> %s"
              % (rep.preset_id, rep.max_residual, rep.samples,
                 "PASS" if rep.passed else "FAIL")]
@@ -516,7 +518,7 @@ def _cmd_cross_check(cfg: RunConfig) -> int:
     if spec.family != preset.family:
         raise SystemExit("preset %s is for family %s" % (preset.id, preset.family))
     rep = cross_check(spec, preset, _solve_cfg(cfg))
-    payload = _report_payload(rep)
+    payload = rep.to_dict()
     human = ["cross-check %s rank %d nf %d: %d root set(s), mapped residual %.3e -> %s"
              % (preset.id, spec.rank, nf, rep.samples, rep.max_residual,
                 "PASS" if rep.passed else "FAIL")]
@@ -707,23 +709,9 @@ def _battery_duality(seed: int) -> Dict[str, object]:
 
 
 def _battery_specfun(seed: int) -> Dict[str, object]:
-    rng = np.random.default_rng(seed)
-    refs = max(abs(dilog(1.0) - math.pi ** 2 / 6.0),
-               abs(dilog(-1.0) + math.pi ** 2 / 12.0))
-    worst_fact = 0.0
-    for r in (2, 3, 4):
-        for _ in range(20):
-            x = complex(rng.uniform(-2.5, math.log(0.9)), rng.uniform(-3.0, 3.0))
-            worst_fact = max(worst_fact, dilog_factorization_residual(np.exp(x), r))
-    rels = []
-    for beta2 in (1e-1, 1e-2, 1e-3):
-        _, _, rel = dilog_qpoch_link(np.exp(0.4j), beta2)
-        rels.append(rel)
-    ok = (refs <= 1e-12 and worst_fact <= 1e-10 and rels[-1] <= 5e-3
-          and rels[0] > rels[1] > rels[2])
-    return {"name": "special_functions", "pass": ok,
-            "detail": {"reference_gap": refs, "factorization_gap": worst_fact,
-                       "qpoch_link_rel": rels}}
+    checks = _specfun_checks(seed)
+    return {"name": "special_functions", "pass": all(c["pass"] for c in checks),
+            "detail": checks}
 
 
 def _cmd_report_all(cfg: RunConfig) -> int:
@@ -780,17 +768,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("specfun-selftest", help="dilog and q-product checks")
     _add_common(p)
 
+    def gauge_flags(p: argparse.ArgumentParser, families: Sequence[str]) -> None:
+        p.add_argument("--family", required=True, choices=list(families))
+        p.add_argument("--rank", type=_positive_int, required=True)
+        p.add_argument("--nf", type=_nonneg_int, default=2)
+        p.add_argument("--masses", type=_csv_floats)
+        p.add_argument("--masses-anti", dest="masses_anti", type=_csv_floats)
+        p.add_argument("--m-adj", dest="m_adj", type=float)
+        p.add_argument("--realization", choices=["I", "II"], default="II")
+        p.add_argument("--branch", type=_branch_arg, default=BRANCH_PLUS)
+        p.add_argument("--regime", choices=["3d", "2d"], default="3d")
+
     p = subs.add_parser("vacuum", help="evaluate vacuum equation components")
-    p.add_argument("--family", required=True, choices=["A", "B", "C", "D", "E8", "F4"])
-    p.add_argument("--rank", type=_positive_int, required=True)
-    p.add_argument("--nf", type=_nonneg_int, default=2)
-    p.add_argument("--masses", type=_csv_floats)
-    p.add_argument("--masses-anti", dest="masses_anti", type=_csv_floats)
-    p.add_argument("--m-adj", dest="m_adj", type=float)
+    gauge_flags(p, ["A", "B", "C", "D", "E8", "F4"])
     p.add_argument("--sigma", type=_csv_floats)
-    p.add_argument("--realization", choices=["I", "II"], default="II")
-    p.add_argument("--branch", type=_branch_arg, default=BRANCH_PLUS)
-    p.add_argument("--regime", choices=["3d", "2d"], default="3d")
     _add_common(p)
 
     def chain_flags(p: argparse.ArgumentParser, with_roots: bool) -> None:
@@ -849,15 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = subs.add_parser("solve-vacuum", help="find vacuum solutions")
-    p.add_argument("--family", required=True, choices=["A", "B", "C", "D"])
-    p.add_argument("--rank", type=_positive_int, required=True)
-    p.add_argument("--nf", type=_nonneg_int, default=2)
-    p.add_argument("--masses", type=_csv_floats)
-    p.add_argument("--masses-anti", dest="masses_anti", type=_csv_floats)
-    p.add_argument("--m-adj", dest="m_adj", type=float)
-    p.add_argument("--realization", choices=["I", "II"], default="II")
-    p.add_argument("--branch", type=_branch_arg, default=BRANCH_PLUS)
-    p.add_argument("--regime", choices=["3d", "2d"], default="3d")
+    gauge_flags(p, ["A", "B", "C", "D"])
     p.add_argument("--starts", type=_positive_int, default=64)
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=40)

@@ -3,9 +3,12 @@
 The superpotential of a theory with adjoint and fundamental matter is a sum
 of dilogarithms and quadratic terms over roots and weights.  Exponentiating
 one component of its gradient collapses, pair by pair, into a product of
-sine ratios; the per-family closed products implemented here are the
-authoritative vacuum equations, and the gradient route is kept as an
-independent cross-check.
+sine ratios.  Those closed products are the authoritative vacuum equations;
+they are stated once, as one row table per shape (family, rank, N_f, N_f',
+realization, form) built by :func:`_vacuum_table`, and every product form
+(square-rooted, full, rational) and the solver's log residual evaluate that
+table.  The gradient route never touches the table and stays an independent
+cross-check.
 
 Two realizations of the weight normalization are supported:
 
@@ -26,11 +29,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import lie_roots
+from .rows import RowTable
 from .specfun import SingularPointError, dilog, dilog_qpoch_link
 
 FAMILIES = ("A", "B", "C", "D", "E8", "F4")
@@ -133,14 +137,6 @@ def _fund_weight_axes(spec: GaugeTheorySpec) -> Tuple[int, ...]:
     return (1,) if spec.family == "A" else (1, -1)
 
 
-def _sin_guarded(x: complex) -> complex:
-    xr = complex(x)
-    dist = abs(xr.real / math.pi - round(xr.real / math.pi)) * math.pi
-    if math.hypot(dist, xr.imag) < SINGULAR_TOL:
-        raise SingularPointError("sine argument %r within %g of pi*Z" % (x, SINGULAR_TOL))
-    return cmath.sin(xr)
-
-
 def _check_sigma(spec: GaugeTheorySpec, sigma: Sequence[float]) -> np.ndarray:
     sig = np.asarray(sigma, dtype=complex)
     if sig.shape != (spec.dim,):
@@ -201,12 +197,8 @@ def _terms_realization_i(spec: GaugeTheorySpec, sig: np.ndarray):
                 yield ("fund", 1.0, -axis_sign * sig[j] + m, tuple(-x for x in w))
 
 
-def superpotential_value(spec: GaugeTheorySpec, sigma: Sequence[float], tol: float = 1e-12) -> complex:
-    """W evaluated at sigma (the combination beta2*W divided by beta2).
-
-    The dilogarithm evaluations are accurate to well below the requested
-    absolute budget ``tol`` on the admissible domain.
-    """
+def superpotential_value(spec: GaugeTheorySpec, sigma: Sequence[float]) -> complex:
+    """W evaluated at sigma (the combination beta2*W divided by beta2)."""
     sig = _check_sigma(spec, sigma)
     total = 0j
     if spec.realization == "II":
@@ -264,74 +256,105 @@ def vacuum_from_gradient(spec: GaugeTheorySpec, sigma: Sequence[float]) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# closed vacuum products
+# vacuum equations: one row table per shape
 # ---------------------------------------------------------------------------
 
 
-def _adjoint_pair_factor(sig, j: int, m_adj: float, power: int) -> complex:
-    # prod over k != j and both signs of sin(s_j +- s_k - m)/sin(-s_j +- s_k - m)
-    out = 1.0 + 0j
-    for k in range(len(sig)):
-        if k == j:
-            continue
-        for sgn in (1.0, -1.0):
-            num = _sin_guarded(sig[j] + sgn * sig[k] - m_adj)
-            den = _sin_guarded(-sig[j] + sgn * sig[k] - m_adj)
-            out *= (num / den) ** power
-    return out
+@lru_cache(maxsize=None)
+def _vacuum_table(family: str, rank: int, n_f: int, n_anti: int, realization: str,
+                  form: str) -> RowTable:
+    """Rows of every vacuum equation of one shape.
 
-
-def _fund_factor(sig_j: complex, masses: Iterable[float], power: int) -> complex:
-    out = 1.0 + 0j
-    for m in masses:
-        num = _sin_guarded(sig_j - m)
-        den = _sin_guarded(-sig_j - m)
-        out *= (num / den) ** power
-    return out
-
-
-def _matter_factor(spec: GaugeTheorySpec, sig_j: complex, power: int) -> complex:
-    """Fundamental-matter factor; power 1 is the square-rooted equation, 2 the full one.
-
-    Realization II carries the fundamental list once per equation level.
-    Realization I splits the full factor into fundamental and
-    anti-fundamental halves; its square-rooted form pairs the two mass
-    lists (and is an exact square root only on the equal-mass locus).
+    ``form`` is "root" (the square-rooted products), "full" (the
+    unsquare-rooted ones) or "rational" (the two-dimensional limit: the
+    root rows with linear factors and the trig-only cos rows dropped).  The
+    full form doubles every root power except where it is not the square of
+    the square root: B's prefactor sin(2x) and realization I's matter rows,
+    which split into fundamental and anti-fundamental halves.  Columns are
+    sigma || (m_adj, masses, masses_anti) || 1.
     """
-    if spec.realization == "II":
-        return _fund_factor(sig_j, spec.masses, power)
-    if power == 1:
-        if len(spec.masses) != len(spec.masses_anti):
-            raise ValueError("paired square-rooted form needs N_f = N_f'")
-        out = 1.0 + 0j
-        for ma, mb in zip(spec.masses_anti, spec.masses):
-            out *= _sin_guarded(sig_j - ma) / _sin_guarded(-sig_j - mb)
-        return out
-    half = power // 2
-    return _fund_factor(sig_j, spec.masses, half) * _fund_factor(
-        sig_j, spec.masses_anti, half
-    )
+    if form == "rational" and family in ("E8", "F4"):
+        raise ValueError("the rational limit is implemented for the classical families")
+    if family == "A" and form == "root" and n_f != n_anti:
+        raise ValueError("A-family vacuum product needs N_f = N_f'")
+    if realization == "I" and family != "A" and form != "full" and n_f != n_anti:
+        raise ValueError("paired square-rooted form needs N_f = N_f'")
+    n = 8 if family == "E8" else rank
+    adj, fund, anti = n, n + 1, n + 1 + n_f
+    p = 2 if form == "full" else 1
+    rows: List = []
 
+    def ratio(j, power, num, den, shift=0.0):
+        rows.append((j, power, num, shift))
+        rows.append((j, -power, den, shift))
 
-def _generated_product(spec: GaugeTheorySpec, sig, j: int, power: int) -> complex:
-    # the pairwise-collapsed gradient exponential, usable for any root system
-    out = 1.0 + 0j
-    for alpha, c, exps in _root_data(spec.family, spec.rank):
-        e = exps[j] * power
-        if e == 0:
+    for j in range(n):
+        if family == "E8":
+            # the pairwise-collapsed gradient exponential; the constants
+            # (-2i)^(-e) (2i)^(-e) = 4^(-e) multiply to 1, since the roots
+            # come in +- pairs and the exponents e sum to zero
+            for alpha, c, exps in _root_data(family, rank):
+                e = exps[j] * p
+                if e:
+                    arg = {k: 0.5 * c * a for k, a in enumerate(alpha) if a}
+                    rows.append((j, -e, arg, 0.0))
+                    rows.append((j, -e, {**arg, adj: 0.5 * c}, 0.0))
+            for i in range(n_f):  # weights +-e_j, argument doubled
+                ratio(j, 2 * p, {j: 1, fund + i: -1}, {j: -1, fund + i: -1})
             continue
-        t = sum(a * s for a, s in zip(alpha, sig))
-        out *= (-2j * _sin_guarded(0.5 * c * t)) ** (-e)
-        out *= (2j * _sin_guarded(0.5 * c * (t + spec.m_adj))) ** (-e)
-    if spec.family == "A":
-        # fundamentals couple through +e_j only, anti-fundamentals through -e_j
-        for m in spec.masses:
-            out *= (2j * _sin_guarded(sig[j] + m)) ** (-2 * power)
-        for m in spec.masses_anti:
-            out *= (2j * _sin_guarded(-sig[j] + m)) ** (2 * power)
-        return out
-    out *= _fund_factor(sig[j], spec.masses, 2 * power)  # weights +-e_j, argument doubled
-    return out
+        if family == "A":
+            for i in range(min(n_f, n_anti)):
+                ratio(j, p, {j: 1, anti + i: -1}, {j: 1, fund + i: 1})
+            for k in range(n):
+                if k != j:
+                    ratio(j, p, {j: 1, k: -1, adj: -1}, {j: 1, k: -1, adj: 1})
+            continue
+        # prod over k != j and both signs of sin(s_j +- s_k - m)/sin(-s_j +- s_k - m)
+        for k in range(n):
+            if k != j:
+                for sgn in (1, -1):
+                    ratio(j, p, {j: 1, k: sgn, adj: -1}, {j: -1, k: sgn, adj: -1})
+        if realization == "II":
+            for i in range(n_f):
+                ratio(j, p, {j: 1, fund + i: -1}, {j: -1, fund + i: -1})
+        elif form == "full":
+            for col in range(fund, fund + n_f + n_anti):
+                ratio(j, 1, {j: 1, col: -1}, {j: -1, col: -1})
+        else:  # paired square root, exact only on the equal-mass locus
+            for i in range(n_f):
+                ratio(j, 1, {j: 1, anti + i: -1}, {j: -1, fund + i: -1})
+        if family == "B":
+            if form == "full":
+                ratio(j, 4, {j: 2, adj: -2}, {j: 2, adj: 2})
+            else:
+                ratio(j, 2, {j: 1, adj: -1}, {j: 1, adj: 1})
+                if form == "root":  # cos x = sin(x + pi/2)
+                    ratio(j, 2, {j: 1, adj: -1}, {j: 1, adj: 1}, math.pi / 2.0)
+        elif family == "C":
+            ratio(j, p, {j: 1, adj: -0.5}, {j: 1, adj: 0.5})
+        elif family == "F4":
+            ratio(j, 2 * p, {j: 1, adj: -1}, {j: 1, adj: 1})
+            for sgn in (1, -1):
+                half_sum = {k: sgn for k in range(4) if k != j}
+                ratio(j, p, {**half_sum, j: 1, adj: -1}, {**half_sum, j: -1, adj: -1})
+    kind = "linear" if form == "rational" else "sin"
+    return RowTable(kind, n, n, 1 + n_f + n_anti, rows, "zero_set", SINGULAR_TOL)
+
+
+def _vacuum_system(spec: GaugeTheorySpec, form: str) -> Tuple[RowTable, np.ndarray]:
+    """The vacuum row table of ``spec`` and its parameter vector."""
+    anti = spec.masses_anti or ()
+    table = _vacuum_table(spec.family, spec.rank, spec.n_fund, len(anti),
+                          spec.realization, form)
+    return table, np.array((spec.m_adj,) + spec.masses + anti + (1.0,), dtype=complex)
+
+
+def _vacuum_value(spec: GaugeTheorySpec, sigma: Sequence[float], j: int, form: str) -> complex:
+    sig = _check_sigma(spec, sigma)
+    if not 0 <= j < spec.dim:
+        raise ValueError("equation index %d out of range" % j)
+    table, params = _vacuum_system(spec, form)
+    return table.equations[j].product(np.concatenate((sig, params)))
 
 
 def vacuum_lhs(
@@ -347,46 +370,7 @@ def vacuum_lhs(
     branch never enters the value.
     """
     del branch  # contract metadata only
-    sig = _check_sigma(spec, sigma)
-    if not 0 <= j < spec.dim:
-        raise ValueError("equation index %d out of range" % j)
-    m = spec.m_adj
-    fam = spec.family
-
-    if fam == "A":
-        if len(spec.masses) != len(spec.masses_anti):
-            raise ValueError("A-family vacuum product needs N_f = N_f'")
-        out = 1.0 + 0j
-        for ma, mb in zip(spec.masses_anti, spec.masses):
-            out *= _sin_guarded(sig[j] - ma) / _sin_guarded(sig[j] + mb)
-        for k in range(spec.rank):
-            if k == j:
-                continue
-            out *= _sin_guarded(sig[j] - sig[k] - m) / _sin_guarded(sig[j] - sig[k] + m)
-        return out
-
-    if fam == "E8":
-        return _generated_product(spec, sig, j, power=1)
-
-    out = _adjoint_pair_factor(sig, j, m, power=1) * _matter_factor(spec, sig[j], 1)
-    if fam == "B":
-        pref = (
-            _sin_guarded(sig[j] - m)
-            * cmath.cos(sig[j] - m)
-            / (_sin_guarded(sig[j] + m) * cmath.cos(sig[j] + m))
-        )
-        out *= pref * pref
-    elif fam == "C":
-        out *= _sin_guarded(sig[j] - m / 2.0) / _sin_guarded(sig[j] + m / 2.0)
-    elif fam == "F4":
-        pref = _sin_guarded(sig[j] - m) / _sin_guarded(sig[j] + m)
-        out *= pref * pref
-        half_sum = sum(sig[k] for k in range(4) if k != j)
-        for sgn in (1.0, -1.0):
-            num = _sin_guarded(sig[j] + sgn * half_sum - m)
-            den = _sin_guarded(-sig[j] + sgn * half_sum - m)
-            out *= num / den
-    return out
+    return _vacuum_value(spec, sigma, j, "root")
 
 
 def vacuum_lhs_squared(spec: GaugeTheorySpec, sigma: Sequence[float], j: int) -> complex:
@@ -396,54 +380,7 @@ def vacuum_lhs_squared(spec: GaugeTheorySpec, sigma: Sequence[float], j: int) ->
     square root gives :func:`vacuum_lhs`; it also equals the exponentiated
     gradient of the realization II superpotential.
     """
-    sig = _check_sigma(spec, sigma)
-    if not 0 <= j < spec.dim:
-        raise ValueError("equation index %d out of range" % j)
-    m = spec.m_adj
-    fam = spec.family
-
-    if fam == "A":
-        out = 1.0 + 0j
-        for ma, mb in zip(spec.masses_anti, spec.masses):
-            out *= (_sin_guarded(sig[j] - ma) / _sin_guarded(sig[j] + mb)) ** 2
-        for k in range(spec.rank):
-            if k == j:
-                continue
-            out *= (
-                _sin_guarded(sig[j] - sig[k] - m) / _sin_guarded(sig[j] - sig[k] + m)
-            ) ** 2
-        return out
-
-    if fam == "E8":
-        return _generated_product(spec, sig, j, power=2)
-
-    out = _adjoint_pair_factor(sig, j, m, power=2) * _matter_factor(spec, sig[j], 2)
-    if fam == "B":
-        pref = _sin_guarded(2.0 * (sig[j] - m)) / _sin_guarded(2.0 * (sig[j] + m))
-        out *= pref**4
-    elif fam == "C":
-        pref = _sin_guarded(sig[j] - m / 2.0) / _sin_guarded(sig[j] + m / 2.0)
-        out *= pref**2
-    elif fam == "F4":
-        pref = _sin_guarded(sig[j] - m) / _sin_guarded(sig[j] + m)
-        out *= pref**4
-        half_sum = sum(sig[k] for k in range(4) if k != j)
-        for sgn in (1.0, -1.0):
-            num = _sin_guarded(sig[j] + sgn * half_sum - m)
-            den = _sin_guarded(-sig[j] + sgn * half_sum - m)
-            out *= (num / den) ** 2
-    return out
-
-
-# ---------------------------------------------------------------------------
-# two-dimensional (rational) degeneration
-# ---------------------------------------------------------------------------
-
-
-def _lin_guarded(x: complex) -> complex:
-    if abs(x) < SINGULAR_TOL:
-        raise SingularPointError("linear factor %r within %g of zero" % (x, SINGULAR_TOL))
-    return complex(x)
+    return _vacuum_value(spec, sigma, j, "full")
 
 
 def vacuum_lhs_2d(
@@ -454,45 +391,7 @@ def vacuum_lhs_2d(
 ) -> complex:
     """Rational vacuum product of the two-dimensional limit (sin x -> x)."""
     del branch
-    sig = _check_sigma(spec, sigma)
-    if not 0 <= j < spec.dim:
-        raise ValueError("equation index %d out of range" % j)
-    fam = spec.family
-    if fam in ("E8", "F4"):
-        raise ValueError("the rational limit is implemented for the classical families")
-    m = spec.m_adj
-
-    if fam == "A":
-        out = 1.0 + 0j
-        for ma, mb in zip(spec.masses_anti, spec.masses):
-            out *= _lin_guarded(sig[j] - ma) / _lin_guarded(sig[j] + mb)
-        for k in range(spec.rank):
-            if k == j:
-                continue
-            out *= _lin_guarded(sig[j] - sig[k] - m) / _lin_guarded(sig[j] - sig[k] + m)
-        return out
-
-    out = 1.0 + 0j
-    for k in range(spec.rank):
-        if k == j:
-            continue
-        for sgn in (1.0, -1.0):
-            out *= _lin_guarded(sig[j] + sgn * sig[k] - m) / _lin_guarded(
-                -sig[j] + sgn * sig[k] - m
-            )
-    if spec.realization == "II":
-        for ma in spec.masses:
-            out *= _lin_guarded(sig[j] - ma) / _lin_guarded(-sig[j] - ma)
-    else:
-        if len(spec.masses) != len(spec.masses_anti):
-            raise ValueError("paired square-rooted form needs N_f = N_f'")
-        for ma, mb in zip(spec.masses_anti, spec.masses):
-            out *= _lin_guarded(sig[j] - ma) / _lin_guarded(-sig[j] - mb)
-    if fam == "B":
-        out *= (_lin_guarded(sig[j] - m) / _lin_guarded(sig[j] + m)) ** 2
-    elif fam == "C":
-        out *= _lin_guarded(sig[j] - m / 2.0) / _lin_guarded(sig[j] + m / 2.0)
-    return out
+    return _vacuum_value(spec, sigma, j, "rational")
 
 
 # ---------------------------------------------------------------------------

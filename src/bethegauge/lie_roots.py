@@ -175,9 +175,6 @@ class RootSystem:
         # ambient coordinate dimension (E6/E7 live inside R^8)
         return 8 if self.family == "E" else self.rank
 
-    def length_classes(self) -> Tuple[Q, ...]:
-        return tuple(sorted(set(length_sq(r) for r in self.roots)))
-
     def weight_factors(self) -> Tuple[Q, ...]:
         return tuple(weight_factor(r) for r in self.roots)
 

@@ -1,0 +1,103 @@
+"""Equation systems as row tables, and the one evaluator both sides share.
+
+Every vacuum equation and every Bethe equation is a product of factors
+
+    prod_r f(c_r . (x || p) + shift_r) ** power_r
+
+over the rows r of that equation: x are the unknowns (Coulomb parameters
+sigma or Bethe roots u), p the parameters (masses, m_adj, eta, spins,
+inhomogeneities, boundary parameters), c_r a rational coefficient vector
+and f one of sin, sin(pi .) or the identity (the rational limit).  ``gauge``
+builds the vacuum rows from root data and ``chain`` the Bethe rows from
+chain data; a table depends only on the shape of its system, never on the
+values of the parameters.
+
+The product forms, the solver's log residual, its Jacobian
+C^T diag(power f'/f) and its start filter all evaluate the rows through
+:meth:`RowTable.factors`.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Dict, Iterable, Tuple
+
+import numpy as np
+
+from .specfun import SingularPointError
+
+#: one row: (equation index, power, {column: coefficient}, shift)
+Row = Tuple[int, int, Dict[int, float], float]
+
+
+class RowTable:
+    """The rows of one equation system; one factor kind per table.
+
+    A point is x = unknowns || parameters || 1: the last column carries the
+    shifts.  sin(pi .) rows store pi * c, so every trig table evaluates sin.
+    The singular guard belongs to the side that built the table:
+    ``"zero_set"`` rejects any argument within ``guard_tol`` of the zero set
+    of f (sin: pi*Z in the complex plane, linear: 0); ``"denominator"``
+    rejects any factor of negative power with |f| < ``guard_tol``.
+    """
+
+    def __init__(self, kind: str, n_eq: int, n_unknowns: int, n_params: int,
+                 rows: Iterable[Row], guard: str, guard_tol: float) -> None:
+        rows = list(rows)
+        self.kind, self.n_unknowns = kind, n_unknowns
+        self.guard, self.guard_tol = guard, guard_tol
+        self.scale = math.pi if kind == "sin_pi" else 1.0
+        self.coeffs = np.zeros((len(rows), n_unknowns + n_params + 1), dtype=complex)
+        for k, (_, _, coeffs, shift) in enumerate(rows):
+            for col, c in coeffs.items():
+                self.coeffs[k, col] = c
+            self.coeffs[k, -1] = shift
+        self.coeffs *= self.scale
+        self.power = np.array([r[1] for r in rows], dtype=complex)
+        eq = np.array([r[0] for r in rows], dtype=int)
+        self.by_eq = (eq == np.arange(n_eq)[:, None]).astype(complex)
+        if guard == "denominator":
+            self.guarded, self.trip = np.flatnonzero(self.power.real < 0), guard_tol
+        else:  # within tol of the zero set forces |f| < 2 tol
+            self.guarded, self.trip = slice(None), 2.0 * guard_tol
+        self.equations = (self,) if n_eq == 1 else tuple(
+            RowTable(kind, 1, n_unknowns, n_params,
+                     [(0,) + r[1:] for r in rows if r[0] == j], guard, guard_tol)
+            for j in range(n_eq)
+        )
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.power)
+
+    def factors(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Arguments and factor values at the point x."""
+        a = self.coeffs.dot(x)
+        return a, (a if self.kind == "linear" else np.sin(a))
+
+    def product(self, x: np.ndarray) -> complex:
+        """The guarded product over every row; meant for one-equation tables."""
+        a, f = self.factors(x)
+        mag = np.abs(f[self.guarded])
+        if mag.size and min(mag.tolist()) < self.trip:
+            self._reject(a[self.guarded], mag)
+        return complex(math.prod((f ** self.power).tolist()))
+
+    def _reject(self, a: np.ndarray, mag: np.ndarray) -> None:
+        tol = self.guard_tol
+        if self.guard == "zero_set" and self.kind != "linear":
+            r = a.real / math.pi
+            mag = np.hypot(np.abs(r - np.rint(r)) * math.pi, a.imag)
+        hit = np.flatnonzero(mag < tol)
+        if hit.size:
+            raise SingularPointError("singular factor at argument %r (%s guard, tol %g)"
+                                     % (complex(a[hit[0]]) / self.scale, self.guard, tol))
+
+    def log_sum(self, f: np.ndarray) -> np.ndarray:
+        """Per equation, sum_r power_r log f_r on the principal branch."""
+        return self.by_eq.dot(self.power * np.log(f))
+
+    def log_jacobian(self, a: np.ndarray) -> np.ndarray:
+        """d log_sum / d unknowns: C^T diag(power f'/f), summed per equation."""
+        g = self.power / (a if self.kind == "linear" else np.tan(a))
+        return self.by_eq.dot(self.coeffs[:, : self.n_unknowns] * g[:, None])

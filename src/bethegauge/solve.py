@@ -1,12 +1,13 @@
 """Multi-start Newton solvers for Bethe and vacuum equation systems.
 
-Both systems are products of sine (or linear) ratios equated to +-1, so the
-solver works on the summed principal-branch logarithms.  Each equation is a
-list of terms power * log f(c.u + shift) with integer coefficient vectors c,
-giving an exact cotangent Jacobian.  The log residual is folded back by
-multiples of 2*pi*i, which removes the winding ambiguity of the product form;
-acceptance of a candidate always goes through the independent product-form
-evaluators, never the solver's own residual.
+Both systems are products of sine (or linear) factors equated to +-1, so the
+solver works on the summed principal-branch logarithms of the same row
+tables the product forms evaluate (``chain._bethe_table``,
+``gauge._vacuum_table``): each row contributes power * log f(c.x + shift),
+giving an exact cotangent Jacobian C^T diag(power f'/f).  The log residual
+is folded back by multiples of 2*pi*i, which removes the winding ambiguity
+of the product form; acceptance of a candidate always goes through the
+guarded product-form evaluators, never the solver's own residual.
 
 Deduplication quotients by the exact symmetries of each system: magnon
 permutations, periodicity u -> u + 1 for trig chains, u_i -> -u_i for open
@@ -15,16 +16,16 @@ chains, and the Weyl group plus sigma -> sigma + pi on the vacuum side.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain import BetheRoots, ChainSpec, bethe_residuals, validate_roots
-from .gauge import GaugeTheorySpec, VacuumBranch, vacuum_lhs, vacuum_lhs_2d
+from .chain import BetheRoots, ChainSpec, _bethe_system, bethe_residuals, validate_roots
+from .gauge import GaugeTheorySpec, VacuumBranch, _vacuum_system, vacuum_lhs, vacuum_lhs_2d
+from .lie_roots import weyl_images
+from .rows import RowTable
 from .specfun import SingularPointError
 
 #: starts are resampled while any product factor is smaller than this
@@ -55,15 +56,6 @@ class SolveConfig:
             raise ValueError("tol must be smaller than dedup_tol")
 
 
-@dataclass(frozen=True)
-class LogTerm:
-    """power * log f(sum_k coeff_k u_k + shift)."""
-
-    power: int
-    coeffs: Tuple[Tuple[int, int], ...]
-    shift: complex
-
-
 @dataclass
 class SolveResult:
     """List-like container of solutions plus run diagnostics."""
@@ -90,79 +82,39 @@ class _PoleHit(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _factor_fns(kind: str):
-    if kind == "sin_pi":
-        return (
-            lambda x: cmath.sin(math.pi * x),
-            lambda x: math.pi / cmath.tan(math.pi * x),
-        )
-    if kind == "sin":
-        return (cmath.sin, lambda x: 1.0 / cmath.tan(x))
-    if kind == "linear":
-        return (lambda x: x, lambda x: 1.0 / x)
-    raise ValueError("unknown factor kind %r" % kind)
-
-
-def _fold(z: complex) -> complex:
-    return complex(z.real, z.imag - _TWO_PI * round(z.imag / _TWO_PI))
+def _fold(z: np.ndarray) -> np.ndarray:
+    return z.real + 1j * (z.imag - _TWO_PI * np.rint(z.imag / _TWO_PI))
 
 
 class _LogSystem:
-    """Equations sum_t power_t log f(arg_t) = target (mod 2 pi i)."""
+    """Equations sum_r power_r log f(arg_r) = target (mod 2 pi i) over one row table."""
 
-    def __init__(self, terms: Sequence[Sequence[LogTerm]], kind: str,
-                 targets: Sequence[complex], domain=None):
-        self.terms = [list(eq) for eq in terms]
-        self.n = len(self.terms)
-        self.f, self.dlogf = _factor_fns(kind)
-        self.targets = list(targets)
+    def __init__(self, table: RowTable, params: np.ndarray, target: complex, domain) -> None:
+        self.table = table
+        self.params = params
+        self.target = target
         # products tend to 1 at infinity, so cap the search box
-        self.domain = domain if domain is not None else (lambda u: True)
+        self.domain = domain
 
-    def _arg(self, term: LogTerm, u: np.ndarray) -> complex:
-        a = term.shift
-        for k, c in term.coeffs:
-            a += c * u[k]
-        return a
+    def factors(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self.table.factors(np.concatenate((u, self.params)))
 
     def min_factor(self, u: np.ndarray) -> float:
-        out = math.inf
-        for eq in self.terms:
-            for t in eq:
-                out = min(out, abs(self.f(self._arg(t, u))))
-        return out
+        return min(np.abs(self.factors(u)[1]).tolist())
+
+    def _checked(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        a, f = self.factors(u)
+        if not min(np.abs(f).tolist()) >= 1e-14:  # also rejects nan
+            raise _PoleHit()
+        return a, f
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         if not self.domain(u):
             raise _PoleHit()
-        out = np.zeros(self.n, dtype=complex)
-        for i, eq in enumerate(self.terms):
-            acc = 0.0 + 0.0j
-            for t in eq:
-                try:
-                    v = self.f(self._arg(t, u))
-                except OverflowError:
-                    raise _PoleHit()
-                if abs(v) < 1e-14:
-                    raise _PoleHit()
-                acc += t.power * cmath.log(v)
-            out[i] = _fold(acc - self.targets[i])
-        return out
+        return _fold(self.table.log_sum(self._checked(u)[1]) - self.target)
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
-        jac = np.zeros((self.n, len(u)), dtype=complex)
-        for i, eq in enumerate(self.terms):
-            for t in eq:
-                a = self._arg(t, u)
-                try:
-                    if abs(self.f(a)) < 1e-14:
-                        raise _PoleHit()
-                except OverflowError:
-                    raise _PoleHit()
-                g = t.power * self.dlogf(a)
-                for k, c in t.coeffs:
-                    jac[i, k] += c * g
-        return jac
+        return self.table.log_jacobian(self._checked(u)[0])
 
 
 def _newton(system: _LogSystem, u0: np.ndarray, cfg: SolveConfig) -> Optional[np.ndarray]:
@@ -201,40 +153,8 @@ def _newton(system: _LogSystem, u0: np.ndarray, cfg: SolveConfig) -> Optional[np
 
 
 # ---------------------------------------------------------------------------
-# Bethe system assembly
+# Bethe roots
 # ---------------------------------------------------------------------------
-
-
-def _bethe_terms(chain: ChainSpec) -> List[List[LogTerm]]:
-    eta = chain.eta
-    out: List[List[LogTerm]] = []
-    for i in range(chain.n_magnons):
-        eq: List[LogTerm] = []
-        for s, th in zip(chain.spins, chain.inhomogeneities):
-            up = eta / 2.0 + eta * s - th
-            dn = eta / 2.0 - eta * s - th
-            if chain.is_open:
-                eq.append(LogTerm(+1, ((i, +1),), up))
-                eq.append(LogTerm(+1, ((i, -1),), dn))
-                eq.append(LogTerm(-1, ((i, -1),), up))
-                eq.append(LogTerm(-1, ((i, +1),), dn))
-            else:
-                eq.append(LogTerm(+1, ((i, +1),), up))
-                eq.append(LogTerm(-1, ((i, +1),), dn))
-        if chain.is_open:
-            for xi in (chain.xi_plus, chain.xi_minus):
-                eq.append(LogTerm(+1, ((i, +1),), -eta / 2.0 + xi))
-                eq.append(LogTerm(-1, ((i, +1),), eta / 2.0 - xi))
-        for j in range(chain.n_magnons):
-            if j == i:
-                continue
-            eq.append(LogTerm(+1, ((i, +1), (j, -1)), -eta))
-            eq.append(LogTerm(-1, ((i, +1), (j, -1)), +eta))
-            if chain.is_open:
-                eq.append(LogTerm(+1, ((i, +1), (j, +1)), -eta))
-                eq.append(LogTerm(-1, ((i, +1), (j, +1)), +eta))
-        out.append(eq)
-    return out
 
 
 def _canonical_roots(chain: ChainSpec, values: Sequence[complex]) -> Tuple[complex, ...]:
@@ -266,8 +186,7 @@ def solve_bethe(chain: ChainSpec, cfg: SolveConfig) -> SolveResult:
         domain = lambda u: bool(np.all(np.abs(u.imag) <= radius))  # noqa: E731
     else:
         domain = lambda u: bool(np.all(np.abs(u) <= radius))  # noqa: E731
-    system = _LogSystem(_bethe_terms(chain), "sin_pi" if chain.is_trig else "linear",
-                        [0.0] * m, domain=domain)
+    system = _LogSystem(*_bethe_system(chain), 0.0, domain)
     rng = np.random.default_rng(cfg.seed)
     found: List[BetheRoots] = []
     canon: List[Tuple[complex, ...]] = []
@@ -315,106 +234,37 @@ def solve_bethe(chain: ChainSpec, cfg: SolveConfig) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# vacuum system assembly
+# vacuum solutions
 # ---------------------------------------------------------------------------
-
-
-def _vacuum_matter_terms(spec: GaugeTheorySpec, j: int) -> List[LogTerm]:
-    eq: List[LogTerm] = []
-    if spec.family == "A":
-        for m, mp in zip(spec.masses, spec.masses_anti):
-            eq.append(LogTerm(+1, ((j, +1),), -mp))
-            eq.append(LogTerm(-1, ((j, +1),), +m))
-    elif spec.realization == "I":
-        if len(spec.masses) != len(spec.masses_anti):
-            raise ValueError("paired square-rooted form needs N_f = N_f'")
-        for m, mp in zip(spec.masses_anti, spec.masses):
-            eq.append(LogTerm(+1, ((j, +1),), -m))
-            eq.append(LogTerm(-1, ((j, -1),), -mp))
-    else:
-        for m in spec.masses:
-            eq.append(LogTerm(+1, ((j, +1),), -m))
-            eq.append(LogTerm(-1, ((j, -1),), -m))
-    return eq
-
-
-def _vacuum_terms(spec: GaugeTheorySpec, rational: bool) -> List[List[LogTerm]]:
-    if spec.family not in ("A", "B", "C", "D"):
-        raise ValueError("the analytic solver covers the classical families")
-    n = spec.dim
-    madj = spec.m_adj
-    half_pi = math.pi / 2.0
-    out: List[List[LogTerm]] = []
-    for j in range(n):
-        eq: List[LogTerm] = []
-        if spec.family == "A":
-            for k in range(n):
-                if k == j:
-                    continue
-                eq.append(LogTerm(+1, ((j, +1), (k, -1)), -madj))
-                eq.append(LogTerm(-1, ((j, +1), (k, -1)), +madj))
-        else:
-            if spec.family == "B":
-                eq.append(LogTerm(+2, ((j, +1),), -madj))
-                eq.append(LogTerm(-2, ((j, +1),), +madj))
-                if not rational:
-                    eq.append(LogTerm(+2, ((j, +1),), -madj + half_pi))
-                    eq.append(LogTerm(-2, ((j, +1),), +madj + half_pi))
-            elif spec.family == "C":
-                eq.append(LogTerm(+1, ((j, +1),), -madj / 2.0))
-                eq.append(LogTerm(-1, ((j, +1),), +madj / 2.0))
-            for k in range(n):
-                if k == j:
-                    continue
-                for e in (+1, -1):
-                    eq.append(LogTerm(+1, ((j, +1), (k, e)), -madj))
-                    eq.append(LogTerm(-1, ((j, -1), (k, e)), -madj))
-        eq.extend(_vacuum_matter_terms(spec, j))
-        out.append(eq)
-    return out
 
 
 _SIGMA_PERIOD = math.pi
 
 
-def _weyl_orbit(family: str, sigma: Tuple[float, ...]):
-    n = len(sigma)
-    if family == "A":
-        sign_patterns = [(1,) * n]
-    elif family in ("B", "C"):
-        sign_patterns = list(product((1, -1), repeat=n))
-    else:  # D: even sign flips only
-        sign_patterns = [p for p in product((1, -1), repeat=n) if p.count(-1) % 2 == 0]
-    for perm in permutations(range(n)):
-        base = tuple(sigma[p] for p in perm)
-        for signs in sign_patterns:
-            yield tuple(s * x for s, x in zip(signs, base))
-
-
 def _canonical_sigma(family: str, sigma: Sequence[float], fold: bool = True) -> Tuple[float, ...]:
-    best: Optional[Tuple[float, ...]] = None
-    for image in _weyl_orbit(family, tuple(sigma)):
+    def key(image):
         if fold:
             image = tuple(x - _SIGMA_PERIOD * math.floor(x / _SIGMA_PERIOD) for x in image)
         cand = tuple(sorted(image))
-        if best is None or tuple(round(x, 9) for x in cand) < tuple(round(x, 9) for x in best):
-            best = cand
-    return best
+        return tuple(round(x, 9) for x in cand), cand
+
+    return min(map(key, weyl_images(family, len(sigma), tuple(sigma)).images))[1]
 
 
 def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
                  rational: bool = False) -> SolveResult:
     """Real vacuum solutions on the given branch, deduplicated by Weyl images."""
+    if spec.family not in ("A", "B", "C", "D"):
+        raise ValueError("the analytic solver covers the classical families")
     n = spec.dim
-    terms = _vacuum_terms(spec, rational)
-    if all(not eq for eq in terms):
+    table, params = _vacuum_system(spec, "rational" if rational else "root")
+    if not table.n_rows:
         # no interactions at all: every point is a vacuum on the + branch
         diag = {"underdetermined": True, "n_starts": 0}
         if branch.sign == +1:
             return SolveResult([np.zeros(n)], diag)
         return SolveResult([], diag)
     target = 0.0 if branch.sign == +1 else math.pi * 1j
-    kind = "linear" if rational else "sin"
     extent = max([abs(spec.m_adj)] + [abs(m) for m in spec.masses]
                  + [abs(m) for m in (spec.masses_anti or ())])
     radius = 2.0 + math.pi + spec.dim * extent
@@ -422,7 +272,7 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
         domain = lambda u: bool(np.all(np.abs(u) <= 10.0 * radius))  # noqa: E731
     else:
         domain = lambda u: bool(np.all(np.abs(u.imag) <= radius))  # noqa: E731
-    system = _LogSystem(terms, kind, [target] * n, domain=domain)
+    system = _LogSystem(table, params, target, domain)
     lhs_fn = vacuum_lhs_2d if rational else vacuum_lhs
     rng = np.random.default_rng(cfg.seed)
     span = 1.0 if rational else _SIGMA_PERIOD

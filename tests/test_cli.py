@@ -196,3 +196,12 @@ def test_report_all_is_reproducible(tmp_path, capsys):
     assert a == b
     doc = json.loads(a)
     assert all(c["pass"] for c in doc["criteria"])
+
+
+def test_verify_rejects_draws_with_coincident_mapped_roots(capsys):
+    # seed 6 draws a point whose mapped Bethe roots coincide; the draw is
+    # rejected like a singular one instead of aborting the whole run
+    code, doc = _json_doc(capsys, ["verify", "--preset", "D-2d", "--rank", "3", "--seed", "6"])
+    assert code == 0
+    assert doc["pass"] is True
+    assert doc["samples"] == 200

@@ -1,0 +1,197 @@
+"""The row tables: solver log residual and Jacobian against the product forms,
+and the import rules that keep the independent witnesses independent."""
+
+import ast
+import cmath
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bethegauge.chain import BetheRoots, ChainSpec, _bethe_system, bethe_lhs
+from bethegauge.gauge import (
+    BRANCH_MINUS,
+    BRANCH_PLUS,
+    GaugeTheorySpec,
+    _root_data,
+    _vacuum_system,
+    vacuum_lhs,
+    vacuum_lhs_2d,
+)
+from bethegauge.solve import POLE_TOL, _LogSystem
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bethegauge"
+POINTS = 6
+FD_STEP = 1e-6
+
+
+def _anywhere(u):
+    return True
+
+
+def _fd_jacobian(system, u):
+    cols = []
+    for k in range(len(u)):
+        step = np.zeros(len(u), dtype=complex)
+        step[k] = FD_STEP
+        cols.append((system.residual(u + step) - system.residual(u - step)) / (2 * FD_STEP))
+    return np.array(cols).T
+
+
+def _check_agreement(system, target, u, products):
+    """exp(residual + target) is the product form; the Jacobian matches FD."""
+    res = system.residual(u)
+    for r, p in zip(res, products):
+        assert abs(cmath.exp(r + target) - p) <= 1e-10 * abs(p)
+    if np.max(np.abs(res.imag)) < math.pi - 0.1:  # away from the 2 pi fold
+        jac = system.jacobian(u)
+        fd = _fd_jacobian(system, u)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
+
+
+def _admissible(system, u, products):
+    return (system.min_factor(u) > POLE_TOL
+            and all(1e-3 < abs(p) < 1e3 for p in products))
+
+
+@pytest.mark.parametrize("branch", [BRANCH_PLUS, BRANCH_MINUS], ids=["plus", "minus"])
+@pytest.mark.parametrize("realization", ["I", "II"])
+@pytest.mark.parametrize("regime", ["3d", "2d"])
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_vacuum_log_residual_matches_products(family, regime, realization, branch):
+    rng = np.random.default_rng(["ABCD".index(family), regime == "2d", realization == "I"])
+    scale = math.pi if regime == "3d" else 1.0
+    lhs = vacuum_lhs if regime == "3d" else vacuum_lhs_2d
+    target = 0.0 if branch.sign == +1 else math.pi * 1j
+    checked = 0
+    for _ in range(200):
+        rank, nf = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        masses = tuple(scale * rng.uniform(0.07, 0.43, size=nf))
+        anti = tuple(scale * rng.uniform(0.07, 0.43, size=nf))
+        spec = GaugeTheorySpec(
+            family, rank, nf, masses, scale * rng.uniform(0.09, 0.34),
+            realization=realization,
+            masses_anti=anti if family == "A" or realization == "I" else None,
+        )
+        sigma = scale * rng.uniform(0.05, 0.95, size=rank) + 1j * rng.normal(0.0, 0.05, size=rank)
+        system = _LogSystem(*_vacuum_system(spec, "rational" if regime == "2d" else "root"),
+                            target, _anywhere)
+        products = [lhs(spec, sigma, j, branch) for j in range(rank)]
+        if not _admissible(system, sigma, products):
+            continue
+        _check_agreement(system, target, sigma, products)
+        checked += 1
+        if checked == POINTS:
+            return
+    pytest.fail("only %d admissible points" % checked)
+
+
+@pytest.mark.parametrize("kind", ["closed-xxz", "open-xxz", "closed-xxx", "open-xxx"])
+def test_bethe_log_residual_matches_products(kind):
+    rng = np.random.default_rng(["closed-xxz", "open-xxz", "closed-xxx", "open-xxx"].index(kind))
+    checked = 0
+    for _ in range(200):
+        sites, magnons = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        xi = rng.uniform(-0.4, 0.4, size=2) if kind.startswith("open") else (None, None)
+        chain = ChainSpec(kind, sites, magnons, rng.uniform(0.1, 0.4),
+                          tuple(rng.choice([0.5, 1.0, -0.5, 1.5], size=sites)),
+                          tuple(rng.uniform(-0.2, 0.2, size=sites)),
+                          xi_plus=xi[0], xi_minus=xi[1])
+        lo, hi = (0.05, 0.95) if chain.is_trig else (-1.0, 1.0)
+        u = rng.uniform(lo, hi, size=magnons) + 1j * rng.normal(0.0, 0.2, size=magnons)
+        system = _LogSystem(*_bethe_system(chain), 0.0, _anywhere)
+        try:
+            roots = BetheRoots(u)
+            products = [bethe_lhs(chain, roots, i) for i in range(magnons)]
+        except ValueError:  # coincident, reflection-degenerate or singular
+            continue
+        if not _admissible(system, u, products):
+            continue
+        _check_agreement(system, 0.0, u, products)
+        checked += 1
+        if checked == POINTS:
+            return
+    pytest.fail("only %d admissible points" % checked)
+
+
+def test_e8_rows_are_generated_from_root_data():
+    spec = GaugeTheorySpec("E8", 8, 2, (0.27, 0.31), 0.14)
+    table, _ = _vacuum_system(spec, "root")
+    for j in range(8):
+        coupled = sum(1 for _, _, exps in _root_data("E8", 8) if exps[j])
+        assert table.equations[j].n_rows == 2 * coupled + 2 * spec.n_fund
+
+
+# ---------------------------------------------------------------------------
+# import graph: the independent witnesses never read the row tables
+# ---------------------------------------------------------------------------
+
+
+def _tree(module):
+    return ast.parse((SRC / (module + ".py")).read_text())
+
+
+def _package_imports(tree):
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bethegauge."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("bethegauge."))
+    return out
+
+
+def _names(node):
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def _table_machinery(tree):
+    """Functions of a module that reach the row tables, plus the rows module's names."""
+    rows_names = {n.name for n in _tree("rows").body
+                  if isinstance(n, (ast.ClassDef, ast.FunctionDef))} | {"Row", "rows"}
+    fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    reached = set(rows_names)
+    while True:
+        more = {name for name, fn in fns.items() if _names(fn) & reached} - reached
+        if not more:
+            return fns, reached
+        reached |= more
+
+
+def _closure(fns, start):
+    seen, todo = set(), list(start)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(n for n in _names(fns[name]) if n in fns)
+    return seen
+
+
+@pytest.mark.parametrize("module, forbidden", [
+    ("gauge", {"chain", "bridge", "solve"}),
+    ("chain", {"gauge", "bridge", "solve"}),
+    ("rows", {"gauge", "chain", "bridge", "solve"}),
+])
+def test_each_side_builds_its_rows_from_its_own_data(module, forbidden):
+    assert not _package_imports(_tree(module)) & forbidden
+
+
+@pytest.mark.parametrize("module, witnesses, table_fn", [
+    ("gauge", ("superpotential_value", "superpotential_grad", "vacuum_from_gradient"),
+     "_vacuum_table"),
+    ("chain", ("monodromy", "transfer_matrix", "bethe_vector", "certify_roots"),
+     "_bethe_table"),
+])
+def test_witnesses_never_reach_the_row_tables(module, witnesses, table_fn):
+    fns, machinery = _table_machinery(_tree(module))
+    assert table_fn in machinery  # the scan does see the tables
+    reach = _closure(fns, witnesses)
+    assert not reach & machinery, sorted(reach & machinery)
