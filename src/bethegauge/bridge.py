@@ -34,10 +34,10 @@ from .chain import BetheRoots, ChainSpec, bethe_lhs, validate_roots
 from .gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
+    REGIME_SCALE,
     GaugeTheorySpec,
     VacuumBranch,
-    vacuum_lhs,
-    vacuum_lhs_2d,
+    _vacuum_lhs_values,
     vacuum_lhs_squared,
 )
 from .specfun import SingularPointError
@@ -107,14 +107,14 @@ class DictionaryPreset:
     branch: VacuumBranch
 
     def __post_init__(self) -> None:
-        if self.regime not in ("3d", "2d"):
+        if self.regime not in REGIME_SCALE:
             raise ValueError("regime must be 3d or 2d")
         if len(self.fixed_sites) not in (0, 2, 3, 4):
             raise ValueError("fixed-site count must be in {0, 2, 3, 4}")
 
     @property
     def scale(self) -> float:
-        return math.pi if self.regime == "3d" else 1.0
+        return REGIME_SCALE[self.regime]
 
     @property
     def is_open(self) -> bool:
@@ -199,7 +199,7 @@ def presets(family: str, regime: str) -> List[DictionaryPreset]:
         raise ValueError("no boundary dictionary is defined for the exceptional families")
     if family not in ("A", "B", "C", "D"):
         raise ValueError("family must be one of A, B, C, D")
-    if regime not in ("3d", "2d"):
+    if regime not in REGIME_SCALE:
         raise ValueError("regime must be 3d or 2d")
     return [p for p in _CATALOG if p.family == family and p.regime == regime]
 
@@ -370,11 +370,6 @@ def _extrapolate_geometric(values: Sequence[complex]) -> complex:
     return b3 - (b3 - b2) ** 2 / den
 
 
-def _vacuum_values(gauge_spec: GaugeTheorySpec, sigma, branch: VacuumBranch, regime: str):
-    fn = vacuum_lhs if regime == "3d" else vacuum_lhs_2d
-    return [fn(gauge_spec, sigma, j, branch) for j in range(gauge_spec.dim)]
-
-
 def _bethe_values(preset: DictionaryPreset, spec: GaugeTheorySpec, sigma,
                   cutoff: Optional[float]) -> Optional[List[complex]]:
     """Bethe products at the mapped point; None if the mapped roots are refused."""
@@ -437,7 +432,7 @@ def verify_identity(
             raise RuntimeError("sampling kept hitting singular configurations")
         spec, sigma = _sample_gauge(preset, rank, nf, rng)
         try:
-            vac = _vacuum_values(spec, sigma, branch, preset.regime)
+            vac = _vacuum_lhs_values(spec, sigma, preset.regime)
             # keep magnitudes moderate so the absolute tolerance is meaningful
             if any(not (1e-2 < abs(v) < 1e2) for v in vac):
                 continue

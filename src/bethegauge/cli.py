@@ -1,37 +1,38 @@
 """Command line front end: evaluation, certification and solving.
 
 One binary with subcommands; every subcommand supports --json (versioned
-schema) and most support --csv where the payload is tabular.  Reports are
-reproducible: the same argv and seed give byte-identical JSON once
-timestamps are disabled with --no-timestamp.  The BGL_SEED environment
-variable overrides the default seed of any subcommand.
+schema), and the three with a table (roots, verify, report-all) also
+support --csv.  Reports are reproducible: the same argv and seed give
+byte-identical JSON once timestamps are disabled with --no-timestamp.  The
+BGL_SEED environment variable overrides the default seed of any subcommand.
+Each handler reads the parsed namespace, so every default is stated once,
+in the parser or in the library dataclass the parser takes it from.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import io
 import json
 import math
 import os
 import sys
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .bridge import (
-    DictionaryPreset,
+    VerificationReport,
     all_presets,
     calibrate_preset,
     duality_compare,
-    map_gauge_to_chain,
     preset_by_id,
     verify_identity,
 )
 from .chain import (
+    KINDS,
     BetheRoots,
     ChainSpec,
     bethe_lhs,
@@ -45,7 +46,10 @@ from .chain import (
 from .gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
+    FAMILIES,
+    REGIME_SCALE,
     GaugeTheorySpec,
+    _vacuum_lhs_values,
     superpotential_grad,
     superpotential_value,
     vacuum_from_gradient,
@@ -53,10 +57,11 @@ from .gauge import (
     vacuum_lhs_2d,
     vacuum_lhs_squared,
 )
-from .lie_roots import build_root_system, expected_root_count
+from .lie_roots import build_root_system, expected_root_count, root_family
 from .solve import SolveConfig, cross_check, solve_bethe, solve_vacuum
 from .specfun import (
     BracketContext,
+    SingularPointError,
     dilog,
     dilog_factorization_residual,
     dilog_grad_check,
@@ -65,15 +70,7 @@ from .specfun import (
 
 SCHEMA_VERSION = "1"
 
-
-@dataclasses.dataclass
-class RunConfig:
-    subcommand: str
-    seed: int
-    output: str  # human | json | csv
-    no_timestamp: bool
-    out: Optional[str]
-    flags: Dict[str, object]
+CLASSICAL = ("A", "B", "C", "D")
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +121,13 @@ def _branch_arg(text: str):
     raise argparse.ArgumentTypeError("branch must be + or -")
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("BGL_SEED", "0"))
-    except ValueError:
-        return 0
+def _argument_error(ns: argparse.Namespace) -> Optional[str]:
+    """A bad combination of arguments that parsing alone does not catch."""
+    if "masses" in ns and ns.masses is not None and len(ns.masses) != ns.nf:
+        return "got %d masses for --nf %d" % (len(ns.masses), ns.nf)
+    if "spins" in ns and ns.sites is None and not ns.spins:
+        return "need --sites or an explicit --spins list"
+    return None
 
 
 def _jsonable(x):
@@ -150,32 +149,87 @@ def _jsonable(x):
     return x
 
 
-def _emit(cfg: RunConfig, payload: Dict[str, object], human: Sequence[str],
-          csv_rows: Optional[List[List[object]]] = None) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": cfg.subcommand,
-        "seed": cfg.seed,
-    }
-    if not cfg.no_timestamp:
-        doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    doc.update(_jsonable(payload))
-    if cfg.output == "json":
+def _emit(ns: argparse.Namespace, payload: Dict[str, object], human: Sequence[str],
+          rows: Optional[List[List[object]]] = None) -> None:
+    """Write the report as JSON, as CSV rows, or as the human lines.
+
+    Only the subcommands that pass ``rows`` declare --csv.
+    """
+    if ns.json:
+        doc = {"schema_version": SCHEMA_VERSION, "command": ns.subcommand, "seed": ns.seed}
+        if not ns.no_timestamp:
+            doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+        doc.update(_jsonable(payload))
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    elif cfg.output == "csv":
-        if csv_rows is None:
-            raise SystemExit("this subcommand has no tabular form; use --json")
-        buf = io.StringIO()
-        for row in csv_rows:
-            buf.write(",".join(str(c) for c in row) + "\n")
-        text = buf.getvalue()
+    elif rows is not None and ns.csv:
+        text = "".join(",".join(str(c) for c in row) + "\n" for row in rows)
     else:
         text = "\n".join(human) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _emit_report(ns: argparse.Namespace, rep: VerificationReport, summary: str,
+                 rows: Optional[List[List[object]]] = None) -> int:
+    """Emit a verification report under its one summary line; exit 1 if it failed."""
+    _emit(ns, rep.to_dict(), ["%s -> %s" % (summary, _verdict(rep.passed))], rows)
+    return 0 if rep.passed else 1
+
+
+def _check(name: str, value: float, bound: float) -> Dict[str, object]:
+    """One named check record: the value passes when it is at most the bound."""
+    return {"name": name, "value": value, "bound": bound, "pass": value <= bound}
+
+
+def _gauge_spec(ns: argparse.Namespace, family: str, scale: float,
+                rng: np.random.Generator) -> GaugeTheorySpec:
+    """The theory the gauge flags describe; masses not given are drawn in units of scale."""
+    masses = ns.masses
+    if masses is None:
+        masses = tuple(scale * rng.uniform(0.07, 0.43, size=ns.nf))
+    m_adj = ns.m_adj
+    if m_adj is None:
+        m_adj = scale * rng.uniform(0.09, 0.34)
+    anti = None
+    if family == "A":
+        anti = ns.masses_anti
+        if anti is None:
+            anti = tuple(scale * rng.uniform(0.07, 0.43, size=ns.nf))
+    return GaugeTheorySpec(
+        family=family, rank=ns.rank, n_fund=ns.nf, masses=tuple(masses),
+        m_adj=m_adj, realization=ns.realization, masses_anti=anti,
+    )
+
+
+def _realization_pair(family: str, rank: int, nf: int,
+                      rng: np.random.Generator) -> Tuple[GaugeTheorySpec, GaugeTheorySpec]:
+    """One drawn 3d theory in realization I and in realization II."""
+    masses = tuple(math.pi * rng.uniform(0.07, 0.43, size=nf))
+    m_adj = math.pi * rng.uniform(0.09, 0.34)
+    g1, g2 = (GaugeTheorySpec(family=family, rank=rank, n_fund=nf, masses=masses,
+                              m_adj=m_adj, realization=r) for r in ("I", "II"))
+    return g1, g2
+
+
+def _chain_spec(ns: argparse.Namespace) -> ChainSpec:
+    sites = ns.sites or len(ns.spins)
+    return ChainSpec(
+        kind=ns.kind, n_sites=sites, n_magnons=ns.magnons, eta=ns.eta,
+        spins=(0.5,) * sites if ns.spins is None else ns.spins,
+        inhomogeneities=(0.0,) * sites if ns.thetas is None else ns.thetas,
+        xi_plus=ns.xi_plus, xi_minus=ns.xi_minus,
+    )
+
+
+def _solve_config(ns: argparse.Namespace) -> SolveConfig:
+    return SolveConfig(n_starts=ns.starts, tol=ns.tol, max_iter=ns.max_iter, seed=ns.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -183,151 +237,82 @@ def _emit(cfg: RunConfig, payload: Dict[str, object], human: Sequence[str],
 # ---------------------------------------------------------------------------
 
 
-def _root_family(family: str, rank: int) -> Tuple[str, int]:
-    if family in ("E6", "E7", "E8"):
-        return "E", int(family[1])
-    if family == "F4":
-        return "F", 4
-    return family, rank
-
-
-def _cmd_roots(cfg: RunConfig) -> int:
-    family, rank = _root_family(cfg.flags["family"], cfg.flags["rank"])
+def _cmd_roots(ns: argparse.Namespace) -> int:
+    family, rank = root_family(ns.family, ns.rank)
     rs = build_root_system(family, rank)
-    lengths: Dict[str, int] = {}
-    for w in rs.weight_factors():
-        key = str(w)
-        lengths[key] = lengths.get(key, 0) + 1
+    expected = expected_root_count(family, rank)
     payload = {
-        "family": cfg.flags["family"],
+        "family": ns.family,
         "rank": rank,
         "count": len(rs.roots),
-        "expected": expected_root_count(family, rank),
-        "weight_factor_histogram": lengths,
+        "expected": expected,
+        "weight_factor_histogram": Counter(str(w) for w in rs.weight_factors()),
     }
     human = ["family %s rank %d: %d roots (expected %d)"
-             % (cfg.flags["family"], rank, len(rs.roots), payload["expected"])]
+             % (ns.family, rank, len(rs.roots), expected)]
     rows: List[List[object]] = [["index"] + ["x%d" % i for i in range(len(rs.roots[0]))]]
     for idx, root in enumerate(rs.roots):
         rows.append([idx] + [str(c) for c in root])
-    _emit(cfg, payload, human, rows)
-    return 0 if len(rs.roots) == payload["expected"] else 1
+    _emit(ns, payload, human, rows)
+    return 0 if len(rs.roots) == expected else 1
 
 
 def _specfun_checks(seed: int) -> List[Dict[str, object]]:
     """The special-function checks of specfun-selftest and criterion 7."""
-    checks: List[Dict[str, object]] = []
-
-    def add(name: str, value: float, bound: float) -> None:
-        checks.append({"name": name, "value": value, "bound": bound,
-                       "pass": value <= bound})
-
-    add("dilog_at_one", abs(dilog(1.0) - math.pi ** 2 / 6.0), 1e-12)
-    add("dilog_at_minus_one", abs(dilog(-1.0) + math.pi ** 2 / 12.0), 1e-12)
     ana, fd = dilog_grad_check(0.2 + 0.3j, 1e-5)
-    add("derivative_fd_gap", abs(ana - fd), 1e-8)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for r in (2, 3, 4):
         for _ in range(20):
             x = complex(rng.uniform(-2.5, math.log(0.9)), rng.uniform(-3.0, 3.0))
             worst = max(worst, dilog_factorization_residual(np.exp(x), r))
-    add("factorization_r234", worst, 1e-10)
-    rels = []
-    for beta2 in (1e-1, 1e-2, 1e-3):
-        _, _, rel = dilog_qpoch_link(np.exp(0.4j), beta2)
-        rels.append(rel)
-    add("qpoch_link_at_1e-3", rels[-1], 5e-3)
-    checks.append({"name": "qpoch_link_monotone",
-                   "value": rels, "bound": "decreasing",
-                   "pass": rels[0] > rels[1] > rels[2]})
-    return checks
+    rels = [dilog_qpoch_link(np.exp(0.4j), beta2)[2] for beta2 in (1e-1, 1e-2, 1e-3)]
+    return [
+        _check("dilog_at_one", abs(dilog(1.0) - math.pi ** 2 / 6.0), 1e-12),
+        _check("dilog_at_minus_one", abs(dilog(-1.0) + math.pi ** 2 / 12.0), 1e-12),
+        _check("derivative_fd_gap", abs(ana - fd), 1e-8),
+        _check("factorization_r234", worst, 1e-10),
+        _check("qpoch_link_at_1e-3", rels[-1], 5e-3),
+        {"name": "qpoch_link_monotone", "value": rels, "bound": "decreasing",
+         "pass": rels[0] > rels[1] > rels[2]},
+    ]
 
 
-def _cmd_specfun_selftest(cfg: RunConfig) -> int:
-    checks = _specfun_checks(cfg.seed)
+def _cmd_specfun_selftest(ns: argparse.Namespace) -> int:
+    checks = _specfun_checks(ns.seed)
     ok = all(c["pass"] for c in checks)
-    human = ["%-24s %s" % (c["name"], "PASS" if c["pass"] else "FAIL") for c in checks]
-    human.append("specfun selftest: %s" % ("PASS" if ok else "FAIL"))
-    _emit(cfg, {"checks": checks, "pass": ok}, human)
+    human = ["%-24s %s" % (c["name"], _verdict(c["pass"])) for c in checks]
+    human.append("specfun selftest: %s" % _verdict(ok))
+    _emit(ns, {"checks": checks, "pass": ok}, human)
     return 0 if ok else 1
 
 
-def _gauge_from_flags(cfg: RunConfig, rng: np.random.Generator,
-                      scale: float) -> GaugeTheorySpec:
-    f = cfg.flags
-    family = f["family"]
-    rank = f["rank"]
-    nf = f.get("nf", 2)
-    masses = f.get("masses")
-    if masses is None:
-        masses = tuple(scale * rng.uniform(0.07, 0.43, size=nf))
-    if len(masses) != nf:
-        raise SystemExit("got %d masses for --nf %d" % (len(masses), nf))
-    m_adj = f.get("m_adj")
-    if m_adj is None:
-        m_adj = scale * rng.uniform(0.09, 0.34)
-    kwargs = {}
-    if family == "A":
-        anti = f.get("masses_anti")
-        if anti is None:
-            anti = tuple(scale * rng.uniform(0.07, 0.43, size=nf))
-        kwargs["masses_anti"] = anti
-    return GaugeTheorySpec(
-        family=family, rank=rank, n_fund=nf, masses=tuple(masses),
-        m_adj=m_adj, realization=f.get("realization", "II"), **kwargs,
-    )
-
-
-def _cmd_vacuum(cfg: RunConfig) -> int:
-    f = cfg.flags
-    regime = f.get("regime", "3d")
-    scale = math.pi if regime == "3d" else 1.0
-    rng = np.random.default_rng(cfg.seed)
-    spec = _gauge_from_flags(cfg, rng, scale)
-    sigma = f.get("sigma")
+def _cmd_vacuum(ns: argparse.Namespace) -> int:
+    scale = REGIME_SCALE[ns.regime]
+    rng = np.random.default_rng(ns.seed)
+    spec = _gauge_spec(ns, ns.family, scale, rng)
+    sigma = ns.sigma
     if sigma is None:
         sigma = scale * rng.uniform(0.05, 0.95, size=spec.dim)
     sigma = np.asarray(sigma, dtype=float)
-    branch = f.get("branch", BRANCH_PLUS)
-    lhs_fn = vacuum_lhs if regime == "3d" else vacuum_lhs_2d
-    values = [lhs_fn(spec, sigma, j, branch) for j in range(spec.dim)]
-    residuals = [abs(v - branch.sign) for v in values]
+    sign = ns.branch.sign
+    values = _vacuum_lhs_values(spec, sigma, ns.regime)
+    residuals = [abs(v - sign) for v in values]
     payload = {
-        "family": spec.family, "rank": spec.rank, "regime": regime,
-        "branch": branch.sign,
+        "family": spec.family, "rank": spec.rank, "regime": ns.regime, "branch": sign,
         "sigma": list(sigma), "masses": list(spec.masses), "m_adj": spec.m_adj,
         "lhs": values, "residuals": residuals,
     }
-    human = ["vacuum %s rank %d (%s, branch %+d)"
-             % (spec.family, spec.rank, regime, branch.sign)]
+    human = ["vacuum %s rank %d (%s, branch %+d)" % (spec.family, spec.rank, ns.regime, sign)]
     for j, (v, r) in enumerate(zip(values, residuals)):
         human.append("  j=%d  LHS=%s  |LHS-branch|=%.3e" % (j, v, r))
-    _emit(cfg, payload, human)
+    _emit(ns, payload, human)
     return 0
 
 
-def _chain_from_flags(cfg: RunConfig) -> ChainSpec:
-    f = cfg.flags
-    spins = f.get("spins")
-    thetas = f.get("thetas")
-    sites = f.get("sites") or (len(spins) if spins else None)
-    if sites is None:
-        raise SystemExit("need --sites or an explicit --spins list")
-    if spins is None:
-        spins = (0.5,) * sites
-    if thetas is None:
-        thetas = (0.0,) * sites
-    return ChainSpec(
-        kind=f["kind"], n_sites=sites, n_magnons=f["magnons"], eta=f["eta"],
-        spins=tuple(spins), inhomogeneities=tuple(thetas),
-        xi_plus=f.get("xi_plus"), xi_minus=f.get("xi_minus"),
-    )
-
-
-def _cmd_bethe(cfg: RunConfig) -> int:
-    chain = _chain_from_flags(cfg)
-    roots = BetheRoots(cfg.flags["u"])
+def _cmd_bethe(ns: argparse.Namespace) -> int:
+    chain = _chain_spec(ns)
+    roots = BetheRoots(ns.u)
     res = bethe_residuals(chain, roots)
     payload = {
         "kind": chain.kind, "sites": chain.n_sites, "magnons": chain.n_magnons,
@@ -336,84 +321,56 @@ def _cmd_bethe(cfg: RunConfig) -> int:
     human = ["bethe %s L=%d M=%d" % (chain.kind, chain.n_sites, chain.n_magnons)]
     for i, r in enumerate(res):
         human.append("  i=%d  |LHS-1|=%.3e" % (i, r))
-    _emit(cfg, payload, human)
+    _emit(ns, payload, human)
     return 0
 
 
-def _cmd_chain_oracle(cfg: RunConfig) -> int:
-    f = cfg.flags
-    rng = np.random.default_rng(cfg.seed)
-    eta = f.get("eta") or rng.uniform(0.2, 0.4)
-    sites = f.get("sites", 3)
-    kind = f.get("kind", "closed-xxz")
+def _cmd_chain_oracle(ns: argparse.Namespace) -> int:
+    rng = np.random.default_rng(ns.seed)
+    eta = ns.eta or rng.uniform(0.2, 0.4)
     xi_p = xi_m = None
-    if kind.startswith("open"):
+    if ns.kind.startswith("open"):
         xi_p, xi_m = rng.uniform(-0.4, 0.4, size=2)
     chain = ChainSpec(
-        kind=kind, n_sites=sites, n_magnons=f.get("magnons", 1), eta=eta,
-        spins=(0.5,) * sites,
-        inhomogeneities=tuple(rng.uniform(-0.1, 0.1, size=sites)),
+        kind=ns.kind, n_sites=ns.sites, n_magnons=ns.magnons, eta=eta,
+        spins=(0.5,) * ns.sites,
+        inhomogeneities=tuple(rng.uniform(-0.1, 0.1, size=ns.sites)),
         xi_plus=xi_p, xi_minus=xi_m,
     )
     u, v = rng.uniform(0.1, 0.9, size=2)
     checks: List[Dict[str, object]] = []
     if chain.is_trig:
         ctx = BracketContext(eta)
-        ybe = yang_baxter_residual(u, v, ctx)
-        checks.append({"name": "yang_baxter", "value": ybe, "bound": 1e-12,
-                       "pass": ybe <= 1e-12})
+        checks.append(_check("yang_baxter", yang_baxter_residual(u, v, ctx), 1e-12))
         if chain.is_open:
-            refl = reflection_residual(u, v, xi_p, ctx)
-            checks.append({"name": "reflection", "value": refl, "bound": 1e-12,
-                           "pass": refl <= 1e-12})
-    rtt = rtt_residual(chain, u, v)
-    checks.append({"name": "rtt_exchange", "value": rtt, "bound": 1e-12,
-                   "pass": rtt <= 1e-12})
-    comm = commutator_residual(chain, u, v)
-    checks.append({"name": "transfer_commutator", "value": comm, "bound": 1e-10,
-                   "pass": comm <= 1e-10})
+            checks.append(_check("reflection", reflection_residual(u, v, xi_p, ctx), 1e-12))
+    checks.append(_check("rtt_exchange", rtt_residual(chain, u, v), 1e-12))
+    checks.append(_check("transfer_commutator", commutator_residual(chain, u, v), 1e-10))
     ok = all(c["pass"] for c in checks)
-    payload = {"kind": kind, "sites": sites, "eta": eta, "checks": checks, "pass": ok}
-    human = ["%-20s %.3e  %s" % (c["name"], c["value"], "PASS" if c["pass"] else "FAIL")
-             for c in checks]
-    human.append("chain oracle: %s" % ("PASS" if ok else "FAIL"))
-    _emit(cfg, payload, human)
+    payload = {"kind": ns.kind, "sites": ns.sites, "eta": eta, "checks": checks, "pass": ok}
+    human = ["%-20s %.3e  %s" % (c["name"], c["value"], _verdict(c["pass"])) for c in checks]
+    human.append("chain oracle: %s" % _verdict(ok))
+    _emit(ns, payload, human)
     return 0 if ok else 1
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    f = cfg.flags
-    preset = preset_by_id(f["preset"])
-    rep = verify_identity(
-        preset,
-        dims=(f["rank"], f["nf"]),
-        samples=f["samples"],
-        tol=f["tol"],
-        seed=cfg.seed,
-        branch=f.get("branch"),
-    )
-    payload = rep.to_dict()
-    human = [
-        "preset %s: max residual %.3e over %d samples (tol %.1e, branch %+d) -> %s"
-        % (rep.preset_id, rep.max_residual, rep.samples, rep.tol,
-           rep.branch_used, "PASS" if rep.passed else "FAIL")
-    ]
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    rep = verify_identity(preset_by_id(ns.preset), dims=(ns.rank, ns.nf), samples=ns.samples,
+                          tol=ns.tol, seed=ns.seed, branch=ns.branch)
     rows = [["preset", "samples", "seed", "branch", "max_residual", "pass"],
             [rep.preset_id, rep.samples, rep.seed, rep.branch_used,
              rep.max_residual, rep.passed]]
-    _emit(cfg, payload, human, rows)
-    return 0 if rep.passed else 1
+    return _emit_report(
+        ns, rep, "preset %s: max residual %.3e over %d samples (tol %.1e, branch %+d)"
+        % (rep.preset_id, rep.max_residual, rep.samples, rep.tol, rep.branch_used), rows)
 
 
-def _cmd_calibrate(cfg: RunConfig) -> int:
-    f = cfg.flags
-    chosen = calibrate_preset(
-        f["family"], f["regime"], samples=f["samples"], seed=cfg.seed,
-    )
-    rep = verify_identity(chosen, dims=(2, 4), samples=f["samples"], seed=cfg.seed)
+def _cmd_calibrate(ns: argparse.Namespace) -> int:
+    chosen = calibrate_preset(ns.family, ns.regime, samples=ns.samples, seed=ns.seed)
+    rep = verify_identity(chosen, dims=(2, 4), samples=ns.samples, seed=ns.seed)
     payload = {
-        "family": f["family"],
-        "regime": f["regime"],
+        "family": ns.family,
+        "regime": ns.regime,
         "chosen": {
             "xi_plus": chosen.xi_plus.label() if chosen.xi_plus else None,
             "xi_minus": chosen.xi_minus.label() if chosen.xi_minus else None,
@@ -424,48 +381,27 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
     }
     human = [
         "calibrated %s %s: %d fixed site(s) theta=[%s], branch %+d, xi=(%s, %s)"
-        % (f["family"], f["regime"], len(chosen.fixed_sites),
+        % (ns.family, ns.regime, len(chosen.fixed_sites),
            ", ".join(str(s.theta) for s in chosen.fixed_sites),
            chosen.branch.sign,
            chosen.xi_plus.label() if chosen.xi_plus else "-",
            chosen.xi_minus.label() if chosen.xi_minus else "-"),
         "max residual %.3e over %d samples" % (rep.max_residual, rep.samples),
     ]
-    _emit(cfg, payload, human)
+    _emit(ns, payload, human)
     return 0 if rep.passed else 1
 
 
-def _cmd_duality_compare(cfg: RunConfig) -> int:
-    f = cfg.flags
-    rng = np.random.default_rng(cfg.seed)
-    nf = f.get("nf", 4)
-    masses = tuple(math.pi * rng.uniform(0.07, 0.43, size=nf))
-    m_adj = math.pi * rng.uniform(0.09, 0.34)
-    g1 = GaugeTheorySpec(family=f["family"], rank=f["rank"], n_fund=nf,
-                         masses=masses, m_adj=m_adj, realization="I")
-    g2 = GaugeTheorySpec(family=f["family"], rank=f["rank"], n_fund=nf,
-                         masses=masses, m_adj=m_adj, realization="II")
-    rep = duality_compare(g1, g2, samples=f["samples"], seed=cfg.seed, tol=f["tol"])
-    payload = rep.to_dict()
-    human = ["%s: squared products differ by at most %.3e over %d points -> %s"
-             % (rep.preset_id, rep.max_residual, rep.samples,
-                "PASS" if rep.passed else "FAIL")]
-    _emit(cfg, payload, human)
-    return 0 if rep.passed else 1
+def _cmd_duality_compare(ns: argparse.Namespace) -> int:
+    pair = _realization_pair(ns.family, ns.rank, ns.nf, np.random.default_rng(ns.seed))
+    rep = duality_compare(*pair, samples=ns.samples, seed=ns.seed, tol=ns.tol)
+    return _emit_report(ns, rep, "%s: squared products differ by at most %.3e over %d points"
+                        % (rep.preset_id, rep.max_residual, rep.samples))
 
 
-def _solve_cfg(cfg: RunConfig) -> SolveConfig:
-    f = cfg.flags
-    return SolveConfig(
-        n_starts=f.get("starts", 64), tol=f.get("tol", 1e-10),
-        max_iter=f.get("max_iter", 40), damping=f.get("damping", 1.0),
-        seed=cfg.seed, dedup_tol=f.get("dedup_tol", 1e-6),
-    )
-
-
-def _cmd_solve_bethe(cfg: RunConfig) -> int:
-    chain = _chain_from_flags(cfg)
-    result = solve_bethe(chain, _solve_cfg(cfg))
+def _cmd_solve_bethe(ns: argparse.Namespace) -> int:
+    chain = _chain_spec(ns)
+    result = solve_bethe(chain, _solve_config(ns))
     sets = []
     human = ["solve-bethe %s L=%d M=%d: %d root set(s)"
              % (chain.kind, chain.n_sites, chain.n_magnons, len(result))]
@@ -478,52 +414,37 @@ def _cmd_solve_bethe(cfg: RunConfig) -> int:
     payload = {"kind": chain.kind, "sites": chain.n_sites,
                "magnons": chain.n_magnons, "root_sets": sets,
                "diagnostics": result.diagnostics}
-    _emit(cfg, payload, human)
+    _emit(ns, payload, human)
     return 0
 
 
-def _cmd_solve_vacuum(cfg: RunConfig) -> int:
-    f = cfg.flags
-    regime = f.get("regime", "3d")
-    scale = math.pi if regime == "3d" else 1.0
-    rng = np.random.default_rng(cfg.seed)
-    spec = _gauge_from_flags(cfg, rng, scale)
-    branch = f.get("branch", BRANCH_PLUS)
-    result = solve_vacuum(spec, branch, _solve_cfg(cfg), rational=regime == "2d")
-    lhs_fn = vacuum_lhs if regime == "3d" else vacuum_lhs_2d
+def _cmd_solve_vacuum(ns: argparse.Namespace) -> int:
+    rng = np.random.default_rng(ns.seed)
+    spec = _gauge_spec(ns, ns.family, REGIME_SCALE[ns.regime], rng)
+    sign = ns.branch.sign
+    result = solve_vacuum(spec, ns.branch, _solve_config(ns), rational=ns.regime == "2d")
     sols = []
     human = ["solve-vacuum %s rank %d branch %+d: %d solution(s)"
-             % (spec.family, spec.rank, branch.sign, len(result))]
+             % (spec.family, spec.rank, sign, len(result))]
     for sig in result:
-        worst = max(abs(lhs_fn(spec, sig, j, branch) - branch.sign)
-                    for j in range(spec.dim))
+        worst = max(abs(v - sign) for v in _vacuum_lhs_values(spec, sig, ns.regime))
         sols.append({"sigma": list(sig), "max_residual": worst})
         human.append("  sigma=%s  max|LHS-branch|=%.3e"
                      % (["%.12g" % s for s in sig], worst))
-    payload = {"family": spec.family, "rank": spec.rank, "branch": branch.sign,
+    payload = {"family": spec.family, "rank": spec.rank, "branch": sign,
                "masses": list(spec.masses), "m_adj": spec.m_adj,
                "solutions": sols, "diagnostics": result.diagnostics}
-    _emit(cfg, payload, human)
+    _emit(ns, payload, human)
     return 0
 
 
-def _cmd_cross_check(cfg: RunConfig) -> int:
-    f = cfg.flags
-    preset = preset_by_id(f["preset"])
-    rng = np.random.default_rng(cfg.seed)
-    scale = preset.scale
-    nf = f.get("nf", 2)
-    cfg.flags.setdefault("family", preset.family)
-    spec = _gauge_from_flags(cfg, rng, scale)
-    if spec.family != preset.family:
-        raise SystemExit("preset %s is for family %s" % (preset.id, preset.family))
-    rep = cross_check(spec, preset, _solve_cfg(cfg))
-    payload = rep.to_dict()
-    human = ["cross-check %s rank %d nf %d: %d root set(s), mapped residual %.3e -> %s"
-             % (preset.id, spec.rank, nf, rep.samples, rep.max_residual,
-                "PASS" if rep.passed else "FAIL")]
-    _emit(cfg, payload, human)
-    return 0 if rep.passed else 1
+def _cmd_cross_check(ns: argparse.Namespace) -> int:
+    preset = preset_by_id(ns.preset)
+    spec = _gauge_spec(ns, preset.family, preset.scale, np.random.default_rng(ns.seed))
+    rep = cross_check(spec, preset, _solve_config(ns))
+    return _emit_report(
+        ns, rep, "cross-check %s rank %d nf %d: %d root set(s), mapped residual %.3e"
+        % (preset.id, spec.rank, ns.nf, rep.samples, rep.max_residual))
 
 
 # ---------------------------------------------------------------------------
@@ -541,20 +462,17 @@ def _battery_root_counts() -> Dict[str, object]:
     rows = []
     ok = True
     for family, rank, want in expectations:
-        fam, rk = _root_family(family, rank)
-        got = len(build_root_system(fam, rk).roots)
+        got = len(build_root_system(*root_family(family, rank)).roots)
         rows.append({"family": family, "rank": rank, "count": got, "expected": want})
         ok = ok and got == want
     return {"name": "root_counts", "pass": ok, "detail": rows}
 
 
 def _battery_gradient(seed: int) -> Dict[str, object]:
-    from .specfun import SingularPointError
-
     rng = np.random.default_rng(seed)
     worst_prod = 0.0
     worst_fd = 0.0
-    for family in ("A", "B", "C", "D"):
+    for family in CLASSICAL:
         for rank in (1, 2, 3):
             spec = GaugeTheorySpec(
                 family=family, rank=rank, n_fund=2,
@@ -647,7 +565,7 @@ def _battery_degeneration(seed: int) -> Dict[str, object]:
     eps = np.array([0.1, 0.05, 0.025, 0.0125])
     rows = []
     ok = True
-    for family in ("A", "B", "C", "D"):
+    for family in CLASSICAL:
         spec0 = GaugeTheorySpec(
             family=family, rank=2, n_fund=2,
             masses=tuple(rng.uniform(0.3, 0.9, size=2)),
@@ -665,6 +583,7 @@ def _battery_degeneration(seed: int) -> Dict[str, object]:
                 if family == "A" else None,
             )
             sig = e * sigma0
+            # the two forms are compared on purpose: their gap is what scales as eps^2
             gap = max(abs(vacuum_lhs(spec, sig, j) - vacuum_lhs_2d(spec, sig, j))
                       for j in range(2))
             gaps.append(gap)
@@ -695,13 +614,8 @@ def _battery_duality(seed: int) -> Dict[str, object]:
     ok = True
     for family in ("B", "C"):
         for rank in (1, 2, 3):
-            masses = tuple(math.pi * rng.uniform(0.07, 0.43, size=4))
-            m_adj = math.pi * rng.uniform(0.09, 0.34)
-            g1 = GaugeTheorySpec(family=family, rank=rank, n_fund=4,
-                                 masses=masses, m_adj=m_adj, realization="I")
-            g2 = GaugeTheorySpec(family=family, rank=rank, n_fund=4,
-                                 masses=masses, m_adj=m_adj, realization="II")
-            rep = duality_compare(g1, g2, samples=50, seed=seed, tol=1e-10)
+            rep = duality_compare(*_realization_pair(family, rank, 4, rng),
+                                  samples=50, seed=seed, tol=1e-10)
             rows.append({"family": family, "rank": rank,
                          "max_residual": rep.max_residual, "pass": rep.passed})
             ok = ok and rep.passed
@@ -714,41 +628,29 @@ def _battery_specfun(seed: int) -> Dict[str, object]:
             "detail": checks}
 
 
-def _cmd_report_all(cfg: RunConfig) -> int:
+def _cmd_report_all(ns: argparse.Namespace) -> int:
     batteries = [
         _battery_root_counts(),
-        _battery_gradient(cfg.seed),
-        _battery_presets(cfg.seed),
-        _battery_transfer(cfg.seed),
-        _battery_degeneration(cfg.seed),
-        _battery_duality(cfg.seed),
-        _battery_specfun(cfg.seed),
+        _battery_gradient(ns.seed),
+        _battery_presets(ns.seed),
+        _battery_transfer(ns.seed),
+        _battery_degeneration(ns.seed),
+        _battery_duality(ns.seed),
+        _battery_specfun(ns.seed),
     ]
     ok = all(b["pass"] for b in batteries)
-    human = []
+    human = ["criterion %d %-28s %s" % (k + 1, b["name"], _verdict(b["pass"]))
+             for k, b in enumerate(batteries)]
+    human.append("report-all: %s" % _verdict(ok))
     rows: List[List[object]] = [["criterion", "pass"]]
-    for k, b in enumerate(batteries):
-        human.append("criterion %d %-28s %s"
-                     % (k + 1, b["name"], "PASS" if b["pass"] else "FAIL"))
-        rows.append([b["name"], b["pass"]])
-    human.append("report-all: %s" % ("PASS" if ok else "FAIL"))
-    _emit(cfg, {"criteria": batteries, "pass": ok}, human, rows)
+    rows += [[b["name"], b["pass"]] for b in batteries]
+    _emit(ns, {"criteria": batteries, "pass": ok}, human, rows)
     return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument("--csv", action="store_true", help="emit a CSV table")
-    sub.add_argument("--out", help="write the report to a file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed (default: BGL_SEED or 0)")
-    sub.add_argument("--no-timestamp", action="store_true",
-                     help="omit the timestamp from JSON output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -759,14 +661,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("roots", help="enumerate a root system")
-    p.add_argument("--family", required=True,
-                   choices=["A", "B", "C", "D", "E6", "E7", "E8", "F4"])
-    p.add_argument("--rank", type=_positive_int, required=True)
-    _add_common(p)
-
-    p = subs.add_parser("specfun-selftest", help="dilog and q-product checks")
-    _add_common(p)
+    def command(name: str, handler, about: str, table: bool = False) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=about)
+        p.set_defaults(handler=handler)
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        if table:
+            p.add_argument("--csv", action="store_true", help="emit a CSV table")
+        p.add_argument("--out", help="write the report to a file")
+        # a string default goes through type=int, so a malformed BGL_SEED
+        # is a parse error; it is only read when --seed is absent
+        p.add_argument("--seed", type=int, default=os.environ.get("BGL_SEED", "0"),
+                       help="seed (default: BGL_SEED or 0)")
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit the timestamp from JSON output")
+        return p
 
     def gauge_flags(p: argparse.ArgumentParser, families: Sequence[str]) -> None:
         p.add_argument("--family", required=True, choices=list(families))
@@ -775,18 +683,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--masses", type=_csv_floats)
         p.add_argument("--masses-anti", dest="masses_anti", type=_csv_floats)
         p.add_argument("--m-adj", dest="m_adj", type=float)
-        p.add_argument("--realization", choices=["I", "II"], default="II")
+        p.add_argument("--realization", choices=["I", "II"],
+                       default=GaugeTheorySpec.realization)
         p.add_argument("--branch", type=_branch_arg, default=BRANCH_PLUS)
-        p.add_argument("--regime", choices=["3d", "2d"], default="3d")
-
-    p = subs.add_parser("vacuum", help="evaluate vacuum equation components")
-    gauge_flags(p, ["A", "B", "C", "D", "E8", "F4"])
-    p.add_argument("--sigma", type=_csv_floats)
-    _add_common(p)
+        p.add_argument("--regime", choices=list(REGIME_SCALE), default="3d")
 
     def chain_flags(p: argparse.ArgumentParser, with_roots: bool) -> None:
-        p.add_argument("--kind", required=True,
-                       choices=["closed-xxz", "open-xxz", "closed-xxx", "open-xxx"])
+        p.add_argument("--kind", required=True, choices=KINDS)
         p.add_argument("--sites", type=_positive_int)
         p.add_argument("--magnons", type=_nonneg_int, required=True)
         p.add_argument("--eta", type=float, required=True)
@@ -797,102 +700,86 @@ def build_parser() -> argparse.ArgumentParser:
         if with_roots:
             p.add_argument("--u", type=_csv_complex, required=True)
 
-    p = subs.add_parser("bethe", help="evaluate Bethe equation residuals")
-    chain_flags(p, with_roots=True)
-    _add_common(p)
+    def solve_flags(p: argparse.ArgumentParser, with_max_iter: bool) -> None:
+        p.add_argument("--starts", type=_positive_int, default=SolveConfig.n_starts)
+        p.add_argument("--tol", type=_positive_float, default=SolveConfig.tol)
+        if with_max_iter:
+            p.add_argument("--max-iter", dest="max_iter", type=_positive_int,
+                           default=SolveConfig.max_iter)
+        else:
+            p.set_defaults(max_iter=SolveConfig.max_iter)
 
-    p = subs.add_parser("chain-oracle", help="R-matrix and transfer checks")
-    p.add_argument("--kind", default="closed-xxz",
-                   choices=["closed-xxz", "open-xxz", "closed-xxx", "open-xxx"])
+    p = command("roots", _cmd_roots, "enumerate a root system", table=True)
+    p.add_argument("--family", required=True,
+                   choices=["A", "B", "C", "D", "E6", "E7", "E8", "F4"])
+    p.add_argument("--rank", type=_positive_int, required=True)
+
+    command("specfun-selftest", _cmd_specfun_selftest, "dilog and q-product checks")
+
+    p = command("vacuum", _cmd_vacuum, "evaluate vacuum equation components")
+    gauge_flags(p, FAMILIES)
+    p.add_argument("--sigma", type=_csv_floats)
+
+    p = command("bethe", _cmd_bethe, "evaluate Bethe equation residuals")
+    chain_flags(p, with_roots=True)
+
+    p = command("chain-oracle", _cmd_chain_oracle, "R-matrix and transfer checks")
+    p.add_argument("--kind", default="closed-xxz", choices=KINDS)
     p.add_argument("--sites", type=_positive_int, default=3)
     p.add_argument("--magnons", type=_nonneg_int, default=1)
     p.add_argument("--eta", type=float)
-    _add_common(p)
 
-    p = subs.add_parser("verify", help="certify one preset dictionary")
+    p = command("verify", _cmd_verify, "certify one preset dictionary", table=True)
     p.add_argument("--preset", required=True)
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--nf", type=_nonneg_int, default=4)
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--branch", type=_branch_arg, default=None)
-    _add_common(p)
 
-    p = subs.add_parser("calibrate", help="grid-scan preset conventions")
-    p.add_argument("--family", required=True, choices=["A", "B", "C", "D"])
-    p.add_argument("--regime", required=True, choices=["3d", "2d"])
+    p = command("calibrate", _cmd_calibrate, "grid-scan preset conventions")
+    p.add_argument("--family", required=True, choices=CLASSICAL)
+    p.add_argument("--regime", required=True, choices=list(REGIME_SCALE))
     p.add_argument("--samples", type=_positive_int, default=50)
-    _add_common(p)
 
-    p = subs.add_parser("duality-compare", help="compare squared realizations")
-    p.add_argument("--family", required=True, choices=["A", "B", "C", "D"])
+    p = command("duality-compare", _cmd_duality_compare, "compare squared realizations")
+    p.add_argument("--family", required=True, choices=CLASSICAL)
     p.add_argument("--rank", type=_positive_int, required=True)
     p.add_argument("--nf", type=_positive_int, default=4)
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--tol", type=_positive_float, default=1e-10)
-    _add_common(p)
 
-    p = subs.add_parser("solve-bethe", help="find Bethe root sets")
+    p = command("solve-bethe", _cmd_solve_bethe, "find Bethe root sets")
     chain_flags(p, with_roots=False)
-    p.add_argument("--starts", type=_positive_int, default=64)
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
-    p.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=40)
-    _add_common(p)
+    solve_flags(p, with_max_iter=True)
 
-    p = subs.add_parser("solve-vacuum", help="find vacuum solutions")
-    gauge_flags(p, ["A", "B", "C", "D"])
-    p.add_argument("--starts", type=_positive_int, default=64)
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
-    p.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=40)
-    _add_common(p)
+    p = command("solve-vacuum", _cmd_solve_vacuum, "find vacuum solutions")
+    gauge_flags(p, CLASSICAL)
+    solve_flags(p, with_max_iter=True)
 
-    p = subs.add_parser("cross-check", help="transport Bethe roots to vacua")
+    p = command("cross-check", _cmd_cross_check, "transport Bethe roots to vacua")
     p.add_argument("--preset", required=True)
     p.add_argument("--rank", type=_positive_int, default=1)
     p.add_argument("--nf", type=_nonneg_int, default=2)
-    p.add_argument("--starts", type=_positive_int, default=64)
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
-    _add_common(p)
+    solve_flags(p, with_max_iter=False)
+    # the theory is drawn in the preset's family and regime, in realization II
+    p.set_defaults(masses=None, masses_anti=None, m_adj=None,
+                   realization=GaugeTheorySpec.realization)
 
-    p = subs.add_parser("report-all", help="run the full certification battery")
-    _add_common(p)
+    command("report-all", _cmd_report_all, "run the full certification battery",
+            table=True)
 
     return parser
-
-
-_HANDLERS = {
-    "roots": _cmd_roots,
-    "specfun-selftest": _cmd_specfun_selftest,
-    "vacuum": _cmd_vacuum,
-    "bethe": _cmd_bethe,
-    "chain-oracle": _cmd_chain_oracle,
-    "verify": _cmd_verify,
-    "calibrate": _cmd_calibrate,
-    "duality-compare": _cmd_duality_compare,
-    "solve-bethe": _cmd_solve_bethe,
-    "solve-vacuum": _cmd_solve_vacuum,
-    "cross-check": _cmd_cross_check,
-    "report-all": _cmd_report_all,
-}
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    flags = {k: v for k, v in vars(ns).items()
-             if k not in ("subcommand", "json", "csv", "out", "seed", "no_timestamp")
-             and v is not None}
-    output = "json" if ns.json else ("csv" if getattr(ns, "csv", False) else "human")
-    cfg = RunConfig(
-        subcommand=ns.subcommand,
-        seed=ns.seed if ns.seed is not None else _default_seed(),
-        output=output,
-        no_timestamp=ns.no_timestamp,
-        out=ns.out,
-        flags=flags,
-    )
+    error = _argument_error(ns)
+    if error:
+        parser.error(error)
     try:
-        return _HANDLERS[ns.subcommand](cfg)
+        return ns.handler(ns)
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -42,6 +42,10 @@ FAMILIES = ("A", "B", "C", "D", "E8", "F4")
 #: minimum distance of any sine argument to the singular set pi*Z
 SINGULAR_TOL = 1e-6
 
+#: unit of sigma and of the masses in each regime: the trigonometric ("3d")
+#: products have period pi, the rational ("2d") limit has no period
+REGIME_SCALE = {"3d": math.pi, "2d": 1.0}
+
 
 @dataclass(frozen=True)
 class VacuumBranch:
@@ -114,9 +118,8 @@ def equation_count(spec: GaugeTheorySpec) -> int:
 @lru_cache(maxsize=None)
 def _root_data(family: str, rank: int):
     """Per-root (coordinates, weight factor, integer gradient exponents)."""
-    fam, rk = {"E8": ("E", 8), "F4": ("F", 4)}.get(family, (family, rank))
     data = []
-    for alpha in lie_roots.generate_roots(fam, rk):
+    for alpha in lie_roots.generate_roots(*lie_roots.root_family(family, rank)):
         c = lie_roots.weight_factor(alpha)
         exps = tuple(c * a for a in alpha)
         if any(e.denominator != 1 for e in exps):
@@ -275,7 +278,7 @@ def _vacuum_table(family: str, rank: int, n_f: int, n_anti: int, realization: st
     """
     if form == "rational" and family in ("E8", "F4"):
         raise ValueError("the rational limit is implemented for the classical families")
-    if family == "A" and form == "root" and n_f != n_anti:
+    if family == "A" and n_f != n_anti:
         raise ValueError("A-family vacuum product needs N_f = N_f'")
     if realization == "I" and family != "A" and form != "full" and n_f != n_anti:
         raise ValueError("paired square-rooted form needs N_f = N_f'")
@@ -303,7 +306,7 @@ def _vacuum_table(family: str, rank: int, n_f: int, n_anti: int, realization: st
                 ratio(j, 2 * p, {j: 1, fund + i: -1}, {j: -1, fund + i: -1})
             continue
         if family == "A":
-            for i in range(min(n_f, n_anti)):
+            for i in range(n_f):
                 ratio(j, p, {j: 1, anti + i: -1}, {j: 1, fund + i: 1})
             for k in range(n):
                 if k != j:
@@ -392,6 +395,18 @@ def vacuum_lhs_2d(
     """Rational vacuum product of the two-dimensional limit (sin x -> x)."""
     del branch
     return _vacuum_value(spec, sigma, j, "rational")
+
+
+def _vacuum_lhs_values(spec: GaugeTheorySpec, sigma: Sequence[float],
+                       regime: str) -> List[complex]:
+    """Every vacuum equation's left-hand side at sigma in ``regime``.
+
+    The trigonometric regime "3d" evaluates :func:`vacuum_lhs`, the rational
+    regime "2d" :func:`vacuum_lhs_2d`.  Calling the public evaluators per
+    equation keeps each call visible to wrappers installed on them.
+    """
+    lhs = {"3d": vacuum_lhs, "2d": vacuum_lhs_2d}[regime]
+    return [lhs(spec, sigma, j) for j in range(spec.dim)]
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,13 @@ def generate_roots(family: str, rank: int) -> List[Vector]:
     return sorted(roots)
 
 
+def root_family(name: str, rank: int) -> Tuple[str, int]:
+    """(family, rank) behind a family name: "E6".."E8" and "F4" carry their rank."""
+    if len(name) == 2 and name[0] in _EXCEPTIONAL_RANKS:
+        return name[0], int(name[1])
+    return name, rank
+
+
 def expected_root_count(family: str, rank: int) -> int:
     """Closed-form root count used as the library-level cross check."""
     if family == "A":

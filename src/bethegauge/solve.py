@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chain import BetheRoots, ChainSpec, _bethe_system, bethe_residuals, validate_roots
-from .gauge import GaugeTheorySpec, VacuumBranch, _vacuum_system, vacuum_lhs, vacuum_lhs_2d
+from .gauge import REGIME_SCALE, GaugeTheorySpec, VacuumBranch, _vacuum_lhs_values, _vacuum_system
 from .lie_roots import weyl_images
 from .rows import RowTable
 from .specfun import SingularPointError
@@ -108,10 +108,15 @@ class _LogSystem:
             raise _PoleHit()
         return a, f
 
-    def residual(self, u: np.ndarray) -> np.ndarray:
+    def evaluate(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The folded residual at u and the row arguments it was computed from."""
         if not self.domain(u):
             raise _PoleHit()
-        return _fold(self.table.log_sum(self._checked(u)[1]) - self.target)
+        a, f = self._checked(u)
+        return _fold(self.table.log_sum(f) - self.target), a
+
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        return self.evaluate(u)[0]
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         return self.table.log_jacobian(self._checked(u)[0])
@@ -120,7 +125,7 @@ class _LogSystem:
 def _newton(system: _LogSystem, u0: np.ndarray, cfg: SolveConfig) -> Optional[np.ndarray]:
     u = u0.astype(complex)
     try:
-        res = system.residual(u)
+        res, args = system.evaluate(u)
     except _PoleHit:
         return None
     norm = np.max(np.abs(res))
@@ -128,22 +133,22 @@ def _newton(system: _LogSystem, u0: np.ndarray, cfg: SolveConfig) -> Optional[np
         if norm < 1e-12:
             return u
         try:
-            jac = system.jacobian(u)
-            step = np.linalg.solve(jac, -res)
-        except (np.linalg.LinAlgError, _PoleHit):
+            # the Jacobian at u, from the arguments its accepted residual used
+            step = np.linalg.solve(system.table.log_jacobian(args), -res)
+        except np.linalg.LinAlgError:
             return None
         lam = cfg.damping
         moved = False
         while lam > 1.0 / 256.0:
             try:
                 u_try = u + lam * step
-                res_try = system.residual(u_try)
+                res_try, args_try = system.evaluate(u_try)
             except _PoleHit:
                 lam *= 0.5
                 continue
             norm_try = np.max(np.abs(res_try))
             if norm_try < norm * (1.0 - 0.25 * lam) or norm_try < 1e-12:
-                u, res, norm = u_try, res_try, norm_try
+                u, res, args, norm = u_try, res_try, args_try, norm_try
                 moved = True
                 break
             lam *= 0.5
@@ -273,9 +278,9 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
     else:
         domain = lambda u: bool(np.all(np.abs(u.imag) <= radius))  # noqa: E731
     system = _LogSystem(table, params, target, domain)
-    lhs_fn = vacuum_lhs_2d if rational else vacuum_lhs
+    regime = "2d" if rational else "3d"
     rng = np.random.default_rng(cfg.seed)
-    span = 1.0 if rational else _SIGMA_PERIOD
+    span = REGIME_SCALE[regime]
     found: List[np.ndarray] = []
     canon: List[Tuple[float, ...]] = []
     n_converged = 0
@@ -294,9 +299,7 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
         n_converged += 1
         sig = sol.real
         try:
-            worst = max(
-                abs(lhs_fn(spec, sig, j, branch) - branch.sign) for j in range(n)
-            )
+            worst = max(abs(v - branch.sign) for v in _vacuum_lhs_values(spec, sig, regime))
         except SingularPointError:
             continue
         if worst > cfg.tol:
@@ -325,7 +328,6 @@ def cross_check(spec: GaugeTheorySpec, preset, cfg: SolveConfig,
     chain, pm = map_gauge_to_chain(preset, spec, cutoff=cutoff)
     sols = solve_bethe(chain, cfg)
     branch = preset.branch
-    lhs_fn = vacuum_lhs if preset.regime == "3d" else vacuum_lhs_2d
     if not sols.solutions:
         return VerificationReport(
             preset_id=preset.id, samples=0, seed=cfg.seed, tol=map_tol,
@@ -338,10 +340,8 @@ def cross_check(spec: GaugeTheorySpec, preset, cfg: SolveConfig,
     for roots in sols:
         sigma = np.array(pm.u_to_sigma(roots.values))
         try:
-            res = max(
-                abs(lhs_fn(spec, sigma, j, branch) - branch.sign)
-                for j in range(spec.dim)
-            )
+            res = max(abs(v - branch.sign)
+                      for v in _vacuum_lhs_values(spec, sigma, preset.regime))
         except SingularPointError:
             res = math.inf
         if res > max_residual:

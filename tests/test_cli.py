@@ -48,6 +48,38 @@ def test_csv_unsupported_payload(capsys):
     capsys.readouterr()
 
 
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_exit_two_on_mismatched_masses(capsys):
+    err = _usage_error(capsys, ["vacuum", "--family", "B", "--rank", "2", "--nf", "2",
+                                "--masses", "0.1"])
+    assert "got 1 masses for --nf 2" in err
+
+
+@pytest.mark.parametrize("argv", [["bethe", "--u", "0.2"], ["solve-bethe"]])
+def test_exit_two_without_sites_or_spins(capsys, argv):
+    err = _usage_error(capsys, argv + ["--kind", "closed-xxz", "--magnons", "1", "--eta", "0.3"])
+    assert "need --sites" in err
+
+
+@pytest.mark.parametrize("subcommand", ["specfun-selftest", "chain-oracle"])
+def test_exit_two_on_csv_without_table(capsys, subcommand):
+    assert "--csv" in _usage_error(capsys, [subcommand, "--csv"])
+
+
+def test_exit_two_on_malformed_seed_environment(capsys, monkeypatch):
+    monkeypatch.setenv("BGL_SEED", "abc")
+    assert "'abc'" in _usage_error(capsys, ["roots", "--family", "A", "--rank", "2"])
+    # an explicit --seed never reads the environment
+    assert run(["roots", "--family", "A", "--rank", "2", "--seed", "3"]) == 0
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # subcommand payloads
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import pytest
 from bethegauge.gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
+    REGIME_SCALE,
     GaugeTheorySpec,
     VacuumBranch,
+    _vacuum_lhs_values,
     equation_count,
     one_loop_asymptotic_check,
     superpotential_grad,
@@ -250,3 +252,31 @@ def test_one_loop_asymptotics_tighten():
     assert report.decreasing
     assert 0.7 < report.rate < 1.3
     assert report.max_rel_errors[-1] < 0.05
+
+
+def test_a_family_forms_refuse_unpaired_masses():
+    # every form pairs each fundamental with one anti-fundamental mass
+    spec = GaugeTheorySpec("A", 2, 2, (0.1, 0.2), 0.3, masses_anti=(0.15,))
+    for lhs in (vacuum_lhs, vacuum_lhs_squared, vacuum_lhs_2d):
+        with pytest.raises(ValueError, match="N_f = N_f'"):
+            lhs(spec, (0.4, 0.9), 0)
+
+
+@pytest.mark.parametrize("regime", ["3d", "2d"])
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_regime_values_are_the_per_equation_products(family, regime):
+    scale = REGIME_SCALE[regime]
+    lhs = {"3d": vacuum_lhs, "2d": vacuum_lhs_2d}[regime]
+    rng = np.random.default_rng(["ABCD".index(family), regime == "2d"])
+    for rank in (1, 2, 3):
+        spec = GaugeTheorySpec(family, rank, 2, tuple(scale * rng.uniform(0.07, 0.43, size=2)),
+                               scale * rng.uniform(0.09, 0.34))
+        sigma = scale * rng.uniform(0.05, 0.95, size=rank)
+        assert _vacuum_lhs_values(spec, sigma, regime) == [
+            lhs(spec, sigma, j) for j in range(rank)]
+        if rank > 1:  # sigma_0 - sigma_1 = m_adj zeroes an adjoint factor of equation 0
+            sigma[0] = sigma[1] + spec.m_adj
+            with pytest.raises(SingularPointError):
+                lhs(spec, sigma, 0)
+            with pytest.raises(SingularPointError):
+                _vacuum_lhs_values(spec, sigma, regime)

@@ -195,3 +195,18 @@ def test_witnesses_never_reach_the_row_tables(module, witnesses, table_fn):
     assert table_fn in machinery  # the scan does see the tables
     reach = _closure(fns, witnesses)
     assert not reach & machinery, sorted(reach & machinery)
+
+
+def test_only_gauge_chooses_the_vacuum_form_by_regime():
+    # gauge._vacuum_lhs_values is the one switch between the trigonometric and
+    # rational products; the degeneration battery compares the two on purpose
+    allowed = {("cli", "_battery_degeneration")}
+    both = {"vacuum_lhs", "vacuum_lhs_2d"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "gauge":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.If, ast.IfExp, ast.Dict))
+                    and both <= _names(node)
+                    and (path.stem, getattr(node, "name", None)) not in allowed):
+                pytest.fail("%s line %d picks a vacuum form" % (path.name, node.lineno))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bethegauge.bridge import preset_by_id
-from bethegauge.chain import ChainSpec, bethe_residuals, certify_roots
+from bethegauge.chain import ChainSpec, _bethe_system, bethe_residuals, certify_roots
 from bethegauge.gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
@@ -14,7 +14,15 @@ from bethegauge.gauge import (
     vacuum_lhs,
     vacuum_lhs_2d,
 )
-from bethegauge.solve import SolveConfig, SolveResult, cross_check, solve_bethe, solve_vacuum
+from bethegauge.solve import (
+    SolveConfig,
+    SolveResult,
+    _LogSystem,
+    _newton,
+    cross_check,
+    solve_bethe,
+    solve_vacuum,
+)
 
 CFG = SolveConfig(n_starts=48, seed=0)
 
@@ -53,6 +61,18 @@ def test_closed_xxx_finds_exact_root():
     chain = ChainSpec("closed-xxx", 2, 1, 0.37, (0.5,) * 2, (0.0, 0.0))
     res = solve_bethe(chain, CFG)
     assert any(abs(r.values[0] - (-0.185)) < 1e-8 for r in res)
+
+
+def test_newton_evaluates_each_point_once(monkeypatch):
+    # the Jacobian at an accepted point reuses the arguments of its residual
+    system = _LogSystem(*_bethe_system(CLOSED_XXZ), 0.0, lambda u: True)
+    points = []
+    factors = system.table.factors
+    monkeypatch.setattr(system.table, "factors", lambda x: points.append(tuple(x)) or factors(x))
+    u = _newton(system, np.array([0.3 + 0.05j]), CFG)
+    assert abs(u[0] - 0.3646017624694252) < 1e-10
+    assert len(points) > 2
+    assert len(set(points)) == len(points)
 
 
 def test_closed_xxz_finds_all_frozen_roots():
