@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from collections import Counter
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,8 +126,15 @@ def _argument_error(ns: argparse.Namespace) -> Optional[str]:
     """A bad combination of arguments that parsing alone does not catch."""
     if "masses" in ns and ns.masses is not None and len(ns.masses) != ns.nf:
         return "got %d masses for --nf %d" % (len(ns.masses), ns.nf)
-    if "spins" in ns and ns.sites is None and not ns.spins:
-        return "need --sites or an explicit --spins list"
+    if "regime" in ns and ns.regime == "2d" and ns.family not in CLASSICAL:
+        return "the 2d regime covers only the families %s" % ", ".join(CLASSICAL)
+    if "spins" in ns:
+        if ns.sites is None and not ns.spins:
+            return "need --sites or an explicit --spins list"
+        sites = ns.sites or len(ns.spins)
+        for flag, values in (("spins", ns.spins), ("thetas", ns.thetas)):
+            if values is not None and len(values) != sites:
+                return "got %d --%s values for %d sites" % (len(values), flag, sites)
     return None
 
 
@@ -327,7 +335,7 @@ def _cmd_bethe(ns: argparse.Namespace) -> int:
 
 def _cmd_chain_oracle(ns: argparse.Namespace) -> int:
     rng = np.random.default_rng(ns.seed)
-    eta = ns.eta or rng.uniform(0.2, 0.4)
+    eta = rng.uniform(0.2, 0.4) if ns.eta is None else ns.eta
     xi_p = xi_m = None
     if ns.kind.startswith("open"):
         xi_p, xi_m = rng.uniform(-0.4, 0.4, size=2)
@@ -668,10 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
         if table:
             p.add_argument("--csv", action="store_true", help="emit a CSV table")
         p.add_argument("--out", help="write the report to a file")
-        # a string default goes through type=int, so a malformed BGL_SEED
-        # is a parse error; it is only read when --seed is absent
-        p.add_argument("--seed", type=int, default=os.environ.get("BGL_SEED", "0"),
-                       help="seed (default: BGL_SEED or 0)")
+        # without --seed, run reads BGL_SEED at parse time
+        p.add_argument("--seed", type=int, help="seed (default: BGL_SEED or 0)")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp from JSON output")
         return p
@@ -772,9 +778,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     ns = parser.parse_args(argv)
+    if ns.seed is None:
+        seed = os.environ.get("BGL_SEED", "0")
+        try:
+            ns.seed = int(seed)
+        except ValueError:
+            parser.error("BGL_SEED: invalid int value: %r" % seed)
     error = _argument_error(ns)
     if error:
         parser.error(error)

@@ -14,12 +14,15 @@ values of the parameters.
 
 The product forms, the solver's log residual, its Jacobian
 C^T diag(power f'/f) and its start filter all evaluate the rows through
-:meth:`RowTable.factors`.
+:meth:`RowTable.factors`.  The products take one point; the solver passes a
+stack of points, one per Newton start, and gets the log sums and Jacobians
+of the whole stack from real matrix products.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
@@ -54,8 +57,10 @@ class RowTable:
             self.coeffs[k, -1] = shift
         self.coeffs *= self.scale
         self.power = np.array([r[1] for r in rows], dtype=complex)
+        if np.any(self.coeffs.imag) or np.any(self.power.imag):
+            raise ValueError("row coefficients, shifts and powers must be real")
         eq = np.array([r[0] for r in rows], dtype=int)
-        self.by_eq = (eq == np.arange(n_eq)[:, None]).astype(complex)
+        self.by_eq = (eq == np.arange(n_eq)[:, None]).astype(float)
         if guard == "denominator":
             self.guarded, self.trip = np.flatnonzero(self.power.real < 0), guard_tol
         else:  # within tol of the zero set forces |f| < 2 tol
@@ -70,9 +75,24 @@ class RowTable:
     def n_rows(self) -> int:
         return len(self.power)
 
+    @cached_property
+    def _stack(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The real matrices of stacked evaluation, C^T (cols, R), by_eq^T
+        (R, n_eq) and the Jacobian's (R, n_eq * n), each as kron(m, identity(2)):
+        a complex stack times a real matrix is then one real product over the
+        interleaved (re, im) view.  Built on first use; the products never need them."""
+        c = self.coeffs.real
+        jac = self.by_eq.T[:, :, None] * c[:, None, : self.n_unknowns]
+        jac = jac.reshape(self.n_rows, len(self.by_eq) * self.n_unknowns)
+        return tuple(np.kron(m, np.eye(2)) for m in (c.T, self.by_eq.T, jac))
+
     def factors(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Arguments and factor values at the point x."""
-        a = self.coeffs.dot(x)
+        """Arguments and factor values at the point x, or (S, R) at a stack x (S, cols)."""
+        if x.ndim == 1:
+            a = self.coeffs.dot(x)
+        else:
+            # real product of real coefficients: complex ones over many rows slow later complex sin
+            a = _real_product(x, self._stack[0])
         return a, (a if self.kind == "linear" else np.sin(a))
 
     def product(self, x: np.ndarray) -> complex:
@@ -94,10 +114,15 @@ class RowTable:
                                      % (complex(a[hit[0]]) / self.scale, self.guard, tol))
 
     def log_sum(self, f: np.ndarray) -> np.ndarray:
-        """Per equation, sum_r power_r log f_r on the principal branch."""
-        return self.by_eq.dot(self.power * np.log(f))
+        """Per equation, sum_r power_r log f_r on the principal branch: (S, R) -> (S, n_eq)."""
+        return _real_product(self.power.real * np.log(f), self._stack[1])
 
     def log_jacobian(self, a: np.ndarray) -> np.ndarray:
-        """d log_sum / d unknowns: C^T diag(power f'/f), summed per equation."""
-        g = self.power / (a if self.kind == "linear" else np.tan(a))
-        return self.by_eq.dot(self.coeffs[:, : self.n_unknowns] * g[:, None])
+        """d log_sum / d unknowns, C^T diag(power f'/f) per equation: (S, R) -> (S, n_eq, n)."""
+        g = self.power.real / (a if self.kind == "linear" else np.tan(a))
+        return _real_product(g, self._stack[2]).reshape(len(a), len(self.by_eq), self.n_unknowns)
+
+
+def _real_product(z: np.ndarray, doubled: np.ndarray) -> np.ndarray:
+    """z @ m for a complex stack z (S, k) and a real m, given doubled = kron(m, identity(2))."""
+    return (np.ascontiguousarray(z, dtype=complex).view(float) @ doubled).view(complex)

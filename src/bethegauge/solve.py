@@ -9,6 +9,11 @@ is folded back by multiples of 2*pi*i, which removes the winding ambiguity
 of the product form; acceptance of a candidate always goes through the
 guarded product-form evaluators, never the solver's own residual.
 
+A solve first draws all its starts, then steps them together: one masked,
+damped Newton iteration over the stack, in which each start keeps its own
+step length, iteration count and fate.  The converged starts are then
+checked and deduplicated in start order.
+
 Deduplication quotients by the exact symmetries of each system: magnon
 permutations, periodicity u -> u + 1 for trig chains, u_i -> -u_i for open
 chains, and the Weyl group plus sigma -> sigma + pi on the vacuum side.
@@ -93,68 +98,118 @@ class _LogSystem:
         self.table = table
         self.params = params
         self.target = target
-        # products tend to 1 at infinity, so cap the search box
+        # products tend to 1 at infinity, so cap the search box; domain maps a
+        # stack of points (S, n) to a mask (S,), or to one bool for all of them
         self.domain = domain
 
-    def factors(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.table.factors(np.concatenate((u, self.params)))
-
     def min_factor(self, u: np.ndarray) -> float:
-        return min(np.abs(self.factors(u)[1]).tolist())
+        return min(np.abs(self.table.factors(np.concatenate((u, self.params)))[1]).tolist())
 
-    def _checked(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        a, f = self.factors(u)
-        if not min(np.abs(f).tolist()) >= 1e-14:  # also rejects nan
-            raise _PoleHit()
-        return a, f
+    def _clear(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The points of the stack u with every |f| >= 1e-14: indices, arguments, factors."""
+        params = np.broadcast_to(self.params, (len(u), len(self.params)))
+        a, f = self.table.factors(np.concatenate((u, params), axis=1))
+        clear = np.flatnonzero(np.all(np.abs(f) >= 1e-14, axis=1))  # also rejects nan
+        return clear, a[clear], f[clear]
 
-    def evaluate(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The folded residual at u and the row arguments it was computed from."""
-        if not self.domain(u):
-            raise _PoleHit()
-        a, f = self._checked(u)
-        return _fold(self.table.log_sum(f) - self.target), a
+    def evaluate(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Over a stack u (S, n): the indices of the points inside the domain and
+        clear of poles, and at those points the folded residual and the row
+        arguments it was computed from.  Points outside the domain are never
+        evaluated."""
+        inside = np.flatnonzero(np.broadcast_to(self.domain(u), len(u)))
+        clear, a, f = self._clear(u[inside])
+        return inside[clear], _fold(self.table.log_sum(f) - self.target), a
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        return self.evaluate(u)[0]
+        ok, res, _ = self.evaluate(u[None])
+        if not ok.size:
+            raise _PoleHit()
+        return res[0]
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
-        return self.table.log_jacobian(self._checked(u)[0])
+        clear, a, _ = self._clear(u[None])
+        if not clear.size:
+            raise _PoleHit()
+        return self.table.log_jacobian(a)[0]
 
 
-def _newton(system: _LogSystem, u0: np.ndarray, cfg: SolveConfig) -> Optional[np.ndarray]:
-    u = u0.astype(complex)
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve jac[k] @ step[k] = rhs[k]; also the mask of the k whose jac is not singular."""
     try:
-        res, args = system.evaluate(u)
-    except _PoleHit:
-        return None
-    norm = np.max(np.abs(res))
-    for _ in range(cfg.max_iter):
-        if norm < 1e-12:
-            return u
-        try:
-            # the Jacobian at u, from the arguments its accepted residual used
-            step = np.linalg.solve(system.table.log_jacobian(args), -res)
-        except np.linalg.LinAlgError:
-            return None
-        lam = cfg.damping
-        moved = False
-        while lam > 1.0 / 256.0:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
+        steps, solved = np.zeros_like(rhs), np.ones(len(rhs), dtype=bool)
+        for k in range(len(rhs)):
             try:
-                u_try = u + lam * step
-                res_try, args_try = system.evaluate(u_try)
-            except _PoleHit:
-                lam *= 0.5
-                continue
-            norm_try = np.max(np.abs(res_try))
-            if norm_try < norm * (1.0 - 0.25 * lam) or norm_try < 1e-12:
-                u, res, args, norm = u_try, res_try, args_try, norm_try
-                moved = True
+                steps[k] = np.linalg.solve(jac[k], rhs[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return steps, solved
+
+
+def _newton(system: _LogSystem, u0: np.ndarray, cfg: SolveConfig):
+    """Damped Newton from every start of the stack u0 (S, n) at once.
+
+    Each start keeps its own step length: a trial point is accepted when it
+    cuts the residual norm by a quarter of the step length, or below 1e-12,
+    and the step is halved otherwise, down to 1/256.  A start fails when it
+    lies outside the domain or on a pole, when no step length gives an
+    accepted trial point, when its Jacobian is singular, or when max_iter
+    steps leave it unconverged.
+    Returns the converged point or None per start; one start (n,) is a stack
+    of one and gives one result.
+    """
+    if u0.ndim == 1:
+        return _newton(system, u0[None], cfg)[0]
+    out: List[Optional[np.ndarray]] = [None] * len(u0)
+    u = u0.astype(complex)
+    # the live starts: their index, iterate, residual, row arguments and norm
+    idx, res, args = system.evaluate(u)
+    u = u[idx]
+    norm = np.max(np.abs(res), axis=1)
+    iters, lam, step = np.zeros(len(idx), dtype=int), np.zeros(len(idx)), np.zeros_like(u)
+    moved = np.ones(len(idx), dtype=bool)  # at a new iterate
+    while True:
+        done = moved & (norm < 1e-12)
+        for k in np.flatnonzero(done):
+            out[idx[k]] = u[k]
+        # a new step at each new iterate, from the arguments its residual used
+        new = np.flatnonzero(moved & ~done & (iters < cfg.max_iter))
+        step[new], solved = _newton_steps(system.table.log_jacobian(args[new]), -res[new])
+        lam[new] = cfg.damping
+        iters[new] += 1
+        keep = ~moved
+        keep[new[solved]] = True
+        keep &= lam > 1.0 / 256.0
+        idx, u, res, args, norm, iters, lam, step = (
+            a[keep] for a in (idx, u, res, args, norm, iters, lam, step))
+        if not idx.size:
+            return out
+        trial = u + lam[:, None] * step
+        ok, res_try, args_try = system.evaluate(trial)
+        norm_try = np.max(np.abs(res_try), axis=1)
+        better = (norm_try < norm[ok] * (1.0 - 0.25 * lam[ok])) | (norm_try < 1e-12)
+        hit = ok[better]
+        u[hit], res[hit], args[hit], norm[hit] = (
+            trial[hit], res_try[better], args_try[better], norm_try[better])
+        moved = np.zeros(len(idx), dtype=bool)
+        moved[hit] = True
+        lam[~moved] *= 0.5
+
+
+def _starts(system: _LogSystem, cfg: SolveConfig, draw) -> np.ndarray:
+    """cfg.n_starts start points (k, n), each drawn again, up to 100 times,
+    while some factor is within POLE_TOL of a pole; a start without a clear
+    draw is skipped."""
+    starts = []
+    for _ in range(cfg.n_starts):
+        for _ in range(100):
+            cand = np.asarray(draw(), dtype=complex)
+            if system.min_factor(cand) > POLE_TOL:
+                starts.append(cand)
                 break
-            lam *= 0.5
-        if not moved:
-            return None
-    return u if norm < 1e-12 else None
+    return np.array(starts, dtype=complex).reshape(-1, system.table.n_unknowns)
 
 
 # ---------------------------------------------------------------------------
@@ -188,29 +243,24 @@ def solve_bethe(chain: ChainSpec, cfg: SolveConfig) -> SolveResult:
         + max(abs(complex(t)) for t in chain.inhomogeneities)
     )
     if chain.is_trig:
-        domain = lambda u: bool(np.all(np.abs(u.imag) <= radius))  # noqa: E731
+        domain = lambda u: np.all(np.abs(u.imag) <= radius, axis=-1)  # noqa: E731
     else:
-        domain = lambda u: bool(np.all(np.abs(u) <= radius))  # noqa: E731
+        domain = lambda u: np.all(np.abs(u) <= radius, axis=-1)  # noqa: E731
     system = _LogSystem(*_bethe_system(chain), 0.0, domain)
     rng = np.random.default_rng(cfg.seed)
+    half = 0.5 * radius
+
+    def draw() -> np.ndarray:
+        if chain.is_trig:
+            re = rng.uniform(0.02, 0.98, size=m)
+        else:
+            re = rng.uniform(-half, half, size=m)
+        return re + 1j * rng.normal(0.0, 0.2, size=m)
+
     found: List[BetheRoots] = []
     canon: List[Tuple[complex, ...]] = []
     n_converged = 0
-    half = 0.5 * radius
-    for _ in range(cfg.n_starts):
-        u0 = None
-        for _ in range(100):
-            if chain.is_trig:
-                re = rng.uniform(0.02, 0.98, size=m)
-            else:
-                re = rng.uniform(-half, half, size=m)
-            cand = re + 1j * rng.normal(0.0, 0.2, size=m)
-            if system.min_factor(cand) > POLE_TOL:
-                u0 = cand
-                break
-        if u0 is None:
-            continue
-        u = _newton(system, u0, cfg)
+    for u in _newton(system, _starts(system, cfg, draw), cfg):
         if u is None:
             continue
         n_converged += 1
@@ -274,9 +324,9 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
                  + [abs(m) for m in (spec.masses_anti or ())])
     radius = 2.0 + math.pi + spec.dim * extent
     if rational:
-        domain = lambda u: bool(np.all(np.abs(u) <= 10.0 * radius))  # noqa: E731
+        domain = lambda u: np.all(np.abs(u) <= 10.0 * radius, axis=-1)  # noqa: E731
     else:
-        domain = lambda u: bool(np.all(np.abs(u.imag) <= radius))  # noqa: E731
+        domain = lambda u: np.all(np.abs(u.imag) <= radius, axis=-1)  # noqa: E731
     system = _LogSystem(table, params, target, domain)
     regime = "2d" if rational else "3d"
     rng = np.random.default_rng(cfg.seed)
@@ -284,16 +334,8 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
     found: List[np.ndarray] = []
     canon: List[Tuple[float, ...]] = []
     n_converged = 0
-    for _ in range(cfg.n_starts):
-        s0 = None
-        for _ in range(100):
-            cand = span * rng.uniform(0.02, 0.98, size=n)
-            if system.min_factor(cand.astype(complex)) > POLE_TOL:
-                s0 = cand
-                break
-        if s0 is None:
-            continue
-        sol = _newton(system, s0.astype(complex), cfg)
+    starts = _starts(system, cfg, lambda: span * rng.uniform(0.02, 0.98, size=n))
+    for sol in _newton(system, starts, cfg):
         if sol is None or np.max(np.abs(sol.imag)) > 1e-9:
             continue
         n_converged += 1

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bethegauge import cli
 from bethegauge.cli import run
 
 
@@ -80,6 +81,31 @@ def test_exit_two_on_malformed_seed_environment(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("family,rank", [("F4", "4"), ("E8", "8")])
+def test_exit_two_on_rational_regime_outside_classical(capsys, family, rank):
+    err = _usage_error(capsys, ["vacuum", "--family", family, "--rank", rank, "--nf", "0",
+                                "--regime", "2d"])
+    assert "2d regime covers only" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bethe", "--sites", "3", "--spins", "0.5,0.5", "--u", "0.2"],
+    ["solve-bethe", "--sites", "3", "--thetas", "0.1"],
+    ["solve-bethe", "--spins", "0.5,0.5", "--thetas", "0.1,0.2,0.3"],
+])
+def test_exit_two_on_chain_list_lengths(capsys, argv):
+    err = _usage_error(capsys, argv + ["--kind", "closed-xxz", "--magnons", "1", "--eta", "0.3"])
+    assert "values for" in err
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    parser = cli._parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert run(["roots", "--family", "A", "--rank", "2"]) == 0
+    assert cli._parser() is parser
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # subcommand payloads
 # ---------------------------------------------------------------------------
@@ -144,6 +170,15 @@ def test_chain_oracle(capsys):
     names = [c["name"] for c in doc["checks"]]
     assert "yang_baxter" in names
     assert doc["pass"] is True
+
+
+def test_chain_oracle_takes_eta_zero(capsys):
+    # --eta 0 is a value, not a request for a drawn eta
+    assert run(["chain-oracle", "--eta", "0"]) == 1
+    assert "eta must not be an integer" in capsys.readouterr().err
+    code, doc = _json_doc(capsys, ["chain-oracle", "--kind", "closed-xxx", "--eta", "0"])
+    assert code == 0
+    assert doc["eta"] == 0.0
 
 
 def test_verify_preset(capsys):

@@ -1,19 +1,23 @@
 """Root finding for Bethe equations and vacuum equations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bethegauge.bridge import preset_by_id
 from bethegauge.chain import ChainSpec, _bethe_system, bethe_residuals, certify_roots
+from bethegauge import solve
 from bethegauge.gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
     GaugeTheorySpec,
+    _vacuum_system,
     vacuum_lhs,
     vacuum_lhs_2d,
 )
+from bethegauge.rows import RowTable
 from bethegauge.solve import (
     SolveConfig,
     SolveResult,
@@ -68,11 +72,148 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     system = _LogSystem(*_bethe_system(CLOSED_XXZ), 0.0, lambda u: True)
     points = []
     factors = system.table.factors
-    monkeypatch.setattr(system.table, "factors", lambda x: points.append(tuple(x)) or factors(x))
+    monkeypatch.setattr(system.table, "factors", lambda x: points.extend(map(tuple, x)) or factors(x))
     u = _newton(system, np.array([0.3 + 0.05j]), CFG)
     assert abs(u[0] - 0.3646017624694252) < 1e-10
     assert len(points) > 2
     assert len(set(points)) == len(points)
+
+
+def test_newton_batch_evaluates_each_point_once(monkeypatch):
+    system = _LogSystem(*_bethe_system(CLOSED_XXZ), 0.0, lambda u: True)
+    points = []
+    factors = system.table.factors
+    monkeypatch.setattr(system.table, "factors",
+                        lambda x: points.extend(map(tuple, x)) or factors(x))
+    starts = np.array([[0.3 + 0.05j], [0.8 + 0.1j], [0.85 - 0.1j], [0.5j], [0.1], [0.6]])
+    assert sum(u is not None for u in _newton(system, starts, CFG)) >= 3
+    assert len(points) > 2 * len(starts)
+    assert len(set(points)) == len(points)
+
+
+def test_newton_batch_matches_each_start_alone():
+    # each start keeps its own step length, so stacking changes no start's path
+    chain = ChainSpec("open-xxz", 3, 2, 0.289, (0.5,) * 3, (0.04, -0.06, 0.02),
+                      xi_plus=0.23, xi_minus=-0.41)
+    system = _LogSystem(*_bethe_system(chain), 0.0,
+                        lambda u: np.all(np.abs(u.imag) <= 3.0, axis=-1))
+    rng = np.random.default_rng(5)
+    starts = rng.uniform(0.02, 0.98, size=(24, 2)) + 1j * rng.normal(0.0, 0.2, size=(24, 2))
+    out = _newton(system, starts, CFG)
+    alone = [_newton(system, u0, CFG) for u0 in starts]
+    assert [u is None for u in out] == [u is None for u in alone]
+    assert 0 < sum(u is not None for u in out) < len(starts)
+    for u, v in zip(out, alone):
+        if u is not None:
+            assert np.max(np.abs(u - v)) < 1e-9
+
+
+def _quadratic_system():
+    # (u - 1)(u + 1) = 1 with linear factors: roots +-sqrt(2), and the
+    # Jacobian 1/(u - 1) + 1/(u + 1) vanishes exactly at u = 0
+    rows = [(0, 1, {0: 1.0}, -1.0), (0, 1, {0: 1.0}, 1.0)]
+    table = RowTable("linear", 1, 1, 0, rows, "denominator", 1e-12)
+    domain = lambda u: np.all(np.abs(u) <= 5.0, axis=-1)  # noqa: E731
+    return _LogSystem(table, np.array([1.0 + 0j]), 0.0, domain)
+
+
+def test_newton_batch_isolates_failing_starts():
+    system = _quadratic_system()
+    good = np.array([1.3 + 0j])
+    alone = _newton(system, good, CFG)
+    assert abs(alone[0] - math.sqrt(2.0)) < 1e-12
+    # near u = 0 the first step jumps ~1.6e3i, outside the domain at every
+    # step length; u = 0 has a singular Jacobian; u = 1 starts on a pole
+    stack = np.array([good, [1e-3 + 0j], [0j], [1.0 + 0j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = _newton(system, stack, CFG)
+    assert np.max(np.abs(out[0] - alone)) < 1e-12
+    assert out[1:] == [None, None, None]
+    assert system.table.log_jacobian(system.evaluate(stack[2:3])[2])[0, 0, 0] == 0
+
+
+def test_newton_of_no_starts():
+    assert _newton(_quadratic_system(), np.zeros((0, 1), dtype=complex), CFG) == []
+
+
+def _drawn_one_at_a_time(system, cfg, draw):
+    """The start stream as the one-start solver drew it, with its rejections."""
+    starts, rejected = [], 0
+    for _ in range(cfg.n_starts):
+        for _ in range(100):
+            cand = draw()
+            if system.min_factor(cand.astype(complex)) > solve.POLE_TOL:
+                starts.append(cand)
+                break
+            rejected += 1
+    return np.array(starts, dtype=complex), rejected
+
+
+def _starts_handed_to_newton(monkeypatch, run):
+    stacks = []
+    monkeypatch.setattr(solve, "_newton",
+                        lambda system, u0, cfg: stacks.append(u0) or [None] * len(u0))
+    run()
+    assert len(stacks) == 1
+    return stacks[0]
+
+
+def test_bethe_starts_follow_the_one_at_a_time_stream(monkeypatch):
+    monkeypatch.setattr(solve, "POLE_TOL", 0.05)  # so that the filter rejects draws
+    for chain in (CLOSED_XXZ, ChainSpec("open-xxx", 2, 2, 0.37, (0.5,) * 2, (0.02, -0.03),
+                                        xi_plus=0.3, xi_minus=-0.2)):
+        stack = _starts_handed_to_newton(monkeypatch, lambda: solve_bethe(chain, CFG))
+        system = _LogSystem(*_bethe_system(chain), 0.0, lambda u: True)
+        rng = np.random.default_rng(CFG.seed)
+        half = 0.5 * (2.0 + chain.n_sites * chain.eta * max(1.0, *map(abs, chain.spins))
+                      + max(abs(t) for t in chain.inhomogeneities))
+        m = chain.n_magnons
+
+        def draw():
+            if chain.is_trig:
+                re = rng.uniform(0.02, 0.98, size=m)
+            else:
+                re = rng.uniform(-half, half, size=m)
+            return re + 1j * rng.normal(0.0, 0.2, size=m)
+
+        expected, rejected = _drawn_one_at_a_time(system, CFG, draw)
+        assert rejected > 0
+        assert stack.shape == expected.shape
+        assert np.array_equal(stack, expected)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_vacuum_starts_follow_the_one_at_a_time_stream(monkeypatch, rational):
+    monkeypatch.setattr(solve, "POLE_TOL", 0.05)
+    spec = GaugeTheorySpec("B", 2, 2, (0.31, 0.52), 0.23)
+    stack = _starts_handed_to_newton(
+        monkeypatch, lambda: solve_vacuum(spec, BRANCH_PLUS, CFG, rational=rational))
+    system = _LogSystem(*_vacuum_system(spec, "rational" if rational else "root"), 0.0,
+                        lambda u: True)
+    rng = np.random.default_rng(CFG.seed)
+    span = 1.0 if rational else math.pi
+    expected, rejected = _drawn_one_at_a_time(
+        system, CFG, lambda: span * rng.uniform(0.02, 0.98, size=2))
+    assert rejected > 0
+    assert np.array_equal(stack, expected)
+
+
+def test_solves_never_evaluate_points_outside_the_domain(monkeypatch):
+    # outside the box complex sin overflows; such points are masked, never evaluated
+    outside = []
+    evaluate = _LogSystem.evaluate
+
+    def counting(self, u):
+        outside.append(int(np.sum(~np.broadcast_to(self.domain(u), len(u)))))
+        return evaluate(self, u)
+
+    monkeypatch.setattr(_LogSystem, "evaluate", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solve_vacuum(GaugeTheorySpec("C", 1, 2, (0.26, 0.41), 0.17), BRANCH_MINUS, CFG)
+        solve_vacuum(GaugeTheorySpec("B", 2, 2, (0.31, 0.52), 0.23), BRANCH_PLUS, CFG)
+    assert sum(outside) > 0
 
 
 def test_closed_xxz_finds_all_frozen_roots():
