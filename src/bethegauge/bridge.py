@@ -30,17 +30,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain import BetheRoots, ChainSpec, bethe_lhs, validate_roots
+from .chain import BetheRoots, ChainSpec, _bethe_stack, validate_roots
 from .gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
     REGIME_SCALE,
     GaugeTheorySpec,
     VacuumBranch,
-    _vacuum_lhs_values,
-    vacuum_lhs_squared,
+    _vacuum_lhs_stack,
+    _vacuum_stack,
 )
-from .specfun import SingularPointError
 
 #: cutoffs used to realize an infinite boundary parameter
 DEFAULT_CUTOFFS = (5.0, 10.0, 20.0)
@@ -370,34 +369,115 @@ def _extrapolate_geometric(values: Sequence[complex]) -> complex:
     return b3 - (b3 - b2) ** 2 / den
 
 
-def _bethe_values(preset: DictionaryPreset, spec: GaugeTheorySpec, sigma,
-                  cutoff: Optional[float]) -> Optional[List[complex]]:
-    """Bethe products at the mapped point; None if the mapped roots are refused."""
-    chain, pm = map_gauge_to_chain(preset, spec, cutoff=cutoff)
-    try:
-        roots = BetheRoots(pm.sigma_to_u(sigma))
-        validate_roots(chain, roots)
-    except ValueError:  # coincident or reflection-degenerate roots
-        return None
-    return [bethe_lhs(chain, roots, i) for i in range(spec.dim)]
+#: draws scored together in one stacked evaluation; bounds the arrays of a chunk
+_CHUNK = 64
+#: a run gives up once this many draws per requested sample leave it short
+_DRAWS_PER_SAMPLE = 60
+#: a draw is kept only when every vacuum product lies strictly inside this
+#: magnitude window, so that the absolute tolerance is meaningful
+_WINDOW = (1e-2, 1e2)
+#: what becomes of a draw, in the order it is checked; notes["draws"] counts each
+OUTCOMES = ("accepted", "singular", "magnitude_window", "invalid_roots")
+_ACCEPTED, _SINGULAR, _OUTSIDE, _INVALID = range(len(OUTCOMES))
 
 
-def _sample_gauge(
-    preset: DictionaryPreset, rank: int, nf: int, rng: np.random.Generator
-) -> Tuple[GaugeTheorySpec, np.ndarray]:
-    scale = preset.scale
-    eta = rng.uniform(0.09, 0.34)
-    m_adj = scale * eta
-    masses = tuple(scale * rng.uniform(0.07, 0.43, size=nf))
-    kwargs = {}
-    if preset.family == "A":
-        kwargs["masses_anti"] = tuple(scale * rng.uniform(0.07, 0.43, size=nf))
+def _outcomes(singular: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per draw of a chunk: singular, outside the magnitude window, or accepted so far."""
+    mag = np.abs(values)
+    inside = np.all((_WINDOW[0] < mag) & (mag < _WINDOW[1]), axis=1)
+    return np.where(singular, _SINGULAR, np.where(inside, _ACCEPTED, _OUTSIDE))
+
+
+def _sample(rng: np.random.Generator, bounds: Sequence[Tuple[float, float]], scale: float,
+            samples: int, score, ledger: Dict[str, int]):
+    """Draw, score and keep points chunk by chunk until ``samples`` are accepted.
+
+    A draw is one row: column c is scale * uniform(bounds[c]).  A chunk of
+    rows comes from one ``rng.random`` call, which gives bitwise the values
+    of the same draws made one ``rng.uniform`` call at a time.
+    ``score(points)`` returns every row's outcome (an index into
+    :data:`OUTCOMES`) followed by per-row arrays.  Yields (points, outcome,
+    arrays) per chunk in draw order, cut after the ``samples``-th
+    acceptance, and counts what it yields into ``ledger``, which starts
+    with an ``attempted`` count of zero and one zero count per outcome it
+    can hold.  Raises RuntimeError once the first 60 * ``samples`` draws
+    leave fewer than ``samples`` accepted.
+    """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    lo, hi = np.array(bounds, dtype=float).T
+    cap, need = _DRAWS_PER_SAMPLE * samples, samples
+    while need:
+        if ledger["attempted"] == cap:
+            raise RuntimeError("sampling kept hitting singular configurations (draws: %s)"
+                               % ", ".join("%s %d" % kv for kv in ledger.items()))
+        points = scale * (lo + (hi - lo) * rng.random((min(_CHUNK, cap - ledger["attempted"]),
+                                                       len(lo))))
+        outcome, *arrays = score(points)
+        kept = np.flatnonzero(outcome == _ACCEPTED)
+        k = int(kept[need - 1]) + 1 if len(kept) >= need else len(points)
+        need -= min(need, len(kept))
+        ledger["attempted"] += k
+        for name, n in zip(OUTCOMES, np.bincount(outcome[:k], minlength=len(OUTCOMES))):
+            if n:
+                ledger[name] += int(n)
+        yield points[:k], outcome[:k], [a[:k] for a in arrays]
+
+
+def _drawn_gauge(preset: DictionaryPreset, dims: Tuple[int, int],
+                 point: np.ndarray) -> Tuple[GaugeTheorySpec, np.ndarray]:
+    """The theory and sigma of one verify point: m_adj, the masses, for family A
+    the anti-fundamental masses, then sigma."""
+    rank, nf = dims
     spec = GaugeTheorySpec(
-        family=preset.family, rank=rank, n_fund=nf,
-        masses=masses, m_adj=m_adj, **kwargs,
-    )
-    sigma = scale * rng.uniform(0.05, 0.95, size=spec.dim)
-    return spec, sigma
+        family=preset.family, rank=rank, n_fund=nf, masses=point[1:nf + 1], m_adj=point[0],
+        masses_anti=point[nf + 1:2 * nf + 1] if preset.family == "A" else None)
+    return spec, point[len(point) - spec.dim:]
+
+
+def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int, seed: int,
+                  cutoffs: Sequence[Optional[float]], ledger: Dict[str, int]):
+    """The draws of :func:`verify_identity`, scored a chunk at a time.
+
+    A draw is eta, the masses, for family A the anti-fundamental masses,
+    then sigma, in units of the preset's scale, so its point reads as
+    :func:`_drawn_gauge` reads it.  A draw is singular when a vacuum or a
+    Bethe product would raise :class:`SingularPointError`; it must keep
+    every vacuum product inside the window and map to valid Bethe roots.
+    Yields (points, outcome, vacuum values (k, dim), Bethe values (k,
+    len(cutoffs), dim)) per chunk, as :func:`_sample` does; the Bethe values
+    of a draw that never reached the chain side are NaN.
+    """
+    shape, _ = _drawn_gauge(preset, dims, np.zeros(1 + 2 * dims[1] + dims[0]))  # never evaluated
+    n_params = 1 + shape.n_fund + len(shape.masses_anti or ())
+    bounds = ([(0.09, 0.34)] + [(0.07, 0.43)] * (n_params - 1)
+              + [(0.05, 0.95)] * shape.dim)
+
+    def score(points):
+        vac, singular = _vacuum_lhs_stack(shape, preset.regime, points[:, n_params:],
+                                          points[:, :n_params])
+        outcome = _outcomes(singular, vac)
+        bethe = np.full((len(points), len(cutoffs), shape.dim), np.nan, dtype=complex)
+        reached, chains, u = [], [], []
+        for k in np.flatnonzero(outcome == _ACCEPTED):
+            spec, sigma = _drawn_gauge(preset, dims, points[k])
+            mapped = [map_gauge_to_chain(preset, spec, cutoff=t) for t in cutoffs]
+            try:
+                roots = BetheRoots(mapped[0][1].sigma_to_u(sigma))
+                validate_roots(mapped[0][0], roots)
+            except ValueError:  # coincident or reflection-degenerate roots
+                outcome[k] = _INVALID
+                continue
+            reached.append(k)
+            chains += [chain for chain, _ in mapped]
+            u += [roots.values] * len(cutoffs)
+        if reached:
+            values, hit = _bethe_stack(chains, np.array(u))
+            bethe[reached] = values.reshape(len(reached), len(cutoffs), shape.dim)
+            outcome[np.array(reached)[hit.reshape(len(reached), -1).any(axis=1)]] = _SINGULAR
+        return outcome, vac, bethe
+
+    return _sample(np.random.default_rng(seed), bounds, preset.scale, samples, score, ledger)
 
 
 def verify_identity(
@@ -413,59 +493,40 @@ def verify_identity(
 
     For infinite boundary parameters the Bethe side is evaluated at every
     cutoff and extrapolated; the per-cutoff residuals land in the notes.
+    ``notes["draws"]`` counts the draws made and what became of each.
     """
-    rank, nf = dims
-    rng = np.random.default_rng(seed)
     branch = preset.branch if branch is None else branch
     uses_cutoff = any(
         x is not None and x.infinite for x in (preset.xi_plus, preset.xi_minus)
     )
+    cuts = tuple(cutoffs) if uses_cutoff else (None,)
     max_residual = 0.0
     worst: Optional[Dict[str, object]] = None
-    cutoff_worst: Dict[float, float] = {t: 0.0 for t in cutoffs} if uses_cutoff else {}
-
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 60 * samples:
-            raise RuntimeError("sampling kept hitting singular configurations")
-        spec, sigma = _sample_gauge(preset, rank, nf, rng)
-        try:
-            vac = _vacuum_lhs_values(spec, sigma, preset.regime)
-            # keep magnitudes moderate so the absolute tolerance is meaningful
-            if any(not (1e-2 < abs(v) < 1e2) for v in vac):
-                continue
-            per_cut = [_bethe_values(preset, spec, sigma, t)
-                       for t in (cutoffs if uses_cutoff else (None,))]
-        except SingularPointError:
-            continue
-        if any(vals is None for vals in per_cut):
-            continue  # the mapped roots are not a valid root set
+    cutoff_worst = np.zeros(len(cuts))
+    ledger = dict.fromkeys(("attempted",) + OUTCOMES, 0)
+    for points, outcome, (vac, bethe) in _verify_draws(preset, dims, samples, seed, cuts, ledger):
+        ok = outcome == _ACCEPTED
+        points, vac, bethe = points[ok], vac[ok], bethe[ok]
         if uses_cutoff:
-            for t_cut, vals in zip(cutoffs, per_cut):
-                r = max(abs(v - branch.sign * b) for v, b in zip(vac, vals))
-                cutoff_worst[t_cut] = max(cutoff_worst[t_cut], r)
-            bet = [
-                _extrapolate_geometric([per_cut[k][i] for k in range(len(cutoffs))])
-                for i in range(spec.dim)
-            ]
+            per_cut = np.abs(vac[:, None, :] - branch.sign * bethe).max(axis=2)
+            cutoff_worst = np.maximum(cutoff_worst, per_cut.max(axis=0))
+            bethe = np.array([[_extrapolate_geometric(b) for b in draw.T.tolist()]
+                              for draw in bethe])
         else:
-            bet = per_cut[0]
-        res = max(abs(v - branch.sign * b) for v, b in zip(vac, bet))
-        if res > max_residual:
-            max_residual = res
-            worst = {
-                "sigma": [float(s) for s in sigma],
-                "masses": [float(m) for m in spec.masses],
-                "m_adj": float(spec.m_adj),
-            }
-        done += 1
+            bethe = bethe[:, 0]
+        for k, res in enumerate(np.abs(vac - branch.sign * bethe).max(axis=1).tolist()):
+            if res > max_residual:
+                max_residual = res
+                spec, sigma = _drawn_gauge(preset, dims, points[k])
+                worst = {"sigma": sigma.tolist(), "masses": list(spec.masses),
+                         "m_adj": float(spec.m_adj)}
+                if preset.family == "A":  # the drawn anti-fundamental masses replay the point
+                    worst["masses_anti"] = list(spec.masses_anti)
 
-    notes: Dict[str, object] = {"root_shift": 0.0}
+    notes: Dict[str, object] = {"root_shift": 0.0, "draws": ledger}
     if uses_cutoff:
         notes["cutoffs"] = list(cutoffs)
-        notes["residual_by_cutoff"] = {str(t): cutoff_worst[t] for t in cutoffs}
+        notes["residual_by_cutoff"] = {str(t): float(r) for t, r in zip(cutoffs, cutoff_worst)}
     return VerificationReport(
         preset_id=preset.id,
         samples=samples,
@@ -549,28 +610,23 @@ def duality_compare(
         raise ValueError("comparison requires equal fundamental mass lists (m = m')")
     if abs(gauge_i.m_adj - gauge_ii.m_adj) > 0:
         raise ValueError("adjoint masses differ")
-    rng = np.random.default_rng(seed)
+    ledger = dict.fromkeys(("attempted",) + OUTCOMES[:_INVALID], 0)  # no roots to check
+
+    def score(sigma):
+        vals_i, singular_i = _vacuum_stack(gauge_i, "full", sigma)
+        vals_ii, singular_ii = _vacuum_stack(gauge_ii, "full", sigma)
+        return _outcomes(singular_i | singular_ii, vals_ii), vals_i, vals_ii
+
     max_residual = 0.0
     worst = None
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 60 * samples:
-            raise RuntimeError("sampling kept hitting singular configurations")
-        sigma = math.pi * rng.uniform(0.05, 0.95, size=gauge_i.dim)
-        try:
-            vals_i = [vacuum_lhs_squared(gauge_i, sigma, j) for j in range(gauge_i.dim)]
-            vals_ii = [vacuum_lhs_squared(gauge_ii, sigma, j) for j in range(gauge_i.dim)]
-            if any(not (1e-2 < abs(v) < 1e2) for v in vals_ii):
-                continue
-        except SingularPointError:
-            continue
-        res = max(abs(a - b) for a, b in zip(vals_i, vals_ii))
-        if res > max_residual:
-            max_residual = res
-            worst = {"sigma": [float(s) for s in sigma]}
-        done += 1
+    for sigma, outcome, (vals_i, vals_ii) in _sample(
+            np.random.default_rng(seed), [(0.05, 0.95)] * gauge_i.dim, math.pi, samples,
+            score, ledger):
+        ok = outcome == _ACCEPTED
+        for k, res in zip(np.flatnonzero(ok), np.abs(vals_i[ok] - vals_ii[ok]).max(axis=1).tolist()):
+            if res > max_residual:
+                max_residual = res
+                worst = {"sigma": sigma[k].tolist()}
     return VerificationReport(
         preset_id="duality-%s-%d" % (gauge_i.family, gauge_i.rank),
         samples=samples,
@@ -580,5 +636,5 @@ def duality_compare(
         worst_point=worst,
         passed=max_residual <= tol,
         branch_used=+1,
-        notes={"realizations": ["I", "II"]},
+        notes={"realizations": ["I", "II"], "draws": ledger},
     )

@@ -167,6 +167,16 @@ def _bethe_system(chain: ChainSpec) -> Tuple[RowTable, np.ndarray]:
     return table, np.array(params + [1.0], dtype=complex)
 
 
+def _bethe_stack(chains: Sequence[ChainSpec], u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every Bethe equation at a stack of points: row k of ``u`` (S, M) holds
+    roots of ``chains[k]``, all chains of one shape.  Returns the values
+    (S, M) and the singular mask (S,) of :meth:`RowTable.products`, where
+    :func:`bethe_lhs` would raise :class:`SingularPointError`; the caller
+    validates the roots."""
+    systems = [_bethe_system(c) for c in chains]
+    return systems[0][0].products(np.concatenate((u, [p for _, p in systems]), axis=1))
+
+
 def bethe_lhs(chain: ChainSpec, roots: BetheRoots, i: int) -> complex:
     """The i-th Bethe equation arranged as one product; the contract is = 1."""
     validate_roots(chain, roots)

@@ -29,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -407,6 +407,28 @@ def _vacuum_lhs_values(spec: GaugeTheorySpec, sigma: Sequence[float],
     """
     lhs = {"3d": vacuum_lhs, "2d": vacuum_lhs_2d}[regime]
     return [lhs(spec, sigma, j) for j in range(spec.dim)]
+
+
+def _vacuum_stack(spec: GaugeTheorySpec, form: str, sigma: np.ndarray,
+                  params: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Every vacuum equation of ``spec``'s shape in ``form`` at a stack of points.
+
+    ``sigma`` is (S, dim); ``params`` (S, 1 + N_f + N_f') holds each point's
+    m_adj || masses || masses_anti, and defaults to ``spec``'s own.  Returns
+    the values (S, dim) and the singular mask (S,) of
+    :meth:`RowTable.products`: a point is singular exactly where the
+    per-equation products raise :class:`SingularPointError`.
+    """
+    table, own = _vacuum_system(spec, form)
+    if params is None:
+        params = np.broadcast_to(own[:-1], (len(sigma), len(own) - 1))
+    return table.products(np.concatenate((sigma, params, np.ones((len(sigma), 1))), axis=1))
+
+
+def _vacuum_lhs_stack(spec: GaugeTheorySpec, regime: str, sigma: np.ndarray,
+                      params: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_vacuum_lhs_values` at a stack of points, as :func:`_vacuum_stack` gives it."""
+    return _vacuum_stack(spec, {"3d": "root", "2d": "rational"}[regime], sigma, params)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ values of the parameters.
 
 The product forms, the solver's log residual, its Jacobian
 C^T diag(power f'/f) and its start filter all evaluate the rows through
-:meth:`RowTable.factors`.  The products take one point; the solver passes a
-stack of points, one per Newton start, and gets the log sums and Jacobians
-of the whole stack from real matrix products.
+:meth:`RowTable.factors`.  :meth:`RowTable.product` takes one point;
+:meth:`RowTable.products` takes a stack of points, one per sampled draw, and
+marks the singular ones with the same guard; the solver passes a stack of
+points, one per Newton start, and gets the log sums and Jacobians of the
+whole stack from real matrix products.
 """
 
 from __future__ import annotations
@@ -61,10 +63,8 @@ class RowTable:
             raise ValueError("row coefficients, shifts and powers must be real")
         eq = np.array([r[0] for r in rows], dtype=int)
         self.by_eq = (eq == np.arange(n_eq)[:, None]).astype(float)
-        if guard == "denominator":
-            self.guarded, self.trip = np.flatnonzero(self.power.real < 0), guard_tol
-        else:  # within tol of the zero set forces |f| < 2 tol
-            self.guarded, self.trip = slice(None), 2.0 * guard_tol
+        self.rows_of = tuple(np.flatnonzero(e) for e in self.by_eq)
+        self.guarded = np.flatnonzero(self.power.real < 0) if guard == "denominator" else slice(None)
         self.equations = (self,) if n_eq == 1 else tuple(
             RowTable(kind, 1, n_unknowns, n_params,
                      [(0,) + r[1:] for r in rows if r[0] == j], guard, guard_tol)
@@ -75,16 +75,25 @@ class RowTable:
     def n_rows(self) -> int:
         return len(self.power)
 
+    # The real matrices of stacked evaluation, each as kron(m, identity(2)): a
+    # complex stack times a real matrix is then one real product over the
+    # interleaved (re, im) view.  Each is built on first use.
+
     @cached_property
-    def _stack(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The real matrices of stacked evaluation, C^T (cols, R), by_eq^T
-        (R, n_eq) and the Jacobian's (R, n_eq * n), each as kron(m, identity(2)):
-        a complex stack times a real matrix is then one real product over the
-        interleaved (re, im) view.  Built on first use; the products never need them."""
-        c = self.coeffs.real
-        jac = self.by_eq.T[:, :, None] * c[:, None, : self.n_unknowns]
-        jac = jac.reshape(self.n_rows, len(self.by_eq) * self.n_unknowns)
-        return tuple(np.kron(m, np.eye(2)) for m in (c.T, self.by_eq.T, jac))
+    def _columns(self) -> np.ndarray:
+        """C^T (cols, R): the arguments of a stack."""
+        return np.kron(self.coeffs.real.T, np.eye(2))
+
+    @cached_property
+    def _sums(self) -> np.ndarray:
+        """by_eq^T (R, n_eq): the solver's per-equation log sums."""
+        return np.kron(self.by_eq.T, np.eye(2))
+
+    @cached_property
+    def _jacobian(self) -> np.ndarray:
+        """(R, n_eq * n): the solver's Jacobian rows."""
+        jac = self.by_eq.T[:, :, None] * self.coeffs.real[:, None, : self.n_unknowns]
+        return np.kron(jac.reshape(self.n_rows, len(self.by_eq) * self.n_unknowns), np.eye(2))
 
     def factors(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Arguments and factor values at the point x, or (S, R) at a stack x (S, cols)."""
@@ -92,35 +101,51 @@ class RowTable:
             a = self.coeffs.dot(x)
         else:
             # real product of real coefficients: complex ones over many rows slow later complex sin
-            a = _real_product(x, self._stack[0])
+            a = _real_product(x, self._columns)
         return a, (a if self.kind == "linear" else np.sin(a))
+
+    def _singular(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The guard: which guarded factors of a point (or of each point of a stack) are singular."""
+        a, mag = a[..., self.guarded], np.abs(f[..., self.guarded])
+        if self.guard == "denominator" or self.kind == "linear":
+            return mag < self.guard_tol
+        hit = mag < 2.0 * self.guard_tol  # within tol of pi*Z forces |sin| < 2 tol
+        if hit.any():
+            r = a.real / math.pi
+            hit &= np.hypot(np.abs(r - np.rint(r)) * math.pi, a.imag) < self.guard_tol
+        return hit
 
     def product(self, x: np.ndarray) -> complex:
         """The guarded product over every row; meant for one-equation tables."""
         a, f = self.factors(x)
-        mag = np.abs(f[self.guarded])
-        if mag.size and min(mag.tolist()) < self.trip:
-            self._reject(a[self.guarded], mag)
+        hit = self._singular(a, f)
+        if hit.any():
+            raise SingularPointError("singular factor at argument %r (%s guard, tol %g)"
+                                     % (complex(a[self.guarded][hit][0]) / self.scale,
+                                        self.guard, self.guard_tol))
         return complex(math.prod((f ** self.power).tolist()))
 
-    def _reject(self, a: np.ndarray, mag: np.ndarray) -> None:
-        tol = self.guard_tol
-        if self.guard == "zero_set" and self.kind != "linear":
-            r = a.real / math.pi
-            mag = np.hypot(np.abs(r - np.rint(r)) * math.pi, a.imag)
-        hit = np.flatnonzero(mag < tol)
-        if hit.size:
-            raise SingularPointError("singular factor at argument %r (%s guard, tol %g)"
-                                     % (complex(a[hit[0]]) / self.scale, self.guard, tol))
+    def products(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every equation's product at a stack x (S, cols), guarded as :meth:`product`.
+
+        Returns the values (S, n_eq) and the singular mask (S,): a point is
+        singular exactly where :meth:`product` raises for one of its
+        equations.  The values of a singular point are unspecified.
+        """
+        a, f = self.factors(x)
+        with np.errstate(all="ignore"):  # a factor at a zero, masked as singular
+            fp = f ** self.power
+            values = np.stack([fp[:, rows].prod(axis=1) for rows in self.rows_of], axis=1)
+        return values, self._singular(a, f).any(axis=1)
 
     def log_sum(self, f: np.ndarray) -> np.ndarray:
         """Per equation, sum_r power_r log f_r on the principal branch: (S, R) -> (S, n_eq)."""
-        return _real_product(self.power.real * np.log(f), self._stack[1])
+        return _real_product(self.power.real * np.log(f), self._sums)
 
     def log_jacobian(self, a: np.ndarray) -> np.ndarray:
         """d log_sum / d unknowns, C^T diag(power f'/f) per equation: (S, R) -> (S, n_eq, n)."""
         g = self.power.real / (a if self.kind == "linear" else np.tan(a))
-        return _real_product(g, self._stack[2]).reshape(len(a), len(self.by_eq), self.n_unknowns)
+        return _real_product(g, self._jacobian).reshape(len(a), len(self.by_eq), self.n_unknowns)
 
 
 def _real_product(z: np.ndarray, doubled: np.ndarray) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Dictionary presets, parameter maps and identity certification."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bethegauge.bridge import (
     DEFAULT_CUTOFFS,
+    OUTCOMES,
     DictionaryPreset,
     FixedSite,
     XiExpr,
+    _verify_draws,
     all_presets,
     calibrate_preset,
     duality_compare,
@@ -18,7 +22,17 @@ from bethegauge.bridge import (
     presets,
     verify_identity,
 )
-from bethegauge.gauge import BRANCH_PLUS, GaugeTheorySpec
+from bethegauge import chain as chain_module
+from bethegauge.chain import BetheRoots, _bethe_system, bethe_lhs, validate_roots
+from bethegauge.gauge import (
+    BRANCH_PLUS,
+    GaugeTheorySpec,
+    _vacuum_lhs_values,
+    _vacuum_system,
+    vacuum_lhs_squared,
+)
+from bethegauge.specfun import SingularPointError
+from test_rows import rounding_bound
 
 HALF = Fraction(1, 2)
 
@@ -270,3 +284,203 @@ def test_duality_preconditions():
     )
     with pytest.raises(ValueError):
         duality_compare(unequal, spec_ii)
+
+
+# ---------------------------------------------------------------------------
+# batched sampling against the one-draw-at-a-time loop
+# ---------------------------------------------------------------------------
+
+
+def _cutoffs(preset):
+    infinite = any(x is not None and x.infinite for x in (preset.xi_plus, preset.xi_minus))
+    return DEFAULT_CUTOFFS if infinite else (None,)
+
+
+def _reference_draws(preset, dims, samples, seed):
+    """The sampler one draw at a time, as rng.uniform calls: per draw the point
+    (m_adj, masses, [masses_anti], sigma), its outcome, the spec, sigma and the
+    vacuum and per-cutoff Bethe values it reached.  Stops at the samples-th
+    acceptance or after 60 * samples draws."""
+    rank, nf = dims
+    rng = np.random.default_rng(seed)
+    scale, cutoffs = preset.scale, _cutoffs(preset)
+    out, accepted = [], 0
+    while accepted < samples and len(out) < 60 * samples:
+        eta = rng.uniform(0.09, 0.34)
+        masses = tuple(scale * rng.uniform(0.07, 0.43, size=nf))
+        anti = tuple(scale * rng.uniform(0.07, 0.43, size=nf)) if preset.family == "A" else None
+        spec = GaugeTheorySpec(preset.family, rank, nf, masses, scale * eta, masses_anti=anti)
+        sigma = scale * rng.uniform(0.05, 0.95, size=spec.dim)
+        rec = {"point": [spec.m_adj, *masses, *(anti or ()), *sigma], "spec": spec,
+               "sigma": sigma, "vac": None, "bethe": None}
+        out.append(rec)
+        try:
+            rec["vac"] = _vacuum_lhs_values(spec, sigma, preset.regime)
+        except SingularPointError:
+            rec["outcome"] = "singular"
+            continue
+        if any(not (1e-2 < abs(v) < 1e2) for v in rec["vac"]):
+            rec["outcome"] = "magnitude_window"
+            continue
+        mapped = [map_gauge_to_chain(preset, spec, cutoff=t) for t in cutoffs]
+        try:
+            roots = BetheRoots(mapped[0][1].sigma_to_u(sigma))
+            validate_roots(mapped[0][0], roots)
+        except ValueError:
+            rec["outcome"] = "invalid_roots"
+            continue
+        try:
+            rec["bethe"] = [[bethe_lhs(c, roots, i) for i in range(spec.dim)] for c, _ in mapped]
+        except SingularPointError:
+            rec["outcome"] = "singular"
+            continue
+        rec["outcome"] = "accepted"
+        accepted += 1
+    return out
+
+
+def _batched_draws(preset, dims, samples, seed):
+    """Points, outcomes and values of the batched run, and its ledger."""
+    ledger = dict.fromkeys(("attempted",) + OUTCOMES, 0)
+    chunks = list(_verify_draws(preset, dims, samples, seed, _cutoffs(preset), ledger))
+    return [np.concatenate(parts) for parts in zip(*[(p, o, v, b) for p, o, (v, b) in chunks])], ledger
+
+
+def _ledger(outcomes):
+    counts = {"attempted": len(outcomes)}
+    counts.update((name, list(outcomes).count(name)) for name in OUTCOMES)
+    return counts
+
+
+def _assert_close(values, reference, table, x):
+    """Equal to 1e-12 relative, beyond what one rounding of each argument can move a product."""
+    reference = np.asarray(reference)
+    tol = 1e-12 + rounding_bound(table, x)
+    assert np.all(np.abs(values - reference) <= tol * np.abs(reference))
+
+
+@pytest.mark.parametrize("preset", all_presets(), ids=lambda p: p.id)
+def test_batched_draws_replay_the_one_at_a_time_loop(preset):
+    dims, samples = (2, 4), 25
+    ref = _reference_draws(preset, dims, samples, seed=17)
+    (points, outcome, vac, bethe), ledger = _batched_draws(preset, dims, samples, seed=17)
+    assert np.array_equal(points, np.array([r["point"] for r in ref]))  # bitwise
+    assert [OUTCOMES[k] for k in outcome] == [r["outcome"] for r in ref]
+    assert ledger == _ledger([r["outcome"] for r in ref])
+    assert ledger["accepted"] == samples
+    for k, r in enumerate(ref):
+        if r["vac"] is not None:
+            table, params = _vacuum_system(r["spec"], "rational" if preset.regime == "2d" else "root")
+            _assert_close(vac[k], r["vac"], table, np.concatenate((r["sigma"], params)))
+        if r["bethe"] is not None:
+            for t, (chain, pm) in enumerate(map_gauge_to_chain(preset, r["spec"], cutoff=c)
+                                            for c in _cutoffs(preset)):
+                table, params = _bethe_system(chain)
+                x = np.concatenate((pm.sigma_to_u(r["sigma"]), params))
+                _assert_close(bethe[k, t], r["bethe"][t], table, x)
+
+
+@pytest.mark.parametrize("preset_id, rank, seed, samples, outcome", [
+    ("D-2d", 3, 6, 100, "invalid_roots"),  # two sigma components 4.8e-9 apart
+    ("A-3d", 2, 5, 140, "singular"),
+])
+def test_rejected_draws_match_the_reference(preset_id, rank, seed, samples, outcome):
+    preset = preset_by_id(preset_id)
+    ref = _reference_draws(preset, (rank, 4), samples, seed)
+    (points, outcomes, _, _), ledger = _batched_draws(preset, (rank, 4), samples, seed)
+    assert np.array_equal(points, np.array([r["point"] for r in ref]))
+    assert ledger == _ledger([r["outcome"] for r in ref])
+    assert ledger[outcome] == 1
+
+
+def test_sampling_cap_raises_as_the_loop_did():
+    preset, samples = preset_by_id("B-2d"), 4
+    ref = _reference_draws(preset, (3, 4), samples, seed=2)
+    counts = _ledger([r["outcome"] for r in ref])
+    assert counts["attempted"] == 60 * samples and counts["accepted"] < samples
+    with pytest.raises(RuntimeError, match="sampling kept hitting singular configurations") as err:
+        verify_identity(preset, dims=(3, 4), samples=samples, seed=2)
+    assert str(err.value).endswith("(draws: %s)" % ", ".join(
+        "%s %d" % (name, counts[name]) for name in ("attempted",) + OUTCOMES))
+
+
+@pytest.mark.parametrize("preset_id", ["A-3d", "D-3d", "C-2d-P1"])
+def test_fewer_samples_give_a_prefix_of_the_ledger(preset_id):
+    preset = preset_by_id(preset_id)
+    (_, outcome, _, _), _ = _batched_draws(preset, (2, 4), 40, seed=8)
+    for n in (1, 7, 40):
+        stop = int(np.flatnonzero(outcome == OUTCOMES.index("accepted"))[n - 1]) + 1
+        report = verify_identity(preset, dims=(2, 4), samples=n, tol=1.0, seed=8)
+        assert report.notes["draws"] == _ledger([OUTCOMES[k] for k in outcome[:stop]])
+
+
+@pytest.mark.parametrize("preset_id", ["A-3d", "B-3d-P5", "D-3d"])
+def test_worst_point_replays_the_worst_draw(preset_id):
+    preset = preset_by_id(preset_id)
+    report = verify_identity(preset, dims=(2, 4), samples=30, tol=1e-6, seed=4)
+    (points, outcome, vac, bethe), _ = _batched_draws(preset, (2, 4), 30, seed=4)
+    w = report.worst_point
+    drawn = [w["m_adj"], *w["masses"], *w.get("masses_anti", ()), *w["sigma"]]
+    k = [i for i, p in enumerate(points.tolist()) if p == drawn]
+    assert len(k) == 1 and OUTCOMES[outcome[k[0]]] == "accepted"
+    assert ("masses_anti" in w) == (preset.family == "A")
+    if preset_id != "D-3d":  # D-3d extrapolates over the cutoffs
+        assert np.max(np.abs(vac[k[0]] - preset.branch.sign * bethe[k[0], 0])) == report.max_residual
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_samplers_refuse_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        verify_identity(preset_by_id("C-3d-P1"), dims=(2, 4), samples=samples)
+    spec_i = GaugeTheorySpec("C", 2, 2, (0.31, 0.52), 0.41, realization="I")
+    with pytest.raises(ValueError, match="samples"):
+        duality_compare(spec_i, GaugeTheorySpec("C", 2, 2, (0.31, 0.52), 0.41), samples=samples)
+
+
+def _reference_duality(gauge_i, gauge_ii, samples, seed):
+    """duality_compare one draw at a time: the outcome of every draw and the worst residual."""
+    rng = np.random.default_rng(seed)
+    outcomes, worst = [], 0.0
+    while outcomes.count("accepted") < samples and len(outcomes) < 60 * samples:
+        sigma = math.pi * rng.uniform(0.05, 0.95, size=gauge_i.dim)
+        try:
+            vals_i = [vacuum_lhs_squared(gauge_i, sigma, j) for j in range(gauge_i.dim)]
+            vals_ii = [vacuum_lhs_squared(gauge_ii, sigma, j) for j in range(gauge_i.dim)]
+        except SingularPointError:
+            outcomes.append("singular")
+            continue
+        if any(not (1e-2 < abs(v) < 1e2) for v in vals_ii):
+            outcomes.append("magnitude_window")
+            continue
+        outcomes.append("accepted")
+        worst = max(worst, max(abs(a - b) for a, b in zip(vals_i, vals_ii)))
+    return outcomes, worst
+
+
+@pytest.mark.parametrize("family, rank", [("B", 2), ("B", 3), ("C", 3)])
+def test_duality_ledger_matches_the_reference(family, rank):
+    rng = np.random.default_rng([rank, ord(family)])
+    masses = tuple(math.pi * rng.uniform(0.07, 0.43, size=4))
+    pair = [GaugeTheorySpec(family, rank, 4, masses, 0.8, realization=r) for r in ("I", "II")]
+    outcomes, worst = _reference_duality(*pair, samples=30, seed=5)
+    report = duality_compare(*pair, samples=30, seed=5)
+    counts = _ledger(outcomes)
+    del counts["invalid_roots"]
+    assert report.notes["draws"] == counts
+    assert report.max_residual <= 1e-10 and worst <= 1e-10
+
+
+@pytest.mark.parametrize("preset_id", ["B-3d-P1", "C-2d-P1", "D-3d"])
+def test_bethe_singular_draws_match_the_reference(monkeypatch, preset_id):
+    # a Bethe guard raised to 0.1 rejects some draws that pass the vacuum side
+    monkeypatch.setattr(chain_module, "DENOM_TOL", 0.1)
+    chain_module._bethe_table.cache_clear()
+    try:
+        preset = preset_by_id(preset_id)
+        ref = _reference_draws(preset, (2, 4), 20, seed=3)
+        (points, outcome, _, _), ledger = _batched_draws(preset, (2, 4), 20, seed=3)
+    finally:
+        chain_module._bethe_table.cache_clear()
+    assert np.array_equal(points, np.array([r["point"] for r in ref]))
+    assert [OUTCOMES[k] for k in outcome] == [r["outcome"] for r in ref]
+    assert sum(r["outcome"] == "singular" and r["vac"] is not None for r in ref) > 0

@@ -8,18 +8,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bethegauge.chain import BetheRoots, ChainSpec, _bethe_system, bethe_lhs
+from bethegauge.chain import (
+    DENOM_TOL,
+    BetheRoots,
+    ChainSpec,
+    _bethe_stack,
+    _bethe_system,
+    _bethe_table,
+    bethe_lhs,
+)
 from bethegauge.gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
     GaugeTheorySpec,
     _root_data,
+    _vacuum_stack,
     _vacuum_system,
+    _vacuum_table,
     vacuum_lhs,
     vacuum_lhs_2d,
 )
 from bethegauge.solve import POLE_TOL, _LogSystem
+from bethegauge.specfun import SingularPointError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bethegauge"
 POINTS = 6
@@ -121,6 +134,108 @@ def test_e8_rows_are_generated_from_root_data():
     for j in range(8):
         coupled = sum(1 for _, _, exps in _root_data("E8", 8) if exps[j])
         assert table.equations[j].n_rows == 2 * coupled + 2 * spec.n_fund
+
+
+# ---------------------------------------------------------------------------
+# stacked products: the guard of product as a mask
+# ---------------------------------------------------------------------------
+
+
+def rounding_bound(table, x):
+    """Per equation, the relative change of its product when every argument at
+    the point x moves by a few roundings of its terms: sum_r |power_r f'/f|
+    * 8 eps * sum_c |c_rc x_c|, plus 8 eps per factor."""
+    a, f = table.factors(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a factor at 0 makes the bound inf
+        slope = 1 / a if table.kind == "linear" else np.cos(a) / f
+    terms = np.abs(table.coeffs) @ np.abs(x)
+    per_row = 8 * np.finfo(float).eps * np.abs(table.power) * (np.abs(slope) * terms + 1)
+    return np.array([per_row[rows].sum() for rows in table.rows_of])
+
+
+def _one_at_a_time(table, stack):
+    """Per point, the per-equation products, or None where one of them raises."""
+    out = []
+    for x in stack:
+        try:
+            out.append([eq.product(x) for eq in table.equations])
+        except SingularPointError:
+            out.append(None)
+    return out
+
+
+def _assert_stack_matches_products(table, stack):
+    values, singular = table.products(stack)
+    assert values.shape == (len(stack), len(table.equations)) and singular.shape == (len(stack),)
+    for x, vals, hit, ref in zip(stack, values, singular, _one_at_a_time(table, stack)):
+        assert hit == (ref is None)
+        if ref is not None:
+            bound = rounding_bound(table, x)
+            with np.errstate(invalid="ignore"):
+                close = np.abs(vals - ref) <= bound * np.abs(ref)
+            assert np.all(close | (vals == ref)), (vals, ref, bound)
+    return singular
+
+
+def test_stacked_mask_fires_on_b_cos_row():
+    # cos(sigma + m_adj) of B's root form vanishes at sigma = pi/2 - m_adj
+    spec = GaugeTheorySpec("B", 2, 2, (0.3, 0.7), 0.4)
+    sigma = np.array([[math.pi / 2 - 0.4 + 1e-7, 1.1],
+                      [math.pi / 2 - 0.4 + 1.5e-6, 1.1],  # |cos| < 2 tol, yet tol away
+                      [0.9, 1.7]])
+    table, params = _vacuum_system(spec, "root")
+    stack = np.concatenate((sigma, np.tile(params, (3, 1))), axis=1)
+    assert list(_assert_stack_matches_products(table, stack)) == [True, False, False]
+    assert list(_vacuum_stack(spec, "root", sigma)[1]) == [True, False, False]
+    assert not _vacuum_stack(spec, "rational", sigma)[1].any()  # no cos row there
+    with pytest.raises(SingularPointError):
+        vacuum_lhs(spec, sigma[0], 0)
+
+
+@pytest.mark.parametrize("kind", ["closed-xxx", "closed-xxz"])
+def test_stacked_mask_fires_on_small_bethe_denominator(kind):
+    # one site of spin 1/2 at theta 0: the denominator factor is [u]
+    chain = ChainSpec(kind, 1, 1, 0.3, (0.5,), (0.0,))
+    unit = math.pi if kind.endswith("xxz") else 1.0
+    u = np.array([[0.5 * DENOM_TOL / unit], [2.0 * DENOM_TOL / unit], [0.27]], dtype=complex)
+    table, params = _bethe_system(chain)
+    stack = np.concatenate((u, np.tile(params, (3, 1))), axis=1)
+    assert list(_assert_stack_matches_products(table, stack)) == [True, False, False]
+    assert list(_bethe_stack([chain] * 3, u)[1]) == [True, False, False]
+    with pytest.raises(SingularPointError):
+        bethe_lhs(chain, BetheRoots(u[0]), 0)
+
+
+_coordinate = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@st.composite
+def _table_and_stack(draw):
+    """A random vacuum or Bethe table and a small stack of points in its columns."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from("ABCD"))
+        realization = draw(st.sampled_from(["I", "II"]))
+        n_f = draw(st.integers(1, 3))
+        n_anti = n_f if family == "A" or realization == "I" else 0
+        table = _vacuum_table(family, draw(st.integers(1, 3)), n_f, n_anti,
+                              realization, draw(st.sampled_from(["root", "full", "rational"])))
+    else:
+        kind = draw(st.sampled_from(["closed-xxz", "open-xxz", "closed-xxx", "open-xxx"]))
+        table = _bethe_table(kind, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    cols = table.coeffs.shape[1] - 1
+    size = draw(st.integers(1, 4))
+    re = draw(st.lists(st.lists(_coordinate, min_size=cols, max_size=cols),
+                       min_size=size, max_size=size))
+    im = draw(st.lists(st.lists(st.floats(-0.3, 0.3), min_size=cols, max_size=cols),
+                       min_size=size, max_size=size))
+    stack = np.array(re) + 1j * np.array(im)
+    return table, np.concatenate((stack, np.ones((size, 1))), axis=1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_table_and_stack())
+def test_stacked_products_equal_product_row_by_row(case):
+    _assert_stack_matches_products(*case)
 
 
 # ---------------------------------------------------------------------------
