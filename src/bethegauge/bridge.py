@@ -499,6 +499,9 @@ def verify_identity(
     uses_cutoff = any(
         x is not None and x.infinite for x in (preset.xi_plus, preset.xi_minus)
     )
+    if uses_cutoff and len(cutoffs) < 3:
+        raise ValueError("an infinite boundary parameter needs three cutoffs to extrapolate, "
+                         "got %d" % len(cutoffs))
     cuts = tuple(cutoffs) if uses_cutoff else (None,)
     max_residual = 0.0
     worst: Optional[Dict[str, object]] = None

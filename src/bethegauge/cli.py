@@ -145,13 +145,13 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
+    if isinstance(x, (np.floating, float)):  # strict JSON: a non-finite float is null
+        return float(x) if math.isfinite(x) else None
     if isinstance(x, (np.integer, int)):
         return int(x)
     if isinstance(x, (np.complexfloating, complex)):
         z = complex(x)
-        return {"re": z.real, "im": z.imag}
+        return {"re": _jsonable(z.real), "im": _jsonable(z.imag)}
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
     return x
@@ -168,7 +168,7 @@ def _emit(ns: argparse.Namespace, payload: Dict[str, object], human: Sequence[st
         if not ns.no_timestamp:
             doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
         doc.update(_jsonable(payload))
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif rows is not None and ns.csv:
         text = "".join(",".join(str(c) for c in row) + "\n" for row in rows)
     else:

@@ -1,23 +1,23 @@
 """Effective superpotentials on Lie-algebra root data and their vacuum equations.
 
 The superpotential of a theory with adjoint and fundamental matter is a sum
-of dilogarithms and quadratic terms over roots and weights.  Exponentiating
-one component of its gradient collapses, pair by pair, into a product of
-sine ratios.  Those closed products are the authoritative vacuum equations;
-they are stated once, as one row table per shape (family, rank, N_f, N_f',
-realization, form) built by :func:`_vacuum_table`, and every product form
+over roots and weights of terms a * [Li2(e^{-iz}) - z^2/4], z affine in sigma
+and the masses; :func:`_term_table` states them once per shape (family,
+rank, N_f, N_f', realization), and the value, the gradient and the one-loop
+check all read it.  Exponentiating one component of the gradient collapses,
+pair by pair, into a product of sine ratios.  Those closed products are the
+authoritative vacuum equations; they are stated once, as one row table per
+shape and form built by :func:`_vacuum_table`, and every product form
 (square-rooted, full, rational) and the solver's log residual evaluate that
-table.  The gradient route never touches the table and stays an independent
-cross-check.
+table.  The gradient route never touches the row table and stays an
+independent cross-check.
 
-Two realizations of the weight normalization are supported:
-
-* ``II`` puts the per-root factor 4/|alpha|^2 into the exponents (doubled
-  arguments); fundamentals are doubled.  This is the default.
-* ``I`` keeps the factor as a multiplicity-style coefficient and carries an
-  explicit anti-fundamental mass list.  Its closed vacuum products split
-  the matter factor into fundamental and anti-fundamental halves; with
-  equal mass lists the squared equations coincide with realization II.
+Two realizations of the weight normalization are supported, ``II`` (the
+default) and ``I``; they differ in where the per-root weight factor sits.
+Realization I carries an explicit anti-fundamental mass list, and its closed
+vacuum products split the matter factor into fundamental and
+anti-fundamental halves; with equal mass lists the squared equations
+coincide with realization II.
 
 Branch choice (whether a product is pinned to +1 or -1) is metadata on the
 equation contract and never modifies the left-hand side.
@@ -25,7 +25,6 @@ equation contract and never modifies the left-hand side.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -134,12 +133,6 @@ def _root_data(family: str, rank: int):
     return tuple(data)
 
 
-def _fund_weight_axes(spec: GaugeTheorySpec) -> Tuple[int, ...]:
-    # signs of the fundamental weight set on each axis: A couples e_j only,
-    # every other family couples +-e_j
-    return (1,) if spec.family == "A" else (1, -1)
-
-
 def _check_sigma(spec: GaugeTheorySpec, sigma: Sequence[float]) -> np.ndarray:
     sig = np.asarray(sigma, dtype=complex)
     if sig.shape != (spec.dim,):
@@ -148,108 +141,71 @@ def _check_sigma(spec: GaugeTheorySpec, sigma: Sequence[float]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# superpotential value and gradient
+# superpotential value and gradient: one term table per shape
 # ---------------------------------------------------------------------------
 
 
-def _terms_realization_ii(spec: GaugeTheorySpec, sig: np.ndarray):
-    """Yield (dilog argument exponent, quadratic linear form, kind) triples.
+@lru_cache(maxsize=None)
+def _term_table(family: str, rank: int, n_f: int, n_anti: int,
+                realization: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Every term of beta2*W as a weight a_t and a row V_t of one matrix V.
 
-    Each term of beta2*W is  s * [ Li2(e^{i*coef*form}) - (coef*form)^2/4 ]
-    with s = -1 for gauge terms (coef = +c) and s = +1 for matter terms
-    (coef = -c for adjoint, -2 for fundamentals).
+    beta2*W = sum_t a_t [Li2(e^{-i z_t}) - z_t^2/4] with z = V x, where x is
+    sigma || (m_adj, masses, masses_anti).  A root alpha with weight factor c
+    gives a gauge term (a, z) = (-w, -k alpha.sigma) and an adjoint term
+    (w, k (alpha.sigma + m_adj)); a fundamental mass m on the weight s e_j
+    gives (h, 2 (s sigma_j + m)), an anti-fundamental mass m' gives
+    (h, 2 (-s sigma_j + m')).  Realization II puts c into the argument,
+    (k, w, h) = (c, 1, 1); realization I keeps it as a coefficient,
+    (k, w, h) = (2, c/2, 1/2).  A couples the weights e_j only, every other
+    family +-e_j.
     """
-    m_adj = spec.m_adj
-    for alpha, c, _ in _root_data(spec.family, spec.rank):
-        t = sum(a * s for a, s in zip(alpha, sig))
-        yield ("gauge", c, t, alpha)
-        yield ("adjoint", c, t + m_adj, alpha)
-    for axis_sign in _fund_weight_axes(spec):
-        for j in range(spec.dim):
-            w = [0.0] * spec.dim
-            w[j] = axis_sign
-            for m in spec.masses:
-                yield ("fund", 2.0, axis_sign * sig[j] + m, tuple(w))
-    if spec.family == "A":
-        for j in range(spec.dim):
-            w = [0.0] * spec.dim
-            w[j] = -1.0
-            for m in spec.masses_anti:
-                yield ("fund", 2.0, -sig[j] + m, tuple(w))
+    n = 8 if family == "E8" else rank
+    width = n + 1 + n_f + n_anti
+    half = realization == "I"
+    terms = []
+    for alpha, c, _ in _root_data(family, rank):
+        k, w = (2.0, 0.5 * c) if half else (c, 1.0)
+        gauge = np.zeros(width)
+        gauge[:n] = alpha
+        adjoint = gauge.copy()
+        adjoint[n] = 1.0
+        terms += [(-w, -k * gauge), (w, k * adjoint)]
+    h = 0.5 if half else 1.0
+    for s in (1.0,) if family == "A" else (1.0, -1.0):
+        for j in range(n):
+            for col in range(n + 1, width):
+                matter = np.zeros(width)
+                matter[j] = s if col <= n + n_f else -s
+                matter[col] = 1.0
+                terms.append((h, 2.0 * matter))
+    a, v = (np.array(t) for t in zip(*terms))
+    a.flags.writeable = v.flags.writeable = False
+    return a, v
 
 
-def _terms_realization_i(spec: GaugeTheorySpec, sig: np.ndarray):
-    """Like the above, with the weight factor as a coefficient.
-
-    Terms of beta2*W; matter arguments are doubled but keep coefficient 1,
-    gauge and adjoint carry the multiplicity c; the overall prefactor 1/2 is
-    applied by the callers.
-    """
-    m_adj = spec.m_adj
-    for alpha, c, _ in _root_data(spec.family, spec.rank):
-        t = sum(a * s for a, s in zip(alpha, sig))
-        yield ("gauge", c, t, alpha)
-        yield ("adjoint", c, t + m_adj, alpha)
-    for axis_sign in _fund_weight_axes(spec):
-        for j in range(spec.dim):
-            w = [0.0] * spec.dim
-            w[j] = axis_sign
-            for m in spec.masses:
-                yield ("fund", 1.0, axis_sign * sig[j] + m, tuple(w))
-            for m in spec.masses_anti:
-                yield ("fund", 1.0, -axis_sign * sig[j] + m, tuple(-x for x in w))
+def _term_arguments(spec: GaugeTheorySpec,
+                    sigma: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The term table of ``spec``'s shape and every term's argument z = V x at sigma."""
+    sig = _check_sigma(spec, sigma)
+    anti = spec.masses_anti or ()
+    a, v = _term_table(spec.family, spec.rank, spec.n_fund, len(anti), spec.realization)
+    return a, v, v @ np.concatenate((sig, (spec.m_adj,) + spec.masses + anti))
 
 
 def superpotential_value(spec: GaugeTheorySpec, sigma: Sequence[float]) -> complex:
-    """W evaluated at sigma (the combination beta2*W divided by beta2)."""
-    sig = _check_sigma(spec, sigma)
-    total = 0j
-    if spec.realization == "II":
-        for kind, c, x, _ in _terms_realization_ii(spec, sig):
-            if kind == "gauge":
-                total += -dilog(cmath.exp(1j * c * x)) + (c * x) ** 2 / 4.0
-            elif kind == "adjoint":
-                total += dilog(cmath.exp(-1j * c * x)) - (c * x) ** 2 / 4.0
-            else:
-                total += dilog(cmath.exp(-2j * x)) - x * x
-    else:
-        for kind, c, x, _ in _terms_realization_i(spec, sig):
-            if kind == "gauge":
-                total += 0.5 * c * (-dilog(cmath.exp(2j * x)) + x * x)
-            elif kind == "adjoint":
-                total += 0.5 * c * (dilog(cmath.exp(-2j * x)) - x * x)
-            else:
-                total += 0.5 * (dilog(cmath.exp(-2j * x)) - x * x)
-    return total / spec.beta2
+    """W at sigma: sum_t a_t [Li2(e^{-i z_t}) - z_t^2/4] / beta2."""
+    a, _, z = _term_arguments(spec, sigma)
+    return complex(a @ (dilog(np.exp(-1j * z)) - 0.25 * z * z)) / spec.beta2
 
 
 def superpotential_grad(spec: GaugeTheorySpec, sigma: Sequence[float]) -> np.ndarray:
-    """Analytic gradient dW/dsigma_j, assembled from -log(1-e^..) pieces."""
-    sig = _check_sigma(spec, sigma)
-    grad = np.zeros(spec.dim, dtype=complex)
-    if spec.realization == "II":
-        for kind, c, x, w in _terms_realization_ii(spec, sig):
-            if kind == "gauge":
-                d = 1j * c * cmath.log(1.0 - cmath.exp(1j * c * x)) + c * c * x / 2.0
-            elif kind == "adjoint":
-                d = 1j * c * cmath.log(1.0 - cmath.exp(-1j * c * x)) - c * c * x / 2.0
-            else:
-                d = 2j * cmath.log(1.0 - cmath.exp(-2j * x)) - 2.0 * x
-            for j, wj in enumerate(w):
-                if wj != 0.0:
-                    grad[j] += wj * d
-    else:
-        for kind, c, x, w in _terms_realization_i(spec, sig):
-            if kind == "gauge":
-                d = 0.5 * c * (2j * cmath.log(1.0 - cmath.exp(2j * x)) + 2.0 * x)
-            elif kind == "adjoint":
-                d = 0.5 * c * (2j * cmath.log(1.0 - cmath.exp(-2j * x)) - 2.0 * x)
-            else:
-                d = 0.5 * (2j * cmath.log(1.0 - cmath.exp(-2j * x)) - 2.0 * x)
-            for j, wj in enumerate(w):
-                if wj != 0.0:
-                    grad[j] += wj * d
-    return grad / spec.beta2
+    """Analytic gradient dW/dsigma = V_sigma^T [a (i log(1 - e^{-iz}) - z/2)] / beta2."""
+    a, v, z = _term_arguments(spec, sigma)
+    gap = 1.0 - np.exp(-1j * z)
+    if not gap.all():
+        raise SingularPointError("a superpotential term sits on its pole e^(-iz) = 1")
+    return v[:, :spec.dim].T @ (a * (1j * np.log(gap) - 0.5 * z)) / spec.beta2
 
 
 def vacuum_from_gradient(spec: GaugeTheorySpec, sigma: Sequence[float]) -> np.ndarray:
@@ -457,26 +413,15 @@ def one_loop_asymptotic_check(
 ) -> OneLoopReport:
     """Check each dilogarithm of the superpotential against its product form.
 
-    Every dilog argument z appearing in beta2*W at sigma is compared with
-    -2*beta2*log prod_k (1 - z e^(-2 beta2 k)); the report carries the worst
+    Every dilog argument e^(-iz) of beta2*W at sigma is compared, as u, with
+    -2*beta2*log prod_k (1 - u e^(-2 beta2 k)); the report carries the worst
     relative error per beta2 and the fitted log-log convergence rate.
     """
-    sig = _check_sigma(spec, sigma)
-    if spec.realization == "II":
-        terms = list(_terms_realization_ii(spec, sig))
-    else:
-        terms = list(_terms_realization_i(spec, sig))
-    args: List[complex] = []
-    for kind, c, x, _ in terms:
-        if spec.realization == "II":
-            z = cmath.exp(1j * c * x) if kind == "gauge" else (
-                cmath.exp(-1j * c * x) if kind == "adjoint" else cmath.exp(-2j * x)
-            )
-        else:
-            z = cmath.exp(2j * x) if kind == "gauge" else cmath.exp(-2j * x)
-        if abs(1.0 - z) < SINGULAR_TOL:
-            raise SingularPointError("dilog argument %r too close to 1" % (z,))
-        args.append(z)
+    _, _, z = _term_arguments(spec, sigma)
+    args = np.exp(-1j * z)
+    near = np.abs(1.0 - args) < SINGULAR_TOL
+    if near.any():
+        raise SingularPointError("dilog argument %r too close to 1" % (complex(args[near][0]),))
 
     betas = tuple(float(b) for b in beta2s)
     if any(b <= 0 for b in betas):
@@ -484,8 +429,8 @@ def one_loop_asymptotic_check(
     maxima = []
     for b2 in betas:
         worst = 0.0
-        for z in args:
-            _, _, rel = dilog_qpoch_link(z, b2, tol)
+        for arg in args.tolist():
+            _, _, rel = dilog_qpoch_link(arg, b2, tol)
             worst = max(worst, rel)
         maxima.append(worst)
 

@@ -223,6 +223,12 @@ def test_cutoff_extrapolation_notes():
     assert all(v >= 0 for v in by_cutoff.values())
 
 
+@pytest.mark.parametrize("cutoffs", [(5.0, 10.0), ()])
+def test_infinite_boundary_needs_three_cutoffs(cutoffs):
+    with pytest.raises(ValueError, match="three cutoffs"):
+        verify_identity(preset_by_id("D-3d"), (2, 4), 5, cutoffs=cutoffs)
+
+
 def test_report_dict_uses_pass_key():
     report = verify_identity(preset_by_id("C-3d-P1"), dims=(1, 2), samples=5, seed=1)
     d = report.to_dict()

@@ -229,6 +229,21 @@ def test_cross_check(capsys):
     assert doc["pass"] is True
 
 
+def _reject_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+def test_json_writes_a_non_finite_residual_as_null(capsys):
+    # D rank 1 has no roots: every chain solution is dropped and the residual is inf
+    code = run(["cross-check", "--preset", "D-3d", "--rank", "1", "--nf", "2",
+                "--json", "--no-timestamp"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 1
+    assert doc["pass"] is False
+    assert doc["max_residual"] is None
+    assert doc["schema_version"] == "1"
+
+
 # ---------------------------------------------------------------------------
 # seeds, files, determinism
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Vacuum products, superpotential gradients and their cross-checks."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bethegauge import lie_roots
 from bethegauge.gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
@@ -21,7 +25,7 @@ from bethegauge.gauge import (
     vacuum_lhs_2d,
     vacuum_lhs_squared,
 )
-from bethegauge.specfun import SingularPointError
+from bethegauge.specfun import SingularPointError, dilog
 
 # fixed generic points, checked to sit away from every singular hyperplane
 SPECS = {
@@ -280,3 +284,105 @@ def test_regime_values_are_the_per_equation_products(family, regime):
                 lhs(spec, sigma, 0)
             with pytest.raises(SingularPointError):
                 _vacuum_lhs_values(spec, sigma, regime)
+
+
+# ---------------------------------------------------------------------------
+# the term table against the closed per-kind formulas
+# ---------------------------------------------------------------------------
+
+
+def _reference_superpotential(spec, sigma):
+    """beta2*W and its gradient, summed one term at a time, kind by kind.
+
+    Realization II: -Li2(e^{ict}) + (ct)^2/4 per root (t = alpha.sigma), the
+    adjoint Li2(e^{-ix}) - x^2/4 with x = c (t + m_adj), and Li2(e^{-2iy}) - y^2
+    per matter weight (y = s sigma_j + m).  Realization I: c/2 [-Li2(e^{2it})
+    + t^2], c/2 [Li2(e^{-2iy}) - y^2] with y = t + m_adj, and 1/2 [Li2(e^{-2iy})
+    - y^2] per matter weight, anti-fundamentals on the opposite signs.
+    """
+    sig = np.asarray(sigma, dtype=complex)
+    total, grad = 0j, np.zeros(len(sig), dtype=complex)
+    half = spec.realization == "I"
+    for alpha in lie_roots.generate_roots(*lie_roots.root_family(spec.family, spec.rank)):
+        c = float(lie_roots.weight_factor(alpha))
+        al = np.array([float(a) for a in alpha])
+        t = al @ sig
+        if half:
+            y = t + spec.m_adj
+            total += 0.5 * c * (-dilog(cmath.exp(2j * t)) + t * t + dilog(cmath.exp(-2j * y)) - y * y)
+            grad += c * al * (1j * cmath.log(1 - cmath.exp(2j * t)) + t
+                              + 1j * cmath.log(1 - cmath.exp(-2j * y)) - y)
+        else:
+            x = c * (t + spec.m_adj)
+            total += -dilog(cmath.exp(1j * c * t)) + (c * t) ** 2 / 4 + dilog(cmath.exp(-1j * x)) - x * x / 4
+            grad += c * al * (1j * cmath.log(1 - cmath.exp(1j * c * t)) + c * t / 2
+                              + 1j * cmath.log(1 - cmath.exp(-1j * x)) - x / 2)
+    axes = (1,) if spec.family == "A" else (1, -1)
+    weights = [(s, m) for s in axes for m in spec.masses]
+    weights += [(-s, m) for s in axes for m in spec.masses_anti or ()]
+    h = 0.5 if half else 1.0
+    for s, m in weights:
+        for j in range(len(sig)):
+            y = s * sig[j] + m
+            total += h * (dilog(cmath.exp(-2j * y)) - y * y)
+            grad[j] += h * s * (2j * cmath.log(1 - cmath.exp(-2j * y)) - 2 * y)
+    return total / spec.beta2, grad / spec.beta2
+
+
+def _realization_i(spec, **kw):
+    return GaugeTheorySpec(spec.family, spec.rank, spec.n_fund, spec.masses, spec.m_adj,
+                           realization="I", **kw)
+
+
+_TABLE_CASES = [(SPECS[f], SIGMAS[f]) for f in SPECS] + [
+    (_realization_i(SPECS[f]), SIGMAS[f]) for f in "ABCD"] + [
+    (GaugeTheorySpec("A", 2, 3, (0.21, 0.34, 0.18), 0.23, masses_anti=(0.25, 0.31)), SIGMAS["A"]),
+    (_realization_i(SPECS["B"], masses_anti=(0.29, 0.12, 0.4)), SIGMAS["B"]),
+    (GaugeTheorySpec("C", 3, 2, (0.26, 0.41), 0.17, beta2=0.37), (0.39 + 0.1j, 0.71, 1.13 - 0.2j)),
+]
+
+
+@pytest.mark.parametrize("spec, sigma", _TABLE_CASES,
+                         ids=["%s-%s-%d" % (s.family, s.realization, k)
+                              for k, (s, _) in enumerate(_TABLE_CASES)])
+def test_term_table_matches_the_per_kind_formulas(spec, sigma):
+    w_ref, grad_ref = _reference_superpotential(spec, sigma)
+    assert abs(superpotential_value(spec, sigma) - w_ref) <= 1e-12 * abs(w_ref)
+    gap = np.abs(superpotential_grad(spec, sigma) - grad_ref)
+    assert np.all(gap <= 1e-12 * np.abs(grad_ref).max())
+
+
+def test_gradient_pole_raises_without_numpy_warnings():
+    # sigma_0 = -m_1 puts the first fundamental term on e^{-iz} = 1 exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            superpotential_grad(SPECS["A"], (-0.21, 0.82))
+        with pytest.raises(ValueError):  # sigma_0 = sigma_1: the gauge terms' pole
+            superpotential_grad(SPECS["B"], (0.41, 0.41))
+
+
+def _signed_permutation(sigma, image):
+    """(pi, s) with image_i = s_i sigma_pi(i), for sigma of distinct positive entries."""
+    perm = [int(np.argmin(np.abs(np.abs(x) - np.asarray(sigma)))) for x in image]
+    return perm, np.sign(image)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from("ABCD"), realization=st.sampled_from(["I", "II"]),
+       rank=st.integers(1, 3), nf=st.integers(1, 2), data=st.data())
+def test_superpotential_is_weyl_invariant(family, realization, rank, nf, data):
+    unit = st.floats(0.05, 1.0)
+    spec = GaugeTheorySpec(family, rank, nf, tuple(data.draw(unit) for _ in range(nf)),
+                           data.draw(unit), realization=realization)
+    sigma = [data.draw(st.floats(0.1, 3.0)) for _ in range(rank)]
+    assume(all(abs(a - b) > 1e-3 for k, a in enumerate(sigma) for b in sigma[:k]))
+    try:
+        w, grad = superpotential_value(spec, sigma), superpotential_grad(spec, sigma)
+    except SingularPointError:  # drawn onto a pole, e.g. sigma_j = m
+        assume(False)
+    for image in lie_roots.weyl_images(family, rank, sigma).images:
+        perm, signs = _signed_permutation(sigma, image)
+        assert abs(superpotential_value(spec, image) - w) <= 1e-10 * max(1.0, abs(w))
+        gap = np.abs(superpotential_grad(spec, image) - signs * grad[perm])
+        assert np.all(gap <= 1e-10 * max(1.0, np.abs(grad).max()))

@@ -325,3 +325,16 @@ def test_only_gauge_chooses_the_vacuum_form_by_regime():
                     and both <= _names(node)
                     and (path.stem, getattr(node, "name", None)) not in allowed):
                 pytest.fail("%s line %d picks a vacuum form" % (path.name, node.lineno))
+
+
+def test_superpotential_consumers_never_branch_on_term_kind():
+    # the term table states each kind and realization once; its readers only index it
+    words = {"realization", "kind", "gauge", "adjoint", "fund", "I", "II"}
+    fns = {n.name: n for n in _tree("gauge").body if isinstance(n, ast.FunctionDef)}
+    for name in ("superpotential_value", "superpotential_grad", "one_loop_asymptotic_check"):
+        for node in ast.walk(fns[name]):
+            if isinstance(node, (ast.If, ast.IfExp, ast.Dict)):
+                named = _names(node) | {n.value for n in ast.walk(node)
+                                        if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+                assert not named & words, "%s line %d branches on %s" % (
+                    name, node.lineno, sorted(named & words))

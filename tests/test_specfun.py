@@ -8,7 +8,10 @@ spot checks so the suite stays meaningful without it.
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bethegauge.specfun import (
     BracketContext,
@@ -139,3 +142,66 @@ def test_qpoch_dilog_link_monotone():
 
 def test_singular_point_error_is_value_error():
     assert issubclass(SingularPointError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# properties of the array dilog
+# ---------------------------------------------------------------------------
+
+_OFFSETS = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)
+
+
+@st.composite
+def _near_a_region_boundary(draw):
+    """A point on or within 1e-6 of |z| = 1/2, |z| = 1, Re z = 1/2 or |z|^2 = 2 Re z."""
+    theta = draw(st.floats(-math.pi, math.pi))
+    radius = 1.0 + draw(st.sampled_from(_OFFSETS))
+    boundary = draw(st.sampled_from(["power", "unit", "half", "reflection"]))
+    if boundary == "power":
+        z = 0.5 * radius * cmath.exp(1j * theta)
+    elif boundary == "unit":
+        z = radius * cmath.exp(1j * theta)
+    elif boundary == "half":
+        z = complex(0.5 * radius, draw(st.floats(-3.0, 3.0)))
+    else:
+        z = 1.0 + radius * cmath.exp(1j * theta)
+    assume(not (z.imag == 0.0 and z.real > 1.0))
+    return z
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_near_a_region_boundary(), min_size=1, max_size=8))
+def test_array_dilog_is_its_one_element_calls_and_matches_mpmath(points):
+    mp = pytest.importorskip("mpmath")
+    values = dilog(np.array(points))
+    assert values.shape == (len(points),)
+    for z, value in zip(points, values):
+        single = dilog(z)
+        assert isinstance(single, complex)
+        # an array and one element may take different numpy loops: allow a few ulps
+        assert abs(value - single) <= 4 * np.finfo(float).eps * max(1.0, abs(single))
+        assert abs(single - complex(mp.polylog(2, mp.mpc(z)))) <= 1e-12
+
+
+_annulus = st.builds(lambda r, t: r * cmath.exp(1j * t),
+                     st.floats(0.1, 10.0), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_annulus)
+def test_dilog_reflection_and_inversion_identities(z):
+    assume(abs(z.imag) > 1e-3)  # off the cuts of log z, log(1-z) and log(-z)
+    reflection = dilog(z) + dilog(1 - z) - (math.pi ** 2 / 6 - cmath.log(z) * cmath.log(1 - z))
+    inversion = dilog(z) + dilog(1 / z) - (-math.pi ** 2 / 6 - 0.5 * cmath.log(-z) ** 2)
+    assert abs(reflection) <= 1e-12
+    assert abs(inversion) <= 1e-12
+
+
+def test_array_dilog_keeps_shape_and_guards():
+    z = np.array([[0.0, 1.0], [-1.0, 0.5]])
+    values = dilog(z)
+    assert values.shape == (2, 2)
+    assert values[0, 0] == 0 and values[0, 1] == math.pi ** 2 / 6
+    assert abs(values[1, 0] + math.pi ** 2 / 12) <= 1e-15
+    with pytest.raises(ValueError, match="branch cut"):
+        dilog(np.array([0.3, 2.0]))
