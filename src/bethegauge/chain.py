@@ -13,7 +13,9 @@ and every closed-form check downstream, so the difference factors here put
 the i-th root first.  The sum factors are symmetric and unaffected.
 
 The oracle builds dense transfer matrices from the spin-1/2 R-matrix and
-never reads the row table:
+never reads the row table.  Its monodromies are grown one site at a time,
+Kronecker-extending the 2x2 auxiliary block of 2^a x 2^a operators, which
+costs O(4^L) per site instead of multiplying 2^L x 2^L lifted R-matrices:
 closed t(u) = tr_0 T_0(u), open t(u) = Tr_0 K(u+eta/2, xi_+) U_-(u).  The
 open trace argument follows the displayed A/D-tilde expansion (which fixes
 the K_+ shift uniquely); eigenvector certification calibrates the residual
@@ -258,7 +260,8 @@ def reflection_residual(
 # monodromy and transfer matrices (dense oracle, spin 1/2)
 # ---------------------------------------------------------------------------
 
-OpMatrix = List[List[np.ndarray]]
+#: sigma_y, which conjugates the auxiliary space of the reversed row
+_SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
 
 def _check_oracle(chain: ChainSpec) -> None:
@@ -277,52 +280,57 @@ def _chain_r(chain: ChainSpec, u: complex) -> np.ndarray:
     return _r(lambda x: _br(chain, x), u, chain.eta)
 
 
-def _lift(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    left = 2**site
-    right = 2 ** (n_sites - 1 - site)
-    return np.kron(np.eye(left), np.kron(op, np.eye(right)))
+def _site_r(chain: ChainSpec, u: complex, a: int) -> np.ndarray:
+    # R_0a(u - th_a) as <i k|R|j l>: auxiliary i, j and site k, l
+    return _chain_r(chain, u - chain.inhomogeneities[a]).reshape(2, 2, 2, 2)
 
 
-def _op_mul(x: OpMatrix, y: OpMatrix) -> OpMatrix:
-    return [
-        [x[i][0] @ y[0][j] + x[i][1] @ y[1][j] for j in range(2)] for i in range(2)
-    ]
+def _grow(acc: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """Append one site: new[i, j] = sum_kl acc[k, l] (x) site[i, j, k, l].
+
+    ``acc`` is the (2, 2, d, d) auxiliary block of operators on the sites so
+    far and ``site`` the (2, 2, 2, 2, 2, 2) block of 2x2 operators on the new
+    one; a site costs O(d^2).
+    """
+    d = acc.shape[-1]
+    new = np.tensordot(site, acc, axes=([2, 3], [0, 1]))  # i j q s | p r
+    return new.transpose(0, 1, 4, 2, 5, 3).reshape(2, 2, 2 * d, 2 * d)
 
 
-def monodromy(chain: ChainSpec, u: complex) -> OpMatrix:
-    """T_0(u) = R_0L(u - th_L) ... R_01(u - th_1) as a 2x2 matrix of operators."""
+def monodromy(chain: ChainSpec, u: complex) -> np.ndarray:
+    """T_0(u) = R_0L(u - th_L) ... R_01(u - th_1) as a (2, 2, 2^L, 2^L) block
+    array: T[i][j] is the 2^L x 2^L operator in auxiliary entry (i, j).
+
+    Grown site by site from the identity on no sites, T[i][j] <- sum_k
+    T[k][j] (x) R_0a[i, k], at O(4^L) per site.
+    """
     _check_oracle(chain)
-    L = chain.n_sites
-    dim = 2**L
-    acc: OpMatrix = [
-        [np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex)],
-        [np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex)],
-    ]
-    for a in reversed(range(L)):
-        # <i k|R|j l>: auxiliary i, j and site k, l
-        r = _chain_r(chain, u - chain.inhomogeneities[a]).reshape(2, 2, 2, 2)
-        site = [[_lift(r[i, :, j, :], a, L) for j in range(2)] for i in range(2)]
-        acc = _op_mul(acc, site)
+    acc = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
+    for a in range(chain.n_sites):
+        site = np.einsum("iqks,jl->ijklqs", _site_r(chain, u, a), np.eye(2))
+        acc = _grow(acc, site)
     return acc
 
 
-def double_row_monodromy(chain: ChainSpec, u: complex) -> OpMatrix:
-    """U_-(u) = T(u) K(u - eta/2, xi_-) sigma_y T^t(-u) sigma_y."""
+def double_row_monodromy(chain: ChainSpec, u: complex) -> np.ndarray:
+    """U_-(u) = T(u) K(u - eta/2, xi_-) sigma_y T^t(-u) sigma_y, a block array
+    like :func:`monodromy`.
+
+    Grown site by site outward from K: U[i][j] <- sum_kl U[k][l] (x)
+    R_0a(u)[i, k] R^_0a(-u)[l, j] with R^ = sigma_y R^t0 sigma_y transposed
+    in auxiliary space only, at O(4^L) per site.
+    """
     if not chain.is_open:
         raise ValueError("double-row monodromy is defined for open chains")
-    t_pos = monodromy(chain, u)
-    t_neg = monodromy(chain, -u)
+    _check_oracle(chain)
     k1 = _br(chain, u - chain.eta / 2 + chain.xi_minus)
     k2 = -_br(chain, u - chain.eta / 2 - chain.xi_minus)
-    tk: OpMatrix = [
-        [k1 * t_pos[0][0], k2 * t_pos[0][1]],
-        [k1 * t_pos[1][0], k2 * t_pos[1][1]],
-    ]
-    t_hat: OpMatrix = [
-        [t_neg[1][1], -t_neg[0][1]],
-        [-t_neg[1][0], t_neg[0][0]],
-    ]
-    return _op_mul(tk, t_hat)
+    acc = np.diag(np.array([k1, k2], dtype=complex)).reshape(2, 2, 1, 1)
+    for a in range(chain.n_sites):
+        site = np.einsum("iqkp,la,bpas,bj->ijklqs", _site_r(chain, u, a),
+                         _SIGMA_Y, _site_r(chain, -u, a), _SIGMA_Y)
+        acc = _grow(acc, site)
+    return acc
 
 
 def transfer_matrix(chain: ChainSpec, u: complex) -> np.ndarray:
@@ -357,27 +365,18 @@ def open_transfer_expansion(chain: ChainSpec, u: complex) -> np.ndarray:
 
 def rtt_residual(chain: ChainSpec, u: complex, v: complex) -> float:
     """Max-norm defect of R12(u-v) T1(u) T2(v) = T2(v) T1(u) R12(u-v)."""
-    _check_oracle(chain)
-    dim = 2**chain.n_sites
-    tu = monodromy(chain, u)
-    tv = monodromy(chain, v)
-    t1u = _aux_embed(tu, dim, first=True)
-    t2v = _aux_embed(tv, dim, first=False)
-    r12 = np.kron(_chain_r(chain, u - v), np.eye(dim))
+    t1u = _aux_embed(monodromy(chain, u), first=True)
+    t2v = _aux_embed(monodromy(chain, v), first=False)
+    r12 = np.kron(_chain_r(chain, u - v), np.eye(2**chain.n_sites))
     lhs = r12 @ t1u @ t2v
     rhs = t2v @ t1u @ r12
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _aux_embed(t: OpMatrix, dim: int, first: bool) -> np.ndarray:
-    out = np.zeros((4 * dim, 4 * dim), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e = np.zeros((2, 2))
-            e[i, j] = 1.0
-            aux = np.kron(e, np.eye(2)) if first else np.kron(np.eye(2), e)
-            out += np.kron(aux, t[i][j])
-    return out
+def _aux_embed(t: np.ndarray, first: bool) -> np.ndarray:
+    # sum_ij E_ij (x) 1 (x) T_ij (first) or 1 (x) E_ij (x) T_ij (second)
+    out = np.einsum("ijpr,mn->impjnr" if first else "ijpr,mn->mipnjr", t, np.eye(2))
+    return out.reshape(4 * t.shape[-1], 4 * t.shape[-1])
 
 
 def commutator_residual(chain: ChainSpec, u: complex, v: complex) -> float:

@@ -196,13 +196,11 @@ def dilog_qpoch_link(z: complex, beta2: float, tol: float = 1e-12) -> Tuple[comp
     if z == 0:
         return 0j, 0j, 0.0
     q = math.exp(-2.0 * beta2)
-    n_terms = qpoch_terms_for(z, q, tol)
-    total = 0j
-    zq = z
-    for _ in range(n_terms):
-        total += cmath.log(1.0 - zq)
-        zq *= q
-    lhs = -2.0 * beta2 * total
+    w = z * q ** np.arange(qpoch_terms_for(z, q, tol))
+    # log(1 - w) by parts: numpy's complex log is slow, and log1p keeps the
+    # many small late terms accurate
+    log_abs = 0.5 * np.log1p(w.real * (w.real - 2.0) + w.imag**2)
+    lhs = -2.0 * beta2 * complex(np.sum(log_abs), np.sum(np.angle(1.0 - w)))
     rhs = dilog(z)
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return lhs, rhs, rel

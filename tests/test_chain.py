@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bethegauge.chain import (
+    KINDS,
     BetheRoots,
     ChainSpec,
     bethe_lhs,
     bethe_residuals,
+    bethe_vector,
     certify_roots,
     commutator_residual,
     double_row_monodromy,
@@ -21,7 +25,7 @@ from bethegauge.chain import (
     validate_roots,
     yang_baxter_residual,
 )
-from bethegauge.specfun import BracketContext, SingularPointError
+from bethegauge.specfun import BracketContext, SingularPointError, bracket
 
 CLOSED_XXZ = ChainSpec("closed-xxz", 3, 1, 0.317, (0.5,) * 3, (0.03, -0.07, 0.11))
 OPEN_XXZ = ChainSpec(
@@ -226,3 +230,124 @@ def test_oracle_guards():
 def test_root_index_bounds():
     with pytest.raises(ValueError):
         bethe_lhs(CLOSED_XXZ, BetheRoots((0.3646017624694252,)), 1)
+
+
+# ---------------------------------------------------------------------------
+# the grown monodromies against the lifted-product construction
+# ---------------------------------------------------------------------------
+
+
+def _op_mul(x, y):
+    return [[x[i][0] @ y[0][j] + x[i][1] @ y[1][j] for j in range(2)] for i in range(2)]
+
+
+def _weight(chain):
+    ctx = BracketContext(chain.eta)
+    return (lambda x: bracket(x, ctx)) if chain.is_trig else complex
+
+
+def _lifted_monodromy(chain, u):
+    """R_0L(u - th_L) ... R_01(u - th_1), each site's R-matrix lifted to
+    2^L x 2^L by kron and the lifts multiplied in order."""
+    w = _weight(chain)
+    L, eta = chain.n_sites, chain.eta
+    eye, zero = np.eye(2**L, dtype=complex), np.zeros((2**L, 2**L), dtype=complex)
+    acc = [[eye, zero], [zero, eye]]
+    for a in reversed(range(L)):
+        x = u - chain.inhomogeneities[a]
+        r = np.array([[w(x + eta), 0, 0, 0], [0, w(x), w(eta), 0],
+                      [0, w(eta), w(x), 0], [0, 0, 0, w(x + eta)]]).reshape(2, 2, 2, 2)
+        site = [[np.kron(np.eye(2**a), np.kron(r[i, :, j, :], np.eye(2 ** (L - 1 - a))))
+                 for j in range(2)] for i in range(2)]
+        acc = _op_mul(acc, site)
+    return acc
+
+
+def _lifted_double_row(chain, u):
+    """T(u) K_-(u - eta/2) sigma_y T^t(-u) sigma_y from two lifted monodromies."""
+    w = _weight(chain)
+    t_pos, t_neg = _lifted_monodromy(chain, u), _lifted_monodromy(chain, -u)
+    k = (w(u - chain.eta / 2 + chain.xi_minus), -w(u - chain.eta / 2 - chain.xi_minus))
+    tk = [[t_pos[i][j] * k[j] for j in range(2)] for i in range(2)]
+    t_hat = [[t_neg[1][1], -t_neg[0][1]], [-t_neg[1][0], t_neg[0][0]]]
+    return _op_mul(tk, t_hat)
+
+
+def _relative_gap(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sites", range(1, 7))
+def test_grown_monodromies_match_lifted_products(kind, sites):
+    rng = np.random.default_rng([KINDS.index(kind), sites])
+    m = min(2, sites)  # B^2 = 0 on one site
+    xi = rng.uniform(-0.4, 0.4, size=2) + 0.1j if kind.startswith("open") else (None, None)
+    chain = ChainSpec(kind, sites, m, rng.uniform(0.1, 0.4), (0.5,) * sites,
+                      tuple(rng.uniform(-0.2, 0.2, size=sites)),
+                      xi_plus=xi[0], xi_minus=xi[1])
+    u = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
+    assert _relative_gap(monodromy(chain, u), _lifted_monodromy(chain, u)) <= 1e-12
+    lifted = _lifted_monodromy
+    if chain.is_open:
+        assert _relative_gap(double_row_monodromy(chain, u), _lifted_double_row(chain, u)) <= 1e-12
+        lifted = _lifted_double_row
+    roots = BetheRoots(rng.uniform(0.1, 0.9, size=m) + 1j * rng.uniform(-0.3, 0.3, size=m))
+    ref = np.eye(2**sites, dtype=complex)[0]
+    for ui in roots.values:
+        ref = lifted(chain, ui + 0.5 * chain.eta)[0][1] @ ref
+    assert _relative_gap(bethe_vector(chain, roots, shift=0.5 * chain.eta), ref) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the Bethe equations
+# ---------------------------------------------------------------------------
+
+
+def _drawn_chain_and_roots(data, kinds):
+    kind = data.draw(st.sampled_from(kinds))
+    sites, magnons = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    unit = st.floats(-0.4, 0.4)
+    xi = (data.draw(unit), data.draw(unit)) if kind.startswith("open") else (None, None)
+    chain = ChainSpec(kind, sites, magnons, data.draw(st.floats(0.1, 0.4)),
+                      tuple(data.draw(st.sampled_from([0.5, 1.0, 1.5])) for _ in range(sites)),
+                      tuple(data.draw(unit) for _ in range(sites)),
+                      xi_plus=xi[0], xi_minus=xi[1])
+    roots = [complex(data.draw(st.floats(-0.9, 0.9)), data.draw(st.floats(-0.3, 0.3)))
+             for _ in range(magnons)]
+    return chain, roots, data.draw(st.integers(0, magnons - 1))
+
+
+def _all_lhs(chain, roots):
+    """Every Bethe equation at the roots; rejects the draw where one is
+    singular, the roots are degenerate or a value is far from 1 (where
+    rounding of the factor arguments is no longer a small relative error)."""
+    try:
+        values = np.array([bethe_lhs(chain, BetheRoots(roots), i) for i in range(len(roots))])
+    except ValueError:
+        assume(False)
+    assume(np.all((1e-3 < np.abs(values)) & (np.abs(values) < 1e3)))
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_negating_an_open_root_inverts_its_equation_only(data):
+    chain, roots, k = _drawn_chain_and_roots(data, ("open-xxz", "open-xxx"))
+    before = _all_lhs(chain, roots)
+    roots[k] = -roots[k]
+    after = _all_lhs(chain, roots)
+    expected = before.copy()
+    expected[k] = 1.0 / before[k]
+    assert np.all(np.abs(after - expected) <= 1e-10 * np.abs(expected))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_trig_equations_are_periodic_in_each_root(data):
+    chain, roots, k = _drawn_chain_and_roots(data, ("closed-xxz", "open-xxz"))
+    before = _all_lhs(chain, roots)
+    roots[k] += 1.0
+    after = _all_lhs(chain, roots)
+    assert np.all(np.abs(after - before) <= 1e-10 * np.abs(before))

@@ -287,3 +287,11 @@ def test_verify_rejects_draws_with_coincident_mapped_roots(capsys):
     assert code == 0
     assert doc["pass"] is True
     assert doc["samples"] == 200
+
+
+def test_gradient_battery_passes_next_to_a_pole():
+    # seed 5 draws a D rank-3 point 9.3e-5 from a pole, where a three-point
+    # difference with h = 1e-6 is off by 3.8e-5; the five-point one is not
+    result = cli._battery_gradient(5)
+    assert result["pass"]
+    assert result["detail"]["max_fd_gap"] <= 1e-6
