@@ -59,7 +59,7 @@ from .gauge import (
     vacuum_lhs_squared,
 )
 from .lie_roots import build_root_system, expected_root_count, root_family
-from .solve import SolveConfig, cross_check, solve_bethe, solve_vacuum
+from .solve import SolveConfig, cross_check, fates_summary, solve_bethe, solve_vacuum
 from .specfun import (
     BracketContext,
     SingularPointError,
@@ -419,6 +419,7 @@ def _cmd_solve_bethe(ns: argparse.Namespace) -> int:
         sets.append({"u": list(roots.values), "max_residual": worst})
         human.append("  u=%s  max|LHS-1|=%.3e"
                      % (["%.12g%+.12gj" % (z.real, z.imag) for z in roots.values], worst))
+    human.append("  " + fates_summary(result.diagnostics["fates"]))
     payload = {"kind": chain.kind, "sites": chain.n_sites,
                "magnons": chain.n_magnons, "root_sets": sets,
                "diagnostics": result.diagnostics}
@@ -439,6 +440,7 @@ def _cmd_solve_vacuum(ns: argparse.Namespace) -> int:
         sols.append({"sigma": list(sig), "max_residual": worst})
         human.append("  sigma=%s  max|LHS-branch|=%.3e"
                      % (["%.12g" % s for s in sig], worst))
+    human.append("  " + fates_summary(result.diagnostics["fates"]))
     payload = {"family": spec.family, "rank": spec.rank, "branch": sign,
                "masses": list(spec.masses), "m_adj": spec.m_adj,
                "solutions": sols, "diagnostics": result.diagnostics}

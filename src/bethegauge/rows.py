@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -138,9 +138,17 @@ class RowTable:
             values = np.stack([fp[:, rows].prod(axis=1) for rows in self.rows_of], axis=1)
         return values, self._singular(a, f).any(axis=1)
 
-    def log_sum(self, f: np.ndarray) -> np.ndarray:
-        """Per equation, sum_r power_r log f_r on the principal branch: (S, R) -> (S, n_eq)."""
-        return _real_product(self.power.real * np.log(f), self._sums)
+    def log_sum(self, f: np.ndarray, mag: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per equation, sum_r power_r log f_r on the principal branch: (S, R) -> (S, n_eq).
+
+        The log is taken as log|f| + i arg f, from ``mag`` = |f| when the
+        caller has it: real log and arctan2 cost a fraction of complex log.
+        """
+        logs = np.empty(f.shape, dtype=complex)
+        logs.real = np.log(np.abs(f) if mag is None else mag)
+        logs.imag = np.angle(f)
+        logs *= self.power.real
+        return _real_product(logs, self._sums)
 
     def log_jacobian(self, a: np.ndarray) -> np.ndarray:
         """d log_sum / d unknowns, C^T diag(power f'/f) per equation: (S, R) -> (S, n_eq, n)."""

@@ -295,3 +295,22 @@ def test_gradient_battery_passes_next_to_a_pole():
     result = cli._battery_gradient(5)
     assert result["pass"]
     assert result["detail"]["max_fd_gap"] <= 1e-6
+
+
+def test_solver_human_output_ends_with_the_fate_ledger(capsys):
+    assert run(["solve-vacuum", "--family", "C", "--rank", "1", "--nf", "2",
+                "--masses", "0.26,0.41", "--m-adj", "0.17", "--starts", "32"]) == 0
+    last = capsys.readouterr().out.rstrip().splitlines()[-1]
+    assert last.startswith("  32 starts: ")
+    counts = dict(part.rsplit(" ", 1) for part in last.split(": ", 1)[1].split(", "))
+    assert sum(map(int, counts.values())) == 32
+    assert int(counts["accepted"]) >= 1
+
+
+def test_cross_check_notes_name_the_self_conjugate_filter(capsys):
+    code = run(["cross-check", "--preset", "D-3d", "--rank", "1", "--nf", "2",
+                "--json", "--no-timestamp"])
+    notes = json.loads(capsys.readouterr().out)["notes"]
+    assert code == 1
+    assert notes["cause"] == "64 starts: self_conjugate 64"
+    assert notes["fates"]["self_conjugate"] == notes["n_converged"] == 64

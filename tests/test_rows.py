@@ -338,3 +338,31 @@ def test_superpotential_consumers_never_branch_on_term_kind():
                                         if isinstance(n, ast.Constant) and isinstance(n.value, str)}
                 assert not named & words, "%s line %d branches on %s" % (
                     name, node.lineno, sorted(named & words))
+
+
+def _log_sum_reference(table, f):
+    """sum_r power_r log f_r per equation, with numpy's complex log."""
+    return (table.power.real * np.log(f)) @ table.by_eq.T
+
+
+@pytest.mark.parametrize("table", [_bethe_table("open-xxz", 3, 2),
+                                   _vacuum_table("B", 3, 2, 0, "II", "root")],
+                         ids=["open-xxz", "B3"])
+def test_log_sum_is_the_principal_complex_log(table):
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=(40, table.n_rows)) + 1j * rng.normal(size=(40, table.n_rows))
+    # the negative real axis, from above (+0.0) and from below (-0.0)
+    f[0] = f[1] = -rng.uniform(0.5, 2.0, table.n_rows)
+    f[1].imag = -0.0
+    f[2] = 1.0000001e-14 * np.exp(1j * rng.uniform(-math.pi, math.pi, table.n_rows))
+    f[3] = -1.0000001e-14
+    f[3, 1::2].imag = -0.0
+    assert np.all(np.signbit(f[1].imag)) and not np.any(np.signbit(f[0].imag))
+    assert np.all(np.signbit(f[3, 1::2].imag))
+    f[4] = rng.normal(size=table.n_rows) * 1e8 + 1j * rng.normal(size=table.n_rows)
+    ref = _log_sum_reference(table, f)
+    scale = np.abs(table.power.real * np.log(f)) @ table.by_eq.T
+    for got in (table.log_sum(f), table.log_sum(f, np.abs(f))):
+        gap = got - ref
+        gap.imag -= 2.0 * math.pi * np.rint(gap.imag / (2.0 * math.pi))
+        assert np.all(np.abs(gap) <= 1e-13 * scale)

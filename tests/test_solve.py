@@ -5,18 +5,30 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bethegauge.bridge import preset_by_id
-from bethegauge.chain import ChainSpec, _bethe_system, bethe_residuals, certify_roots
+from bethegauge.chain import (
+    BetheRoots,
+    ChainSpec,
+    _bethe_stack,
+    _bethe_system,
+    bethe_residuals,
+    certify_roots,
+)
 from bethegauge import solve
 from bethegauge.gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
     GaugeTheorySpec,
+    _vacuum_lhs_stack,
+    _vacuum_lhs_values,
     _vacuum_system,
     vacuum_lhs,
     vacuum_lhs_2d,
 )
+from bethegauge.lie_roots import weyl_images
 from bethegauge.rows import RowTable
 from bethegauge.solve import (
     SolveConfig,
@@ -27,6 +39,7 @@ from bethegauge.solve import (
     solve_bethe,
     solve_vacuum,
 )
+from bethegauge.specfun import SingularPointError
 
 CFG = SolveConfig(n_starts=48, seed=0)
 
@@ -352,3 +365,200 @@ def test_cross_check_reports_empty_runs():
     assert not report.passed
     assert report.max_residual == math.inf
     assert report.notes["diagnostics"] == "no Bethe root sets converged"
+
+
+# ---------------------------------------------------------------------------
+# the fold, the sign-group key, stacked acceptance and the fate ledger
+# ---------------------------------------------------------------------------
+
+
+def test_fold_repro_returns_each_root_once():
+    # u = 1.8e-17 and u = 0.9999999999999755 are one root across the 0 = 1 fold
+    chain = ChainSpec("closed-xxz", 4, 1, 0.3, (0.5,) * 4, (-0.35,) * 4)
+    for seed in range(1, 9):
+        assert len(solve_bethe(chain, SolveConfig(seed=seed))) == 4
+
+
+def _near(points):
+    """Values at the given points, or within 1e-12 of them."""
+    return st.builds(lambda x, eps: x + eps, st.sampled_from(points), st.floats(-1e-12, 1e-12))
+
+
+_rounding = st.floats(-1e-12, 1e-12)
+_root_part = st.one_of(st.floats(-1.5, 1.5), _near([0.0, 1.0, -1.0, 0.5]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["closed-xxz", "open-xxz", "closed-xxx", "open-xxx"]),
+       roots=st.lists(st.tuples(_root_part, st.floats(-0.6, 0.6)), min_size=1, max_size=3),
+       data=st.data())
+def test_root_sets_across_the_fold_deduplicate(kind, roots, data):
+    chain = ChainSpec(kind, 2, len(roots), 0.3, (0.5,) * 2, (0.0, 0.0),
+                      **({"xi_plus": 0.2, "xi_minus": -0.1} if kind.startswith("open") else {}))
+    u = [complex(re, im) for re, im in roots]
+    key = solve._canonical_roots(chain, u)
+    # distinct roots, each off the self-conjugate points
+    assume(all(abs(z.imag) > 1e-6 for z in key))
+    assume(all(abs(a.real - b.real) > 1e-6 for a, b in zip(key, key[1:])))
+    # the same roots as another start converges to them: permuted, moved by a
+    # period or reflected, and off by rounding, which can cross the fold
+    moved = []
+    for z in data.draw(st.permutations(u)):
+        if chain.is_trig:
+            z += data.draw(st.sampled_from([-1, 0, 1]))
+        if chain.is_open and data.draw(st.booleans()):
+            z = -z
+        moved.append(z + complex(data.draw(_rounding), data.draw(_rounding)))
+    assert solve._distinct([key, solve._canonical_roots(chain, moved)], CFG.dedup_tol) == [0]
+
+
+_sigma_part = st.one_of(st.floats(-2.0 * math.pi, 2.0 * math.pi),
+                        _near([0.0, math.pi, -math.pi, math.pi / 2]))
+
+
+def _orbit_canonical_sigma(family, sigma, fold):
+    """The key over the whole Weyl orbit, image by image: least Python
+    round(., 9) of the sorted (folded) image, then the exact image."""
+    def key(image):
+        if fold:
+            image = [x - math.pi * math.floor(x / math.pi) for x in image]
+            image = [x - math.pi if round(x, 9) == round(math.pi, 9) else x for x in image]
+        cand = tuple(sorted(image))
+        return tuple(round(x, 9) for x in cand), cand
+
+    return min(map(key, weyl_images(family, len(sigma), tuple(sigma)).images))[1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from("ABCD"), fold=st.booleans(), data=st.data())
+def test_sign_group_key_equals_the_weyl_orbit_key(family, fold, data):
+    n = data.draw(st.integers(1, 4))
+    # ties: coordinates repeated, negated or shifted by pi
+    pool = data.draw(st.lists(_sigma_part, min_size=1, max_size=n))
+    sigma = [data.draw(st.sampled_from([x, -x, x + math.pi, x - math.pi]))
+             for x in data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))]
+    got = solve._canonical_sigma(family, sigma, fold=fold)
+    ref = _orbit_canonical_sigma(family, sigma, fold)
+    # bitwise, but for the sign of a zero, which no comparison sees
+    assert [(x + 0.0).hex() for x in got] == [(x + 0.0).hex() for x in ref]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from("ABCD"), sigma=st.lists(_sigma_part, min_size=1, max_size=4),
+       data=st.data())
+def test_vacua_across_the_fold_deduplicate(family, sigma, data):
+    folded = [x - math.pi * math.floor(x / math.pi) for x in sigma]
+    # distinct coordinates, up to the Weyl group and the period
+    assume(all(min(d % math.pi, -d % math.pi) > 1e-6
+               for i, a in enumerate(folded) for b in folded[i + 1:] for d in (a - b, a + b)))
+    moved = [x + math.pi * data.draw(st.sampled_from([-1, 0, 1])) + data.draw(_rounding)
+             for x in sigma]
+    moved = list(data.draw(st.permutations(moved)))
+    if family in "BC":
+        moved = [x * data.draw(st.sampled_from([1, -1])) for x in moved]
+    key = solve._canonical_sigma(family, sigma)
+    assert solve._distinct([key, solve._canonical_sigma(family, moved)], CFG.dedup_tol) == [0]
+
+
+def _vacuum_misses_one_by_one(spec, regime, points):
+    misses = []
+    for sigma in points:
+        try:
+            lhs = _vacuum_lhs_values(spec, sigma, regime)
+            misses.append(max(abs(v - 1.0) for v in lhs) > CFG.tol)
+        except SingularPointError:
+            misses.append(True)
+    return misses
+
+
+@pytest.mark.parametrize("regime", ["3d", "2d"])
+def test_stacked_vacuum_acceptance_classifies_as_one_by_one(regime):
+    m_adj = 0.3
+    spec = GaugeTheorySpec("B", 2, 2, (-0.31, 0.52), m_adj)
+    found = [np.asarray(s) for s in solve_vacuum(spec, BRANCH_PLUS, CFG, rational=regime == "2d")]
+    assert found
+    points = found + [s + 1e-6 for s in found] + [np.array([0.4, 1.3])]
+    if regime == "3d":
+        # B's cos row vanishes at sigma = pi/2 - m_adj: singular per equation
+        points.append(np.array([math.pi / 2 - m_adj + 1e-7, 1.1]))
+        with pytest.raises(SingularPointError):
+            _vacuum_lhs_values(spec, points[-1], regime)
+    stack = np.array(points)
+    misses = solve._misses(*_vacuum_lhs_stack(spec, regime, stack), 1.0, CFG.tol)
+    assert list(misses) == _vacuum_misses_one_by_one(spec, regime, points)
+    assert not misses[: len(found)].any() and misses[len(found):].all()
+
+
+@pytest.mark.parametrize("chain", [CLOSED_XXZ, OPEN_XXZ], ids=["closed", "open"])
+def test_stacked_bethe_acceptance_classifies_as_one_by_one(chain):
+    found = [r.values for r in solve_bethe(chain, CFG)]
+    theta = chain.inhomogeneities[0]
+    # off by 1e-6, and on the denominator zero u = theta of site 0
+    points = found + [tuple(u + 1e-6 for u in r) for r in found] + [(theta,)]
+    with pytest.raises(SingularPointError):
+        bethe_residuals(chain, BetheRoots(points[-1]))
+    one_by_one = []
+    for r in points:
+        try:
+            one_by_one.append(bool(np.max(bethe_residuals(chain, BetheRoots(r))) > CFG.tol))
+        except SingularPointError:
+            one_by_one.append(True)
+    misses = solve._misses(*_bethe_stack([chain] * len(points), np.array(points)), 1.0, CFG.tol)
+    assert list(misses) == one_by_one
+    assert not misses[: len(found)].any() and misses[len(found):].all()
+
+
+def _assert_ledger_adds_up(res, n_starts):
+    fates = res.diagnostics["fates"]
+    assert list(fates) == list(solve.FATES)
+    assert sum(fates.values()) == n_starts
+    assert res.diagnostics["n_starts"] == n_starts - fates["no_start"]
+    assert fates["accepted"] == len(res)
+    newton = ("bad_start", "step_exhausted", "max_iter", "singular_jacobian")
+    after = res.diagnostics["n_converged"] + sum(fates[f] for f in newton) + fates["no_start"]
+    assert after + fates["complex_vacuum"] == n_starts
+
+
+def test_fate_ledgers_add_up_to_the_starts():
+    spec = GaugeTheorySpec("B", 2, 2, (0.31, 0.52), 0.23)
+    for res in (solve_bethe(CLOSED_XXZ, CFG), solve_bethe(OPEN_XXZ, CFG),
+                solve_vacuum(spec, BRANCH_PLUS, CFG), solve_vacuum(spec, BRANCH_MINUS, CFG),
+                solve_vacuum(spec, BRANCH_PLUS, CFG, rational=True)):
+        _assert_ledger_adds_up(res, CFG.n_starts)
+        assert res.diagnostics["fates"]["duplicate"] > 0
+
+
+def test_skipped_starts_are_counted_and_not_reported_as_drawn(monkeypatch):
+    monkeypatch.setattr(solve, "POLE_TOL", 2.0)  # |sin| of a real start never exceeds 1
+    res = solve_vacuum(GaugeTheorySpec("C", 1, 2, (0.26, 0.41), 0.17), BRANCH_PLUS,
+                       SolveConfig(n_starts=3, seed=0))
+    assert len(res) == 0
+    assert res.diagnostics["n_starts"] == 0
+    assert res.diagnostics["fates"]["no_start"] == 3
+    _assert_ledger_adds_up(res, 3)
+
+
+def test_newton_names_the_fate_of_each_start():
+    system = _quadratic_system()
+    # converged; off the domain at every step length; a singular Jacobian; on a pole
+    stack = np.array([[1.3 + 0j], [1e-3 + 0j], [0j], [1.0 + 0j]])
+    run = _newton(system, stack, CFG)
+    assert [solve._NEWTON_FATES[k] for k in run.fates] == [
+        None, "step_exhausted", "singular_jacobian", "bad_start"]
+    # a tenth of each Newton step cannot converge in ten iterations
+    slow = _newton(system, np.array([[4.0 + 0j]]), SolveConfig(damping=0.1, max_iter=10))
+    assert slow == [None] and solve._NEWTON_FATES[slow.fates[0]] == "max_iter"
+    assert solve._ledger(6, run) == {**dict.fromkeys(solve.FATES, 0), "no_start": 2,
+                                     "step_exhausted": 1, "singular_jacobian": 1,
+                                     "bad_start": 1}
+
+
+def test_cross_check_names_the_filter_that_emptied_it():
+    # D rank 1 has no roots: every chain solution has 2u integral
+    preset = preset_by_id("D-3d")
+    spec = GaugeTheorySpec("D", 1, 2, (0.9, 1.2), 0.6)
+    report = cross_check(spec, preset, CFG)
+    assert not report.passed
+    fates = report.notes["fates"]
+    assert fates["self_conjugate"] == report.notes["n_converged"] > 0
+    assert report.notes["cause"] == "%d starts: self_conjugate %d" % (CFG.n_starts, CFG.n_starts)
