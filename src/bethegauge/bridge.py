@@ -12,11 +12,15 @@ with each fundamental mass pair (m, m') absorbed into one free site via
     s_a     = -(m + m') / (2 * scale * eta)
     theta_a = eta/2 + (m - m') / (2 * scale).
 
-Verification draws random admissible points, maps them across, and reports
-the worst |vacuum_lhs - branch * bethe_lhs|.  An infinite boundary
-parameter is realized as opposite-sign imaginary regulators +-iT; the
-equal-sign reading leaves a residual phase exp(-4*pi*i*u) and never
-converges, so the opposite-sign pairing is the implemented limit.
+The dictionary is stated once, as stacked columns: :func:`_dictionary` maps
+a stack of gauge points to eta, the site spins and inhomogeneities and, per
+cutoff, xi_+-, and :func:`map_gauge_to_chain` builds its chain from row 0.
+Verification draws random admissible points, maps each chunk of kept draws
+across at once, and reports the worst |vacuum_lhs - branch * bethe_lhs|.
+An infinite boundary parameter is realized as opposite-sign imaginary
+regulators +-iT; the equal-sign reading leaves a residual phase
+exp(-4*pi*i*u) and never converges, so the opposite-sign pairing is the
+implemented limit.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain import BetheRoots, ChainSpec, _bethe_stack, validate_roots
+from .chain import ChainSpec, _bethe_params, _bethe_table, _root_clashes
 from .gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
@@ -236,16 +240,75 @@ class PointMap:
         return tuple(complex(x) * self.scale for x in u)
 
 
-def _site_from_pair(m: float, mp: float, eta: float, scale: float) -> Tuple[float, float]:
+def _site_from_pair(m, mp, eta, scale):
     spin = -(m + mp) / (2.0 * scale * eta)
     theta = eta / 2.0 + (m - mp) / (2.0 * scale)
     return spin, theta
 
 
-def _pair_to_masses(spin: float, theta: float, eta: float, scale: float) -> Tuple[float, float]:
+def _pair_to_masses(spin, theta, eta, scale):
     m = -scale * (eta / 2.0 + eta * spin - theta)
     mp = scale * (eta / 2.0 - eta * spin - theta)
     return m, mp
+
+
+class _Columns(NamedTuple):
+    """The chain data of a stack of S gauge points, as columns."""
+
+    eta: np.ndarray  # (S,)
+    pairs: np.ndarray  # (S, n_free, 2): the mass pair (m, m') of each free site
+    spins: np.ndarray  # (S, L)
+    thetas: np.ndarray  # (S, L)
+    xi: Optional[np.ndarray]  # (S, len(cutoffs), 2): xi_+, xi_- per cutoff; open chains only
+
+
+def _dictionary(preset: DictionaryPreset, params: np.ndarray, n_fund: int,
+                cutoffs: Sequence[Optional[float]]) -> _Columns:
+    """The dictionary, stated once: the chain data of a stack of gauge points.
+
+    ``params`` (S, 1 + N_f + N_f') holds each point's m_adj || masses ||
+    masses_anti, the columns a verify draw leads with.  Open presets sort
+    each point's masses and pair them (0, 1), (2, 3), ... into free sites,
+    then append the fixed tail; family A pairs mass j with anti-fundamental
+    mass j, in the opposite order.  Raises ValueError where no chain of the
+    preset's kind exists.
+    """
+    scale = preset.scale
+    eta = params[:, 0] / scale
+    masses, anti = params[:, 1:1 + n_fund], params[:, 1 + n_fund:]
+    if preset.family == "A":
+        if anti.shape[1] != n_fund:
+            raise ValueError("the A-family dictionary pairs every mass: needs N_f = N_f'")
+        pairs = np.stack((masses, anti), axis=2)
+        # closed site ratios carry the antifundamental mass in the numerator,
+        # so the pair enters in the opposite order from the open convention
+        first, second = anti, masses
+    else:
+        if n_fund % 2 != 0:
+            raise ValueError("open-chain dictionaries need an even number of fundamentals")
+        pairs = np.sort(masses, axis=1).reshape(len(params), n_fund // 2, 2)
+        first, second = pairs[..., 0], pairs[..., 1]
+    n_free = pairs.shape[1]
+    if n_free + len(preset.fixed_sites) == 0:
+        raise ValueError("need at least one site: no masses and no fixed sites")
+    spins, thetas = np.empty((2, len(params), n_free + len(preset.fixed_sites)))
+    spins[:, :n_free], thetas[:, :n_free] = _site_from_pair(first, second, eta[:, None], scale)
+    spins[:, n_free:] = [float(site.spin) for site in preset.fixed_sites]
+    thetas[:, n_free:] = [float(site.theta) for site in preset.fixed_sites]
+    if preset.chain_kind.endswith("xxz") and np.any(np.abs(np.sin(np.pi * eta)) < 1e-14):
+        raise ValueError("crossing parameter eta must not be an integer")  # as BracketContext
+    boundary = (preset.xi_plus, preset.xi_minus)
+    xi = None
+    if preset.is_open:
+        if None in boundary:
+            raise ValueError("open chains need both xi_plus and xi_minus")
+        xi = np.empty((len(params), len(cutoffs), 2), dtype=complex)
+        for t, cutoff in enumerate(cutoffs):
+            for side, expr in enumerate(boundary):
+                xi[:, t, side] = expr.value(eta, cutoff)
+    elif boundary != (None, None):
+        raise ValueError("closed chains take no boundary parameters")
+    return _Columns(eta, pairs, spins, thetas, xi)
 
 
 def map_gauge_to_chain(
@@ -253,88 +316,35 @@ def map_gauge_to_chain(
     gauge: GaugeTheorySpec,
     cutoff: Optional[float] = None,
 ) -> Tuple[ChainSpec, PointMap]:
-    """Translate a gauge theory into the preset's spin chain."""
+    """Translate a gauge theory into the preset's spin chain: row 0 of :func:`_dictionary`."""
     if gauge.family != preset.family:
         raise ValueError("preset %s does not apply to family %s" % (preset.id, gauge.family))
     if gauge.family != "A" and gauge.realization != "II":
         raise ValueError("the dictionary is stated for realization II products")
-    scale = preset.scale
-    eta = gauge.m_adj / scale
-    spins: List[float] = []
-    thetas: List[float] = []
-    pairs: List[Tuple[float, float]] = []
-
-    if preset.family == "A":
-        # closed site ratios carry the antifundamental mass in the numerator,
-        # so the pair enters in the opposite order from the open convention
-        for m, mp in zip(gauge.masses, gauge.masses_anti):
-            s, th = _site_from_pair(mp, m, eta, scale)
-            spins.append(s)
-            thetas.append(th)
-            pairs.append((m, mp))
-    else:
-        if gauge.n_fund % 2 != 0:
-            raise ValueError("open-chain dictionaries need an even number of fundamentals")
-        if gauge.n_fund == 0 and not preset.fixed_sites:
-            raise ValueError("need at least one site: no masses and no fixed sites")
-        ordered = sorted(gauge.masses)
-        for k in range(0, len(ordered), 2):
-            m, mp = ordered[k], ordered[k + 1]
-            s, th = _site_from_pair(m, mp, eta, scale)
-            spins.append(s)
-            thetas.append(th)
-            pairs.append((m, mp))
-        for site in preset.fixed_sites:
-            spins.append(float(site.spin))
-            thetas.append(float(site.theta))
-
-    n_free = len(pairs)
-    xi_p = preset.xi_plus.value(eta, cutoff) if preset.xi_plus is not None else None
-    xi_m = preset.xi_minus.value(eta, cutoff) if preset.xi_minus is not None else None
-    chain = ChainSpec(
-        kind=preset.chain_kind,
-        n_sites=len(spins),
-        n_magnons=gauge.dim,
-        eta=eta,
-        spins=tuple(spins),
-        inhomogeneities=tuple(thetas),
-        xi_plus=xi_p,
-        xi_minus=xi_m,
-    )
-    pm = PointMap(
-        scale=scale, eta=eta, pairs=tuple(pairs),
-        n_free=n_free, n_fixed=len(preset.fixed_sites),
-    )
+    params = np.array([(gauge.m_adj,) + gauge.masses + (gauge.masses_anti or ())], dtype=float)
+    cols = _dictionary(preset, params, gauge.n_fund, (cutoff,))
+    xi = (None, None) if cols.xi is None else cols.xi[0, 0].tolist()
+    chain = ChainSpec(preset.chain_kind, cols.spins.shape[1], gauge.dim, float(cols.eta[0]),
+                      tuple(cols.spins[0].tolist()), tuple(cols.thetas[0].tolist()), *xi)
+    pm = PointMap(scale=preset.scale, eta=chain.eta,
+                  pairs=tuple(map(tuple, cols.pairs[0].tolist())),
+                  n_free=len(cols.pairs[0]), n_fixed=len(preset.fixed_sites))
     return chain, pm
 
 
 def map_chain_to_gauge(preset: DictionaryPreset, chain: ChainSpec) -> GaugeTheorySpec:
     """Invert the dictionary: recover the gauge data from a mapped chain."""
-    scale = preset.scale
-    eta = chain.eta
-    m_adj = scale * eta
-    n_fixed = len(preset.fixed_sites)
-    n_free = chain.n_sites - n_fixed
+    n_free = chain.n_sites - len(preset.fixed_sites)
     if n_free < 0:
         raise ValueError("chain has fewer sites than the preset's fixed tail")
-    masses: List[float] = []
-    masses_anti: List[float] = []
-    for a in range(n_free):
-        m, mp = _pair_to_masses(chain.spins[a], chain.inhomogeneities[a], eta, scale)
-        if preset.family == "A":
-            m, mp = mp, m
-        masses.append(m)
-        masses_anti.append(mp)
-    if preset.family == "A":
-        return GaugeTheorySpec(
-            family="A", rank=chain.n_magnons, n_fund=len(masses),
-            masses=tuple(masses), m_adj=m_adj, masses_anti=tuple(masses_anti),
-        )
-    flat = sorted(masses + masses_anti)
-    return GaugeTheorySpec(
-        family=preset.family, rank=chain.n_magnons, n_fund=len(flat),
-        masses=tuple(flat), m_adj=m_adj,
-    )
+    m_adj = preset.scale * chain.eta
+    spins, thetas = np.array(chain.spins[:n_free]), np.array(chain.inhomogeneities[:n_free])
+    m, mp = _pair_to_masses(spins, thetas, chain.eta, preset.scale)
+    if preset.family == "A":  # the closed pair enters reversed, as in :func:`_dictionary`
+        return GaugeTheorySpec("A", chain.n_magnons, n_free, tuple(mp.tolist()), m_adj,
+                               masses_anti=tuple(m.tolist()))
+    flat = np.sort(np.concatenate((m, mp)))
+    return GaugeTheorySpec(preset.family, chain.n_magnons, len(flat), tuple(flat.tolist()), m_adj)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +454,8 @@ def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int,
     :func:`_drawn_gauge` reads it.  A draw is singular when a vacuum or a
     Bethe product would raise :class:`SingularPointError`; it must keep
     every vacuum product inside the window and map to valid Bethe roots.
+    The draws the vacuum side keeps are mapped together by
+    :func:`_dictionary` and scored at every cutoff by one stacked product.
     Yields (points, outcome, vacuum values (k, dim), Bethe values (k,
     len(cutoffs), dim)) per chunk, as :func:`_sample` does; the Bethe values
     of a draw that never reached the chain side are NaN.
@@ -454,27 +466,24 @@ def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int,
               + [(0.05, 0.95)] * shape.dim)
 
     def score(points):
-        vac, singular = _vacuum_lhs_stack(shape, preset.regime, points[:, n_params:],
-                                          points[:, :n_params])
+        params, sigma = points[:, :n_params], points[:, n_params:]
+        vac, singular = _vacuum_lhs_stack(shape, preset.regime, sigma, params)
         outcome = _outcomes(singular, vac)
         bethe = np.full((len(points), len(cutoffs), shape.dim), np.nan, dtype=complex)
-        reached, chains, u = [], [], []
-        for k in np.flatnonzero(outcome == _ACCEPTED):
-            spec, sigma = _drawn_gauge(preset, dims, points[k])
-            mapped = [map_gauge_to_chain(preset, spec, cutoff=t) for t in cutoffs]
-            try:
-                roots = BetheRoots(mapped[0][1].sigma_to_u(sigma))
-                validate_roots(mapped[0][0], roots)
-            except ValueError:  # coincident or reflection-degenerate roots
-                outcome[k] = _INVALID
-                continue
-            reached.append(k)
-            chains += [chain for chain, _ in mapped]
-            u += [roots.values] * len(cutoffs)
-        if reached:
-            values, hit = _bethe_stack(chains, np.array(u))
-            bethe[reached] = values.reshape(len(reached), len(cutoffs), shape.dim)
-            outcome[np.array(reached)[hit.reshape(len(reached), -1).any(axis=1)]] = _SINGULAR
+        kept = np.flatnonzero(outcome == _ACCEPTED)
+        u = sigma[kept, None] / preset.scale  # (k, 1, dim): the roots at every cutoff
+        cols = _dictionary(preset, params[kept], shape.n_fund, cutoffs)
+        ok = ~_root_clashes(u[:, 0], preset.is_open).any(axis=1)  # else coincident or reflected
+        outcome[kept[~ok]] = _INVALID
+        reached = kept[ok]
+        if len(reached):
+            chain = _bethe_params(cols.eta[:, None], cols.spins[:, None], cols.thetas[:, None],
+                                  cols.xi)  # (k, len(cutoffs), n_params of the chain)
+            x = np.concatenate((np.broadcast_to(u, chain.shape[:2] + u.shape[2:]), chain), axis=2)
+            table = _bethe_table(preset.chain_kind, cols.spins.shape[1], shape.dim)
+            values, hit = table.products(x[ok].reshape(-1, x.shape[2]))
+            bethe[reached] = values.reshape(-1, len(cutoffs), shape.dim)
+            outcome[reached[hit.reshape(-1, len(cutoffs)).any(axis=1)]] = _SINGULAR
         return outcome, vac, bethe
 
     return _sample(np.random.default_rng(seed), bounds, preset.scale, samples, score, ledger)
@@ -561,13 +570,7 @@ def calibrate_preset(
     """
     base = presets(family, regime)
     if xi_candidates is None:
-        xi_candidates = []
-        seen = set()
-        for p in base:
-            key = (p.xi_plus, p.xi_minus)
-            if key not in seen:
-                seen.add(key)
-                xi_candidates.append((p.xi_plus, p.xi_minus))
+        xi_candidates = list(dict.fromkeys((p.xi_plus, p.xi_minus) for p in base))
     kind = base[0].chain_kind
     best: Optional[Tuple[float, DictionaryPreset]] = None
     for xi_p, xi_m in xi_candidates:
@@ -576,16 +579,8 @@ def calibrate_preset(
                 continue
             for pattern in combinations_with_replacement((Fraction(0), _HALF), count):
                 for br in (BRANCH_PLUS, BRANCH_MINUS):
-                    trial = DictionaryPreset(
-                        id="%s-%s-cal" % (family, regime),
-                        family=family,
-                        regime=regime,
-                        chain_kind=kind,
-                        xi_plus=xi_p,
-                        xi_minus=xi_m,
-                        fixed_sites=tuple(FixedSite(t) for t in pattern),
-                        branch=br,
-                    )
+                    trial = DictionaryPreset("%s-%s-cal" % (family, regime), family, regime, kind,
+                                             xi_p, xi_m, tuple(FixedSite(t) for t in pattern), br)
                     try:
                         rep = verify_identity(trial, dims, samples, tol, seed)
                     except (ValueError, RuntimeError):

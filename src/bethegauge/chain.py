@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,17 +89,55 @@ class ChainSpec:
         return self.kind.endswith("xxz")
 
 
+#: two roots closer than this coincide; on open chains, two whose sum is this
+#: close to zero are reflection-degenerate
+ROOT_TOL = 1e-8
+
+
+@lru_cache(maxsize=None)
+def _root_tests(n_roots: int, is_open: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """The tests of :func:`_root_clashes`: the pairs i < j in loop order (P, 2),
+    and a 0/+-1 matrix (M, T) taking a root set to the values tested, exactly
+    as a loop over the pairs computes them: column t < P gives u_i - u_j of
+    pair t (coincidence) and, for open chains, column P + t gives u_i + u_j
+    (reflection)."""
+    pairs = np.argwhere(np.triu(np.ones((n_roots, n_roots), dtype=bool), 1))
+    signs = (-1.0, 1.0) if is_open else (-1.0,)
+    tests = np.zeros((n_roots, len(signs) * len(pairs)), dtype=complex)
+    for t, (sign, (i, j)) in enumerate(product(signs, pairs)):
+        tests[i, t], tests[j, t] = 1.0, sign
+    return pairs, tests
+
+
+def _root_clashes(u: np.ndarray, is_open: bool) -> np.ndarray:
+    """The one root-set check, at one root set u (M,) or a stack (S, M).
+
+    True where |u_i - u_j| < ROOT_TOL (the roots coincide) or, on open
+    chains, |u_i + u_j| < ROOT_TOL (they are reflection-degenerate), per test
+    of :func:`_root_tests`: (..., T).
+    """
+    return np.abs(u @ _root_tests(u.shape[-1], is_open)[1]) < ROOT_TOL
+
+
+def _check_roots(values: Tuple[complex, ...], is_open: bool) -> None:
+    """Raise ValueError naming the first pair that :func:`_root_clashes` flags."""
+    if len(values) < 2:  # no pair to test
+        return
+    hit = np.flatnonzero(_root_clashes(np.array(values, dtype=complex), is_open))
+    if len(hit):
+        pairs = _root_tests(len(values), is_open)[0]
+        raise ValueError(("Bethe roots %d and %d coincide" if hit[0] < len(pairs) else
+                          "roots %d and %d are reflection-degenerate (u_i + u_j = 0)")
+                         % tuple(pairs[hit[0] % len(pairs)]))
+
+
 @dataclass(frozen=True)
 class BetheRoots:
     values: Tuple[complex, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(complex(u) for u in self.values))
-        vals = self.values
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if abs(vals[i] - vals[j]) < 1e-8:
-                    raise ValueError("Bethe roots %d and %d coincide" % (i, j))
+        _check_roots(self.values, False)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -110,14 +149,7 @@ def validate_roots(chain: ChainSpec, roots: BetheRoots) -> None:
             "expected %d roots, got %d" % (chain.n_magnons, len(roots))
         )
     if chain.is_open:
-        vals = roots.values
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if abs(vals[i] + vals[j]) < 1e-8:
-                    raise ValueError(
-                        "roots %d and %d are reflection-degenerate (u_i + u_j = 0)"
-                        % (i, j)
-                    )
+        _check_roots(roots.values, True)
 
 
 @lru_cache(maxsize=None)
@@ -159,14 +191,32 @@ def _bethe_table(kind: str, n_sites: int, n_magnons: int) -> RowTable:
     return RowTable(kind_f, n_magnons, n_magnons, n_params, rows, "denominator", DENOM_TOL)
 
 
+def _bethe_params(eta, spins, thetas, xi=None) -> np.ndarray:
+    """The Bethe table's parameter columns (eta, eta*s_a, theta_a, [xi_+, xi_-], 1).
+
+    For one chain, or for a stack: ``eta`` (...), ``spins`` and ``thetas``
+    (..., L), and for open chains ``xi`` (..., 2), broadcast against each
+    other over the leading axes.
+    """
+    eta, spins = np.asarray(eta, dtype=float), np.asarray(spins, dtype=float)
+    n = spins.shape[-1]
+    lead = np.broadcast_shapes(eta.shape, spins.shape[:-1], np.shape(thetas)[:-1],
+                               np.shape(xi)[:-1])  # np.shape(None) is ()
+    out = np.empty(lead + (2 + 2 * n + (0 if xi is None else 2),), dtype=complex)
+    out[..., 0] = eta
+    out[..., 1:1 + n] = eta[..., None] * spins
+    out[..., 1 + n:1 + 2 * n] = thetas
+    if xi is not None:
+        out[..., 1 + 2 * n:-1] = xi
+    out[..., -1] = 1.0
+    return out
+
+
 def _bethe_system(chain: ChainSpec) -> Tuple[RowTable, np.ndarray]:
     """The Bethe row table of ``chain`` and its parameter vector."""
     table = _bethe_table(chain.kind, chain.n_sites, chain.n_magnons)
-    eta = chain.eta
-    params = [eta] + [eta * s for s in chain.spins] + list(chain.inhomogeneities)
-    if chain.is_open:
-        params += [chain.xi_plus, chain.xi_minus]
-    return table, np.array(params + [1.0], dtype=complex)
+    xi = (chain.xi_plus, chain.xi_minus) if chain.is_open else None
+    return table, _bethe_params(chain.eta, chain.spins, chain.inhomogeneities, xi)
 
 
 def _bethe_stack(chains: Sequence[ChainSpec], u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -174,9 +224,10 @@ def _bethe_stack(chains: Sequence[ChainSpec], u: np.ndarray) -> Tuple[np.ndarray
     roots of ``chains[k]``, all chains of one shape.  Returns the values
     (S, M) and the singular mask (S,) of :meth:`RowTable.products`, where
     :func:`bethe_lhs` would raise :class:`SingularPointError`; the caller
-    validates the roots."""
-    systems = [_bethe_system(c) for c in chains]
-    return systems[0][0].products(np.concatenate((u, [p for _, p in systems]), axis=1))
+    validates the roots.  Each distinct chain's parameters are built once."""
+    systems = {c: _bethe_system(c) for c in set(chains)}
+    table = systems[chains[0]][0]
+    return table.products(np.concatenate((u, [systems[c][1] for c in chains]), axis=1))
 
 
 def bethe_lhs(chain: ChainSpec, roots: BetheRoots, i: int) -> complex:

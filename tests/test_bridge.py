@@ -1,10 +1,15 @@
 """Dictionary presets, parameter maps and identity certification."""
 
+import ast
+import inspect
 import math
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bethegauge.bridge import (
     DEFAULT_CUTOFFS,
@@ -12,6 +17,7 @@ from bethegauge.bridge import (
     DictionaryPreset,
     FixedSite,
     XiExpr,
+    _dictionary,
     _verify_draws,
     all_presets,
     calibrate_preset,
@@ -24,11 +30,13 @@ from bethegauge.bridge import (
 )
 from bethegauge import chain as chain_module
 from bethegauge.chain import BetheRoots, _bethe_system, bethe_lhs, validate_roots
+from bethegauge.chain import ChainSpec, _bethe_params, _bethe_table, _root_clashes
 from bethegauge.gauge import (
     BRANCH_PLUS,
     GaugeTheorySpec,
     _vacuum_lhs_values,
     _vacuum_system,
+    vacuum_lhs,
     vacuum_lhs_squared,
 )
 from bethegauge.specfun import SingularPointError
@@ -490,3 +498,156 @@ def test_bethe_singular_draws_match_the_reference(monkeypatch, preset_id):
     assert np.array_equal(points, np.array([r["point"] for r in ref]))
     assert [OUTCOMES[k] for k in outcome] == [r["outcome"] for r in ref]
     assert sum(r["outcome"] == "singular" and r["vac"] is not None for r in ref) > 0
+
+
+# ---------------------------------------------------------------------------
+# the dictionary as stacked columns
+# ---------------------------------------------------------------------------
+
+
+def test_unpaired_a_masses_are_refused():
+    spec = GaugeTheorySpec("A", 2, 2, (0.1, 0.2), 0.5, masses_anti=(0.15,))
+    with pytest.raises(ValueError, match="N_f = N_f'"):
+        vacuum_lhs(spec, (0.4, 0.9), 0)
+    with pytest.raises(ValueError, match="N_f = N_f'"):
+        map_gauge_to_chain(preset_by_id("A-3d"), spec)
+    with pytest.raises(ValueError, match="N_f = N_f'"):
+        _dictionary(preset_by_id("A-3d"), np.array([[0.5, 0.1, 0.2, 0.15]] * 3), 2, (None,))
+
+
+def _one_site_at_a_time(preset, spec, cutoff):
+    """The Bethe parameters of ``spec`` from the dictionary's formulas in Python
+    floats, one free site at a time: (eta, eta*s, theta, [xi_+, xi_-], 1)."""
+    scale = preset.scale
+    eta = spec.m_adj / scale
+    if preset.family == "A":
+        pairs = [(mp, m) for m, mp in zip(spec.masses, spec.masses_anti)]
+    else:
+        ordered = sorted(spec.masses)
+        pairs = list(zip(ordered[::2], ordered[1::2]))
+    spins = [-(m + mp) / (2.0 * scale * eta) for m, mp in pairs]
+    thetas = [eta / 2.0 + (m - mp) / (2.0 * scale) for m, mp in pairs]
+    spins += [float(site.spin) for site in preset.fixed_sites]
+    thetas += [float(site.theta) for site in preset.fixed_sites]
+    params = [eta] + [eta * s for s in spins] + thetas
+    if preset.is_open:
+        params += [preset.xi_plus.value(eta, cutoff), preset.xi_minus.value(eta, cutoff)]
+    return np.array(params + [1.0], dtype=complex)
+
+
+@pytest.mark.parametrize("preset", all_presets(), ids=lambda p: p.id)
+def test_stacked_columns_are_the_one_chain_map_bitwise(preset):
+    cutoffs = _cutoffs(preset)
+    rng = np.random.default_rng(list(map(ord, preset.id)))
+    for rank in (1, 2, 3):
+        for nf in ((1, 2, 3) if preset.family == "A" else (2, 4, 6)):
+            n_params = 1 + nf * (2 if preset.family == "A" else 1)
+            params = preset.scale * np.column_stack(
+                (rng.uniform(0.09, 0.34, 6), rng.uniform(0.07, 0.43, (6, n_params - 1))))
+            cols = _dictionary(preset, params, nf, cutoffs)
+            stacked = _bethe_params(cols.eta[:, None], cols.spins[:, None], cols.thetas[:, None],
+                                    cols.xi)
+            assert stacked.shape[:2] == (6, len(cutoffs))
+            for k, row in enumerate(params):
+                spec = GaugeTheorySpec(preset.family, rank, nf, row[1:nf + 1], row[0],
+                                       masses_anti=row[nf + 1:] if preset.family == "A" else None)
+                for t, cutoff in enumerate(cutoffs):
+                    chain, _ = map_gauge_to_chain(preset, spec, cutoff=cutoff)
+                    table, one = _bethe_system(chain)
+                    assert table is _bethe_table(preset.chain_kind, cols.spins.shape[1], rank)
+                    assert stacked[k, t].tobytes() == one.tobytes()
+                    assert one.tobytes() == _one_site_at_a_time(preset, spec, cutoff).tobytes()
+
+
+def _classify(values, is_open):
+    """What BetheRoots and validate_roots make of one root set: None or the message."""
+    chain = ChainSpec("open-xxx" if is_open else "closed-xxx", 1, len(values), 0.3, (0.5,), (0.0,),
+                      *((0.1, 0.2) if is_open else ()))
+    try:
+        validate_roots(chain, BetheRoots(values))
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_root_mask_classifies_as_the_root_checks():
+    rng = np.random.default_rng(3)
+    sets = [tuple(rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)) for _ in range(40)]
+    sets += [(0.3, 0.7, 0.3 + 0.99e-8), (0.3, 0.7, 0.3 + 1.01e-8), (0.4, -0.4 + 0.5e-8j, 0.9),
+             (0.4, -0.4 + 1.5e-8j, 0.9), (0.2 + 0.1j, 0.5, -0.2 - 0.1j), (0.2, 0.2, -0.2),
+             (0.5, -0.1, 0.1), (0.0, 0.6, 0.0)]
+    u = np.array(sets)
+    for is_open in (False, True):
+        expected = [_classify(s, is_open) for s in sets]
+        mask = _root_clashes(u, is_open).any(axis=1)
+        assert mask.tolist() == [e is not None for e in expected]
+        assert 0 < sum(mask) < len(sets)
+    assert _classify((0.2, 0.2, -0.2), True) == "Bethe roots 0 and 1 coincide"
+    assert _classify((0.5, -0.1, 0.1), True) == (
+        "roots 1 and 2 are reflection-degenerate (u_i + u_j = 0)")
+    assert _classify((0.5, -0.1, 0.1), False) is None
+
+
+def test_root_mask_rejects_the_coincident_and_reflected_draws():
+    # D-2d rank 3, seed 6 draws two sigma components 4.8e-9 apart
+    preset = preset_by_id("D-2d")
+    ledger = dict.fromkeys(("attempted",) + OUTCOMES, 0)
+    chunks = list(_verify_draws(preset, (3, 4), 100, 6, (None,), ledger))
+    points, outcome = (np.concatenate(parts) for parts in zip(*[(p, o) for p, o, _ in chunks]))
+    (k,) = np.flatnonzero(outcome == OUTCOMES.index("invalid_roots"))
+    u = points[k, -3:] / preset.scale
+    assert _root_clashes(u[None], True).any()
+    with pytest.raises(ValueError, match="coincide"):
+        BetheRoots(u)
+    # a reflection pair, u_1 = -u_0, is invalid on an open preset only
+    open_preset = preset_by_id("B-3d-P1")
+    reflected = np.array([[0.3, -0.3, 0.55]])
+    assert _root_clashes(reflected, open_preset.is_open).any()
+    assert not _root_clashes(reflected, preset_by_id("A-3d").is_open).any()
+    spec = GaugeTheorySpec("B", 3, 4, (0.31, 0.72, 0.44, 0.63), 0.52)
+    with pytest.raises(ValueError, match="reflection-degenerate"):
+        validate_roots(map_gauge_to_chain(open_preset, spec)[0], BetheRoots(reflected[0]))
+
+
+def test_verify_chunks_build_no_per_draw_objects():
+    source = textwrap.dedent(inspect.getsource(_verify_draws))
+    tree = ast.parse(source)
+    (score,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "score"]
+
+    def called(node):
+        return {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+                for c in ast.walk(node) if isinstance(c, ast.Call)
+                and isinstance(c.func, (ast.Name, ast.Attribute))}
+
+    per_object = {"ChainSpec", "BetheRoots", "GaugeTheorySpec", "map_gauge_to_chain",
+                  "validate_roots", "_bethe_stack"}
+    assert not called(tree) & per_object
+    assert not called(score) & (per_object | {"_drawn_gauge"})
+    assert {"_dictionary", "_root_clashes", "products"} <= called(score)
+    assert not any(isinstance(n, (ast.For, ast.While, ast.comprehension)) for n in ast.walk(score))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(preset=st.sampled_from(all_presets()), rank=st.integers(1, 3), pairs=st.integers(1, 3),
+       data=st.data())
+def test_gauge_chain_gauge_round_trips(preset, rank, pairs, data):
+    unit = st.floats(0.07, 0.43)
+    nf = pairs if preset.family == "A" else 2 * pairs
+    masses = tuple(preset.scale * data.draw(unit) for _ in range(nf))
+    anti = None
+    if preset.family == "A":
+        anti = tuple(preset.scale * data.draw(unit) for _ in range(nf))
+    spec = GaugeTheorySpec(preset.family, rank, nf, masses,
+                           preset.scale * data.draw(st.floats(0.09, 0.34)), masses_anti=anti)
+    cutoff = data.draw(st.sampled_from(DEFAULT_CUTOFFS)) if preset.id == "D-3d" else None
+    back = map_chain_to_gauge(preset, map_gauge_to_chain(preset, spec, cutoff=cutoff)[0])
+    assert (back.family, back.rank, back.n_fund) == (spec.family, spec.rank, spec.n_fund)
+
+    def close(got, want):
+        return all(abs(a - b) <= 1e-14 * abs(b) for a, b in zip(got, want, strict=True))
+
+    assert close((back.m_adj,), (spec.m_adj,))
+    if preset.family == "A":
+        assert close(back.masses, spec.masses) and close(back.masses_anti, spec.masses_anti)
+    else:
+        assert close(back.masses, sorted(spec.masses))

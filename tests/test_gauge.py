@@ -386,3 +386,29 @@ def test_superpotential_is_weyl_invariant(family, realization, rank, nf, data):
         assert abs(superpotential_value(spec, image) - w) <= 1e-10 * max(1.0, abs(w))
         gap = np.abs(superpotential_grad(spec, image) - signs * grad[perm])
         assert np.all(gap <= 1e-10 * max(1.0, np.abs(grad).max()))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from("ABCD"), regime=st.sampled_from(["3d", "2d"]),
+       rank=st.integers(1, 4), nf=st.integers(1, 2), data=st.data())
+def test_vacuum_equations_are_weyl_covariant(family, regime, rank, nf, data):
+    # equation j at a Weyl image with sigma'_j = s sigma_p is equation p at sigma,
+    # inverted for s < 0
+    unit = st.floats(0.05, 1.0)
+    spec = GaugeTheorySpec(family, rank, nf, tuple(data.draw(unit) for _ in range(nf)),
+                           data.draw(unit))
+    sigma = [data.draw(st.floats(0.1, 3.0)) for _ in range(rank)]
+    assume(all(abs(a - b) > 1e-3 for k, a in enumerate(sigma) for b in sigma[:k]))
+    try:
+        at_sigma = np.array(_vacuum_lhs_values(spec, sigma, regime))
+    except SingularPointError:
+        assume(False)
+    for image in lie_roots.weyl_images(family, rank, sigma).images:
+        perm, signs = _signed_permutation(sigma, image)
+        assert np.array_equal(np.abs(image), np.asarray(sigma)[perm])
+        try:
+            at_image = np.array(_vacuum_lhs_values(spec, image, regime))
+        except SingularPointError:
+            continue
+        want = at_sigma[perm] ** signs
+        assert np.all(np.abs(at_image - want) <= 1e-10 * np.abs(want))
