@@ -18,8 +18,14 @@ Kronecker-extending the 2x2 auxiliary block of 2^a x 2^a operators, which
 costs O(4^L) per site instead of multiplying 2^L x 2^L lifted R-matrices:
 closed t(u) = tr_0 T_0(u), open t(u) = Tr_0 K(u+eta/2, xi_+) U_-(u).  The
 open trace argument follows the displayed A/D-tilde expansion (which fixes
-the K_+ shift uniquely); eigenvector certification calibrates the residual
-root-shift convention delta in {0, +eta/2, -eta/2} and reports the choice.
+the K_+ shift uniquely).  The dense oracle is the witness for L <= 8; its
+commutator check is taken block by block over the magnon sectors.
+
+Eigenvector certification never builds a dense operator: the Bethe state
+prod B(u_k + delta)|up...up> and t(u) times it are applied to vectors one
+site at a time, O(L 2^L) per row, for spin-1/2 chains up to L = 14.  It
+calibrates the root-shift convention delta in {0, +eta/2, -eta/2} and
+reports the choice.
 """
 
 from __future__ import annotations
@@ -315,9 +321,16 @@ def reflection_residual(
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
 
-def _check_oracle(chain: ChainSpec) -> None:
-    if chain.n_sites > 8:
-        raise ValueError("oracle limited to L <= 8")
+#: longest chain the dense oracle builds: 2^{2L} entries per operator
+ORACLE_MAX_SITES = 8
+
+#: longest chain whose Bethe states are applied matrix-free: 2^L entries per state
+MATRIX_FREE_MAX_SITES = 14
+
+
+def _check_oracle(chain: ChainSpec, max_sites: int = ORACLE_MAX_SITES) -> None:
+    if chain.n_sites > max_sites:
+        raise ValueError("oracle limited to L <= %d" % max_sites)
     if any(abs(s - 0.5) > 1e-12 for s in chain.spins):
         raise ValueError("oracle supports spin-1/2 only")
 
@@ -325,6 +338,11 @@ def _check_oracle(chain: ChainSpec) -> None:
 def _br(chain: ChainSpec, x: complex) -> complex:
     # the chain's weight: the bracket for trig kinds, x itself for rational ones
     return bracket(x, BracketContext(chain.eta)) if chain.is_trig else complex(x)
+
+
+def _k_diag(chain: ChainSpec, x: complex, xi: complex) -> np.ndarray:
+    # the diagonal of the boundary matrix K(x, xi) = diag([x + xi], -[x - xi])
+    return np.array([_br(chain, x + xi), -_br(chain, x - xi)])
 
 
 def _chain_r(chain: ChainSpec, u: complex) -> np.ndarray:
@@ -374,9 +392,8 @@ def double_row_monodromy(chain: ChainSpec, u: complex) -> np.ndarray:
     if not chain.is_open:
         raise ValueError("double-row monodromy is defined for open chains")
     _check_oracle(chain)
-    k1 = _br(chain, u - chain.eta / 2 + chain.xi_minus)
-    k2 = -_br(chain, u - chain.eta / 2 - chain.xi_minus)
-    acc = np.diag(np.array([k1, k2], dtype=complex)).reshape(2, 2, 1, 1)
+    k = _k_diag(chain, u - chain.eta / 2, chain.xi_minus)
+    acc = np.diag(k).reshape(2, 2, 1, 1)
     for a in range(chain.n_sites):
         site = np.einsum("iqkp,la,bpas,bj->ijklqs", _site_r(chain, u, a),
                          _SIGMA_Y, _site_r(chain, -u, a), _SIGMA_Y)
@@ -388,9 +405,8 @@ def transfer_matrix(chain: ChainSpec, u: complex) -> np.ndarray:
     """Dense transfer matrix at spectral parameter u."""
     if chain.is_open:
         um = double_row_monodromy(chain, u)
-        kp1 = _br(chain, u + chain.eta / 2 + chain.xi_plus)
-        kp2 = -_br(chain, u + chain.eta / 2 - chain.xi_plus)
-        return kp1 * um[0][0] + kp2 * um[1][1]
+        kp = _k_diag(chain, u + chain.eta / 2, chain.xi_plus)
+        return kp[0] * um[0][0] + kp[1] * um[1][1]
     t = monodromy(chain, u)
     return t[0][0] + t[1][1]
 
@@ -430,34 +446,99 @@ def _aux_embed(t: np.ndarray, first: bool) -> np.ndarray:
     return out.reshape(4 * t.shape[-1], 4 * t.shape[-1])
 
 
+@lru_cache(maxsize=None)
+def _magnon_sectors(n_sites: int) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """The mask of basis pairs in different magnon sectors (popcount of the
+    index, the number of down spins) and the basis indices of each sector."""
+    count = np.array([bin(i).count("1") for i in range(2**n_sites)])
+    return (count[:, None] != count[None, :],
+            tuple(np.flatnonzero(count == m) for m in range(n_sites + 1)))
+
+
 def commutator_residual(chain: ChainSpec, u: complex, v: complex) -> float:
-    """Max-norm of [t(u), t(v)]."""
+    """Max-norm of [t(u), t(v)], taken sector by sector.
+
+    Closed chains and diagonal boundaries conserve the magnon number, so both
+    transfer matrices are block diagonal over the sectors; an entry outside
+    the blocks raises ValueError, and only the L + 1 blocks are multiplied.
+    """
     tu = transfer_matrix(chain, u)
     tv = transfer_matrix(chain, v)
-    return float(np.max(np.abs(tu @ tv - tv @ tu)))
+    off, sectors = _magnon_sectors(chain.n_sites)
+    if np.any(tu[off]) or np.any(tv[off]):
+        raise ValueError("transfer matrix mixes magnon sectors")
+    blocks = [(tu[np.ix_(s, s)], tv[np.ix_(s, s)]) for s in sectors]
+    return float(np.max([np.max(np.abs(a @ b - b @ a)) for a, b in blocks]))
 
 
 # ---------------------------------------------------------------------------
-# Bethe states and eigenvector certification
+# Bethe states and eigenvector certification (matrix-free, spin 1/2)
 # ---------------------------------------------------------------------------
+
+
+def _row(chain: ChainSpec, states: np.ndarray, x: complex, reverse: bool = False) -> np.ndarray:
+    """One row of R-matrices applied to a stack of states (B, 2, 2^L): the
+    auxiliary axis, then the sites, site 1 the most significant.
+
+    Forward, R_0a(x - th_a) for a = 1, ..., L in turn: T_0(x).  Reversed,
+    sigma_y R_0a^t0(x - th_a) sigma_y for a = L, ..., 1: sigma_y T_0^t0(x)
+    sigma_y.  Both are six-vertex with weights (a, b, c) = ([y + eta], [y],
+    [eta]) at y = x - th_a, the reversed one with (b, a, -c); a site costs
+    O(B 2^L).
+    """
+    n, batch = chain.n_sites, states.shape[0]
+    c = _br(chain, chain.eta)
+    for a in reversed(range(n)) if reverse else range(n):
+        y = x - chain.inhomogeneities[a]
+        wa, wb, wc = _br(chain, y + chain.eta), _br(chain, y), c
+        if reverse:
+            wa, wb, wc = wb, wa, -c
+        s = states.reshape(batch, 2, 2**a, 2, 2 ** (n - 1 - a))  # aux, before, site a, after
+        states = np.empty_like(s)
+        states[:, 0, :, 0] = wa * s[:, 0, :, 0]
+        states[:, 1, :, 1] = wa * s[:, 1, :, 1]
+        states[:, 0, :, 1] = wb * s[:, 0, :, 1] + wc * s[:, 1, :, 0]
+        states[:, 1, :, 0] = wb * s[:, 1, :, 0] + wc * s[:, 0, :, 1]
+    return states.reshape(batch, 2, 2**n)
+
+
+def _apply_monodromy(chain: ChainSpec, u: complex, states: np.ndarray) -> np.ndarray:
+    """T_0(u), or on open chains U_-(u) = T(u) K(u - eta/2, xi_-) sigma_y
+    T^t(-u) sigma_y, applied to a stack of states (B, 2, 2^L)."""
+    if not chain.is_open:
+        return _row(chain, states, u)
+    states = _row(chain, states, -u, reverse=True)
+    k = _k_diag(chain, u - chain.eta / 2, chain.xi_minus)
+    return _row(chain, k[:, None] * states, u)
+
+
+def _apply_transfer(chain: ChainSpec, u: complex, vec: np.ndarray) -> np.ndarray:
+    """t(u) vec without building t(u): the auxiliary entries (0, 0) and (1, 1)
+    of the monodromy applied to e_0 (x) vec and e_1 (x) vec, summed (closed) or
+    weighted by K(u + eta/2, xi_+) (open) as in :func:`transfer_matrix`."""
+    states = np.zeros((2, 2, vec.size), dtype=complex)
+    states[0, 0] = states[1, 1] = vec
+    diag = _apply_monodromy(chain, u, states)[[0, 1], [0, 1]]
+    if chain.is_open:
+        return _k_diag(chain, u + chain.eta / 2, chain.xi_plus) @ diag
+    return diag[0] + diag[1]
 
 
 def bethe_vector(chain: ChainSpec, roots: BetheRoots, shift: float = 0.0) -> np.ndarray:
     """Product of creation operators on the all-up reference state.
 
     Closed chains use B(u_i + shift) from the one-row monodromy, open chains
-    the (1,2) entry of the double-row monodromy.
+    the (1,2) entry of the double-row monodromy.  Each is applied to the
+    state matrix-free: the monodromy acts on e_1 (x) psi and auxiliary entry 0
+    is kept, at O(L 2^L) per root, so spin-1/2 chains up to L = 14 are taken.
     """
-    _check_oracle(chain)
-    dim = 2**chain.n_sites
-    vec = np.zeros(dim, dtype=complex)
+    _check_oracle(chain, MATRIX_FREE_MAX_SITES)
+    vec = np.zeros(2**chain.n_sites, dtype=complex)
     vec[0] = 1.0
     for ui in roots.values:
-        if chain.is_open:
-            b = double_row_monodromy(chain, ui + shift)[0][1]
-        else:
-            b = monodromy(chain, ui + shift)[0][1]
-        vec = b @ vec
+        states = np.zeros((1, 2, vec.size), dtype=complex)
+        states[0, 1] = vec
+        vec = _apply_monodromy(chain, ui + shift, states)[0, 0]
     return vec
 
 
@@ -482,10 +563,10 @@ def certify_roots(
 
     The root-shift convention between the Bethe equations and the B-operator
     arguments is calibrated over ``shifts`` (defaults to 0, +-eta/2); the
-    best shift is frozen into the certificate.
+    best shift is frozen into the certificate.  Both the state and t(u) times
+    it are applied matrix-free (:func:`bethe_vector`); no dense t is built.
     """
     validate_roots(chain, roots)
-    t = transfer_matrix(chain, probe_u)
     if shifts is None:
         shifts = tuple(s * chain.eta for s in SHIFT_CANDIDATES)
     by_shift: Dict[float, float] = {}
@@ -496,7 +577,7 @@ def certify_roots(
         if norm < 1e-12:
             by_shift[delta] = float("inf")
             continue
-        tv = t @ vec
+        tv = _apply_transfer(chain, probe_u, vec)
         lam = complex(np.vdot(vec, tv) / np.vdot(vec, vec))
         res = float(np.linalg.norm(tv - lam * vec) / (norm * (1.0 + abs(lam))))
         by_shift[delta] = res

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bethegauge import chain as chain_module
 from bethegauge.chain import (
     KINDS,
+    SHIFT_CANDIDATES,
     BetheRoots,
     ChainSpec,
     bethe_lhs,
@@ -24,7 +26,10 @@ from bethegauge.chain import (
     transfer_matrix,
     validate_roots,
     yang_baxter_residual,
+    _apply_monodromy,
+    _apply_transfer,
 )
+from bethegauge.solve import SolveConfig, solve_bethe
 from bethegauge.specfun import BracketContext, SingularPointError, bracket
 
 CLOSED_XXZ = ChainSpec("closed-xxz", 3, 1, 0.317, (0.5,) * 3, (0.03, -0.07, 0.11))
@@ -298,6 +303,110 @@ def test_grown_monodromies_match_lifted_products(kind, sites):
     for ui in roots.values:
         ref = lifted(chain, ui + 0.5 * chain.eta)[0][1] @ ref
     assert _relative_gap(bethe_vector(chain, roots, shift=0.5 * chain.eta), ref) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free rows against the dense oracle
+# ---------------------------------------------------------------------------
+
+
+def _drawn_chain(rng, kind, sites, magnons):
+    xi = rng.uniform(-0.4, 0.4, size=2) + 0.1j if kind.startswith("open") else (None, None)
+    return ChainSpec(kind, sites, magnons, rng.uniform(0.1, 0.4), (0.5,) * sites,
+                     tuple(rng.uniform(-0.2, 0.2, size=sites)), xi_plus=xi[0], xi_minus=xi[1])
+
+
+@settings(max_examples=48, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), sites=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       u_re=st.floats(-0.9, 0.9), u_im=st.floats(-0.3, 0.3))
+def test_matrix_free_rows_match_the_dense_oracle(kind, sites, seed, u_re, u_im):
+    rng = np.random.default_rng(seed)
+    chain = _drawn_chain(rng, kind, sites, 1)
+    u = complex(u_re, u_im)
+    v = rng.normal(size=2**sites) + 1j * rng.normal(size=2**sites)
+    dense = double_row_monodromy(chain, u) if chain.is_open else monodromy(chain, u)
+    states = np.zeros((1, 2, v.size), dtype=complex)
+    states[0, 1] = v  # e_1 (x) v: auxiliary entry 0 of the result is B(u) v
+    assert _relative_gap(_apply_monodromy(chain, u, states)[0, 0], dense[0][1] @ v) <= 1e-12
+    assert _relative_gap(_apply_transfer(chain, u, v), transfer_matrix(chain, u) @ v) <= 1e-12
+
+
+def _dense_certificate(chain, roots, probe_u=0.1731):
+    """certify_roots through the dense oracle: each B(u) the (0, 1) block of a
+    grown monodromy and t(probe_u) a dense matrix.  Returns (residual, shift,
+    eigenvalue)."""
+    t = transfer_matrix(chain, probe_u)
+    grown = double_row_monodromy if chain.is_open else monodromy
+    best = (float("inf"), 0.0, 0j)
+    for delta in (s * chain.eta for s in SHIFT_CANDIDATES):
+        vec = np.eye(2**chain.n_sites, dtype=complex)[0]
+        for ui in roots.values:
+            vec = grown(chain, ui + delta)[0][1] @ vec
+        norm = float(np.linalg.norm(vec))
+        if norm < 1e-12:
+            continue
+        tv = t @ vec
+        lam = complex(np.vdot(vec, tv) / np.vdot(vec, vec))
+        res = float(np.linalg.norm(tv - lam * vec) / (norm * (1.0 + abs(lam))))
+        if res < best[0]:
+            best = (res, delta, lam)
+    return best
+
+
+def _assert_same_certificate(chain, roots):
+    res, shift, lam = _dense_certificate(chain, roots)
+    cert = certify_roots(chain, roots)
+    assert cert.shift == shift
+    assert (cert.residual < 1e-8) == (res < 1e-8)
+    assert abs(cert.eigenvalue - lam) <= 1e-10 * abs(lam)
+
+
+@pytest.mark.parametrize("chain, roots", [
+    (CLOSED_XXZ, (CLOSED_XXZ_ROOTS[0],)),
+    (CLOSED_XXZ, (CLOSED_XXZ_ROOTS[1],)),
+    (CLOSED_XXZ, (CLOSED_XXZ_ROOTS[2],)),
+    (CLOSED_XXZ, (0.2,)),  # not a root: fails on both paths
+    (OPEN_XXZ, (OPEN_XXZ_ROOT,)),
+    (ChainSpec("closed-xxx", 2, 1, 0.37, (0.5,) * 2, (0.0, 0.0)), (-0.185,)),
+])
+def test_frozen_certificates_match_the_dense_path(chain, roots):
+    _assert_same_certificate(chain, BetheRoots(roots))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sites", range(5, 9))
+def test_solver_certificates_match_the_dense_path(kind, sites):
+    rng = np.random.default_rng([KINDS.index(kind), sites, 10])
+    magnons = 2 if kind.endswith("xxz") and sites <= 6 else 1
+    chain = _drawn_chain(rng, kind, sites, magnons)
+    found = solve_bethe(chain, SolveConfig(n_starts=64, seed=sites))
+    assert len(found) >= 1
+    for roots in found:
+        _assert_same_certificate(chain, roots)
+
+
+@pytest.mark.parametrize("kind, sites", [("closed-xxz", 12), ("open-xxz", 10)])
+def test_matrix_free_certificates_beyond_the_dense_cap(kind, sites):
+    chain = _drawn_chain(np.random.default_rng(sites), kind, sites, 1)
+    with pytest.raises(ValueError):
+        transfer_matrix(chain, 0.1)  # the dense oracle stays at L <= 8
+    found = solve_bethe(chain, SolveConfig(n_starts=8, seed=0))
+    assert len(found) >= 1
+    for roots in found:
+        assert certify_roots(chain, roots).residual < 1e-8
+    too_long = ChainSpec("closed-xxx", 15, 1, 0.3, (0.5,) * 15, (0.0,) * 15)
+    with pytest.raises(ValueError):
+        bethe_vector(too_long, BetheRoots((0.1,)))
+
+
+def test_commutator_rejects_a_transfer_matrix_that_mixes_sectors(monkeypatch):
+    dense = transfer_matrix(CLOSED_XXZ, 0.3)
+    assert commutator_residual(CLOSED_XXZ, 0.3, 0.3) == 0.0
+    mixed = dense.copy()
+    mixed[0, 1] = 1e-3  # the all-up state reaches a one-magnon state
+    monkeypatch.setattr(chain_module, "transfer_matrix", lambda chain, u: mixed)
+    with pytest.raises(ValueError):
+        commutator_residual(CLOSED_XXZ, 0.3, 0.6)
 
 
 # ---------------------------------------------------------------------------
