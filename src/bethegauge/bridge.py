@@ -370,13 +370,16 @@ class VerificationReport:
         return d
 
 
-def _extrapolate_geometric(values: Sequence[complex]) -> complex:
-    """Aitken-style limit of a geometrically converging sequence."""
-    b1, b2, b3 = values[-3], values[-2], values[-1]
+def _extrapolate_geometric(values: np.ndarray) -> np.ndarray:
+    """Aitken-style limits of geometrically converging sequences along the last
+    axis.  Where the last two differences leave nothing to extrapolate (the
+    first two terms agree, or the second difference vanishes) the limit is the
+    last term."""
+    b1, b2, b3 = values[..., -3], values[..., -2], values[..., -1]
     den = b1 - 2.0 * b2 + b3
-    if abs(b1 - b2) < 1e-13 or abs(den) < 1e-300:
-        return b3
-    return b3 - (b3 - b2) ** 2 / den
+    last = (np.abs(b1 - b2) < 1e-13) | (np.abs(den) < 1e-300)
+    d = b3 - b2
+    return np.where(last, b3, b3 - d * d / np.where(last, 1.0, den))
 
 
 #: draws scored together in one stacked evaluation; bounds the arrays of a chunk
@@ -522,8 +525,7 @@ def verify_identity(
         if uses_cutoff:
             per_cut = np.abs(vac[:, None, :] - branch.sign * bethe).max(axis=2)
             cutoff_worst = np.maximum(cutoff_worst, per_cut.max(axis=0))
-            bethe = np.array([[_extrapolate_geometric(b) for b in draw.T.tolist()]
-                              for draw in bethe])
+            bethe = _extrapolate_geometric(bethe.transpose(0, 2, 1))
         else:
             bethe = bethe[:, 0]
         for k, res in enumerate(np.abs(vac - branch.sign * bethe).max(axis=1).tolist()):

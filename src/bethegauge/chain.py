@@ -22,10 +22,9 @@ the K_+ shift uniquely).  The dense oracle is the witness for L <= 8; its
 commutator check is taken block by block over the magnon sectors.
 
 Eigenvector certification never builds a dense operator: the Bethe state
-prod B(u_k + delta)|up...up> and t(u) times it are applied to vectors one
-site at a time, O(L 2^L) per row, for spin-1/2 chains up to L = 14.  It
-calibrates the root-shift convention delta in {0, +eta/2, -eta/2} and
-reports the choice.
+prod B(u_k)|up...up> and t(u) times it are applied to vectors one site at a
+time, O(L 2^L) per row, for spin-1/2 chains up to L = 14.  The roots enter
+B(u) as they solve the row table's equations, unshifted.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +44,8 @@ KINDS = ("closed-xxz", "open-xxz", "closed-xxx", "open-xxx")
 #: reject any Bethe-factor denominator smaller than this
 DENOM_TOL = 1e-10
 
-#: root-shift candidates tried when certifying eigenvectors
-SHIFT_CANDIDATES = (0.0, 0.5, -0.5)  # in units of eta
+#: spectral parameter at which certify_roots applies t(u)
+PROBE_U = 0.1731
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,9 @@ class ChainSpec:
     inhomogeneities: Tuple[float, ...]
     xi_plus: Optional[complex] = None
     xi_minus: Optional[complex] = None
+    #: the weight's bracket context, built once here; None on rational kinds
+    _bracket: Optional[BracketContext] = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", str(self.kind).lower())
@@ -76,8 +78,8 @@ class ChainSpec:
         )
         if len(self.spins) != self.n_sites or len(self.inhomogeneities) != self.n_sites:
             raise ValueError("spins and inhomogeneities must have length %d" % self.n_sites)
-        if self.is_trig:
-            BracketContext(self.eta)  # validates sin(pi eta) != 0
+        if self.is_trig:  # BracketContext validates sin(pi eta) != 0
+            object.__setattr__(self, "_bracket", BracketContext(self.eta))
         if self.is_open:
             if self.xi_plus is None or self.xi_minus is None:
                 raise ValueError("open chains need both xi_plus and xi_minus")
@@ -246,10 +248,11 @@ def bethe_lhs(chain: ChainSpec, roots: BetheRoots, i: int) -> complex:
 
 
 def bethe_residuals(chain: ChainSpec, roots: BetheRoots) -> np.ndarray:
-    """|LHS_i - 1| for every magnon."""
-    return np.array(
-        [abs(bethe_lhs(chain, roots, i) - 1.0) for i in range(len(roots))]
-    )
+    """|LHS_i - 1| for every magnon, each LHS as :func:`bethe_lhs` gives it."""
+    validate_roots(chain, roots)
+    table, params = _bethe_system(chain)
+    x = np.concatenate((roots.values, params))
+    return np.array([abs(eq.product(x) - 1.0) for eq in table.equations])
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +340,7 @@ def _check_oracle(chain: ChainSpec, max_sites: int = ORACLE_MAX_SITES) -> None:
 
 def _br(chain: ChainSpec, x: complex) -> complex:
     # the chain's weight: the bracket for trig kinds, x itself for rational ones
-    return bracket(x, BracketContext(chain.eta)) if chain.is_trig else complex(x)
+    return complex(x) if chain._bracket is None else bracket(x, chain._bracket)
 
 
 def _k_diag(chain: ChainSpec, x: complex, xi: complex) -> np.ndarray:
@@ -524,13 +527,13 @@ def _apply_transfer(chain: ChainSpec, u: complex, vec: np.ndarray) -> np.ndarray
     return diag[0] + diag[1]
 
 
-def bethe_vector(chain: ChainSpec, roots: BetheRoots, shift: float = 0.0) -> np.ndarray:
-    """Product of creation operators on the all-up reference state.
+def bethe_vector(chain: ChainSpec, roots: BetheRoots) -> np.ndarray:
+    """Product of creation operators B(u_k) on the all-up reference state.
 
-    Closed chains use B(u_i + shift) from the one-row monodromy, open chains
-    the (1,2) entry of the double-row monodromy.  Each is applied to the
-    state matrix-free: the monodromy acts on e_1 (x) psi and auxiliary entry 0
-    is kept, at O(L 2^L) per root, so spin-1/2 chains up to L = 14 are taken.
+    Closed chains use B(u) from the one-row monodromy, open chains the (1,2)
+    entry of the double-row monodromy.  Each is applied to the state
+    matrix-free: the monodromy acts on e_1 (x) psi and auxiliary entry 0 is
+    kept, at O(L 2^L) per root, so spin-1/2 chains up to L = 14 are taken.
     """
     _check_oracle(chain, MATRIX_FREE_MAX_SITES)
     vec = np.zeros(2**chain.n_sites, dtype=complex)
@@ -538,55 +541,36 @@ def bethe_vector(chain: ChainSpec, roots: BetheRoots, shift: float = 0.0) -> np.
     for ui in roots.values:
         states = np.zeros((1, 2, vec.size), dtype=complex)
         states[0, 1] = vec
-        vec = _apply_monodromy(chain, ui + shift, states)[0, 0]
+        vec = _apply_monodromy(chain, ui, states)[0, 0]
     return vec
 
 
 @dataclass
 class RootCertificate:
-    """Collinearity report of t(u)*v against v for a candidate root set."""
+    """Collinearity report of t(u)*v against the Bethe state v of a root set.
+
+    ``degenerate`` marks a state whose norm is below 1e-12; its residual is
+    then inf and its eigenvalue 0.
+    """
 
     residual: float
-    shift: float
     eigenvalue: complex
-    residual_by_shift: Dict[float, float] = field(default_factory=dict)
     degenerate: bool = False
 
 
-def certify_roots(
-    chain: ChainSpec,
-    roots: BetheRoots,
-    probe_u: complex = 0.1731,
-    shifts: Sequence[float] = None,
-) -> RootCertificate:
-    """Check that the Bethe state is an eigenvector of the transfer matrix.
+def certify_roots(chain: ChainSpec, roots: BetheRoots) -> RootCertificate:
+    """Check that the Bethe state of ``roots`` is an eigenvector of t(PROBE_U).
 
-    The root-shift convention between the Bethe equations and the B-operator
-    arguments is calibrated over ``shifts`` (defaults to 0, +-eta/2); the
-    best shift is frozen into the certificate.  Both the state and t(u) times
-    it are applied matrix-free (:func:`bethe_vector`); no dense t is built.
+    The residual is |t v - lam v| / (|v| (1 + |lam|)) at the Rayleigh quotient
+    lam.  Both the state and t(u) times it are applied matrix-free
+    (:func:`bethe_vector`); no dense t is built.
     """
     validate_roots(chain, roots)
-    if shifts is None:
-        shifts = tuple(s * chain.eta for s in SHIFT_CANDIDATES)
-    by_shift: Dict[float, float] = {}
-    best = (float("inf"), 0.0, 0j, True)
-    for delta in shifts:
-        vec = bethe_vector(chain, roots, shift=delta)
-        norm = float(np.linalg.norm(vec))
-        if norm < 1e-12:
-            by_shift[delta] = float("inf")
-            continue
-        tv = _apply_transfer(chain, probe_u, vec)
-        lam = complex(np.vdot(vec, tv) / np.vdot(vec, vec))
-        res = float(np.linalg.norm(tv - lam * vec) / (norm * (1.0 + abs(lam))))
-        by_shift[delta] = res
-        if res < best[0]:
-            best = (res, delta, lam, False)
-    return RootCertificate(
-        residual=best[0],
-        shift=best[1],
-        eigenvalue=best[2],
-        residual_by_shift=by_shift,
-        degenerate=best[3],
-    )
+    vec = bethe_vector(chain, roots)
+    norm = float(np.linalg.norm(vec))
+    if norm < 1e-12:
+        return RootCertificate(residual=float("inf"), eigenvalue=0j, degenerate=True)
+    tv = _apply_transfer(chain, PROBE_U, vec)
+    lam = complex(np.vdot(vec, tv) / np.vdot(vec, vec))
+    res = float(np.linalg.norm(tv - lam * vec) / (norm * (1.0 + abs(lam))))
+    return RootCertificate(residual=res, eigenvalue=lam)

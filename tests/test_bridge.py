@@ -18,6 +18,7 @@ from bethegauge.bridge import (
     FixedSite,
     XiExpr,
     _dictionary,
+    _extrapolate_geometric,
     _verify_draws,
     all_presets,
     calibrate_preset,
@@ -229,6 +230,18 @@ def test_cutoff_extrapolation_notes():
     by_cutoff = report.notes["residual_by_cutoff"]
     assert set(by_cutoff) == {"5.0", "10.0", "20.0"}
     assert all(v >= 0 for v in by_cutoff.values())
+
+
+def test_geometric_extrapolation_guards_each_sequence():
+    # one stack: a geometric sequence extrapolates to its limit, while a
+    # converged one and one with no second difference keep their last term
+    # (and divide by no zero)
+    seqs = np.array([[[2.0 + 1.0j + 0.5**k for k in (1, 2, 3)],
+                      [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]])
+    limits = _extrapolate_geometric(seqs)
+    assert limits.shape == (1, 3)
+    assert limits[0, 0] == 2.0 + 1.0j
+    assert limits[0, 1] == 1.0 and limits[0, 2] == 2.0
 
 
 @pytest.mark.parametrize("cutoffs", [(5.0, 10.0), ()])

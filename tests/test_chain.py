@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bethegauge import chain as chain_module
 from bethegauge.chain import (
     KINDS,
-    SHIFT_CANDIDATES,
+    PROBE_U,
     BetheRoots,
     ChainSpec,
     bethe_lhs,
@@ -123,7 +123,6 @@ def test_closed_xxx_exact_root():
     assert bethe_lhs(chain, roots, 0) == 1.0 + 0j
     cert = certify_roots(chain, roots)
     assert cert.residual < 1e-12
-    assert cert.shift == 0.0
 
 
 def test_closed_xxz_regression_roots():
@@ -134,11 +133,17 @@ def test_closed_xxz_regression_roots():
 def test_closed_xxz_certificate():
     cert = certify_roots(CLOSED_XXZ, BetheRoots((CLOSED_XXZ_ROOTS[0],)))
     assert cert.residual < 1e-10
-    assert cert.shift == 0.0
-    # the shift scan must single out the convention: both eta/2 shifts fail
-    for delta, res in cert.residual_by_shift.items():
-        if delta != 0.0:
-            assert res > 1e-3
+    assert not cert.degenerate
+
+
+@pytest.mark.parametrize("chain, root", [(CLOSED_XXZ, u) for u in CLOSED_XXZ_ROOTS]
+                         + [(OPEN_XXZ, OPEN_XXZ_ROOT)])
+@pytest.mark.parametrize("half", (0.5, -0.5))
+def test_roots_shifted_by_half_eta_fail_certification(chain, root, half):
+    # the roots enter B(u) unshifted: moving them by +-eta/2 must break the
+    # eigenvector, so the convention is pinned by the frozen roots themselves
+    assert certify_roots(chain, BetheRoots((root,))).residual < 1e-10
+    assert certify_roots(chain, BetheRoots((root + half * chain.eta,))).residual > 1e-3
 
 
 def test_open_xxz_regression_root_and_certificate():
@@ -146,7 +151,6 @@ def test_open_xxz_regression_root_and_certificate():
     assert bethe_residuals(OPEN_XXZ, roots).max() < 1e-10
     cert = certify_roots(OPEN_XXZ, roots)
     assert cert.residual < 1e-10
-    assert cert.shift == 0.0
 
 
 def test_open_bethe_lhs_reflection_symmetry():
@@ -302,7 +306,8 @@ def test_grown_monodromies_match_lifted_products(kind, sites):
     ref = np.eye(2**sites, dtype=complex)[0]
     for ui in roots.values:
         ref = lifted(chain, ui + 0.5 * chain.eta)[0][1] @ ref
-    assert _relative_gap(bethe_vector(chain, roots, shift=0.5 * chain.eta), ref) <= 1e-12
+    shifted = BetheRoots(tuple(ui + 0.5 * chain.eta for ui in roots.values))
+    assert _relative_gap(bethe_vector(chain, shifted), ref) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -331,32 +336,25 @@ def test_matrix_free_rows_match_the_dense_oracle(kind, sites, seed, u_re, u_im):
     assert _relative_gap(_apply_transfer(chain, u, v), transfer_matrix(chain, u) @ v) <= 1e-12
 
 
-def _dense_certificate(chain, roots, probe_u=0.1731):
+def _dense_certificate(chain, roots):
     """certify_roots through the dense oracle: each B(u) the (0, 1) block of a
-    grown monodromy and t(probe_u) a dense matrix.  Returns (residual, shift,
+    grown monodromy and t(PROBE_U) a dense matrix.  Returns (residual,
     eigenvalue)."""
-    t = transfer_matrix(chain, probe_u)
+    vec = np.eye(2**chain.n_sites, dtype=complex)[0]
     grown = double_row_monodromy if chain.is_open else monodromy
-    best = (float("inf"), 0.0, 0j)
-    for delta in (s * chain.eta for s in SHIFT_CANDIDATES):
-        vec = np.eye(2**chain.n_sites, dtype=complex)[0]
-        for ui in roots.values:
-            vec = grown(chain, ui + delta)[0][1] @ vec
-        norm = float(np.linalg.norm(vec))
-        if norm < 1e-12:
-            continue
-        tv = t @ vec
-        lam = complex(np.vdot(vec, tv) / np.vdot(vec, vec))
-        res = float(np.linalg.norm(tv - lam * vec) / (norm * (1.0 + abs(lam))))
-        if res < best[0]:
-            best = (res, delta, lam)
-    return best
+    for ui in roots.values:
+        vec = grown(chain, ui)[0][1] @ vec
+    norm = float(np.linalg.norm(vec))
+    if norm < 1e-12:
+        return float("inf"), 0j
+    tv = transfer_matrix(chain, PROBE_U) @ vec
+    lam = complex(np.vdot(vec, tv) / np.vdot(vec, vec))
+    return float(np.linalg.norm(tv - lam * vec) / (norm * (1.0 + abs(lam)))), lam
 
 
 def _assert_same_certificate(chain, roots):
-    res, shift, lam = _dense_certificate(chain, roots)
+    res, lam = _dense_certificate(chain, roots)
     cert = certify_roots(chain, roots)
-    assert cert.shift == shift
     assert (cert.residual < 1e-8) == (res < 1e-8)
     assert abs(cert.eigenvalue - lam) <= 1e-10 * abs(lam)
 
