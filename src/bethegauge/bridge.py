@@ -17,6 +17,8 @@ a stack of gauge points to eta, the site spins and inhomogeneities and, per
 cutoff, xi_+-, and :func:`map_gauge_to_chain` builds its chain from row 0.
 Verification draws random admissible points, maps each chunk of kept draws
 across at once, and reports the worst |vacuum_lhs - branch * bethe_lhs|.
+A chunk is a unit of work only: the draws, the ledger and the report are
+the same whatever the chunk size, so its one constant is set by cost alone.
 An infinite boundary parameter is realized as opposite-sign imaginary
 regulators +-iT; the equal-sign reading leaves a residual phase
 exp(-4*pi*i*u) and never converges, so the opposite-sign pairing is the
@@ -382,8 +384,14 @@ def _extrapolate_geometric(values: np.ndarray) -> np.ndarray:
     return np.where(last, b3, b3 - d * d / np.where(last, 1.0, den))
 
 
-#: draws scored together in one stacked evaluation; bounds the arrays of a chunk
-_CHUNK = 64
+#: draws scored together in one stacked evaluation.  Each chunk pays one fixed
+#: stack of calls (vacuum products, window, dictionary, root mask, Bethe
+#: parameters and products), which at 64 draws cost more than the draws.  On a
+#: 2-core x86 host with one BLAS thread, the 33 CLI tasks of a benchmark
+#: certify round take 0.29 s at 256 against 0.42 s at 64 (0.30 s at 384 and
+#: 512), and the largest traced peak of a task, verify D-3d rank 3 with its
+#: three cutoffs, is 1.4 MB (0.8 MB at 64).  Reports do not depend on it.
+_CHUNK = 256
 #: a run gives up once this many draws per requested sample leave it short
 _DRAWS_PER_SAMPLE = 60
 #: a draw is kept only when every vacuum product lies strictly inside this
@@ -415,6 +423,11 @@ def _sample(rng: np.random.Generator, bounds: Sequence[Tuple[float, float]], sca
     with an ``attempted`` count of zero and one zero count per outcome it
     can hold.  Raises RuntimeError once the first 60 * ``samples`` draws
     leave fewer than ``samples`` accepted.
+
+    What it yields and counts does not depend on :data:`_CHUNK`: the draws
+    are one stream however it is split, the score of a row does not depend
+    on the other rows of its chunk, the unscored tail of the last chunk is
+    neither yielded nor counted, and the cap bounds draws, not chunks.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -524,7 +537,7 @@ def verify_identity(
         points, vac, bethe = points[ok], vac[ok], bethe[ok]
         if uses_cutoff:
             per_cut = np.abs(vac[:, None, :] - branch.sign * bethe).max(axis=2)
-            cutoff_worst = np.maximum(cutoff_worst, per_cut.max(axis=0))
+            cutoff_worst = np.maximum(cutoff_worst, per_cut.max(axis=0, initial=0.0))
             bethe = _extrapolate_geometric(bethe.transpose(0, 2, 1))
         else:
             bethe = bethe[:, 0]

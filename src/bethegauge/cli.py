@@ -413,9 +413,7 @@ def _cmd_solve_bethe(ns: argparse.Namespace) -> int:
     sets = []
     human = ["solve-bethe %s L=%d M=%d: %d root set(s)"
              % (chain.kind, chain.n_sites, chain.n_magnons, len(result))]
-    for roots in result:
-        res = bethe_residuals(chain, roots) if roots.values else np.zeros(0)
-        worst = float(np.max(res)) if res.size else 0.0
+    for roots, worst in zip(result, result.residuals):
         sets.append({"u": list(roots.values), "max_residual": worst})
         human.append("  u=%s  max|LHS-1|=%.3e"
                      % (["%.12g%+.12gj" % (z.real, z.imag) for z in roots.values], worst))
@@ -452,9 +450,11 @@ def _cmd_cross_check(ns: argparse.Namespace) -> int:
     preset = preset_by_id(ns.preset)
     spec = _gauge_spec(ns, preset.family, preset.scale, np.random.default_rng(ns.seed))
     rep = cross_check(spec, preset, _solve_config(ns))
-    return _emit_report(
-        ns, rep, "cross-check %s rank %d nf %d: %d root set(s), mapped residual %.3e"
-        % (preset.id, spec.rank, ns.nf, rep.samples, rep.max_residual))
+    summary = ("cross-check %s rank %d nf %d: %d root set(s), mapped residual %.3e"
+               % (preset.id, spec.rank, ns.nf, rep.samples, rep.max_residual))
+    if not rep.samples:  # say what became of the starts
+        summary += " (%s)" % rep.notes["cause"]
+    return _emit_report(ns, rep, summary)
 
 
 # ---------------------------------------------------------------------------

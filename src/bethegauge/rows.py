@@ -130,8 +130,15 @@ class RowTable:
 
         Returns the values (S, n_eq) and the singular mask (S,): a point is
         singular exactly where :meth:`product` raises for one of its
-        equations.  The values of a singular point are unspecified.
+        equations.  The values of a singular point are unspecified.  A point's
+        values do not depend on the other points of its stack: a one-point
+        stack is evaluated as two copies of the point, since numpy takes a
+        single row through other kernels (BLAS matrix-vector for the
+        arguments, a scalar loop for the products) that round differently.
         """
+        if len(x) == 1:
+            values, singular = self.products(np.concatenate((x, x)))
+            return values[:1], singular[:1]
         a, f = self.factors(x)
         with np.errstate(all="ignore"):  # a factor at a zero, masked as singular
             fp = f ** self.power

@@ -85,10 +85,16 @@ class SolveConfig:
 
 @dataclass
 class SolveResult:
-    """List-like container of solutions plus run diagnostics."""
+    """List-like container of solutions plus run diagnostics.
+
+    ``residuals`` holds, per solution of :func:`solve_bethe`, the largest
+    |value - 1| over its equations, as the stacked product-form check that
+    accepted it read it.  :func:`solve_vacuum` leaves it empty.
+    """
 
     solutions: List
     diagnostics: Dict[str, object] = field(default_factory=dict)
+    residuals: List[float] = field(default_factory=list)
 
     def __iter__(self):
         return iter(self.solutions)
@@ -318,12 +324,18 @@ def _distinct(keys: Sequence[Tuple], tol: float) -> List[int]:
     return kept
 
 
+def _worst(values: np.ndarray, singular: np.ndarray, target: float) -> np.ndarray:
+    """Per point of a stack, the largest |value - target| over its equations
+    (values (S, n_eq)); inf where the point is singular."""
+    worst = np.full(len(values), np.inf)
+    worst[~singular] = np.max(np.abs(values[~singular] - target), axis=1)
+    return worst
+
+
 def _misses(values: np.ndarray, singular: np.ndarray, target: float, tol: float) -> np.ndarray:
     """The stacked product-form check: the points that are singular or whose
     equations (values (S, n_eq)) miss the target by more than tol."""
-    miss = singular.copy()
-    miss[~singular] = np.max(np.abs(values[~singular] - target), axis=1) > tol
-    return miss
+    return _worst(values, singular, target) > tol
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +367,7 @@ def solve_bethe(chain: ChainSpec, cfg: SolveConfig) -> SolveResult:
     m = chain.n_magnons
     if m == 0:
         return SolveResult([BetheRoots(())], {"n_converged": 1, "n_starts": 0,
-                                              "fates": _ledger(0)})
+                                              "fates": _ledger(0)}, [0.0])
     radius = (
         2.0
         + chain.n_sites * abs(chain.eta) * max(1.0, max(abs(s) for s in chain.spins))
@@ -398,15 +410,17 @@ def solve_bethe(chain: ChainSpec, cfg: SolveConfig) -> SolveResult:
             fates["invalid"] += 1
             continue
         sets.append(roots)
+    worst = np.zeros(0)
     if sets:
-        miss = _misses(*_bethe_stack([chain] * len(sets), np.array([r.values for r in sets])),
-                       1.0, cfg.tol)
+        worst = _worst(*_bethe_stack([chain] * len(sets), np.array([r.values for r in sets])), 1.0)
+        miss = worst > cfg.tol
         fates["residual"] = int(miss.sum())
-        sets = [r for r, bad in zip(sets, miss.tolist()) if not bad]
-    found = [sets[k] for k in _distinct([r.values for r in sets], cfg.dedup_tol)]
-    fates["duplicate"], fates["accepted"] = len(sets) - len(found), len(found)
-    return SolveResult(found, {"n_converged": sum(u is not None for u in run),
-                               "n_starts": len(starts), "fates": fates})
+        sets, worst = [r for r, bad in zip(sets, miss.tolist()) if not bad], worst[~miss]
+    kept = _distinct([r.values for r in sets], cfg.dedup_tol)
+    fates["duplicate"], fates["accepted"] = len(sets) - len(kept), len(kept)
+    return SolveResult([sets[k] for k in kept], {"n_converged": sum(u is not None for u in run),
+                                                 "n_starts": len(starts), "fates": fates},
+                       worst[kept].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from bethegauge.bridge import (
     presets,
     verify_identity,
 )
+from bethegauge import bridge
 from bethegauge import chain as chain_module
 from bethegauge.chain import BetheRoots, _bethe_system, bethe_lhs, validate_roots
 from bethegauge.chain import ChainSpec, _bethe_params, _bethe_table, _root_clashes
@@ -664,3 +665,57 @@ def test_gauge_chain_gauge_round_trips(preset, rank, pairs, data):
         assert close(back.masses, spec.masses) and close(back.masses_anti, spec.masses_anti)
     else:
         assert close(back.masses, sorted(spec.masses))
+
+
+# ---------------------------------------------------------------------------
+# the chunk size is a unit of work, never part of a report
+# ---------------------------------------------------------------------------
+
+
+#: 1 and 7 split the draws into many short chunks; 10**6 scores the whole cap as one
+CHUNKS = (1, 7, 64, 256, 10**6)
+
+
+def _under_each_chunk(monkeypatch, run):
+    """run() once per chunk size: its result, or the message of its RuntimeError."""
+    out = []
+    for chunk in CHUNKS:
+        monkeypatch.setattr(bridge, "_CHUNK", chunk)
+        try:
+            out.append(run())
+        except RuntimeError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("preset_id, rank, seed", [
+    ("B-3d-P1", 2, 3),
+    ("C-2d-P1", 3, 0),
+    ("D-3d", 2, 0),  # a chunk of one draw keeps none: no cutoff residual to fold in
+    ("A-3d", 2, 0),
+])
+def test_verify_report_does_not_depend_on_the_chunk_size(monkeypatch, preset_id, rank, seed):
+    preset = preset_by_id(preset_id)
+    reports = _under_each_chunk(
+        monkeypatch, lambda: verify_identity(preset, (rank, 4), samples=3, seed=seed).to_dict())
+    assert reports[0]["notes"]["draws"]["accepted"] == 3
+    assert all(r == reports[0] for r in reports[1:])
+
+
+@pytest.mark.parametrize("family, rank", [("B", 3), ("C", 2)])
+def test_duality_report_does_not_depend_on_the_chunk_size(monkeypatch, family, rank):
+    masses = (0.41, 1.07, 0.66, 0.93)
+    pair = [GaugeTheorySpec(family, rank, 4, masses, 0.8, realization=r) for r in ("I", "II")]
+    reports = _under_each_chunk(monkeypatch,
+                                lambda: duality_compare(*pair, samples=4, seed=2).to_dict())
+    assert reports[0]["notes"]["draws"]["accepted"] == 4
+    assert all(r == reports[0] for r in reports[1:])
+
+
+def test_exhausted_sampling_does_not_depend_on_the_chunk_size(monkeypatch):
+    preset = preset_by_id("B-2d")
+    messages = _under_each_chunk(
+        monkeypatch, lambda: verify_identity(preset, (3, 4), samples=3, seed=0))
+    assert messages[0].startswith("sampling kept hitting singular configurations")
+    assert "attempted 180," in messages[0]
+    assert all(m == messages[0] for m in messages[1:])

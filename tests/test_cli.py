@@ -6,6 +6,8 @@ import pytest
 
 from bethegauge import cli
 from bethegauge.cli import run
+from bethegauge.chain import ChainSpec
+from bethegauge.solve import SolveConfig, solve_bethe
 
 
 def _json_doc(capsys, argv):
@@ -314,3 +316,25 @@ def test_cross_check_notes_name_the_self_conjugate_filter(capsys):
     assert code == 1
     assert notes["cause"] == "64 starts: self_conjugate 64"
     assert notes["fates"]["self_conjugate"] == notes["n_converged"] == 64
+
+
+def test_solve_bethe_prints_the_residuals_its_solve_accepted(capsys, monkeypatch):
+    def rescore(*args):
+        raise AssertionError("solve-bethe scored a root set again")
+
+    monkeypatch.setattr(cli, "bethe_residuals", rescore)
+    code, doc = _json_doc(capsys, ["solve-bethe", "--kind", "closed-xxz", "--sites", "3",
+                                   "--magnons", "1", "--eta", "0.317",
+                                   "--thetas=0.03,-0.07,0.11", "--starts", "16", "--seed", "0"])
+    chain = ChainSpec("closed-xxz", 3, 1, 0.317, (0.5,) * 3, (0.03, -0.07, 0.11))
+    result = solve_bethe(chain, SolveConfig(n_starts=16, seed=0))
+    assert code == 0 and result.residuals
+    assert [s["max_residual"] for s in doc["root_sets"]] == result.residuals
+
+
+def test_cross_check_summary_names_why_no_set_was_accepted(capsys):
+    assert run(["cross-check", "--preset", "D-3d", "--rank", "1", "--nf", "2"]) == 1
+    assert capsys.readouterr().out == ("cross-check D-3d rank 1 nf 2: 0 root set(s), mapped "
+                                       "residual inf (64 starts: self_conjugate 64) -> FAIL\n")
+    assert run(["cross-check", "--preset", "A-3d", "--rank", "1", "--nf", "2"]) == 0
+    assert "starts" not in capsys.readouterr().out

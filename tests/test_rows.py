@@ -238,6 +238,18 @@ def test_stacked_products_equal_product_row_by_row(case):
     _assert_stack_matches_products(*case)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_table_and_stack())
+def test_a_row_evaluates_alike_alone_and_in_a_stack(case):
+    # so that how a sampler groups its draws never shows in a report
+    table, stack = case
+    values, singular = table.products(stack)
+    for k in range(len(stack)):
+        values1, singular1 = table.products(stack[k:k + 1])
+        assert np.array_equal(values1[0], values[k], equal_nan=True)
+        assert singular1[0] == singular[k]
+
+
 # ---------------------------------------------------------------------------
 # import graph: the independent witnesses never read the row tables
 # ---------------------------------------------------------------------------

@@ -562,3 +562,15 @@ def test_cross_check_names_the_filter_that_emptied_it():
     fates = report.notes["fates"]
     assert fates["self_conjugate"] == report.notes["n_converged"] > 0
     assert report.notes["cause"] == "%d starts: self_conjugate %d" % (CFG.n_starts, CFG.n_starts)
+
+
+@pytest.mark.parametrize("chain", [CLOSED_XXZ, OPEN_XXZ], ids=["closed", "open"])
+def test_solve_keeps_the_residual_that_accepted_each_set(chain):
+    res = solve_bethe(chain, CFG)
+    assert res.solutions and len(res.residuals) == len(res)
+    # bitwise: a row evaluates alike in the solve's stack and in this one
+    values, _ = _bethe_stack([chain] * len(res), np.array([r.values for r in res]))
+    assert res.residuals == np.max(np.abs(values - 1.0), axis=1).tolist()
+    assert max(res.residuals) <= CFG.tol
+    no_magnons = ChainSpec("closed-xxx", 2, 0, 0.37, (0.5,) * 2, (0.0, 0.0))
+    assert solve_bethe(no_magnons, CFG).residuals == [0.0]
