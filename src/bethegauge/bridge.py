@@ -541,14 +541,15 @@ def verify_identity(
             bethe = _extrapolate_geometric(bethe.transpose(0, 2, 1))
         else:
             bethe = bethe[:, 0]
-        for k, res in enumerate(np.abs(vac - branch.sign * bethe).max(axis=1).tolist()):
-            if res > max_residual:
-                max_residual = res
-                spec, sigma = _drawn_gauge(preset, dims, points[k])
-                worst = {"sigma": sigma.tolist(), "masses": list(spec.masses),
-                         "m_adj": float(spec.m_adj)}
-                if preset.family == "A":  # the drawn anti-fundamental masses replay the point
-                    worst["masses_anti"] = list(spec.masses_anti)
+        res = np.abs(vac - branch.sign * bethe).max(axis=1)
+        if len(res) and res.max() > max_residual:
+            k = int(res.argmax())  # the chunk's first worst draw
+            max_residual = float(res[k])
+            spec, sigma = _drawn_gauge(preset, dims, points[k])
+            worst = {"sigma": sigma.tolist(), "masses": list(spec.masses),
+                     "m_adj": float(spec.m_adj)}
+            if preset.family == "A":  # the drawn anti-fundamental masses replay the point
+                worst["masses_anti"] = list(spec.masses_anti)
 
     notes: Dict[str, object] = {"root_shift": 0.0, "draws": ledger}
     if uses_cutoff:
@@ -584,6 +585,9 @@ def calibrate_preset(
     the final word.  Deterministic for a fixed seed.
     """
     base = presets(family, regime)
+    if not base:
+        raise ValueError("no preset to calibrate from for family %s in regime %s"
+                         % (family, regime))
     if xi_candidates is None:
         xi_candidates = list(dict.fromkeys((p.xi_plus, p.xi_minus) for p in base))
     kind = base[0].chain_kind
@@ -636,10 +640,11 @@ def duality_compare(
             np.random.default_rng(seed), [(0.05, 0.95)] * gauge_i.dim, math.pi, samples,
             score, ledger):
         ok = outcome == _ACCEPTED
-        for k, res in zip(np.flatnonzero(ok), np.abs(vals_i[ok] - vals_ii[ok]).max(axis=1).tolist()):
-            if res > max_residual:
-                max_residual = res
-                worst = {"sigma": sigma[k].tolist()}
+        res = np.abs(vals_i[ok] - vals_ii[ok]).max(axis=1)
+        if len(res) and res.max() > max_residual:
+            k = int(res.argmax())  # the chunk's first worst draw
+            max_residual = float(res[k])
+            worst = {"sigma": sigma[ok][k].tolist()}
     return VerificationReport(
         preset_id="duality-%s-%d" % (gauge_i.family, gauge_i.rank),
         samples=samples,

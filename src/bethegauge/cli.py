@@ -433,8 +433,7 @@ def _cmd_solve_vacuum(ns: argparse.Namespace) -> int:
     sols = []
     human = ["solve-vacuum %s rank %d branch %+d: %d solution(s)"
              % (spec.family, spec.rank, sign, len(result))]
-    for sig in result:
-        worst = max(abs(v - sign) for v in _vacuum_lhs_values(spec, sig, ns.regime))
+    for sig, worst in zip(result, result.residuals):
         sols.append({"sigma": list(sig), "max_residual": worst})
         human.append("  sigma=%s  max|LHS-branch|=%.3e"
                      % (["%.12g" % s for s in sig], worst))

@@ -16,7 +16,8 @@ The product forms, the solver's log residual, its Jacobian
 C^T diag(power f'/f) and its start filter all evaluate the rows through
 :meth:`RowTable.factors`.  :meth:`RowTable.product` takes one point;
 :meth:`RowTable.products` takes a stack of points, one per sampled draw, and
-marks the singular ones with the same guard; the solver passes a stack of
+marks the singular ones with the same guard, and :func:`deviation` reads a
+point's residual from what it returns; the solver passes a stack of
 points, one per Newton start, and gets the log sums and Jacobians of the
 whole stack from real matrix products.
 """
@@ -161,6 +162,15 @@ class RowTable:
         """d log_sum / d unknowns, C^T diag(power f'/f) per equation: (S, R) -> (S, n_eq, n)."""
         g = self.power.real / (a if self.kind == "linear" else np.tan(a))
         return _real_product(g, self._jacobian).reshape(len(a), len(self.by_eq), self.n_unknowns)
+
+
+def deviation(values: np.ndarray, singular: np.ndarray, target) -> np.ndarray:
+    """Per point of a stack, the largest |value - target| over its equations,
+    from the (values (S, n_eq), singular (S,)) of :meth:`RowTable.products`;
+    inf where the point is singular."""
+    worst = np.full(len(values), np.inf)
+    worst[~singular] = np.max(np.abs(values[~singular] - target), axis=1)
+    return worst
 
 
 def _real_product(z: np.ndarray, doubled: np.ndarray) -> np.ndarray:

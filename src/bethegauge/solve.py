@@ -13,8 +13,10 @@ through the guarded product-form evaluators, never the solver's own residual.
 A solve first draws all its starts, scoring the draws against the pole
 filter a stack at a time, then steps them together: one masked, damped
 Newton iteration over the stack, in which each start keeps its own step
-length, iteration count and fate.  The converged starts are then checked
-by one stacked product-form evaluation and deduplicated in start order.
+length, iteration count and fate.  Both solvers then end in one acceptance
+step (:func:`_accept`): the converged starts are taken to their canonical
+keys, checked there by one stacked product-form evaluation, and deduplicated
+in start order; each solution keeps the residual that check read.
 ``diagnostics["fates"]`` counts what became of every start (see FATES).
 
 Deduplication quotients by the exact symmetries of each system: magnon
@@ -39,10 +41,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .chain import BetheRoots, ChainSpec, _bethe_stack, _bethe_system, validate_roots
-from .gauge import (REGIME_SCALE, GaugeTheorySpec, VacuumBranch, _vacuum_lhs_stack,
-                    _vacuum_lhs_values, _vacuum_system)
-from .rows import RowTable
-from .specfun import SingularPointError
+from .gauge import REGIME_SCALE, GaugeTheorySpec, VacuumBranch, _vacuum_lhs_stack, _vacuum_system
+from .rows import RowTable, deviation
 
 #: starts are resampled while any product factor is smaller than this
 POLE_TOL = 1e-3
@@ -87,9 +87,9 @@ class SolveConfig:
 class SolveResult:
     """List-like container of solutions plus run diagnostics.
 
-    ``residuals`` holds, per solution of :func:`solve_bethe`, the largest
-    |value - 1| over its equations, as the stacked product-form check that
-    accepted it read it.  :func:`solve_vacuum` leaves it empty.
+    ``residuals`` holds, per solution, the largest |value - target| over its
+    equations (target 1 for Bethe roots, the branch sign for a vacuum), as
+    the stacked product-form check that accepted it read it.
     """
 
     solutions: List
@@ -324,18 +324,21 @@ def _distinct(keys: Sequence[Tuple], tol: float) -> List[int]:
     return kept
 
 
-def _worst(values: np.ndarray, singular: np.ndarray, target: float) -> np.ndarray:
-    """Per point of a stack, the largest |value - target| over its equations
-    (values (S, n_eq)); inf where the point is singular."""
-    worst = np.full(len(values), np.inf)
-    worst[~singular] = np.max(np.abs(values[~singular] - target), axis=1)
-    return worst
-
-
-def _misses(values: np.ndarray, singular: np.ndarray, target: float, tol: float) -> np.ndarray:
-    """The stacked product-form check: the points that are singular or whose
-    equations (values (S, n_eq)) miss the target by more than tol."""
-    return _worst(values, singular, target) > tol
+def _accept(keys: Sequence[Tuple], check, target: float, cfg: SolveConfig,
+            fates: Dict[str, int]) -> Tuple[List[int], List[float]]:
+    """The acceptance step of both solvers, over the canonical keys of the
+    converged candidates.  ``check`` maps the keys as one stack (S, n) to the
+    (values, singular) of :meth:`RowTable.products`; a key whose residual,
+    its largest |value - target|, is above cfg.tol or that is singular is
+    dropped, and the rest are deduplicated in order.  Counts the residual,
+    duplicate and accepted fates; returns the indices of the accepted keys
+    and their residuals."""
+    worst = deviation(*check(np.array(keys)), target) if keys else np.zeros(0)
+    hit = np.flatnonzero(worst <= cfg.tol)
+    kept = hit[_distinct([keys[k] for k in hit], cfg.dedup_tol)]
+    fates["residual"], fates["duplicate"], fates["accepted"] = (
+        len(keys) - len(hit), len(hit) - len(kept), len(kept))
+    return kept.tolist(), worst[kept].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +413,11 @@ def solve_bethe(chain: ChainSpec, cfg: SolveConfig) -> SolveResult:
             fates["invalid"] += 1
             continue
         sets.append(roots)
-    worst = np.zeros(0)
-    if sets:
-        worst = _worst(*_bethe_stack([chain] * len(sets), np.array([r.values for r in sets])), 1.0)
-        miss = worst > cfg.tol
-        fates["residual"] = int(miss.sum())
-        sets, worst = [r for r, bad in zip(sets, miss.tolist()) if not bad], worst[~miss]
-    kept = _distinct([r.values for r in sets], cfg.dedup_tol)
-    fates["duplicate"], fates["accepted"] = len(sets) - len(kept), len(kept)
+    kept, residuals = _accept([r.values for r in sets],
+                              lambda u: _bethe_stack([chain] * len(u), u), 1.0, cfg, fates)
     return SolveResult([sets[k] for k in kept], {"n_converged": sum(u is not None for u in run),
                                                  "n_starts": len(starts), "fates": fates},
-                       worst[kept].tolist())
+                       residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +462,7 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
         # no interactions at all: every point is a vacuum on the + branch
         diag = {"underdetermined": True, "n_starts": 0, "fates": _ledger(0)}
         if branch.sign == +1:
-            return SolveResult([np.zeros(n)], diag)
+            return SolveResult([np.zeros(n)], diag, [0.0])
         return SolveResult([], diag)
     target = 0.0 if branch.sign == +1 else math.pi * 1j
     extent = max([abs(spec.m_adj)] + [abs(m) for m in spec.masses]
@@ -484,16 +481,12 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
     fates = _ledger(cfg.n_starts, run)
     real = [sol.real for sol in run if sol is not None and np.max(np.abs(sol.imag)) <= 1e-9]
     fates["complex_vacuum"] = sum(sol is not None for sol in run) - len(real)
-    keys: List[Tuple[float, ...]] = []
-    if real:
-        sigma = np.array(real)
-        miss = _misses(*_vacuum_lhs_stack(spec, regime, sigma), branch.sign, cfg.tol)
-        fates["residual"] = int(miss.sum())
-        keys = [_canonical_sigma(spec.family, sig, fold=not rational) for sig in sigma[~miss]]
-    found = [np.array(keys[k]) for k in _distinct(keys, cfg.dedup_tol)]
-    fates["duplicate"], fates["accepted"] = len(keys) - len(found), len(found)
-    return SolveResult(found, {"n_converged": len(real), "n_starts": len(starts),
-                               "fates": fates})
+    keys = [_canonical_sigma(spec.family, sig, fold=not rational) for sig in real]
+    kept, residuals = _accept(keys, lambda sigma: _vacuum_lhs_stack(spec, regime, sigma),
+                              branch.sign, cfg, fates)
+    return SolveResult([np.array(keys[k]) for k in kept],
+                       {"n_converged": len(real), "n_starts": len(starts), "fates": fates},
+                       residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -509,30 +502,18 @@ def cross_check(spec: GaugeTheorySpec, preset, cfg: SolveConfig,
     cutoff = 20.0
     chain, pm = map_gauge_to_chain(preset, spec, cutoff=cutoff)
     sols = solve_bethe(chain, cfg)
-    branch = preset.branch
-    if not sols.solutions:
-        return VerificationReport(
-            preset_id=preset.id, samples=0, seed=cfg.seed, tol=map_tol,
-            max_residual=math.inf, worst_point=None, passed=False,
-            branch_used=branch.sign,
-            notes={"diagnostics": "no Bethe root sets converged",
-                   "cause": fates_summary(sols.diagnostics["fates"]), **sols.diagnostics},
-        )
-    max_residual = 0.0
-    worst = None
-    for roots in sols:
-        sigma = np.array(pm.u_to_sigma(roots.values))
-        try:
-            res = max(abs(v - branch.sign)
-                      for v in _vacuum_lhs_values(spec, sigma, preset.regime))
-        except SingularPointError:
-            res = math.inf
-        if res > max_residual:
-            max_residual = res
-            worst = {"u": [repr(v) for v in roots.values]}
+    if sols.solutions:
+        sigma = np.array([pm.u_to_sigma(r.values) for r in sols])
+        res = deviation(*_vacuum_lhs_stack(spec, preset.regime, sigma), preset.branch.sign)
+        k = int(np.argmax(res))  # the first worst set; a singular one reads inf
+        max_residual, worst = float(res[k]), {"u": [repr(v) for v in sols[k].values]}
+        notes = {"n_root_sets": len(sols), **sols.diagnostics}
+    else:
+        max_residual, worst = math.inf, None
+        notes = {"diagnostics": "no Bethe root sets converged",
+                 "cause": fates_summary(sols.diagnostics["fates"]), **sols.diagnostics}
     return VerificationReport(
         preset_id=preset.id, samples=len(sols), seed=cfg.seed, tol=map_tol,
-        max_residual=max_residual, worst_point=worst,
-        passed=max_residual <= map_tol, branch_used=branch.sign,
-        notes={"n_root_sets": len(sols), **sols.diagnostics},
+        max_residual=max_residual, worst_point=worst, passed=max_residual <= map_tol,
+        branch_used=preset.branch.sign, notes=notes,
     )

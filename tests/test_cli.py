@@ -7,7 +7,8 @@ import pytest
 from bethegauge import cli
 from bethegauge.cli import run
 from bethegauge.chain import ChainSpec
-from bethegauge.solve import SolveConfig, solve_bethe
+from bethegauge.gauge import BRANCH_PLUS, GaugeTheorySpec
+from bethegauge.solve import SolveConfig, solve_bethe, solve_vacuum
 
 
 def _json_doc(capsys, argv):
@@ -338,3 +339,30 @@ def test_cross_check_summary_names_why_no_set_was_accepted(capsys):
                                        "residual inf (64 starts: self_conjugate 64) -> FAIL\n")
     assert run(["cross-check", "--preset", "A-3d", "--rank", "1", "--nf", "2"]) == 0
     assert "starts" not in capsys.readouterr().out
+
+
+def test_solve_vacuum_prints_the_residuals_its_solve_accepted(capsys, monkeypatch):
+    def rescore(*args):
+        raise AssertionError("solve-vacuum scored a solution again")
+
+    monkeypatch.setattr(cli, "_vacuum_lhs_values", rescore)
+    code, doc = _json_doc(capsys, ["solve-vacuum", "--family", "B", "--rank", "2", "--nf", "2",
+                                   "--masses=-0.31,0.52", "--m-adj", "0.3",
+                                   "--starts", "16", "--seed", "0"])
+    spec = GaugeTheorySpec("B", 2, 2, (-0.31, 0.52), 0.3)
+    result = solve_vacuum(spec, BRANCH_PLUS, SolveConfig(n_starts=16, seed=0))
+    assert code == 0 and result.residuals
+    assert [s["max_residual"] for s in doc["solutions"]] == result.residuals
+
+
+def test_solve_vacuum_without_interactions_prints_its_one_solution(capsys):
+    assert run(["solve-vacuum", "--family", "A", "--rank", "1", "--nf", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "  sigma=['0']  max|LHS-branch|=0.000e+00"
+
+
+def test_calibrate_without_a_preset_names_the_family_and_regime(capsys):
+    assert run(["calibrate", "--family", "A", "--regime", "2d"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no preset to calibrate from for family A in regime 2d\n"

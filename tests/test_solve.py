@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bethegauge.bridge import preset_by_id
+from bethegauge.bridge import map_gauge_to_chain, preset_by_id
 from bethegauge.chain import (
     BetheRoots,
     ChainSpec,
@@ -29,7 +29,7 @@ from bethegauge.gauge import (
     vacuum_lhs_2d,
 )
 from bethegauge.lie_roots import weyl_images
-from bethegauge.rows import RowTable
+from bethegauge.rows import RowTable, deviation
 from bethegauge.solve import (
     SolveConfig,
     SolveResult,
@@ -484,7 +484,7 @@ def test_stacked_vacuum_acceptance_classifies_as_one_by_one(regime):
         with pytest.raises(SingularPointError):
             _vacuum_lhs_values(spec, points[-1], regime)
     stack = np.array(points)
-    misses = solve._misses(*_vacuum_lhs_stack(spec, regime, stack), 1.0, CFG.tol)
+    misses = deviation(*_vacuum_lhs_stack(spec, regime, stack), 1.0) > CFG.tol
     assert list(misses) == _vacuum_misses_one_by_one(spec, regime, points)
     assert not misses[: len(found)].any() and misses[len(found):].all()
 
@@ -503,7 +503,7 @@ def test_stacked_bethe_acceptance_classifies_as_one_by_one(chain):
             one_by_one.append(bool(np.max(bethe_residuals(chain, BetheRoots(r))) > CFG.tol))
         except SingularPointError:
             one_by_one.append(True)
-    misses = solve._misses(*_bethe_stack([chain] * len(points), np.array(points)), 1.0, CFG.tol)
+    misses = deviation(*_bethe_stack([chain] * len(points), np.array(points)), 1.0) > CFG.tol
     assert list(misses) == one_by_one
     assert not misses[: len(found)].any() and misses[len(found):].all()
 
@@ -574,3 +574,43 @@ def test_solve_keeps_the_residual_that_accepted_each_set(chain):
     assert max(res.residuals) <= CFG.tol
     no_magnons = ChainSpec("closed-xxx", 2, 0, 0.37, (0.5,) * 2, (0.0, 0.0))
     assert solve_bethe(no_magnons, CFG).residuals == [0.0]
+
+
+@pytest.mark.parametrize("regime", ["3d", "2d"])
+def test_solve_vacuum_keeps_the_residual_that_accepted_each_solution(regime):
+    spec = GaugeTheorySpec("B", 2, 2, (-0.31, 0.52), 0.3)
+    res = solve_vacuum(spec, BRANCH_PLUS, CFG, rational=regime == "2d")
+    assert res.solutions and len(res.residuals) == len(res)
+    # bitwise: a row evaluates alike in the solve's stack and in this one
+    stacked = deviation(*_vacuum_lhs_stack(spec, regime, np.array(res.solutions)), 1.0)
+    assert res.residuals == stacked.tolist()
+    assert max(res.residuals) <= CFG.tol
+    free = GaugeTheorySpec("A", 1, 0, (), 0.3, masses_anti=())
+    assert solve_vacuum(free, BRANCH_PLUS, CFG).residuals == [0.0]
+
+
+def _mapped_residual_one_by_one(spec, preset):
+    chain, pm = map_gauge_to_chain(preset, spec, cutoff=20.0)
+    worst = 0.0
+    for roots in solve_bethe(chain, CFG):
+        sigma = np.array(pm.u_to_sigma(roots.values))
+        try:
+            lhs = _vacuum_lhs_values(spec, sigma, preset.regime)
+            worst = max(worst, max(abs(v - preset.branch.sign) for v in lhs))
+        except SingularPointError:
+            worst = math.inf
+    return worst
+
+
+@pytest.mark.parametrize("preset_id, spec", [
+    ("A-3d", GaugeTheorySpec("A", 2, 2, (0.55, 0.91), 0.48, masses_anti=(0.62, 0.83))),
+    ("B-3d-P1", GaugeTheorySpec("B", 1, 2, (0.61, 0.94), 0.52)),
+    ("C-3d-P1", GaugeTheorySpec("C", 1, 2, (0.61, 0.94), 0.52)),
+    ("B-2d", GaugeTheorySpec("B", 1, 2, (0.21, 0.34), 0.17)),
+])
+def test_cross_check_scores_as_one_by_one(preset_id, spec):
+    preset = preset_by_id(preset_id)
+    report = cross_check(spec, preset, CFG)
+    reference = _mapped_residual_one_by_one(spec, preset)
+    assert report.notes["n_root_sets"] >= 1 and math.isfinite(reference)
+    assert abs(report.max_residual - reference) <= 1e-14
