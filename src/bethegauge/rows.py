@@ -143,7 +143,9 @@ class RowTable:
         a, f = self.factors(x)
         with np.errstate(all="ignore"):  # a factor at a zero, masked as singular
             fp = f ** self.power
-            values = np.stack([fp[:, rows].prod(axis=1) for rows in self.rows_of], axis=1)
+            values = np.ones((len(x), len(self.rows_of)), dtype=complex)  # (S, 0) without equations
+            for j, rows in enumerate(self.rows_of):
+                values[:, j] = fp[:, rows].prod(axis=1)
         return values, self._singular(a, f).any(axis=1)
 
     def log_sum(self, f: np.ndarray, mag: Optional[np.ndarray] = None) -> np.ndarray:
@@ -169,7 +171,7 @@ def deviation(values: np.ndarray, singular: np.ndarray, target) -> np.ndarray:
     from the (values (S, n_eq), singular (S,)) of :meth:`RowTable.products`;
     inf where the point is singular."""
     worst = np.full(len(values), np.inf)
-    worst[~singular] = np.max(np.abs(values[~singular] - target), axis=1)
+    worst[~singular] = np.max(np.abs(values[~singular] - target), axis=1, initial=0.0)
     return worst
 
 

@@ -10,24 +10,29 @@ log residual is folded back by multiples of 2*pi*i, which removes the
 winding ambiguity of the product form; acceptance of a candidate always goes
 through the guarded product-form evaluators, never the solver's own residual.
 
-A solve first draws all its starts, scoring the draws against the pole
-filter a stack at a time, then steps them together: one masked, damped
-Newton iteration over the stack, in which each start keeps its own step
-length, iteration count and fate.  Both solvers then end in one acceptance
-step (:func:`_accept`): the converged starts are taken to their canonical
-keys, checked there by one stacked product-form evaluation, and deduplicated
-in start order; each solution keeps the residual that check read.
+Both solvers are one solve (:func:`_solve`) and differ only in their row
+table and parameters, target, radius, start draw and screen.  A solve
+first draws all its starts, scoring the draws against the pole filter a
+stack at a time, then steps them together: one masked, damped Newton
+iteration over the stack, in which each start keeps its own step length,
+iteration count and fate.  The screen drops complex vacua, or self-conjugate
+and invalid root sets, and takes the rest to their canonical keys; the keys
+are checked by one stacked product-form evaluation of the system's own
+table and deduplicated in start order, and each solution keeps the residual
+that check read.  A system without rows (no magnons, or a vacuum without
+interactions) runs the same steps with every start at 0.
 ``diagnostics["fates"]`` counts what became of every start (see FATES).
 
-Deduplication quotients by the exact symmetries of each system: magnon
-permutations, periodicity u -> u + 1 for trig chains, u_i -> -u_i for open
-chains, and the Weyl group plus sigma -> sigma + pi on the vacuum side.
-A sorted key cannot see permutations, so the vacuum key runs over the sign
-changes of the Weyl group only: none for A, all 2^n for B and C, the even
-ones for D.  The periods are quotiented at the fold: a value is reduced into
-[0, period), and one that rounds to the period at 9 digits is taken to the
-low end, so that both sides of the fold 0 = period give the same key; a
-representative can so lie up to 5e-10 below 0.
+Deduplication quotients by the exact symmetries of each system, through one
+key (:func:`_canonical`): magnon permutations, periodicity u -> u + 1 for
+trig chains, u_i -> -u_i for open chains, and the Weyl group plus
+sigma -> sigma + pi on the vacuum side.  A sorted key cannot see
+permutations, so the key runs over sign changes only: none for closed
+chains and A, all 2^n for open chains, B and C, the even ones for D.  The
+periods are quotiented at the fold: a value is reduced into [0, period),
+and one that rounds to the period at 9 digits is taken to the low end, so
+that both sides of the fold 0 = period give the same key; a representative
+can so lie up to 5e-10 below 0.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain import BetheRoots, ChainSpec, _bethe_stack, _bethe_system, validate_roots
+from .chain import BetheRoots, ChainSpec, _bethe_system, _root_clashes
 from .gauge import REGIME_SCALE, GaugeTheorySpec, VacuumBranch, _vacuum_lhs_stack, _vacuum_system
 from .rows import RowTable, deviation
 
@@ -52,7 +57,7 @@ SELF_CONJUGATE_TOL = 1e-6
 _TWO_PI = 2.0 * math.pi
 
 #: What became of a start, in the order a start meets them.  Before Newton:
-#: no clear draw in 100 (no_start), outside the domain or on a pole at the
+#: no clear draw in 100 (no_start), outside the radius or on a pole at the
 #: start (bad_start).  In Newton: no step length cut the residual
 #: (step_exhausted), max_iter steps left it unconverged, a singular Jacobian.
 #: After Newton: a complex vacuum, an open-chain root with 2u integral
@@ -154,13 +159,14 @@ def _fold(z: np.ndarray) -> np.ndarray:
 class _LogSystem:
     """Equations sum_r power_r log f(arg_r) = target (mod 2 pi i) over one row table."""
 
-    def __init__(self, table: RowTable, params: np.ndarray, target: complex, domain) -> None:
+    def __init__(self, table: RowTable, params: np.ndarray, target: complex,
+                 radius: float) -> None:
         self.table = table
         self.params = params
         self.target = target
-        # products tend to 1 at infinity, so cap the search box; domain maps a
-        # stack of points (S, n) to a mask (S,), or to one bool for all of them
-        self.domain = domain
+        # products tend to 1 at infinity, so cap the search box: |Im u| <= radius
+        # on sin tables, |u| <= radius on linear ones
+        self.radius = radius
 
     def min_factor(self, u: np.ndarray):
         """The smallest |f| at the point u, or per point (S,) of a stack u (S, n)."""
@@ -186,12 +192,12 @@ class _LogSystem:
         return clear, a[clear], f[clear], mag[clear]
 
     def evaluate(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Over a stack u (S, n): the indices of the points inside the domain and
+        """Over a stack u (S, n): the indices of the points inside the radius and
         clear of poles, and at those points the folded residual and the row
-        arguments it was computed from.  Points outside the domain are never
+        arguments it was computed from.  Points outside the radius are never
         evaluated."""
-        inside = self.domain(u)
-        inside = inside.nonzero()[0] if np.ndim(inside) else np.arange(len(u) if inside else 0)
+        size = np.abs(u if self.table.kind == "linear" else u.imag)
+        inside = (size <= self.radius).all(axis=1).nonzero()[0]
         if len(inside) < len(u):
             u = u[inside]
         clear, a, f, mag = self._clear(u)
@@ -230,7 +236,7 @@ def _newton(system: _LogSystem, u0: np.ndarray, cfg: SolveConfig):
     Each start keeps its own step length: a trial point is accepted when it
     cuts the residual norm by a quarter of the step length, or below 1e-12,
     and the step is halved otherwise, down to 1/256.  A start fails when it
-    lies outside the domain or on a pole, when no step length gives an
+    lies outside the radius or on a pole, when no step length gives an
     accepted trial point, when its Jacobian is singular, or when max_iter
     steps leave it unconverged.
     Returns the converged point or None per start, as a list whose ``fates``
@@ -308,126 +314,6 @@ def _starts(system: _LogSystem, cfg: SolveConfig, draw) -> np.ndarray:
     return np.array(starts, dtype=complex).reshape(-1, system.table.n_unknowns)
 
 
-def _low_end(x: float, period: float) -> float:
-    """x in [0, period], taken to x - period when it rounds to the period at
-    9 digits, so that values on both sides of the fold 0 = period key alike."""
-    return x - period if round(x, 9) == round(period, 9) else x
-
-
-def _distinct(keys: Sequence[Tuple], tol: float) -> List[int]:
-    """The indices of the keys farther than tol (max-abs) from every earlier kept key."""
-    arr = np.array(keys)
-    kept: List[int] = []
-    for k in range(len(arr)):
-        if not kept or np.max(np.abs(arr[kept] - arr[k]), axis=1).min() >= tol:
-            kept.append(k)
-    return kept
-
-
-def _accept(keys: Sequence[Tuple], check, target: float, cfg: SolveConfig,
-            fates: Dict[str, int]) -> Tuple[List[int], List[float]]:
-    """The acceptance step of both solvers, over the canonical keys of the
-    converged candidates.  ``check`` maps the keys as one stack (S, n) to the
-    (values, singular) of :meth:`RowTable.products`; a key whose residual,
-    its largest |value - target|, is above cfg.tol or that is singular is
-    dropped, and the rest are deduplicated in order.  Counts the residual,
-    duplicate and accepted fates; returns the indices of the accepted keys
-    and their residuals."""
-    worst = deviation(*check(np.array(keys)), target) if keys else np.zeros(0)
-    hit = np.flatnonzero(worst <= cfg.tol)
-    kept = hit[_distinct([keys[k] for k in hit], cfg.dedup_tol)]
-    fates["residual"], fates["duplicate"], fates["accepted"] = (
-        len(keys) - len(hit), len(hit) - len(kept), len(kept))
-    return kept.tolist(), worst[kept].tolist()
-
-
-# ---------------------------------------------------------------------------
-# Bethe roots
-# ---------------------------------------------------------------------------
-
-
-def _canonical_roots(chain: ChainSpec, values: Sequence[complex]) -> Tuple[complex, ...]:
-    def fold(u: complex) -> complex:
-        if chain.is_trig:
-            return complex(_low_end(u.real - math.floor(u.real), 1.0), u.imag)
-        return u
-
-    def reduce_one(u: complex) -> complex:
-        u = fold(u)
-        if chain.is_open:
-            v = fold(-u)
-            if (round(v.real, 9), round(v.imag, 9)) < (round(u.real, 9), round(u.imag, 9)):
-                u = v
-        return u
-
-    reduced = [reduce_one(complex(u)) for u in values]
-    reduced.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    return tuple(reduced)
-
-
-def solve_bethe(chain: ChainSpec, cfg: SolveConfig) -> SolveResult:
-    """All distinct Bethe root sets found from cfg.n_starts seeded starts."""
-    m = chain.n_magnons
-    if m == 0:
-        return SolveResult([BetheRoots(())], {"n_converged": 1, "n_starts": 0,
-                                              "fates": _ledger(0)}, [0.0])
-    radius = (
-        2.0
-        + chain.n_sites * abs(chain.eta) * max(1.0, max(abs(s) for s in chain.spins))
-        + max(abs(complex(t)) for t in chain.inhomogeneities)
-    )
-    if chain.is_trig:
-        domain = lambda u: np.all(np.abs(u.imag) <= radius, axis=-1)  # noqa: E731
-    else:
-        domain = lambda u: np.all(np.abs(u) <= radius, axis=-1)  # noqa: E731
-    system = _LogSystem(*_bethe_system(chain), 0.0, domain)
-    rng = np.random.default_rng(cfg.seed)
-    half = 0.5 * radius
-
-    def draw() -> np.ndarray:
-        if chain.is_trig:
-            re = rng.uniform(0.02, 0.98, size=m)
-        else:
-            re = rng.uniform(-half, half, size=m)
-        return re + 1j * rng.normal(0.0, 0.2, size=m)
-
-    starts = _starts(system, cfg, draw)
-    run = _newton(system, starts, cfg)
-    fates = _ledger(cfg.n_starts, run)
-    sets: List[BetheRoots] = []
-    for u in run:
-        if u is None:
-            continue
-        vals = _canonical_roots(chain, list(u))
-        if chain.is_open and any(
-            abs(2.0 * v.real - round(2.0 * v.real)) < SELF_CONJUGATE_TOL
-            and abs(v.imag) < SELF_CONJUGATE_TOL
-            for v in vals
-        ):
-            fates["self_conjugate"] += 1
-            continue
-        try:
-            roots = BetheRoots(vals)
-            validate_roots(chain, roots)
-        except ValueError:
-            fates["invalid"] += 1
-            continue
-        sets.append(roots)
-    kept, residuals = _accept([r.values for r in sets],
-                              lambda u: _bethe_stack([chain] * len(u), u), 1.0, cfg, fates)
-    return SolveResult([sets[k] for k in kept], {"n_converged": sum(u is not None for u in run),
-                                                 "n_starts": len(starts), "fates": fates},
-                       residuals)
-
-
-# ---------------------------------------------------------------------------
-# vacuum solutions
-# ---------------------------------------------------------------------------
-
-
-_SIGMA_PERIOD = math.pi
-
-
 @lru_cache(maxsize=None)
 def _sign_changes(family: str, n: int) -> np.ndarray:
     """The sign changes in the Weyl group of ``family`` on n coordinates, one
@@ -438,55 +324,151 @@ def _sign_changes(family: str, n: int) -> np.ndarray:
     return signs[(signs < 0).sum(axis=1) % 2 == 0] if family == "D" else signs
 
 
-def _canonical_sigma(family: str, sigma: Sequence[float], fold: bool = True) -> Tuple[float, ...]:
-    """The least key over the Weyl images of sigma: Python round(., 9) of the
-    sorted (folded) image, then the exact image, which is returned.  Sorting
-    erases the permutations, so the images run over the sign changes only."""
-    images = _sign_changes(family, len(sigma)) * np.asarray(sigma, dtype=float)
-    if fold:
-        images = images - _SIGMA_PERIOD * np.floor(images / _SIGMA_PERIOD)
-        for k in np.flatnonzero(images > _SIGMA_PERIOD - 1e-9):  # only these round to pi
-            images.flat[k] = _low_end(float(images.flat[k]), _SIGMA_PERIOD)
-    images.sort(axis=1)
-    return min((tuple(round(x, 9) for x in row), tuple(row)) for row in images.tolist())[1]
+def _canonical(values: np.ndarray, signs: np.ndarray, period: Optional[float]) -> np.ndarray:
+    """The canonical key of each point of a stack (S, n).
+
+    The images of a point are its sign changes ``signs`` (K, n), each
+    reflected, then folded into [0, period) (the real parts, for complex
+    points; no fold without a period).  Each image is sorted by its
+    elements' (rounded re, rounded im, re, im), rounding being Python
+    round(., 9), and the least image by its rounded parts, then by its exact
+    ones, is the key.  Sorting erases permutations, so a group of
+    permutations and sign changes needs only its sign changes here.
+    """
+    (s, n), k = values.shape, len(signs)
+    images = signs * values[:, None, :]  # (S, K, n)
+    if period is not None:
+        re = images.real
+        re -= period * np.floor(re / period)
+        # one that rounds to the period at 9 digits goes to the low end, so
+        # that values on both sides of the fold 0 = period key alike
+        near = re > period - 1e-9  # only these can round to the period
+        if near.any():
+            top = round(period, 9)
+            re[near] = [x - period if round(x, 9) == top else x for x in re[near].tolist()]
+    parts = np.stack([images.real, images.imag] if np.iscomplexobj(images) else [images], axis=-1)
+    rounded = np.reshape([round(x, 9) for x in parts.ravel().tolist()], parts.shape)
+    keys = np.concatenate((rounded, parts), axis=-1)  # per element: rounded parts, exact parts
+    order = np.lexsort(np.moveaxis(keys[..., ::-1], -1, 0), axis=-1)
+    keys = np.take_along_axis(keys, order[..., None], axis=2)
+    c = parts.shape[-1]
+    rows = keys.reshape(s, k, n, 2, c).swapaxes(2, 3).reshape(s * k, 2 * n * c)  # rounded, exact
+    # per point, its least image: rows ordered by point, then by key, stably
+    least = np.lexsort(np.vstack((rows.T[::-1], np.repeat(np.arange(s), k))))[::k]
+    return np.take_along_axis(images, order, axis=2).reshape(s * k, n)[least]
+
+
+def _distinct(keys: Sequence, tol: float) -> List[int]:
+    """The indices of the keys farther than tol (max-abs) from every earlier kept key."""
+    arr = np.array(keys)
+    kept: List[int] = []
+    for k in range(len(arr)):
+        if not kept or np.max(np.abs(arr[kept] - arr[k]), axis=1, initial=0.0).min() >= tol:
+            kept.append(k)
+    return kept
+
+
+def _solve(system: _LogSystem, cfg: SolveConfig, draw, screen, sign: float) -> SolveResult:
+    """The one solve behind both solvers: draw the starts, step them by Newton,
+    screen the converged points and accept their keys.
+
+    ``screen`` takes the converged points as a stack (S, n), counts in the
+    fates the ones it drops and returns the canonical keys of the rest.  The
+    keys are checked by one stacked product-form evaluation: a key whose
+    residual, its largest |value - sign|, is above cfg.tol or that is
+    singular is dropped, and the rest are deduplicated in start order.  A
+    system without rows has nothing to solve: each start stands at 0, a
+    solution exactly when the empty products 1 are the sign.
+    """
+    n = system.table.n_unknowns
+    if system.table.n_rows:
+        starts = _starts(system, cfg, draw)
+        run = _newton(system, starts, cfg)
+    else:
+        starts = run = np.zeros((cfg.n_starts, n))
+    fates = _ledger(cfg.n_starts, run)
+    converged = [u for u in run if u is not None]
+    keys = screen(np.array(converged, dtype=complex).reshape(len(converged), n), fates)
+    worst = deviation(*system.table.products(system._points(keys)), sign)
+    hit = np.flatnonzero(worst <= cfg.tol)
+    kept = hit[_distinct(keys[hit], cfg.dedup_tol)]
+    fates["residual"], fates["duplicate"], fates["accepted"] = (
+        len(keys) - len(hit), len(hit) - len(kept), len(kept))
+    return SolveResult(list(keys[kept]), {"n_converged": len(converged) - fates["complex_vacuum"],
+                                          "n_starts": len(starts), "fates": fates},
+                       worst[kept].tolist())
+
+
+# ---------------------------------------------------------------------------
+# the two solvers
+# ---------------------------------------------------------------------------
+
+
+def solve_bethe(chain: ChainSpec, cfg: SolveConfig) -> SolveResult:
+    """All distinct Bethe root sets found from cfg.n_starts seeded starts,
+    keyed up to permutations, the period of trig chains and, on open chains,
+    the reflections u_i -> -u_i."""
+    m = chain.n_magnons
+    radius = (
+        2.0
+        + chain.n_sites * abs(chain.eta) * max(1.0, max(abs(s) for s in chain.spins))
+        + max(abs(complex(t)) for t in chain.inhomogeneities)
+    )
+    rng = np.random.default_rng(cfg.seed)
+    half = 0.5 * radius
+    signs = _sign_changes("B" if chain.is_open else "A", m)
+
+    def draw() -> np.ndarray:
+        if chain.is_trig:
+            re = rng.uniform(0.02, 0.98, size=m)
+        else:
+            re = rng.uniform(-half, half, size=m)
+        return re + 1j * rng.normal(0.0, 0.2, size=m)
+
+    def screen(u: np.ndarray, fates: Dict[str, int]) -> np.ndarray:
+        keys = _canonical(u, signs, 1.0 if chain.is_trig else None)
+        if chain.is_open:
+            twice = 2.0 * keys.real
+            conj = ((np.abs(twice - np.rint(twice)) < SELF_CONJUGATE_TOL)
+                    & (np.abs(keys.imag) < SELF_CONJUGATE_TOL)).any(axis=1)
+            fates["self_conjugate"] = int(conj.sum())
+            keys = keys[~conj]
+        invalid = _root_clashes(keys, chain.is_open).any(axis=1)
+        fates["invalid"] = int(invalid.sum())
+        return keys[~invalid]
+
+    result = _solve(_LogSystem(*_bethe_system(chain), 0.0, radius), cfg, draw, screen, 1.0)
+    result.solutions = [BetheRoots(u) for u in result.solutions]
+    return result
 
 
 def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
                  rational: bool = False) -> SolveResult:
-    """Real vacuum solutions on the given branch, deduplicated by Weyl images."""
+    """Real vacuum solutions on the given branch, keyed up to the Weyl group
+    and, in 3d, the period sigma -> sigma + pi."""
     if spec.family not in ("A", "B", "C", "D"):
         raise ValueError("the analytic solver covers the classical families")
     n = spec.dim
     table, params = _vacuum_system(spec, "rational" if rational else "root")
-    if not table.n_rows:
-        # no interactions at all: every point is a vacuum on the + branch
-        diag = {"underdetermined": True, "n_starts": 0, "fates": _ledger(0)}
-        if branch.sign == +1:
-            return SolveResult([np.zeros(n)], diag, [0.0])
-        return SolveResult([], diag)
-    target = 0.0 if branch.sign == +1 else math.pi * 1j
     extent = max([abs(spec.m_adj)] + [abs(m) for m in spec.masses]
                  + [abs(m) for m in (spec.masses_anti or ())])
     radius = 2.0 + math.pi + spec.dim * extent
-    if rational:
-        domain = lambda u: np.all(np.abs(u) <= 10.0 * radius, axis=-1)  # noqa: E731
-    else:
-        domain = lambda u: np.all(np.abs(u.imag) <= radius, axis=-1)  # noqa: E731
-    system = _LogSystem(table, params, target, domain)
-    regime = "2d" if rational else "3d"
+    system = _LogSystem(table, params, 0.0 if branch.sign == +1 else math.pi * 1j,
+                        10.0 * radius if rational else radius)
     rng = np.random.default_rng(cfg.seed)
-    span = REGIME_SCALE[regime]
-    starts = _starts(system, cfg, lambda: span * rng.uniform(0.02, 0.98, size=n))
-    run = _newton(system, starts, cfg)
-    fates = _ledger(cfg.n_starts, run)
-    real = [sol.real for sol in run if sol is not None and np.max(np.abs(sol.imag)) <= 1e-9]
-    fates["complex_vacuum"] = sum(sol is not None for sol in run) - len(real)
-    keys = [_canonical_sigma(spec.family, sig, fold=not rational) for sig in real]
-    kept, residuals = _accept(keys, lambda sigma: _vacuum_lhs_stack(spec, regime, sigma),
-                              branch.sign, cfg, fates)
-    return SolveResult([np.array(keys[k]) for k in kept],
-                       {"n_converged": len(real), "n_starts": len(starts), "fates": fates},
-                       residuals)
+    span = REGIME_SCALE["2d" if rational else "3d"]
+    signs = _sign_changes(spec.family, n)
+
+    def screen(u: np.ndarray, fates: Dict[str, int]) -> np.ndarray:
+        real = np.abs(u.imag).max(axis=1, initial=0.0) <= 1e-9
+        fates["complex_vacuum"] = len(u) - int(real.sum())
+        return _canonical(u[real].real, signs, None if rational else math.pi)
+
+    result = _solve(system, cfg, lambda: span * rng.uniform(0.02, 0.98, size=n), screen,
+                    branch.sign)
+    if not table.n_rows:  # no interactions at all: every point is a vacuum on the + branch
+        result.diagnostics["underdetermined"] = True
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +492,7 @@ def cross_check(spec: GaugeTheorySpec, preset, cfg: SolveConfig,
         notes = {"n_root_sets": len(sols), **sols.diagnostics}
     else:
         max_residual, worst = math.inf, None
-        notes = {"diagnostics": "no Bethe root sets converged",
-                 "cause": fates_summary(sols.diagnostics["fates"]), **sols.diagnostics}
+        notes = {"cause": fates_summary(sols.diagnostics["fates"]), **sols.diagnostics}
     return VerificationReport(
         preset_id=preset.id, samples=len(sols), seed=cfg.seed, tol=map_tol,
         max_residual=max_residual, worst_point=worst, passed=max_residual <= map_tol,

@@ -109,6 +109,22 @@ def test_parser_is_built_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_repeated_runs_build_the_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for argv in (["specfun-selftest"], ["roots", "--family", "A", "--rank", "2"],
+                     ["solve-bethe", "--kind", "closed-xxz", "--sites", "3", "--magnons", "1",
+                      "--eta", "0.3", "--starts", "4"], ["specfun-selftest"]):
+            assert run(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # subcommand payloads
 # ---------------------------------------------------------------------------
@@ -353,6 +369,12 @@ def test_solve_vacuum_prints_the_residuals_its_solve_accepted(capsys, monkeypatc
     result = solve_vacuum(spec, BRANCH_PLUS, SolveConfig(n_starts=16, seed=0))
     assert code == 0 and result.residuals
     assert [s["max_residual"] for s in doc["solutions"]] == result.residuals
+
+
+def test_solve_bethe_without_magnons_accounts_for_every_start(capsys):
+    assert run(["solve-bethe", "--kind", "closed-xxz", "--sites", "3", "--magnons", "0",
+                "--eta", "0.3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "  64 starts: duplicate 63, accepted 1"
 
 
 def test_solve_vacuum_without_interactions_prints_its_one_solution(capsys):

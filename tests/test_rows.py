@@ -39,10 +39,6 @@ POINTS = 6
 FD_STEP = 1e-6
 
 
-def _anywhere(u):
-    return True
-
-
 def _fd_jacobian(system, u):
     cols = []
     for k in range(len(u)):
@@ -89,7 +85,7 @@ def test_vacuum_log_residual_matches_products(family, regime, realization, branc
         )
         sigma = scale * rng.uniform(0.05, 0.95, size=rank) + 1j * rng.normal(0.0, 0.05, size=rank)
         system = _LogSystem(*_vacuum_system(spec, "rational" if regime == "2d" else "root"),
-                            target, _anywhere)
+                            target, math.inf)
         products = [lhs(spec, sigma, j, branch) for j in range(rank)]
         if not _admissible(system, sigma, products):
             continue
@@ -113,7 +109,7 @@ def test_bethe_log_residual_matches_products(kind):
                           xi_plus=xi[0], xi_minus=xi[1])
         lo, hi = (0.05, 0.95) if chain.is_trig else (-1.0, 1.0)
         u = rng.uniform(lo, hi, size=magnons) + 1j * rng.normal(0.0, 0.2, size=magnons)
-        system = _LogSystem(*_bethe_system(chain), 0.0, _anywhere)
+        system = _LogSystem(*_bethe_system(chain), 0.0, math.inf)
         try:
             roots = BetheRoots(u)
             products = [bethe_lhs(chain, roots, i) for i in range(magnons)]

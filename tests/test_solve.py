@@ -82,7 +82,7 @@ def test_closed_xxx_finds_exact_root():
 
 def test_newton_evaluates_each_point_once(monkeypatch):
     # the Jacobian at an accepted point reuses the arguments of its residual
-    system = _LogSystem(*_bethe_system(CLOSED_XXZ), 0.0, lambda u: True)
+    system = _LogSystem(*_bethe_system(CLOSED_XXZ), 0.0, math.inf)
     points = []
     factors = system.table.factors
     monkeypatch.setattr(system.table, "factors", lambda x: points.extend(map(tuple, x)) or factors(x))
@@ -93,7 +93,7 @@ def test_newton_evaluates_each_point_once(monkeypatch):
 
 
 def test_newton_batch_evaluates_each_point_once(monkeypatch):
-    system = _LogSystem(*_bethe_system(CLOSED_XXZ), 0.0, lambda u: True)
+    system = _LogSystem(*_bethe_system(CLOSED_XXZ), 0.0, math.inf)
     points = []
     factors = system.table.factors
     monkeypatch.setattr(system.table, "factors",
@@ -108,8 +108,7 @@ def test_newton_batch_matches_each_start_alone():
     # each start keeps its own step length, so stacking changes no start's path
     chain = ChainSpec("open-xxz", 3, 2, 0.289, (0.5,) * 3, (0.04, -0.06, 0.02),
                       xi_plus=0.23, xi_minus=-0.41)
-    system = _LogSystem(*_bethe_system(chain), 0.0,
-                        lambda u: np.all(np.abs(u.imag) <= 3.0, axis=-1))
+    system = _LogSystem(*_bethe_system(chain), 0.0, 3.0)
     rng = np.random.default_rng(5)
     starts = rng.uniform(0.02, 0.98, size=(24, 2)) + 1j * rng.normal(0.0, 0.2, size=(24, 2))
     out = _newton(system, starts, CFG)
@@ -126,8 +125,7 @@ def _quadratic_system():
     # Jacobian 1/(u - 1) + 1/(u + 1) vanishes exactly at u = 0
     rows = [(0, 1, {0: 1.0}, -1.0), (0, 1, {0: 1.0}, 1.0)]
     table = RowTable("linear", 1, 1, 0, rows, "denominator", 1e-12)
-    domain = lambda u: np.all(np.abs(u) <= 5.0, axis=-1)  # noqa: E731
-    return _LogSystem(table, np.array([1.0 + 0j]), 0.0, domain)
+    return _LogSystem(table, np.array([1.0 + 0j]), 0.0, 5.0)
 
 
 def test_newton_batch_isolates_failing_starts():
@@ -177,7 +175,7 @@ def test_bethe_starts_follow_the_one_at_a_time_stream(monkeypatch):
     for chain in (CLOSED_XXZ, ChainSpec("open-xxx", 2, 2, 0.37, (0.5,) * 2, (0.02, -0.03),
                                         xi_plus=0.3, xi_minus=-0.2)):
         stack = _starts_handed_to_newton(monkeypatch, lambda: solve_bethe(chain, CFG))
-        system = _LogSystem(*_bethe_system(chain), 0.0, lambda u: True)
+        system = _LogSystem(*_bethe_system(chain), 0.0, math.inf)
         rng = np.random.default_rng(CFG.seed)
         half = 0.5 * (2.0 + chain.n_sites * chain.eta * max(1.0, *map(abs, chain.spins))
                       + max(abs(t) for t in chain.inhomogeneities))
@@ -203,7 +201,7 @@ def test_vacuum_starts_follow_the_one_at_a_time_stream(monkeypatch, rational):
     stack = _starts_handed_to_newton(
         monkeypatch, lambda: solve_vacuum(spec, BRANCH_PLUS, CFG, rational=rational))
     system = _LogSystem(*_vacuum_system(spec, "rational" if rational else "root"), 0.0,
-                        lambda u: True)
+                        math.inf)
     rng = np.random.default_rng(CFG.seed)
     span = 1.0 if rational else math.pi
     expected, rejected = _drawn_one_at_a_time(
@@ -218,7 +216,7 @@ def test_solves_never_evaluate_points_outside_the_domain(monkeypatch):
     evaluate = _LogSystem.evaluate
 
     def counting(self, u):
-        outside.append(int(np.sum(~np.broadcast_to(self.domain(u), len(u)))))
+        outside.append(int(np.sum(~np.all(np.abs(u.imag) <= self.radius, axis=-1))))
         return evaluate(self, u)
 
     monkeypatch.setattr(_LogSystem, "evaluate", counting)
@@ -364,7 +362,7 @@ def test_cross_check_reports_empty_runs():
     report = cross_check(spec, preset_by_id("B-3d-P1"), starved)
     assert not report.passed
     assert report.max_residual == math.inf
-    assert report.notes["diagnostics"] == "no Bethe root sets converged"
+    assert report.notes["cause"] == "1 starts: self_conjugate 1"
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +386,13 @@ _rounding = st.floats(-1e-12, 1e-12)
 _root_part = st.one_of(st.floats(-1.5, 1.5), _near([0.0, 1.0, -1.0, 0.5]))
 
 
+def _root_key(chain, u):
+    """The solver's key of the roots u: reflections on open chains, period 1 on trig ones."""
+    signs = solve._sign_changes("B" if chain.is_open else "A", len(u))
+    period = 1.0 if chain.is_trig else None
+    return tuple(solve._canonical(np.array([u], dtype=complex), signs, period)[0])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(["closed-xxz", "open-xxz", "closed-xxx", "open-xxx"]),
        roots=st.lists(st.tuples(_root_part, st.floats(-0.6, 0.6)), min_size=1, max_size=3),
@@ -396,7 +401,7 @@ def test_root_sets_across_the_fold_deduplicate(kind, roots, data):
     chain = ChainSpec(kind, 2, len(roots), 0.3, (0.5,) * 2, (0.0, 0.0),
                       **({"xi_plus": 0.2, "xi_minus": -0.1} if kind.startswith("open") else {}))
     u = [complex(re, im) for re, im in roots]
-    key = solve._canonical_roots(chain, u)
+    key = _root_key(chain, u)
     # distinct roots, each off the self-conjugate points
     assume(all(abs(z.imag) > 1e-6 for z in key))
     assume(all(abs(a.real - b.real) > 1e-6 for a, b in zip(key, key[1:])))
@@ -409,7 +414,38 @@ def test_root_sets_across_the_fold_deduplicate(kind, roots, data):
         if chain.is_open and data.draw(st.booleans()):
             z = -z
         moved.append(z + complex(data.draw(_rounding), data.draw(_rounding)))
-    assert solve._distinct([key, solve._canonical_roots(chain, moved)], CFG.dedup_tol) == [0]
+    assert solve._distinct([key, _root_key(chain, moved)], CFG.dedup_tol) == [0]
+
+
+def _per_root_key(chain, u):
+    """The root key root by root: each root folded into [0, 1) on trig chains,
+    on open chains replaced by its folded reflection when that rounds less,
+    and the roots sorted by their rounded (re, im)."""
+    def fold(z):
+        if not chain.is_trig:
+            return z
+        x = z.real - math.floor(z.real)
+        return complex(x - 1.0 if round(x, 9) == 1.0 else x, z.imag)
+
+    def rounded(z):
+        return round(z.real, 9), round(z.imag, 9)
+
+    reduced = [fold(z) for z in u]
+    if chain.is_open:
+        reduced = [min(z, fold(-z), key=rounded) for z in reduced]
+    return sorted(reduced, key=rounded)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["closed-xxz", "open-xxz", "closed-xxx", "open-xxx"]),
+       roots=st.lists(st.tuples(_root_part, st.one_of(st.just(0.0), st.floats(-0.6, 0.6))),
+                      min_size=1, max_size=4))
+def test_sign_group_root_key_equals_the_per_root_key(kind, roots):
+    chain = ChainSpec(kind, 2, len(roots), 0.3, (0.5,) * 2, (0.0, 0.0),
+                      **({"xi_plus": 0.2, "xi_minus": -0.1} if kind.startswith("open") else {}))
+    u = [complex(re, im) for re, im in roots]
+    got = [(round(z.real, 9), round(z.imag, 9)) for z in _root_key(chain, u)]
+    assert got == [(round(z.real, 9), round(z.imag, 9)) for z in _per_root_key(chain, u)]
 
 
 _sigma_part = st.one_of(st.floats(-2.0 * math.pi, 2.0 * math.pi),
@@ -437,7 +473,8 @@ def test_sign_group_key_equals_the_weyl_orbit_key(family, fold, data):
     pool = data.draw(st.lists(_sigma_part, min_size=1, max_size=n))
     sigma = [data.draw(st.sampled_from([x, -x, x + math.pi, x - math.pi]))
              for x in data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))]
-    got = solve._canonical_sigma(family, sigma, fold=fold)
+    got = solve._canonical(np.array([sigma]), solve._sign_changes(family, n),
+                           math.pi if fold else None)[0]
     ref = _orbit_canonical_sigma(family, sigma, fold)
     # bitwise, but for the sign of a zero, which no comparison sees
     assert [(x + 0.0).hex() for x in got] == [(x + 0.0).hex() for x in ref]
@@ -456,8 +493,9 @@ def test_vacua_across_the_fold_deduplicate(family, sigma, data):
     moved = list(data.draw(st.permutations(moved)))
     if family in "BC":
         moved = [x * data.draw(st.sampled_from([1, -1])) for x in moved]
-    key = solve._canonical_sigma(family, sigma)
-    assert solve._distinct([key, solve._canonical_sigma(family, moved)], CFG.dedup_tol) == [0]
+    signs = solve._sign_changes(family, len(sigma))
+    keys = solve._canonical(np.array([sigma, moved]), signs, math.pi)
+    assert solve._distinct(keys, CFG.dedup_tol) == [0]
 
 
 def _vacuum_misses_one_by_one(spec, regime, points):
@@ -526,6 +564,22 @@ def test_fate_ledgers_add_up_to_the_starts():
                 solve_vacuum(spec, BRANCH_PLUS, CFG, rational=True)):
         _assert_ledger_adds_up(res, CFG.n_starts)
         assert res.diagnostics["fates"]["duplicate"] > 0
+
+
+def test_trivial_solves_account_for_every_start():
+    # nothing to solve: every start stands at the one solution, or misses the branch
+    for chain in (ChainSpec("closed-xxx", 2, 0, 0.37, (0.5,) * 2, (0.0, 0.0)),
+                  ChainSpec("open-xxz", 2, 0, 0.29, (0.5,) * 2, (0.04, -0.06),
+                            xi_plus=0.23, xi_minus=-0.41)):
+        res = solve_bethe(chain, CFG)
+        _assert_ledger_adds_up(res, CFG.n_starts)
+        assert res.diagnostics["fates"]["duplicate"] == CFG.n_starts - 1
+    spec = GaugeTheorySpec("D", 1, 0, (), 0.2)
+    for branch in (BRANCH_PLUS, BRANCH_MINUS):
+        res = solve_vacuum(spec, branch, CFG)
+        _assert_ledger_adds_up(res, CFG.n_starts)
+        assert res.diagnostics["n_converged"] == res.diagnostics["n_starts"] == CFG.n_starts
+    assert res.diagnostics["fates"]["residual"] == CFG.n_starts
 
 
 def test_skipped_starts_are_counted_and_not_reported_as_drawn(monkeypatch):
