@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -227,24 +227,13 @@ def _bethe_system(chain: ChainSpec) -> Tuple[RowTable, np.ndarray]:
     return table, _bethe_params(chain.eta, chain.spins, chain.inhomogeneities, xi)
 
 
-def _bethe_stack(chains: Sequence[ChainSpec], u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every Bethe equation at a stack of points: row k of ``u`` (S, M) holds
-    roots of ``chains[k]``, all chains of one shape.  Returns the values
-    (S, M) and the singular mask (S,) of :meth:`RowTable.products`, where
-    :func:`bethe_lhs` would raise :class:`SingularPointError`; the caller
-    validates the roots.  Each distinct chain's parameters are built once."""
-    systems = {c: _bethe_system(c) for c in set(chains)}
-    table = systems[chains[0]][0]
-    return table.products(np.concatenate((u, [systems[c][1] for c in chains]), axis=1))
-
-
 def bethe_lhs(chain: ChainSpec, roots: BetheRoots, i: int) -> complex:
     """The i-th Bethe equation arranged as one product; the contract is = 1."""
     validate_roots(chain, roots)
     if not 0 <= i < len(roots):
         raise ValueError("root index %d out of range" % i)
     table, params = _bethe_system(chain)
-    return table.equations[i].product(np.concatenate((roots.values, params)))
+    return table.product(np.concatenate((roots.values, params)), i)
 
 
 def bethe_residuals(chain: ChainSpec, roots: BetheRoots) -> np.ndarray:
@@ -252,7 +241,7 @@ def bethe_residuals(chain: ChainSpec, roots: BetheRoots) -> np.ndarray:
     validate_roots(chain, roots)
     table, params = _bethe_system(chain)
     x = np.concatenate((roots.values, params))
-    return np.array([abs(eq.product(x) - 1.0) for eq in table.equations])
+    return np.array([abs(table.product(x, i) - 1.0) for i in range(len(roots))])
 
 
 # ---------------------------------------------------------------------------

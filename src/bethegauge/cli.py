@@ -126,6 +126,11 @@ def _argument_error(ns: argparse.Namespace) -> Optional[str]:
     """A bad combination of arguments that parsing alone does not catch."""
     if "masses" in ns and ns.masses is not None and len(ns.masses) != ns.nf:
         return "got %d masses for --nf %d" % (len(ns.masses), ns.nf)
+    anti = getattr(ns, "masses_anti", None)
+    if anti is not None and ns.family == "A" and len(anti) != ns.nf:  # only A reads it
+        return "got %d anti-fundamental masses for --nf %d" % (len(anti), ns.nf)
+    if "sigma" in ns and ns.sigma is not None and len(ns.sigma) != ns.rank:
+        return "got %d --sigma values for rank %d" % (len(ns.sigma), ns.rank)
     if "regime" in ns and ns.regime == "2d" and ns.family not in CLASSICAL:
         return "the 2d regime covers only the families %s" % ", ".join(CLASSICAL)
     if "spins" in ns:
@@ -135,6 +140,8 @@ def _argument_error(ns: argparse.Namespace) -> Optional[str]:
         for flag, values in (("spins", ns.spins), ("thetas", ns.thetas)):
             if values is not None and len(values) != sites:
                 return "got %d --%s values for %d sites" % (len(values), flag, sites)
+    if "u" in ns and len(ns.u) != ns.magnons:
+        return "got %d --u values for %d magnons" % (len(ns.u), ns.magnons)
     return None
 
 

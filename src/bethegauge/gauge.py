@@ -109,11 +109,6 @@ class GaugeTheorySpec:
         return 8 if self.family == "E8" else self.rank
 
 
-def equation_count(spec: GaugeTheorySpec) -> int:
-    """Number of vacuum equations: one per Cartan direction."""
-    return spec.dim
-
-
 @lru_cache(maxsize=None)
 def _root_data(family: str, rank: int):
     """Per-root (coordinates, weight factor, integer gradient exponents)."""
@@ -313,7 +308,7 @@ def _vacuum_value(spec: GaugeTheorySpec, sigma: Sequence[float], j: int, form: s
     if not 0 <= j < spec.dim:
         raise ValueError("equation index %d out of range" % j)
     table, params = _vacuum_system(spec, form)
-    return table.equations[j].product(np.concatenate((sig, params)))
+    return table.product(np.concatenate((sig, params)), j)
 
 
 def vacuum_lhs(

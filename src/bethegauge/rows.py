@@ -12,14 +12,14 @@ builds the vacuum rows from root data and ``chain`` the Bethe rows from
 chain data; a table depends only on the shape of its system, never on the
 values of the parameters.
 
-The product forms, the solver's log residual, its Jacobian
-C^T diag(power f'/f) and its start filter all evaluate the rows through
-:meth:`RowTable.factors`.  :meth:`RowTable.product` takes one point;
-:meth:`RowTable.products` takes a stack of points, one per sampled draw, and
-marks the singular ones with the same guard, and :func:`deviation` reads a
-point's residual from what it returns; the solver passes a stack of
-points, one per Newton start, and gets the log sums and Jacobians of the
-whole stack from real matrix products.
+:meth:`RowTable.product` evaluates one equation's rows at one point, for
+the public per-equation evaluators.  Everything else works on stacks of
+points through :meth:`RowTable.factors`: :meth:`RowTable.products` takes
+one point per sampled draw and marks the singular ones with the same
+guard, and :func:`deviation` reads a point's residual from what it
+returns; the solver passes one point per Newton start and gets the log
+sums, Jacobians C^T diag(power f'/f) and start filter of the whole stack
+from real matrix products.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ class RowTable:
         self.by_eq = (eq == np.arange(n_eq)[:, None]).astype(float)
         self.rows_of = tuple(np.flatnonzero(e) for e in self.by_eq)
         self.guarded = np.flatnonzero(self.power.real < 0) if guard == "denominator" else slice(None)
-        self.equations = (self,) if n_eq == 1 else tuple(
-            RowTable(kind, 1, n_unknowns, n_params,
-                     [(0,) + r[1:] for r in rows if r[0] == j], guard, guard_tol)
-            for j in range(n_eq)
-        )
+        # per equation, for product: its own rows' coefficients, powers and guarded rows
+        self._equations = tuple(
+            (self.coeffs[r], self.power[r],
+             np.flatnonzero(self.power[r].real < 0) if guard == "denominator" else slice(None))
+            for r in self.rows_of)
 
     @property
     def n_rows(self) -> int:
@@ -97,17 +97,14 @@ class RowTable:
         return np.kron(jac.reshape(self.n_rows, len(self.by_eq) * self.n_unknowns), np.eye(2))
 
     def factors(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Arguments and factor values at the point x, or (S, R) at a stack x (S, cols)."""
-        if x.ndim == 1:
-            a = self.coeffs.dot(x)
-        else:
-            # real product of real coefficients: complex ones over many rows slow later complex sin
-            a = _real_product(x, self._columns)
+        """Arguments and factor values (S, R) at a stack x (S, cols)."""
+        # real product of real coefficients: complex ones over many rows slow later complex sin
+        a = _real_product(x, self._columns)
         return a, (a if self.kind == "linear" else np.sin(a))
 
-    def _singular(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """The guard: which guarded factors of a point (or of each point of a stack) are singular."""
-        a, mag = a[..., self.guarded], np.abs(f[..., self.guarded])
+    def _singular(self, a: np.ndarray, f: np.ndarray, guarded) -> np.ndarray:
+        """The guard: which of the ``guarded`` factors of a point, or of a stack, are singular."""
+        a, mag = a[..., guarded], np.abs(f[..., guarded])
         if self.guard == "denominator" or self.kind == "linear":
             return mag < self.guard_tol
         hit = mag < 2.0 * self.guard_tol  # within tol of pi*Z forces |sin| < 2 tol
@@ -116,15 +113,17 @@ class RowTable:
             hit &= np.hypot(np.abs(r - np.rint(r)) * math.pi, a.imag) < self.guard_tol
         return hit
 
-    def product(self, x: np.ndarray) -> complex:
-        """The guarded product over every row; meant for one-equation tables."""
-        a, f = self.factors(x)
-        hit = self._singular(a, f)
+    def product(self, x: np.ndarray, j: int) -> complex:
+        """Equation j's guarded product, over its rows in order, at the point x."""
+        coeffs, power, guarded = self._equations[j]
+        a = coeffs.dot(x)
+        f = a if self.kind == "linear" else np.sin(a)
+        hit = self._singular(a, f, guarded)
         if hit.any():
             raise SingularPointError("singular factor at argument %r (%s guard, tol %g)"
-                                     % (complex(a[self.guarded][hit][0]) / self.scale,
+                                     % (complex(a[guarded][hit][0]) / self.scale,
                                         self.guard, self.guard_tol))
-        return complex(math.prod((f ** self.power).tolist()))
+        return complex(math.prod((f ** power).tolist()))
 
     def products(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Every equation's product at a stack x (S, cols), guarded as :meth:`product`.
@@ -146,7 +145,7 @@ class RowTable:
             values = np.ones((len(x), len(self.rows_of)), dtype=complex)  # (S, 0) without equations
             for j, rows in enumerate(self.rows_of):
                 values[:, j] = fp[:, rows].prod(axis=1)
-        return values, self._singular(a, f).any(axis=1)
+        return values, self._singular(a, f, self.guarded).any(axis=1)
 
     def log_sum(self, f: np.ndarray, mag: Optional[np.ndarray] = None) -> np.ndarray:
         """Per equation, sum_r power_r log f_r on the principal branch: (S, R) -> (S, n_eq).

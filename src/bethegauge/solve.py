@@ -111,20 +111,9 @@ class SolveResult:
         return self.solutions[k]
 
 
-class _PoleHit(Exception):
-    pass
-
-
 #: the fates a start can meet in :func:`_newton`, by code; code 0 is converged
 _NEWTON_FATES = (None, "bad_start", "step_exhausted", "max_iter", "singular_jacobian")
 _CONVERGED, _BAD_START, _EXHAUSTED, _MAX_ITER, _SINGULAR = range(len(_NEWTON_FATES))
-
-
-class _NewtonRun(list):
-    """What :func:`_newton` returns: per start, the converged point or None.
-    ``fates`` holds, per start, its code in _NEWTON_FATES."""
-
-    fates: np.ndarray
 
 
 def fates_summary(fates: Dict[str, int]) -> str:
@@ -133,15 +122,13 @@ def fates_summary(fates: Dict[str, int]) -> str:
     return "%d starts" % sum(fates.values()) + (": " + met if met else "")
 
 
-def _ledger(n_starts: int, run: Sequence = ()) -> Dict[str, int]:
+def _ledger(n_starts: int, codes: np.ndarray) -> Dict[str, int]:
     """The fate counts of a solve asked for ``n_starts`` starts, of which the
-    ones in ``run`` got a clear draw, with Newton's failures counted in (a
-    run without ``fates`` counts none)."""
+    ones Newton ended with ``codes`` (see :func:`_newton`) got a clear draw."""
     fates = dict.fromkeys(FATES, 0)
-    fates["no_start"] = n_starts - len(run)
-    for code in getattr(run, "fates", ()):
-        if code != _CONVERGED:
-            fates[_NEWTON_FATES[code]] += 1
+    fates["no_start"] = n_starts - len(codes)
+    counts = np.bincount(codes, minlength=len(_NEWTON_FATES)).tolist()
+    fates.update(zip(_NEWTON_FATES[1:], counts[1:]))
     return fates
 
 
@@ -168,10 +155,8 @@ class _LogSystem:
         # on sin tables, |u| <= radius on linear ones
         self.radius = radius
 
-    def min_factor(self, u: np.ndarray):
-        """The smallest |f| at the point u, or per point (S,) of a stack u (S, n)."""
-        if u.ndim == 1:
-            return min(np.abs(self.table.factors(np.concatenate((u, self.params)))[1]).tolist())
+    def min_factor(self, u: np.ndarray) -> np.ndarray:
+        """The smallest |f| per point (S,) of a stack u (S, n)."""
         return np.abs(self.table.factors(self._points(u))[1]).min(axis=1)
 
     def _points(self, u: np.ndarray) -> np.ndarray:
@@ -203,18 +188,6 @@ class _LogSystem:
         clear, a, f, mag = self._clear(u)
         return inside[clear], _fold(self.table.log_sum(f, mag) - self.target), a
 
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        ok, res, _ = self.evaluate(u[None])
-        if not ok.size:
-            raise _PoleHit()
-        return res[0]
-
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        clear, a, _, _ = self._clear(u[None])
-        if not clear.size:
-            raise _PoleHit()
-        return self.table.log_jacobian(a)[0]
-
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Solve jac[k] @ step[k] = rhs[k]; also the mask of the k whose jac is not singular."""
@@ -230,7 +203,8 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndar
         return steps, solved
 
 
-def _newton(system: _LogSystem, u0: np.ndarray, cfg: SolveConfig):
+def _newton(system: _LogSystem, u0: np.ndarray,
+            cfg: SolveConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Damped Newton from every start of the stack u0 (S, n) at once.
 
     Each start keeps its own step length: a trial point is accepted when it
@@ -239,25 +213,18 @@ def _newton(system: _LogSystem, u0: np.ndarray, cfg: SolveConfig):
     lies outside the radius or on a pole, when no step length gives an
     accepted trial point, when its Jacobian is singular, or when max_iter
     steps leave it unconverged.
-    Returns the converged point or None per start, as a list whose ``fates``
-    name each failure (see :class:`_NewtonRun`); one start (n,) is a stack
-    of one and gives one result.
+    Returns, per start, where it ended (S, n) and its code (S,) in
+    _NEWTON_FATES; only a converged start's point is meaningful.
     """
-    if u0.ndim == 1:
-        return _newton(system, u0[None], cfg)[0]
-    out = _NewtonRun([None] * len(u0))
-    out.fates = np.full(len(u0), _BAD_START)
-    u = u0.astype(complex)
+    points, codes = u0.astype(complex), np.full(len(u0), _BAD_START)
     # the live starts: their index, iterate, residual, row arguments and norm
-    idx, res, args = system.evaluate(u)
-    u = u[idx]
+    idx, res, args = system.evaluate(points)
+    u = points[idx]
     norm = np.abs(res).max(axis=1, initial=0.0)
     iters, lam, step = np.zeros(len(idx), dtype=int), np.zeros(len(idx)), np.zeros_like(u)
     moved = np.ones(len(idx), dtype=bool)  # at a new iterate
     while True:
         done = moved & (norm < 1e-12)
-        for k in done.nonzero()[0]:
-            out[idx[k]] = u[k]
         # a new step at each new iterate, from the arguments its residual used
         out_of_iters = moved & ~done & (iters >= cfg.max_iter)
         new = (moved & ~done & ~out_of_iters).nonzero()[0]
@@ -271,13 +238,14 @@ def _newton(system: _LogSystem, u0: np.ndarray, cfg: SolveConfig):
         keep &= ~exhausted
         if not keep.all():
             # the fate of each start that leaves: converged, or why it failed
+            points[idx[done]] = u[done]
             fate = np.where(done, _CONVERGED, np.where(out_of_iters, _MAX_ITER, np.where(
                 exhausted, _EXHAUSTED, _SINGULAR)))
-            out.fates[idx[~keep]] = fate[~keep]
+            codes[idx[~keep]] = fate[~keep]
             idx, u, res, args, norm, iters, lam, step = (
                 a[keep] for a in (idx, u, res, args, norm, iters, lam, step))
         if not idx.size:
-            return out
+            return points, codes
         trial = u + lam[:, None] * step
         ok, res_try, args_try = system.evaluate(trial)
         norm_try = np.abs(res_try).max(axis=1, initial=0.0)
@@ -380,22 +348,21 @@ def _solve(system: _LogSystem, cfg: SolveConfig, draw, screen, sign: float) -> S
     system without rows has nothing to solve: each start stands at 0, a
     solution exactly when the empty products 1 are the sign.
     """
-    n = system.table.n_unknowns
     if system.table.n_rows:
-        starts = _starts(system, cfg, draw)
-        run = _newton(system, starts, cfg)
+        points, codes = _newton(system, _starts(system, cfg, draw), cfg)
     else:
-        starts = run = np.zeros((cfg.n_starts, n))
-    fates = _ledger(cfg.n_starts, run)
-    converged = [u for u in run if u is not None]
-    keys = screen(np.array(converged, dtype=complex).reshape(len(converged), n), fates)
+        points = np.zeros((cfg.n_starts, system.table.n_unknowns), dtype=complex)
+        codes = np.full(cfg.n_starts, _CONVERGED)
+    fates = _ledger(cfg.n_starts, codes)
+    converged = points[codes == _CONVERGED]
+    keys = screen(converged, fates)
     worst = deviation(*system.table.products(system._points(keys)), sign)
     hit = np.flatnonzero(worst <= cfg.tol)
     kept = hit[_distinct(keys[hit], cfg.dedup_tol)]
     fates["residual"], fates["duplicate"], fates["accepted"] = (
         len(keys) - len(hit), len(hit) - len(kept), len(kept))
     return SolveResult(list(keys[kept]), {"n_converged": len(converged) - fates["complex_vacuum"],
-                                          "n_starts": len(starts), "fates": fates},
+                                          "n_starts": len(codes), "fates": fates},
                        worst[kept].tolist())
 
 

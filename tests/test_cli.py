@@ -71,6 +71,18 @@ def test_exit_two_without_sites_or_spins(capsys, argv):
     assert "need --sites" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["vacuum", "--family", "B", "--rank", "2", "--sigma", "0.1"],
+     "got 1 --sigma values for rank 2"),
+    (["vacuum", "--family", "A", "--rank", "2", "--nf", "2", "--masses-anti", "0.1"],
+     "got 1 anti-fundamental masses for --nf 2"),
+    (["solve-vacuum", "--family", "A", "--rank", "2", "--nf", "1", "--masses-anti", "0.1,0.2"],
+     "got 2 anti-fundamental masses for --nf 1"),
+])
+def test_exit_two_on_gauge_list_lengths(capsys, argv, message):
+    assert message in _usage_error(capsys, argv)
+
+
 @pytest.mark.parametrize("subcommand", ["specfun-selftest", "chain-oracle"])
 def test_exit_two_on_csv_without_table(capsys, subcommand):
     assert "--csv" in _usage_error(capsys, [subcommand, "--csv"])
@@ -95,6 +107,7 @@ def test_exit_two_on_rational_regime_outside_classical(capsys, family, rank):
     ["bethe", "--sites", "3", "--spins", "0.5,0.5", "--u", "0.2"],
     ["solve-bethe", "--sites", "3", "--thetas", "0.1"],
     ["solve-bethe", "--spins", "0.5,0.5", "--thetas", "0.1,0.2,0.3"],
+    ["bethe", "--sites", "3", "--u", "0.1,0.2"],
 ])
 def test_exit_two_on_chain_list_lengths(capsys, argv):
     err = _usage_error(capsys, argv + ["--kind", "closed-xxz", "--magnons", "1", "--eta", "0.3"])

@@ -16,7 +16,6 @@ from bethegauge.gauge import (
     GaugeTheorySpec,
     VacuumBranch,
     _vacuum_lhs_values,
-    equation_count,
     one_loop_asymptotic_check,
     superpotential_grad,
     superpotential_value,
@@ -239,8 +238,8 @@ def test_anti_fundamental_defaults():
 
 
 def test_equation_count_and_index_bounds():
-    assert equation_count(SPECS["A"]) == 2
-    assert equation_count(SPECS["E8"]) == 8
+    assert SPECS["A"].dim == 2
+    assert SPECS["E8"].dim == 8
     with pytest.raises(ValueError):
         vacuum_lhs(SPECS["A"], SIGMAS["A"], 2)
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from bethegauge.bridge import map_gauge_to_chain, preset_by_id
 from bethegauge.chain import (
     BetheRoots,
     ChainSpec,
-    _bethe_stack,
     _bethe_system,
     bethe_residuals,
     certify_roots,
@@ -86,8 +85,8 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     points = []
     factors = system.table.factors
     monkeypatch.setattr(system.table, "factors", lambda x: points.extend(map(tuple, x)) or factors(x))
-    u = _newton(system, np.array([0.3 + 0.05j]), CFG)
-    assert abs(u[0] - 0.3646017624694252) < 1e-10
+    (u,), (code,) = _newton(system, np.array([[0.3 + 0.05j]]), CFG)
+    assert code == solve._CONVERGED and abs(u[0] - 0.3646017624694252) < 1e-10
     assert len(points) > 2
     assert len(set(points)) == len(points)
 
@@ -99,7 +98,7 @@ def test_newton_batch_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(system.table, "factors",
                         lambda x: points.extend(map(tuple, x)) or factors(x))
     starts = np.array([[0.3 + 0.05j], [0.8 + 0.1j], [0.85 - 0.1j], [0.5j], [0.1], [0.6]])
-    assert sum(u is not None for u in _newton(system, starts, CFG)) >= 3
+    assert np.sum(_newton(system, starts, CFG)[1] == solve._CONVERGED) >= 3
     assert len(points) > 2 * len(starts)
     assert len(set(points)) == len(points)
 
@@ -111,13 +110,13 @@ def test_newton_batch_matches_each_start_alone():
     system = _LogSystem(*_bethe_system(chain), 0.0, 3.0)
     rng = np.random.default_rng(5)
     starts = rng.uniform(0.02, 0.98, size=(24, 2)) + 1j * rng.normal(0.0, 0.2, size=(24, 2))
-    out = _newton(system, starts, CFG)
-    alone = [_newton(system, u0, CFG) for u0 in starts]
-    assert [u is None for u in out] == [u is None for u in alone]
-    assert 0 < sum(u is not None for u in out) < len(starts)
-    for u, v in zip(out, alone):
-        if u is not None:
-            assert np.max(np.abs(u - v)) < 1e-9
+    points, codes = _newton(system, starts, CFG)
+    alone = [_newton(system, u0[None], CFG) for u0 in starts]
+    converged = codes == solve._CONVERGED
+    assert list(converged) == [c[0] == solve._CONVERGED for _, c in alone]
+    assert 0 < converged.sum() < len(starts)
+    for k in np.flatnonzero(converged):
+        assert np.max(np.abs(points[k] - alone[k][0][0])) < 1e-9
 
 
 def _quadratic_system():
@@ -131,21 +130,22 @@ def _quadratic_system():
 def test_newton_batch_isolates_failing_starts():
     system = _quadratic_system()
     good = np.array([1.3 + 0j])
-    alone = _newton(system, good, CFG)
+    alone = _newton(system, good[None], CFG)[0][0]
     assert abs(alone[0] - math.sqrt(2.0)) < 1e-12
     # near u = 0 the first step jumps ~1.6e3i, outside the domain at every
     # step length; u = 0 has a singular Jacobian; u = 1 starts on a pole
     stack = np.array([good, [1e-3 + 0j], [0j], [1.0 + 0j]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out = _newton(system, stack, CFG)
-    assert np.max(np.abs(out[0] - alone)) < 1e-12
-    assert out[1:] == [None, None, None]
+        points, codes = _newton(system, stack, CFG)
+    assert codes[0] == solve._CONVERGED and np.max(np.abs(points[0] - alone)) < 1e-12
+    assert (codes[1:] != solve._CONVERGED).all()
     assert system.table.log_jacobian(system.evaluate(stack[2:3])[2])[0, 0, 0] == 0
 
 
 def test_newton_of_no_starts():
-    assert _newton(_quadratic_system(), np.zeros((0, 1), dtype=complex), CFG) == []
+    points, codes = _newton(_quadratic_system(), np.zeros((0, 1), dtype=complex), CFG)
+    assert points.shape == (0, 1) and codes.shape == (0,)
 
 
 def _drawn_one_at_a_time(system, cfg, draw):
@@ -154,7 +154,7 @@ def _drawn_one_at_a_time(system, cfg, draw):
     for _ in range(cfg.n_starts):
         for _ in range(100):
             cand = draw()
-            if system.min_factor(cand.astype(complex)) > solve.POLE_TOL:
+            if system.min_factor(cand.astype(complex)[None])[0] > solve.POLE_TOL:
                 starts.append(cand)
                 break
             rejected += 1
@@ -164,7 +164,8 @@ def _drawn_one_at_a_time(system, cfg, draw):
 def _starts_handed_to_newton(monkeypatch, run):
     stacks = []
     monkeypatch.setattr(solve, "_newton",
-                        lambda system, u0, cfg: stacks.append(u0) or [None] * len(u0))
+                        lambda system, u0, cfg: stacks.append(u0)
+                        or (u0, np.full(len(u0), solve._BAD_START)))
     run()
     assert len(stacks) == 1
     return stacks[0]
@@ -541,7 +542,9 @@ def test_stacked_bethe_acceptance_classifies_as_one_by_one(chain):
             one_by_one.append(bool(np.max(bethe_residuals(chain, BetheRoots(r))) > CFG.tol))
         except SingularPointError:
             one_by_one.append(True)
-    misses = deviation(*_bethe_stack([chain] * len(points), np.array(points)), 1.0) > CFG.tol
+    table, params = _bethe_system(chain)
+    stack = np.concatenate((np.array(points), np.tile(params, (len(points), 1))), axis=1)
+    misses = deviation(*table.products(stack), 1.0) > CFG.tol
     assert list(misses) == one_by_one
     assert not misses[: len(found)].any() and misses[len(found):].all()
 
@@ -596,13 +599,13 @@ def test_newton_names_the_fate_of_each_start():
     system = _quadratic_system()
     # converged; off the domain at every step length; a singular Jacobian; on a pole
     stack = np.array([[1.3 + 0j], [1e-3 + 0j], [0j], [1.0 + 0j]])
-    run = _newton(system, stack, CFG)
-    assert [solve._NEWTON_FATES[k] for k in run.fates] == [
+    _, codes = _newton(system, stack, CFG)
+    assert [solve._NEWTON_FATES[k] for k in codes] == [
         None, "step_exhausted", "singular_jacobian", "bad_start"]
     # a tenth of each Newton step cannot converge in ten iterations
-    slow = _newton(system, np.array([[4.0 + 0j]]), SolveConfig(damping=0.1, max_iter=10))
-    assert slow == [None] and solve._NEWTON_FATES[slow.fates[0]] == "max_iter"
-    assert solve._ledger(6, run) == {**dict.fromkeys(solve.FATES, 0), "no_start": 2,
+    _, slow = _newton(system, np.array([[4.0 + 0j]]), SolveConfig(damping=0.1, max_iter=10))
+    assert [solve._NEWTON_FATES[k] for k in slow] == ["max_iter"]
+    assert solve._ledger(6, codes) == {**dict.fromkeys(solve.FATES, 0), "no_start": 2,
                                      "step_exhausted": 1, "singular_jacobian": 1,
                                      "bad_start": 1}
 
@@ -623,7 +626,9 @@ def test_solve_keeps_the_residual_that_accepted_each_set(chain):
     res = solve_bethe(chain, CFG)
     assert res.solutions and len(res.residuals) == len(res)
     # bitwise: a row evaluates alike in the solve's stack and in this one
-    values, _ = _bethe_stack([chain] * len(res), np.array([r.values for r in res]))
+    table, params = _bethe_system(chain)
+    u = np.array([r.values for r in res])
+    values, _ = table.products(np.concatenate((u, np.tile(params, (len(u), 1))), axis=1))
     assert res.residuals == np.max(np.abs(values - 1.0), axis=1).tolist()
     assert max(res.residuals) <= CFG.tol
     no_magnons = ChainSpec("closed-xxx", 2, 0, 0.37, (0.5,) * 2, (0.0, 0.0))
