@@ -48,6 +48,8 @@ from .gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
     FAMILIES,
+    FIXED_RANK,
+    NO_ANTI_MASSES,
     REGIME_SCALE,
     GaugeTheorySpec,
     _vacuum_lhs_values,
@@ -126,8 +128,13 @@ def _argument_error(ns: argparse.Namespace) -> Optional[str]:
     """A bad combination of arguments that parsing alone does not catch."""
     if "masses" in ns and ns.masses is not None and len(ns.masses) != ns.nf:
         return "got %d masses for --nf %d" % (len(ns.masses), ns.nf)
+    family = getattr(ns, "family", None)  # cross-check takes it from the preset
+    if "masses" in ns and ns.rank != FIXED_RANK.get(family, ns.rank):
+        return "%s has rank %d" % (family, FIXED_RANK[family])
     anti = getattr(ns, "masses_anti", None)
-    if anti is not None and ns.family == "A" and len(anti) != ns.nf:  # only A reads it
+    if anti is not None and family != "A" and ns.realization == "II":
+        return NO_ANTI_MASSES
+    if anti is not None and len(anti) != ns.nf:
         return "got %d anti-fundamental masses for --nf %d" % (len(anti), ns.nf)
     if "sigma" in ns and ns.sigma is not None and len(ns.sigma) != ns.rank:
         return "got %d --sigma values for rank %d" % (len(ns.sigma), ns.rank)
@@ -212,11 +219,9 @@ def _gauge_spec(ns: argparse.Namespace, family: str, scale: float,
     m_adj = ns.m_adj
     if m_adj is None:
         m_adj = scale * rng.uniform(0.09, 0.34)
-    anti = None
-    if family == "A":
-        anti = ns.masses_anti
-        if anti is None:
-            anti = tuple(scale * rng.uniform(0.07, 0.43, size=ns.nf))
+    anti = ns.masses_anti  # realization I without a list takes the fundamental masses
+    if anti is None and family == "A":
+        anti = tuple(scale * rng.uniform(0.07, 0.43, size=ns.nf))
     return GaugeTheorySpec(
         family=family, rank=ns.rank, n_fund=ns.nf, masses=tuple(masses),
         m_adj=m_adj, realization=ns.realization, masses_anti=anti,

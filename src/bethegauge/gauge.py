@@ -37,6 +37,10 @@ from .rows import RowTable
 from .specfun import SingularPointError, dilog, dilog_qpoch_link
 
 FAMILIES = ("A", "B", "C", "D", "E8", "F4")
+#: the families whose rank is fixed
+FIXED_RANK = {"E8": 8, "F4": 4}
+#: why a theory outside A and realization I takes no anti-fundamental masses
+NO_ANTI_MASSES = "anti-fundamental masses only enter the A family or realization I"
 
 #: minimum distance of any sine argument to the singular set pi*Z
 SINGULAR_TOL = 1e-6
@@ -77,10 +81,8 @@ class GaugeTheorySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError("family must be one of %s" % (FAMILIES,))
-        if self.family == "E8" and self.rank != 8:
-            raise ValueError("E8 has rank 8")
-        if self.family == "F4" and self.rank != 4:
-            raise ValueError("F4 has rank 4")
+        if self.rank != FIXED_RANK.get(self.family, self.rank):
+            raise ValueError("%s has rank %d" % (self.family, FIXED_RANK[self.family]))
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.realization not in ("I", "II"):
@@ -98,9 +100,7 @@ class GaugeTheorySpec:
                 self, "masses_anti", tuple(float(m) for m in self.masses_anti)
             )
             if self.family != "A" and self.realization == "II":
-                raise ValueError(
-                    "anti-fundamental masses only enter the A family or realization I"
-                )
+                raise ValueError(NO_ANTI_MASSES)
         if self.beta2 <= 0:
             raise ValueError("beta2 must be positive")
 

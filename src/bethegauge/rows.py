@@ -14,19 +14,36 @@ values of the parameters.
 
 :meth:`RowTable.product` evaluates one equation's rows at one point, for
 the public per-equation evaluators.  Everything else works on stacks of
-points through :meth:`RowTable.factors`: :meth:`RowTable.products` takes
-one point per sampled draw and marks the singular ones with the same
-guard, and :func:`deviation` reads a point's residual from what it
-returns; the solver passes one point per Newton start and gets the log
-sums, Jacobians C^T diag(power f'/f) and start filter of the whole stack
-from real matrix products.
+points, whose row arguments are one real matrix product
+(:meth:`RowTable.arguments`).  :meth:`RowTable.factors` takes their sine:
+:meth:`RowTable.products` takes one point per sampled draw and marks the
+singular ones with the same guard, :func:`deviation` reads a point's
+residual from what it returns, and the solver's start filter reads the
+smallest |f|.  For its Newton steps the solver passes one point per start
+and gets the log sums and Jacobians C^T diag(power f'/f) of the whole
+stack from one real-arithmetic kernel (:meth:`RowTable.log_terms`) and real
+matrix products, never from complex sin, log or tan: with a = x + iy, a
+sin row has
+
+    |f|^2 = sin^2 x + sinh^2 y,   arg f = atan2(cos x sinh y, sin x cosh y),
+    f'/f = (sin x cos x - i sinh y cosh y) / |f|^2,
+
+and a linear row |a|^2, arg a and f'/f = 1/a = conj(a) / |a|^2.  The
+kernel takes the sin forms divided through by cosh^2 y, so that it
+overflows no sooner than complex sin does.
+
+:meth:`RowTable.products` gives a point the same bits at any stack height
+and position, but the stacked Jacobian product need not: at one point of
+the B3 rational vacuum table, its rows differed in their last bits at 139
+of 147 stack heights and positions.  So a Newton start's last bits depend
+on which other starts are alive with it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -76,9 +93,10 @@ class RowTable:
     def n_rows(self) -> int:
         return len(self.power)
 
-    # The real matrices of stacked evaluation, each as kron(m, identity(2)): a
-    # complex stack times a real matrix is then one real product over the
-    # interleaved (re, im) view.  Each is built on first use.
+    # The real matrices of stacked evaluation, each as kron(m, identity(2)) (the
+    # log sums halve the real part): a complex stack times a real matrix is
+    # then one real product over the interleaved (re, im) view.  Each is built
+    # on first use.
 
     @cached_property
     def _columns(self) -> np.ndarray:
@@ -87,19 +105,25 @@ class RowTable:
 
     @cached_property
     def _sums(self) -> np.ndarray:
-        """by_eq^T (R, n_eq): the solver's per-equation log sums."""
-        return np.kron(self.by_eq.T, np.eye(2))
+        """diag(power) by_eq^T (R, n_eq): the solver's per-equation log sums,
+        taken from (log |f|^2, arg f), hence the 1/2 on the real part."""
+        return np.kron(self.power.real[:, None] * self.by_eq.T, np.diag([0.5, 1.0]))
 
     @cached_property
     def _jacobian(self) -> np.ndarray:
-        """(R, n_eq * n): the solver's Jacobian rows."""
-        jac = self.by_eq.T[:, :, None] * self.coeffs.real[:, None, : self.n_unknowns]
+        """(R, n_eq * n): the solver's Jacobian rows, power times C^T per equation."""
+        jac = (self.power.real[:, None] * self.by_eq.T)[:, :, None] \
+            * self.coeffs.real[:, None, : self.n_unknowns]
         return np.kron(jac.reshape(self.n_rows, len(self.by_eq) * self.n_unknowns), np.eye(2))
+
+    def arguments(self, x: np.ndarray) -> np.ndarray:
+        """The row arguments (S, R) at a stack x (S, cols)."""
+        # real product of real coefficients: complex ones over many rows slow later complex sin
+        return _real_product(x, self._columns)
 
     def factors(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Arguments and factor values (S, R) at a stack x (S, cols)."""
-        # real product of real coefficients: complex ones over many rows slow later complex sin
-        a = _real_product(x, self._columns)
+        a = self.arguments(x)
         return a, (a if self.kind == "linear" else np.sin(a))
 
     def _singular(self, a: np.ndarray, f: np.ndarray, guarded) -> np.ndarray:
@@ -147,22 +171,45 @@ class RowTable:
                 values[:, j] = fp[:, rows].prod(axis=1)
         return values, self._singular(a, f, self.guarded).any(axis=1)
 
-    def log_sum(self, f: np.ndarray, mag: Optional[np.ndarray] = None) -> np.ndarray:
-        """Per equation, sum_r power_r log f_r on the principal branch: (S, R) -> (S, n_eq).
+    def log_terms(self, a: np.ndarray, floor: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The solver's kernel over a stack of row arguments a (S, R).
 
-        The log is taken as log|f| + i arg f, from ``mag`` = |f| when the
-        caller has it: real log and arctan2 cost a fraction of complex log.
+        Returns the indices of the points whose every |f|^2 is at least
+        ``floor`` (nan is not), and at those points the log sums
+        sum_r power_r log f_r per equation, on the principal branch
+        (S', n_eq), and the ratios f'/f per row (S', R).
         """
-        logs = np.empty(f.shape, dtype=complex)
-        logs.real = np.log(np.abs(f) if mag is None else mag)
-        logs.imag = np.angle(f)
-        logs *= self.power.real
-        return _real_product(logs, self._sums)
+        x, y = np.ascontiguousarray(a.real), np.ascontiguousarray(a.imag)  # for numpy's SIMD loops
+        if self.kind == "linear":  # f = a: |a|^2, arg a, f'/f = conj(a) / |a|^2
+            re, im, num_re, num_im = x, y, x, y
+            den = x * x + y * y
+            clear = den >= floor
+        else:  # the sin forms over cosh^2 y: sinh^2 y would overflow from |y| ~ 355 on
+            sx, cx, th, ch = np.sin(x), np.cos(x), np.tanh(y), np.cosh(y)
+            sech2 = (1.0 / ch) ** 2
+            re, im, num_re, num_im = sx, cx * th, sx * cx * sech2, th
+            den = sx * sx * sech2 + th * th  # |f|^2 / cosh^2 y
+            clear = den >= floor * sech2
+        logs = np.empty(den.shape, dtype=complex)
+        ratios = np.empty(den.shape, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):  # at a pole: screened out below
+            np.log(den, out=logs.real)
+            inv = 1.0 / den
+            np.multiply(num_re, inv, out=ratios.real)
+            np.multiply(num_im, -inv, out=ratios.imag)
+        if self.kind != "linear":  # log |f|^2 = log den + 2 log cosh y
+            logs.real += 2.0 * np.log(ch)
+        np.arctan2(im, re, out=logs.imag)
+        clear = clear.all(axis=1).nonzero()[0]
+        if len(clear) < len(a):
+            logs, ratios = logs[clear], ratios[clear]
+        return clear, _real_product(logs, self._sums), ratios
 
-    def log_jacobian(self, a: np.ndarray) -> np.ndarray:
-        """d log_sum / d unknowns, C^T diag(power f'/f) per equation: (S, R) -> (S, n_eq, n)."""
-        g = self.power.real / (a if self.kind == "linear" else np.tan(a))
-        return _real_product(g, self._jacobian).reshape(len(a), len(self.by_eq), self.n_unknowns)
+    def log_jacobian(self, ratios: np.ndarray) -> np.ndarray:
+        """d log sums / d unknowns, C^T diag(power f'/f) per equation, from the
+        ratios f'/f of :meth:`log_terms`: (S, R) -> (S, n_eq, n)."""
+        return _real_product(ratios, self._jacobian).reshape(
+            len(ratios), len(self.by_eq), self.n_unknowns)
 
 
 def deviation(values: np.ndarray, singular: np.ndarray, target) -> np.ndarray:

@@ -4,8 +4,9 @@ Both systems are products of sine (or linear) factors equated to +-1, so the
 solver works on the summed principal-branch logarithms of the same row
 tables the product forms evaluate (``chain._bethe_table``,
 ``gauge._vacuum_table``): each row contributes power * log f(c.x + shift),
-giving an exact cotangent Jacobian C^T diag(power f'/f).  Each log is taken
-as log|f| + i arg f, from the |f| that the pole guard computes anyway.  The
+giving an exact cotangent Jacobian C^T diag(power f'/f).  The logs, the
+ratios f'/f and the pole screen |f|^2 >= 1e-28 come from the table's
+real-arithmetic kernel (:meth:`RowTable.log_terms`).  The
 log residual is folded back by multiples of 2*pi*i, which removes the
 winding ambiguity of the product form; acceptance of a candidate always goes
 through the guarded product-form evaluators, never the solver's own residual.
@@ -13,9 +14,10 @@ through the guarded product-form evaluators, never the solver's own residual.
 Both solvers are one solve (:func:`_solve`) and differ only in their row
 table and parameters, target, radius, start draw and screen.  A solve
 first draws all its starts, scoring the draws against the pole filter a
-stack at a time, then steps them together: one masked, damped Newton
-iteration over the stack, in which each start keeps its own step length,
-iteration count and fate.  The screen drops complex vacua, or self-conjugate
+stack at a time, then steps them together, one damped Newton iteration per
+tick: every live start solves its Jacobian, its full step is scored in one
+stack, and the backtracking ladder of the starts that fail it in one more
+(see :func:`_newton`).  The screen drops complex vacua, or self-conjugate
 and invalid root sets, and takes the rest to their canonical keys; the keys
 are checked by one stacked product-form evaluation of the system's own
 table and deduplicated in start order, and each solution keeps the residual
@@ -166,27 +168,18 @@ class _LogSystem:
         x[:, u.shape[1]:] = self.params
         return x
 
-    def _clear(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The points of the stack u with every |f| >= 1e-14: indices, arguments,
-        factors and |factors|."""
-        a, f = self.table.factors(self._points(u))
-        mag = np.abs(f)
-        clear = (mag.min(axis=1, initial=np.inf) >= 1e-14).nonzero()[0]  # also rejects nan
-        if len(clear) == len(u):
-            return clear, a, f, mag
-        return clear, a[clear], f[clear], mag[clear]
-
     def evaluate(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Over a stack u (S, n): the indices of the points inside the radius and
-        clear of poles, and at those points the folded residual and the row
-        arguments it was computed from.  Points outside the radius are never
+        with every |f| >= 1e-14, and at those points the folded residual and the
+        row ratios f'/f of its Jacobian.  Points outside the radius are never
         evaluated."""
         size = np.abs(u if self.table.kind == "linear" else u.imag)
         inside = (size <= self.radius).all(axis=1).nonzero()[0]
         if len(inside) < len(u):
             u = u[inside]
-        clear, a, f, mag = self._clear(u)
-        return inside[clear], _fold(self.table.log_sum(f, mag) - self.target), a
+        a = self.table.arguments(self._points(u))
+        clear, sums, ratios = self.table.log_terms(a, 1e-28)  # |f|^2 >= (1e-14)^2
+        return inside[clear], _fold(sums - self.target), ratios
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -203,59 +196,78 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndar
         return steps, solved
 
 
+def _first_passes(system: _LogSystem, u: np.ndarray, step: np.ndarray, norm: np.ndarray,
+                  lams: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Score every step length of ``lams`` from every start of the stack u at
+    once, and take each start's first one that passes.
+
+    Returns the starts that passed (their positions in u), and at their trial
+    points the points, residuals, ratios and residual norms."""
+    k = len(lams)
+    trial = (u[:, None, :] + lams[:, None] * step[:, None, :]).reshape(len(u) * k, -1)
+    ok, res, ratios = system.evaluate(trial)
+    norm_try = np.abs(res).max(axis=1, initial=0.0)
+    start = ok // k
+    passed = ((norm_try < norm[start] * (1.0 - 0.25 * lams[ok % k]))
+              | (norm_try < 1e-12)).nonzero()[0]
+    # ok ascends, so each start's passing trials are adjacent, largest step length first
+    first = np.ones(len(passed), dtype=bool)
+    np.not_equal(start[passed[1:]], start[passed[:-1]], out=first[1:])
+    first = passed[first]
+    return start[first], trial[ok[first]], res[first], ratios[first], norm_try[first]
+
+
 def _newton(system: _LogSystem, u0: np.ndarray,
             cfg: SolveConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Damped Newton from every start of the stack u0 (S, n) at once.
+    """Damped Newton from every start of the stack u0 (S, n) at once, one
+    iteration per tick.
 
-    Each start keeps its own step length: a trial point is accepted when it
-    cuts the residual norm by a quarter of the step length, or below 1e-12,
-    and the step is halved otherwise, down to 1/256.  A start fails when it
-    lies outside the radius or on a pole, when no step length gives an
-    accepted trial point, when its Jacobian is singular, or when max_iter
-    steps leave it unconverged.
+    In each iteration a start takes the first step length of the ladder
+    cfg.damping, cfg.damping/2, ... (every one above 1/256) whose trial point
+    cuts the residual norm by a quarter of the step length, or below 1e-12.
+    The full step of every live start is scored as one stack, and the rest
+    of the ladder of the starts it fails as one more.  A start fails when it
+    lies outside the radius or on a pole (bad_start), when its Jacobian is
+    singular, when no step length of the ladder passes (step_exhausted), or
+    when max_iter steps leave it unconverged.
     Returns, per start, where it ended (S, n) and its code (S,) in
     _NEWTON_FATES; only a converged start's point is meaningful.
     """
     points, codes = u0.astype(complex), np.full(len(u0), _BAD_START)
-    # the live starts: their index, iterate, residual, row arguments and norm
-    idx, res, args = system.evaluate(points)
+    ladder, lam = [], cfg.damping  # the step lengths above 1/256, halving from cfg.damping
+    while lam > 1.0 / 256.0:
+        ladder.append(lam)
+        lam *= 0.5
+    stages = [np.array(part) for part in (ladder[:1], ladder[1:]) if part]  # full step, the rest
+    # the live starts: their index, iterate, residual, Jacobian ratios and norm
+    idx, res, ratios = system.evaluate(points)
     u = points[idx]
     norm = np.abs(res).max(axis=1, initial=0.0)
-    iters, lam, step = np.zeros(len(idx), dtype=int), np.zeros(len(idx)), np.zeros_like(u)
-    moved = np.ones(len(idx), dtype=bool)  # at a new iterate
-    while True:
-        done = moved & (norm < 1e-12)
-        # a new step at each new iterate, from the arguments its residual used
-        out_of_iters = moved & ~done & (iters >= cfg.max_iter)
-        new = (moved & ~done & ~out_of_iters).nonzero()[0]
-        keep = ~moved
-        if new.size:
-            step[new], solved = _newton_steps(system.table.log_jacobian(args[new]), -res[new])
-            lam[new] = cfg.damping
-            iters[new] += 1
-            keep[new[solved]] = True
-        exhausted = keep & ~(lam > 1.0 / 256.0)
-        keep &= ~exhausted
-        if not keep.all():
-            # the fate of each start that leaves: converged, or why it failed
-            points[idx[done]] = u[done]
-            fate = np.where(done, _CONVERGED, np.where(out_of_iters, _MAX_ITER, np.where(
-                exhausted, _EXHAUSTED, _SINGULAR)))
-            codes[idx[~keep]] = fate[~keep]
-            idx, u, res, args, norm, iters, lam, step = (
-                a[keep] for a in (idx, u, res, args, norm, iters, lam, step))
-        if not idx.size:
-            return points, codes
-        trial = u + lam[:, None] * step
-        ok, res_try, args_try = system.evaluate(trial)
-        norm_try = np.abs(res_try).max(axis=1, initial=0.0)
-        better = (norm_try < norm[ok] * (1.0 - 0.25 * lam[ok])) | (norm_try < 1e-12)
-        hit = ok[better]
-        u[hit], res[hit], args[hit], norm[hit] = (
-            trial[hit], res_try[better], args_try[better], norm_try[better])
-        moved = np.zeros(len(idx), dtype=bool)
-        moved[hit] = True
-        lam[~moved] *= 0.5
+    for it in range(cfg.max_iter + 1):
+        done = norm < 1e-12
+        codes[idx[done]] = _CONVERGED
+        points[idx[done]] = u[done]
+        live = (~done).nonzero()[0]
+        if it == cfg.max_iter or not live.size:
+            codes[idx[live]] = _MAX_ITER
+            break
+        step, solved = _newton_steps(system.table.log_jacobian(ratios[live]), -res[live])
+        codes[idx[live[~solved]]] = _SINGULAR
+        live, step = live[solved], step[solved]
+        moves = []
+        for lams in stages:
+            if not live.size:
+                break
+            at, *moved = _first_passes(system, u[live], step, norm[live], lams)
+            moves.append((idx[live[at]], *moved))
+            left = np.ones(len(live), dtype=bool)
+            left[at] = False
+            live, step = live[left], step[left]
+        codes[idx[live]] = _EXHAUSTED
+        if not moves:
+            break
+        idx, u, res, ratios, norm = (np.concatenate(parts) for parts in zip(*moves))
+    return points, codes
 
 
 def _starts(system: _LogSystem, cfg: SolveConfig, draw) -> np.ndarray:

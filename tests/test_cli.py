@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from bethegauge import cli
 from bethegauge.cli import run
 from bethegauge.chain import ChainSpec
-from bethegauge.gauge import BRANCH_PLUS, GaugeTheorySpec
+from bethegauge.gauge import BRANCH_PLUS, GaugeTheorySpec, vacuum_lhs
 from bethegauge.solve import SolveConfig, solve_bethe, solve_vacuum
 
 
@@ -78,9 +79,40 @@ def test_exit_two_without_sites_or_spins(capsys, argv):
      "got 1 anti-fundamental masses for --nf 2"),
     (["solve-vacuum", "--family", "A", "--rank", "2", "--nf", "1", "--masses-anti", "0.1,0.2"],
      "got 2 anti-fundamental masses for --nf 1"),
+    (["vacuum", "--family", "B", "--rank", "2", "--nf", "2", "--masses-anti", "0.1",
+      "--realization", "I"], "got 1 anti-fundamental masses for --nf 2"),
+    (["vacuum", "--family", "E8", "--rank", "3"], "E8 has rank 8"),
+    (["vacuum", "--family", "F4", "--rank", "2"], "F4 has rank 4"),
 ])
 def test_exit_two_on_gauge_list_lengths(capsys, argv, message):
     assert message in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["vacuum", "--family", "B", "--rank", "2", "--masses-anti", "0.1"],
+    ["solve-vacuum", "--family", "C", "--rank", "2", "--nf", "2", "--masses-anti", "0.1,0.2"],
+    ["vacuum", "--family", "E8", "--rank", "8", "--masses-anti", "0.1,0.2"],
+])
+def test_exit_two_on_anti_masses_outside_a_and_realization_one(capsys, argv):
+    # realization II of B, C, D and the exceptional families takes no anti-fundamental masses
+    assert "anti-fundamental masses only enter the A family or realization I" in _usage_error(
+        capsys, argv)
+
+
+def test_realization_one_reads_the_anti_masses(capsys):
+    argv = ["vacuum", "--family", "B", "--rank", "2", "--nf", "2", "--masses", "0.31,0.52",
+            "--m-adj", "0.23", "--sigma", "0.4,1.3", "--realization", "I"]
+    spec = GaugeTheorySpec("B", 2, 2, (0.31, 0.52), 0.23, realization="I",
+                           masses_anti=(0.17, 0.44))
+    lhs = [vacuum_lhs(spec, np.array([0.4, 1.3]), j) for j in range(2)]
+    _, doc = _json_doc(capsys, argv + ["--masses-anti", "0.17,0.44"])
+    assert [complex(v["re"], v["im"]) for v in doc["lhs"]] == lhs
+    _, plain = _json_doc(capsys, argv)  # without the list, the fundamental masses
+    assert plain["lhs"] != doc["lhs"]
+    found = solve_vacuum(spec, BRANCH_PLUS, SolveConfig(seed=0))
+    _, doc = _json_doc(capsys, ["solve-vacuum"] + argv[1:11] + ["--realization", "I",
+                                                                 "--masses-anti", "0.17,0.44"])
+    assert found and [s["sigma"] for s in doc["solutions"]] == [list(s) for s in found]
 
 
 @pytest.mark.parametrize("subcommand", ["specfun-selftest", "chain-oracle"])

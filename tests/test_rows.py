@@ -4,6 +4,7 @@ and the import rules that keep the independent witnesses independent."""
 import ast
 import cmath
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +40,10 @@ FD_STEP = 1e-6
 
 
 def _residual(system, u):
-    """The folded log residual and row arguments at the point u, a one-point stack."""
-    ok, res, args = system.evaluate(u[None])
+    """The folded log residual and row ratios f'/f at the point u, a one-point stack."""
+    ok, res, ratios = system.evaluate(u[None])
     assert list(ok) == [0]
-    return res[0], args
+    return res[0], ratios
 
 
 def _fd_jacobian(system, u):
@@ -57,11 +58,11 @@ def _fd_jacobian(system, u):
 
 def _check_agreement(system, target, u, products):
     """exp(residual + target) is the product form; the Jacobian matches FD."""
-    res, args = _residual(system, u)
+    res, ratios = _residual(system, u)
     for r, p in zip(res, products):
         assert abs(cmath.exp(r + target) - p) <= 1e-10 * abs(p)
     if np.max(np.abs(res.imag)) < math.pi - 0.1:  # away from the 2 pi fold
-        jac = system.table.log_jacobian(args)[0]
+        jac = system.table.log_jacobian(ratios)[0]
         fd = _fd_jacobian(system, u)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
 
@@ -360,23 +361,42 @@ def _log_sum_reference(table, f):
 
 
 @pytest.mark.parametrize("table", [_bethe_table("open-xxz", 3, 2),
-                                   _vacuum_table("B", 3, 2, 0, "II", "root")],
-                         ids=["open-xxz", "B3"])
+                                   _vacuum_table("B", 3, 2, 0, "II", "root"),
+                                   _bethe_table("open-xxx", 3, 2)],
+                         ids=["open-xxz", "B3", "open-xxx"])
 def test_log_sum_is_the_principal_complex_log(table):
+    # the kernel's log sums and f'/f against numpy's complex sin, log and cos
     rng = np.random.default_rng(3)
-    f = rng.normal(size=(40, table.n_rows)) + 1j * rng.normal(size=(40, table.n_rows))
+    shape = (40, table.n_rows)
+    trig = table.kind != "linear"
+    if trig:
+        a = rng.uniform(0.0, 2.0 * math.pi, shape) + 1j * rng.normal(size=shape)
+    else:
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # the negative real axis, from above (+0.0) and from below (-0.0)
-    f[0] = f[1] = -rng.uniform(0.5, 2.0, table.n_rows)
-    f[1].imag = -0.0
-    f[2] = 1.0000001e-14 * np.exp(1j * rng.uniform(-math.pi, math.pi, table.n_rows))
-    f[3] = -1.0000001e-14
-    f[3, 1::2].imag = -0.0
-    assert np.all(np.signbit(f[1].imag)) and not np.any(np.signbit(f[0].imag))
-    assert np.all(np.signbit(f[3, 1::2].imag))
-    f[4] = rng.normal(size=table.n_rows) * 1e8 + 1j * rng.normal(size=table.n_rows)
+    a[0] = a[1] = rng.uniform(1.1 * math.pi, 1.9 * math.pi, table.n_rows) if trig \
+        else -rng.uniform(0.5, 2.0, table.n_rows)
+    a[1].imag = -0.0
+    # |f| just above 1e-14, on either side of 0; |f| near 1e8; |f| just below 1e-14
+    a[2] = 1.0000001e-14 * np.exp(1j * rng.uniform(-math.pi, math.pi, table.n_rows))
+    a[3] = -1.0000001e-14
+    a[3, 1::2].imag = -0.0
+    a[4] = (rng.uniform(0.0, 2.0 * math.pi, table.n_rows) + 19.1j) if trig \
+        else rng.normal(size=table.n_rows) * 1e8 + 1j * rng.normal(size=table.n_rows)
+    a[5] = 0.9999999e-14
+    # |Im a| = 400: sinh^2 would overflow, |f| does not
+    a[6] = rng.uniform(0.0, 2.0 * math.pi, table.n_rows) + 400j * rng.choice([-1, 1], table.n_rows)
+    f = np.sin(a) if trig else a
+    assert np.all(np.abs(f[2:5]) > 1e-14) and np.all(np.abs(f[5]) < 1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        clear, got, ratios = table.log_terms(a, 1e-28)
+    assert list(clear) == [k for k in range(len(a)) if k != 5]
+    f = f[clear]
     ref = _log_sum_reference(table, f)
     scale = np.abs(table.power.real * np.log(f)) @ table.by_eq.T
-    for got in (table.log_sum(f), table.log_sum(f, np.abs(f))):
-        gap = got - ref
-        gap.imag -= 2.0 * math.pi * np.rint(gap.imag / (2.0 * math.pi))
-        assert np.all(np.abs(gap) <= 1e-13 * scale)
+    gap = got - ref
+    gap.imag -= 2.0 * math.pi * np.rint(gap.imag / (2.0 * math.pi))
+    assert np.all(np.abs(gap) <= 1e-13 * scale)
+    slope = np.cos(a[clear]) / f if trig else 1.0 / f
+    assert np.all(np.abs(ratios - slope) <= 1e-13 * np.abs(slope))

@@ -83,8 +83,9 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     # the Jacobian at an accepted point reuses the arguments of its residual
     system = _LogSystem(*_bethe_system(CLOSED_XXZ), 0.0, math.inf)
     points = []
-    factors = system.table.factors
-    monkeypatch.setattr(system.table, "factors", lambda x: points.extend(map(tuple, x)) or factors(x))
+    arguments = system.table.arguments
+    monkeypatch.setattr(system.table, "arguments",
+                        lambda x: points.extend(map(tuple, x)) or arguments(x))
     (u,), (code,) = _newton(system, np.array([[0.3 + 0.05j]]), CFG)
     assert code == solve._CONVERGED and abs(u[0] - 0.3646017624694252) < 1e-10
     assert len(points) > 2
@@ -94,9 +95,9 @@ def test_newton_evaluates_each_point_once(monkeypatch):
 def test_newton_batch_evaluates_each_point_once(monkeypatch):
     system = _LogSystem(*_bethe_system(CLOSED_XXZ), 0.0, math.inf)
     points = []
-    factors = system.table.factors
-    monkeypatch.setattr(system.table, "factors",
-                        lambda x: points.extend(map(tuple, x)) or factors(x))
+    arguments = system.table.arguments
+    monkeypatch.setattr(system.table, "arguments",
+                        lambda x: points.extend(map(tuple, x)) or arguments(x))
     starts = np.array([[0.3 + 0.05j], [0.8 + 0.1j], [0.85 - 0.1j], [0.5j], [0.1], [0.6]])
     assert np.sum(_newton(system, starts, CFG)[1] == solve._CONVERGED) >= 3
     assert len(points) > 2 * len(starts)
@@ -146,6 +147,98 @@ def test_newton_batch_isolates_failing_starts():
 def test_newton_of_no_starts():
     points, codes = _newton(_quadratic_system(), np.zeros((0, 1), dtype=complex), CFG)
     assert points.shape == (0, 1) and codes.shape == (0,)
+
+
+def _newton_one_start(system, u0, cfg):
+    """One start by the rule _newton documents, one trial point at a time:
+    (where it ended, its fate, the Jacobians it solved)."""
+    ok, res, ratios = system.evaluate(u0[None])
+    if not len(ok):
+        return u0, "bad_start", 0
+    u, res, ratios = u0, res[0], ratios[0]
+    norm = np.abs(res).max(initial=0.0)
+    for it in range(cfg.max_iter + 1):
+        if norm < 1e-12:
+            return u, None, it
+        if it == cfg.max_iter:
+            return u, "max_iter", it
+        try:
+            step = np.linalg.solve(system.table.log_jacobian(ratios[None])[0], -res)
+        except np.linalg.LinAlgError:
+            return u, "singular_jacobian", it + 1
+        lam = cfg.damping
+        while lam > 1.0 / 256.0:
+            ok, res_try, ratios_try = system.evaluate((u + lam * step)[None])
+            norm_try = np.abs(res_try).max(initial=0.0) if len(ok) else np.inf
+            if norm_try < norm * (1.0 - 0.25 * lam) or norm_try < 1e-12:
+                u, res, ratios, norm = u + lam * step, res_try[0], ratios_try[0], norm_try
+                break
+            lam *= 0.5
+        else:
+            return u, "step_exhausted", it + 1
+
+
+def _reference_cases():
+    """(name, system, starts, config): Newton's fates from every branch of its rule."""
+    rng = np.random.default_rng(7)
+
+    def trig_starts(k, n, radius):
+        u = rng.uniform(0.02, 0.98, size=(k, n)) + 1j * rng.normal(0.0, 0.2, size=(k, n))
+        return np.concatenate((u, [[0.3 + 1j * (radius + 0.5)] * n]))  # outside the radius
+
+    closed = ChainSpec("closed-xxz", 6, 3, 0.31, (0.5,) * 6, (0.03, -0.07, 0.09, -0.02, 0.05, 0.0))
+    radius = 2.0 + 6 * 0.31 + 0.09  # as solve_bethe takes it
+    yield "closed-xxz", _LogSystem(*_bethe_system(closed), 0.0, radius), \
+        trig_starts(24, 3, radius), CFG
+    opened = ChainSpec("open-xxz", 3, 2, 0.289, (0.5,) * 3, (0.04, -0.06, 0.02),
+                       xi_plus=0.23, xi_minus=-0.41)
+    yield "open-xxz", _LogSystem(*_bethe_system(opened), 0.0, 3.0), trig_starts(24, 2, 3.0), CFG
+    spec = GaugeTheorySpec("B", 2, 2, (-0.31, 0.52), 0.3)
+    radius = 10.0 * (2.0 + math.pi + 2 * 0.52)  # as solve_vacuum takes it in 2d
+    vacuum = _LogSystem(*_vacuum_system(spec, "rational"), 0.0, radius)
+    yield "B2-2d", vacuum, rng.uniform(0.02, 0.98, size=(24, 2)).astype(complex), CFG
+    yield "B2-2d-max_iter", vacuum, rng.uniform(-1.5, 1.5, size=(24, 2)).astype(complex), \
+        SolveConfig(max_iter=10, damping=0.3)
+    # converged; off the domain at every step length; a singular Jacobian; on a pole
+    yield "quadratic", _quadratic_system(), np.array([[1.3 + 0j], [1e-3], [0j], [1.0]]), CFG
+    yield "quadratic-max_iter", _quadratic_system(), np.array([[4.0 + 0j]]), \
+        SolveConfig(damping=0.1, max_iter=10)
+
+
+@pytest.mark.parametrize("name", [case[0] for case in _reference_cases()])
+def test_newton_matches_the_one_start_rule(name):
+    _, system, starts, cfg = next(c for c in _reference_cases() if c[0] == name)
+    points, codes = _newton(system, starts, cfg)
+    alone = [_newton_one_start(system, u0, cfg) for u0 in starts]
+    assert [solve._NEWTON_FATES[k] for k in codes] == [fate for _, fate, _ in alone]
+    for k in np.flatnonzero(codes == solve._CONVERGED):
+        assert np.max(np.abs(points[k] - alone[k][0])) < 1e-9
+
+
+def test_newton_reference_cases_meet_every_fate():
+    met = set()
+    for _, system, starts, cfg in _reference_cases():
+        for u, fate, _ in (_newton_one_start(system, u0, cfg) for u0 in starts):
+            size = np.abs(u if system.table.kind == "linear" else u.imag).max()
+            met.add("step_exhausted at the wall" if fate == "step_exhausted"
+                    and size > 0.9 * system.radius else fate)
+    assert met == {None, "bad_start", "step_exhausted", "step_exhausted at the wall",
+                   "singular_jacobian", "max_iter"}
+
+
+@pytest.mark.parametrize("name", [case[0] for case in _reference_cases()])
+def test_newton_takes_one_iteration_per_tick(name, monkeypatch):
+    _, system, starts, cfg = next(c for c in _reference_cases() if c[0] == name)
+    jacobians = max(j for _, _, j in (_newton_one_start(system, u0, cfg) for u0 in starts))
+    calls = {"evaluate": 0, "log_jacobian": 0}
+    for obj, method in ((system, "evaluate"), (system.table, "log_jacobian")):
+        def counted(*args, _fn=getattr(obj, method), _method=method):
+            calls[_method] += 1
+            return _fn(*args)
+        monkeypatch.setattr(obj, method, counted)
+    _newton(system, starts, cfg)
+    assert calls["log_jacobian"] == jacobians
+    assert calls["evaluate"] <= 2 * jacobians + 1
 
 
 def _drawn_one_at_a_time(system, cfg, draw):
