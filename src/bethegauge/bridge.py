@@ -387,10 +387,13 @@ def _extrapolate_geometric(values: np.ndarray) -> np.ndarray:
 #: draws scored together in one stacked evaluation.  Each chunk pays one fixed
 #: stack of calls (vacuum products, window, dictionary, root mask, Bethe
 #: parameters and products), which at 64 draws cost more than the draws.  On a
-#: 2-core x86 host with one BLAS thread, the 33 CLI tasks of a benchmark
-#: certify round take 0.29 s at 256 against 0.42 s at 64 (0.30 s at 384 and
-#: 512), and the largest traced peak of a task, verify D-3d rank 3 with its
-#: three cutoffs, is 1.4 MB (0.8 MB at 64).  Reports do not depend on it.
+#: 2-core x86 host with one BLAS thread, the 36 CLI tasks of a benchmark
+#: certify round at seed 11 take 0.19-0.22 s at 256 against 0.36-0.43 s at 64
+#: (0.17-0.20 s at 384, 0.21-0.25 s at 512; medians of two runs of 9 and 21
+#: rounds), and the largest traced peak of a task, verify D-3d rank 3 with its
+#: three cutoffs, is 1.4 MB (0.8 MB at 64, 2.0 MB at 384).  384 saves under a
+#: tenth for a peak 45% higher, so the chunk stays at 256.  Reports do not
+#: depend on it.
 _CHUNK = 256
 #: a run gives up once this many draws per requested sample leave it short
 _DRAWS_PER_SAMPLE = 60

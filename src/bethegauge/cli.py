@@ -47,8 +47,8 @@ from .chain import (
 from .gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
+    CLASSICAL_REALIZATION_I,
     FAMILIES,
-    FIXED_RANK,
     NO_ANTI_MASSES,
     REGIME_SCALE,
     GaugeTheorySpec,
@@ -129,8 +129,12 @@ def _argument_error(ns: argparse.Namespace) -> Optional[str]:
     if "masses" in ns and ns.masses is not None and len(ns.masses) != ns.nf:
         return "got %d masses for --nf %d" % (len(ns.masses), ns.nf)
     family = getattr(ns, "family", None)  # cross-check takes it from the preset
-    if "masses" in ns and ns.rank != FIXED_RANK.get(family, ns.rank):
-        return "%s has rank %d" % (family, FIXED_RANK[family])
+    if family is not None and "rank" in ns:
+        _, rank = root_family(family, ns.rank)  # E6, E7, E8 and F4 name their rank
+        if ns.rank != rank:
+            return "%s has rank %d" % (family, rank)
+    if getattr(ns, "realization", None) == "I" and family not in CLASSICAL:
+        return CLASSICAL_REALIZATION_I
     anti = getattr(ns, "masses_anti", None)
     if anti is not None and family != "A" and ns.realization == "II":
         return NO_ANTI_MASSES

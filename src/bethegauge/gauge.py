@@ -37,10 +37,10 @@ from .rows import RowTable
 from .specfun import SingularPointError, dilog, dilog_qpoch_link
 
 FAMILIES = ("A", "B", "C", "D", "E8", "F4")
-#: the families whose rank is fixed
-FIXED_RANK = {"E8": 8, "F4": 4}
 #: why a theory outside A and realization I takes no anti-fundamental masses
 NO_ANTI_MASSES = "anti-fundamental masses only enter the A family or realization I"
+#: why an exceptional family has no realization I
+CLASSICAL_REALIZATION_I = "realization I is only defined for the classical families"
 
 #: minimum distance of any sine argument to the singular set pi*Z
 SINGULAR_TOL = 1e-6
@@ -81,14 +81,15 @@ class GaugeTheorySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError("family must be one of %s" % (FAMILIES,))
-        if self.rank != FIXED_RANK.get(self.family, self.rank):
-            raise ValueError("%s has rank %d" % (self.family, FIXED_RANK[self.family]))
+        _, rank = lie_roots.root_family(self.family, self.rank)  # E8 and F4 name their rank
+        if self.rank != rank:
+            raise ValueError("%s has rank %d" % (self.family, rank))
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.realization not in ("I", "II"):
             raise ValueError("realization must be 'I' or 'II'")
         if self.family in ("E8", "F4") and self.realization == "I":
-            raise ValueError("realization I is only defined for the classical families")
+            raise ValueError(CLASSICAL_REALIZATION_I)
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         if len(self.masses) != self.n_fund:
             raise ValueError("expected %d fundamental masses" % self.n_fund)

@@ -32,6 +32,18 @@ and a linear row |a|^2, arg a and f'/f = 1/a = conj(a) / |a|^2.  The
 kernel takes the sin forms divided through by cosh^2 y, so that it
 overflows no sooner than complex sin does.
 
+A point of a stack whose row arguments are all real takes real arithmetic
+in :meth:`RowTable.factors` and :meth:`RowTable.products`: real sin (or
+the argument), integer powers by binary powering and one reciprocal for a
+negative power, and each equation's product as a sequential product over
+its rows.  These are the operations numpy's complex sin, power and product
+make on a zero imaginary part, so the values equal the complex path's
+wherever real and complex sin agree.  The choice is made point by point,
+never per stack, so that a point's values never depend on the other points
+of its stack.  :meth:`RowTable.product` keeps complex sin, power and
+product at every point: it is the reference the stacked path is tested
+against.
+
 :meth:`RowTable.products` gives a point the same bits at any stack height
 and position, but the stacked Jacobian product need not: at one point of
 the B3 rational vacuum table, its rows differed in their last bits at 139
@@ -79,7 +91,12 @@ class RowTable:
         self.power = np.array([r[1] for r in rows], dtype=complex)
         if np.any(self.coeffs.imag) or np.any(self.power.imag):
             raise ValueError("row coefficients, shifts and powers must be real")
+        n = self.power.real  # numpy's complex power multiplies out integers below 100
+        if np.any((n != np.rint(n)) | (n == 0) | (np.abs(n) >= 100)):
+            raise ValueError("powers must be non-zero integers below 100 in magnitude")
         eq = np.array([r[0] for r in rows], dtype=int)
+        if np.any(np.diff(eq) < 0):
+            raise ValueError("rows must come equation by equation")
         self.by_eq = (eq == np.arange(n_eq)[:, None]).astype(float)
         self.rows_of = tuple(np.flatnonzero(e) for e in self.by_eq)
         self.guarded = np.flatnonzero(self.power.real < 0) if guard == "denominator" else slice(None)
@@ -88,6 +105,13 @@ class RowTable:
             (self.coeffs[r], self.power[r],
              np.flatnonzero(self.power[r].real < 0) if guard == "denominator" else slice(None))
             for r in self.rows_of)
+        # for the real path: the rows raised to each |power| > 1, the inverted
+        # rows, and the equations that have rows, with the first row of each
+        self._raised = tuple((k, np.flatnonzero(np.abs(n) == k))
+                             for k in sorted({int(abs(p)) for p in n}) if k > 1)
+        self._inverted = np.flatnonzero(n < 0)
+        self._filled = np.flatnonzero(np.bincount(eq, minlength=n_eq))
+        self._starts = np.searchsorted(eq, self._filled)
 
     @property
     def n_rows(self) -> int:
@@ -122,9 +146,36 @@ class RowTable:
         return _real_product(x, self._columns)
 
     def factors(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Arguments and factor values (S, R) at a stack x (S, cols)."""
+        """Arguments and factor values (S, R) at a stack x (S, cols).
+
+        A point whose arguments are all real takes real sin, any other
+        point complex sin; the values are complex either way.
+        """
+        if self.kind == "linear":
+            a = self.arguments(x)
+            return a, a
+        a, parts = self._parts(x)
+        f = np.empty_like(a)
+        for at, args in parts:
+            f[at] = np.sin(args)
+        return a, f
+
+    def _parts(self, x: np.ndarray) -> Tuple[np.ndarray, list]:
+        """The row arguments a (S, R) of a stack x (S, cols), and its points
+        by arithmetic: (at, args) per kind present, at the points' indices
+        (or all of them, as a slice) and args their arguments, real where
+        every argument of a point is real."""
         a = self.arguments(x)
-        return a, (a if self.kind == "linear" else np.sin(a))
+        if not np.any(x.imag) and np.isfinite(x).all():  # then every argument is real
+            real = np.ones(len(x), dtype=bool)
+        else:
+            real = ~a.imag.any(axis=1)
+        if real.all():
+            return a, [(slice(None), np.ascontiguousarray(a.real))]
+        if not real.any():
+            return a, [(slice(None), a)]
+        return a, [(at, args[at]) for at, args in ((np.flatnonzero(real), a.real),
+                                                    (np.flatnonzero(~real), a))]
 
     def _singular(self, a: np.ndarray, f: np.ndarray, guarded) -> np.ndarray:
         """The guard: which of the ``guarded`` factors of a point, or of a stack, are singular."""
@@ -154,22 +205,61 @@ class RowTable:
 
         Returns the values (S, n_eq) and the singular mask (S,): a point is
         singular exactly where :meth:`product` raises for one of its
-        equations.  The values of a singular point are unspecified.  A point's
+        equations.  The values of a singular point are unspecified.  The
+        points whose arguments are all real are evaluated together in real
+        arithmetic, the others together in complex arithmetic.  A point's
         values do not depend on the other points of its stack: a one-point
-        stack is evaluated as two copies of the point, since numpy takes a
-        single row through other kernels (BLAS matrix-vector for the
-        arguments, a scalar loop for the products) that round differently.
+        stack, or a lone point of either kind, is evaluated as two copies of
+        the point, since numpy takes a single row through other kernels
+        (BLAS matrix-vector for the arguments, a scalar loop for the complex
+        products) that round differently.
         """
         if len(x) == 1:
             values, singular = self.products(np.concatenate((x, x)))
             return values[:1], singular[:1]
-        a, f = self.factors(x)
+        _, parts = self._parts(x)
+        if len(parts) == 1:
+            return self._stack_products(parts[0][1])
+        values = np.empty((len(x), len(self.rows_of)), dtype=complex)
+        singular = np.empty(len(x), dtype=bool)
+        for at, args in parts:
+            if len(at) == 1:  # a lone point goes as two copies, as a one-point stack does
+                args = np.concatenate((args, args))
+            v, hit = self._stack_products(args)
+            values[at], singular[at] = v[: len(at)], hit[: len(at)]
+        return values, singular
+
+    def _stack_products(self, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`products` from the row arguments a (S, R), S >= 2, in a's own arithmetic."""
+        f = a if self.kind == "linear" else np.sin(a)
         with np.errstate(all="ignore"):  # a factor at a zero, masked as singular
-            fp = f ** self.power
-            values = np.ones((len(x), len(self.rows_of)), dtype=complex)  # (S, 0) without equations
-            for j, rows in enumerate(self.rows_of):
-                values[:, j] = fp[:, rows].prod(axis=1)
+            values = self._complex_products(f) if np.iscomplexobj(f) else self._real_products(f)
         return values, self._singular(a, f, self.guarded).any(axis=1)
+
+    def _complex_products(self, f: np.ndarray) -> np.ndarray:
+        """Each equation's product (S, n_eq) of complex factor values f (S, R)."""
+        fp = f ** self.power
+        values = np.ones((len(f), len(self.rows_of)), dtype=complex)  # (S, 0) without equations
+        for j, rows in enumerate(self.rows_of):
+            values[:, j] = fp[:, rows].prod(axis=1)
+        return values
+
+    def _real_products(self, f: np.ndarray) -> np.ndarray:
+        """Each equation's product (S, n_eq), as complex numbers, of real factor values f (S, R).
+
+        The operations of :meth:`_complex_products` on a zero imaginary
+        part: numpy raises a complex number to an integer power below 100
+        by binary powering and one reciprocal for a negative power, and
+        multiplies an equation's rows in row order.
+        """
+        fp = f.copy()
+        for k, rows in self._raised:
+            fp[:, rows] = _integer_power(f[:, rows], k)
+        fp[:, self._inverted] = 1.0 / fp[:, self._inverted]
+        values = np.ones((len(f), len(self.rows_of)), dtype=complex)
+        if len(self._filled):
+            values[:, self._filled] = np.multiply.reduceat(fp, self._starts, axis=1)
+        return values
 
     def log_terms(self, a: np.ndarray, floor: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The solver's kernel over a stack of row arguments a (S, R).
@@ -219,6 +309,18 @@ def deviation(values: np.ndarray, singular: np.ndarray, target) -> np.ndarray:
     worst = np.full(len(values), np.inf)
     worst[~singular] = np.max(np.abs(values[~singular] - target), axis=1, initial=0.0)
     return worst
+
+
+def _integer_power(f: np.ndarray, n: int) -> np.ndarray:
+    """f ** n for an integer n >= 1, by numpy's binary powering of complex numbers."""
+    out = None
+    while True:
+        if n & 1:
+            out = f if out is None else out * f
+        n >>= 1
+        if not n:
+            return out
+        f = f * f
 
 
 def _real_product(z: np.ndarray, doubled: np.ndarray) -> np.ndarray:

@@ -83,9 +83,21 @@ def test_exit_two_without_sites_or_spins(capsys, argv):
       "--realization", "I"], "got 1 anti-fundamental masses for --nf 2"),
     (["vacuum", "--family", "E8", "--rank", "3"], "E8 has rank 8"),
     (["vacuum", "--family", "F4", "--rank", "2"], "F4 has rank 4"),
+    (["vacuum", "--family", "E8", "--rank", "8", "--realization", "I"],
+     "realization I is only defined for the classical families"),
+    (["vacuum", "--family", "F4", "--rank", "4", "--realization", "I"],
+     "realization I is only defined for the classical families"),
 ])
 def test_exit_two_on_gauge_list_lengths(capsys, argv, message):
     assert message in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("family,rank,message", [
+    ("E8", "3", "E8 has rank 8"), ("F4", "2", "F4 has rank 4"), ("E6", "7", "E6 has rank 6"),
+])
+def test_roots_exits_two_on_a_rank_the_name_contradicts(capsys, family, rank, message):
+    assert message in _usage_error(capsys, ["roots", "--family", family, "--rank", rank])
+    assert run(["roots", "--family", family, "--rank", family[1]]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -213,15 +213,24 @@ _coordinate = st.floats(-1.5, 1.5, allow_nan=False)
 
 
 @st.composite
-def _table_and_stack(draw):
-    """A random vacuum or Bethe table and a small stack of points in its columns."""
-    if draw(st.booleans()):
+def _table_and_stack(draw, points=("complex", "real", "mixed")):
+    """A random vacuum or Bethe table and a small stack of points in its columns.
+
+    ``points`` are the kinds of stack to draw from: every point complex,
+    every point real (so every row argument is real), or each point either.
+    """
+    side = draw(st.sampled_from(["classical", "exceptional", "chain"]))
+    if side == "classical":
         family = draw(st.sampled_from("ABCD"))
         realization = draw(st.sampled_from(["I", "II"]))
         n_f = draw(st.integers(1, 3))
         n_anti = n_f if family == "A" or realization == "I" else 0
         table = _vacuum_table(family, draw(st.integers(1, 3)), n_f, n_anti,
                               realization, draw(st.sampled_from(["root", "full", "rational"])))
+    elif side == "exceptional":
+        family = draw(st.sampled_from(["E8", "F4"]))
+        table = _vacuum_table(family, int(family[1]), draw(st.integers(1, 2)), 0, "II",
+                              draw(st.sampled_from(["root", "full"])))
     else:
         kind = draw(st.sampled_from(["closed-xxz", "open-xxz", "closed-xxx", "open-xxx"]))
         table = _bethe_table(kind, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
@@ -229,9 +238,14 @@ def _table_and_stack(draw):
     size = draw(st.integers(1, 4))
     re = draw(st.lists(st.lists(_coordinate, min_size=cols, max_size=cols),
                        min_size=size, max_size=size))
-    im = draw(st.lists(st.lists(st.floats(-0.3, 0.3), min_size=cols, max_size=cols),
-                       min_size=size, max_size=size))
-    stack = np.array(re) + 1j * np.array(im)
+    im = np.array(draw(st.lists(st.lists(st.floats(-0.3, 0.3), min_size=cols, max_size=cols),
+                                min_size=size, max_size=size)))
+    reality = draw(st.sampled_from(points))
+    if reality != "complex":
+        real = draw(st.lists(st.booleans(), min_size=size, max_size=size)) \
+            if reality == "mixed" else [True] * size
+        im[np.array(real)] = 0.0
+    stack = np.array(re) + 1j * im
     return table, np.concatenate((stack, np.ones((size, 1))), axis=1)
 
 
@@ -251,6 +265,31 @@ def test_a_row_evaluates_alike_alone_and_in_a_stack(case):
         values1, singular1 = table.products(stack[k:k + 1])
         assert np.array_equal(values1[0], values[k], equal_nan=True)
         assert singular1[0] == singular[k]
+
+
+def _complex_reference(table, stack):
+    """Values and singular mask of a stack in complex arithmetic throughout:
+    complex sin, then f ** power, then each equation's row product."""
+    a = table.arguments(stack)
+    f = a if table.kind == "linear" else np.sin(a)
+    with np.errstate(all="ignore"):
+        fp = f ** table.power
+        values = np.stack([fp[:, rows].prod(axis=1) for rows in table.rows_of], axis=1)
+    return values, table._singular(a, f, table.guarded).any(axis=1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_table_and_stack(points=("real",)))
+def test_real_points_agree_with_complex_arithmetic(case):
+    table, stack = case
+    values, singular = table.products(stack)
+    reference, reference_singular = _complex_reference(table, stack)
+    assert np.array_equal(singular, reference_singular)
+    for x, vals, ref, hit in zip(stack, values, reference, singular):
+        if not hit:
+            bound = rounding_bound(table, x)
+            assert np.all((np.abs(vals - ref) <= bound * np.abs(ref)) | (vals == ref)), \
+                (vals, ref, bound)
 
 
 # ---------------------------------------------------------------------------
