@@ -125,12 +125,6 @@ class DictionaryPreset:
     def is_open(self) -> bool:
         return self.chain_kind.startswith("open")
 
-    @property
-    def nf_relation(self) -> str:
-        if self.family == "A":
-            return "N_f = N_f' = L"
-        return "N_f = 2*(L - %d)" % len(self.fixed_sites)
-
 
 def _xi(const=0, coeff=0, infinite=0) -> XiExpr:
     return XiExpr(Fraction(const), Fraction(coeff), infinite)
@@ -225,23 +219,6 @@ def all_presets() -> Tuple[DictionaryPreset, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointMap:
-    """Bookkeeping of one gauge -> chain translation."""
-
-    scale: float
-    eta: float
-    pairs: Tuple[Tuple[float, float], ...]
-    n_free: int
-    n_fixed: int
-
-    def sigma_to_u(self, sigma: Sequence[float]) -> Tuple[complex, ...]:
-        return tuple(complex(s) / self.scale for s in sigma)
-
-    def u_to_sigma(self, u: Sequence[complex]) -> Tuple[complex, ...]:
-        return tuple(complex(x) * self.scale for x in u)
-
-
 def _site_from_pair(m, mp, eta, scale):
     spin = -(m + mp) / (2.0 * scale * eta)
     theta = eta / 2.0 + (m - mp) / (2.0 * scale)
@@ -258,7 +235,6 @@ class _Columns(NamedTuple):
     """The chain data of a stack of S gauge points, as columns."""
 
     eta: np.ndarray  # (S,)
-    pairs: np.ndarray  # (S, n_free, 2): the mass pair (m, m') of each free site
     spins: np.ndarray  # (S, L)
     thetas: np.ndarray  # (S, L)
     xi: Optional[np.ndarray]  # (S, len(cutoffs), 2): xi_+, xi_- per cutoff; open chains only
@@ -281,7 +257,6 @@ def _dictionary(preset: DictionaryPreset, params: np.ndarray, n_fund: int,
     if preset.family == "A":
         if anti.shape[1] != n_fund:
             raise ValueError("the A-family dictionary pairs every mass: needs N_f = N_f'")
-        pairs = np.stack((masses, anti), axis=2)
         # closed site ratios carry the antifundamental mass in the numerator,
         # so the pair enters in the opposite order from the open convention
         first, second = anti, masses
@@ -290,7 +265,7 @@ def _dictionary(preset: DictionaryPreset, params: np.ndarray, n_fund: int,
             raise ValueError("open-chain dictionaries need an even number of fundamentals")
         pairs = np.sort(masses, axis=1).reshape(len(params), n_fund // 2, 2)
         first, second = pairs[..., 0], pairs[..., 1]
-    n_free = pairs.shape[1]
+    n_free = first.shape[1]
     if n_free + len(preset.fixed_sites) == 0:
         raise ValueError("need at least one site: no masses and no fixed sites")
     spins, thetas = np.empty((2, len(params), n_free + len(preset.fixed_sites)))
@@ -310,15 +285,18 @@ def _dictionary(preset: DictionaryPreset, params: np.ndarray, n_fund: int,
                 xi[:, t, side] = expr.value(eta, cutoff)
     elif boundary != (None, None):
         raise ValueError("closed chains take no boundary parameters")
-    return _Columns(eta, pairs, spins, thetas, xi)
+    return _Columns(eta, spins, thetas, xi)
 
 
 def map_gauge_to_chain(
     preset: DictionaryPreset,
     gauge: GaugeTheorySpec,
     cutoff: Optional[float] = None,
-) -> Tuple[ChainSpec, PointMap]:
-    """Translate a gauge theory into the preset's spin chain: row 0 of :func:`_dictionary`."""
+) -> ChainSpec:
+    """Translate a gauge theory into the preset's spin chain: row 0 of :func:`_dictionary`.
+
+    The chain's roots are sigma / ``preset.scale``.
+    """
     if gauge.family != preset.family:
         raise ValueError("preset %s does not apply to family %s" % (preset.id, gauge.family))
     if gauge.family != "A" and gauge.realization != "II":
@@ -326,12 +304,8 @@ def map_gauge_to_chain(
     params = np.array([(gauge.m_adj,) + gauge.masses + (gauge.masses_anti or ())], dtype=float)
     cols = _dictionary(preset, params, gauge.n_fund, (cutoff,))
     xi = (None, None) if cols.xi is None else cols.xi[0, 0].tolist()
-    chain = ChainSpec(preset.chain_kind, cols.spins.shape[1], gauge.dim, float(cols.eta[0]),
-                      tuple(cols.spins[0].tolist()), tuple(cols.thetas[0].tolist()), *xi)
-    pm = PointMap(scale=preset.scale, eta=chain.eta,
-                  pairs=tuple(map(tuple, cols.pairs[0].tolist())),
-                  n_free=len(cols.pairs[0]), n_fixed=len(preset.fixed_sites))
-    return chain, pm
+    return ChainSpec(preset.chain_kind, cols.spins.shape[1], gauge.dim, float(cols.eta[0]),
+                     tuple(cols.spins[0].tolist()), tuple(cols.thetas[0].tolist()), *xi)
 
 
 def map_chain_to_gauge(preset: DictionaryPreset, chain: ChainSpec) -> GaugeTheorySpec:
@@ -514,23 +488,20 @@ def verify_identity(
     samples: int = 200,
     tol: float = 1e-10,
     seed: int = 0,
-    cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
     branch: Optional[VacuumBranch] = None,
 ) -> VerificationReport:
     """Sample the correspondence and report the worst matched residual.
 
     For infinite boundary parameters the Bethe side is evaluated at every
-    cutoff and extrapolated; the per-cutoff residuals land in the notes.
+    cutoff of :data:`DEFAULT_CUTOFFS` and extrapolated; the per-cutoff
+    residuals land in the notes.
     ``notes["draws"]`` counts the draws made and what became of each.
     """
     branch = preset.branch if branch is None else branch
     uses_cutoff = any(
         x is not None and x.infinite for x in (preset.xi_plus, preset.xi_minus)
     )
-    if uses_cutoff and len(cutoffs) < 3:
-        raise ValueError("an infinite boundary parameter needs three cutoffs to extrapolate, "
-                         "got %d" % len(cutoffs))
-    cuts = tuple(cutoffs) if uses_cutoff else (None,)
+    cuts = DEFAULT_CUTOFFS if uses_cutoff else (None,)
     max_residual = 0.0
     worst: Optional[Dict[str, object]] = None
     cutoff_worst = np.zeros(len(cuts))
@@ -554,10 +525,10 @@ def verify_identity(
             if preset.family == "A":  # the drawn anti-fundamental masses replay the point
                 worst["masses_anti"] = list(spec.masses_anti)
 
-    notes: Dict[str, object] = {"root_shift": 0.0, "draws": ledger}
+    notes: Dict[str, object] = {"draws": ledger}
     if uses_cutoff:
-        notes["cutoffs"] = list(cutoffs)
-        notes["residual_by_cutoff"] = {str(t): float(r) for t, r in zip(cutoffs, cutoff_worst)}
+        notes["cutoffs"] = list(cuts)
+        notes["residual_by_cutoff"] = {str(t): float(r) for t, r in zip(cuts, cutoff_worst)}
     return VerificationReport(
         preset_id=preset.id,
         samples=samples,
@@ -574,29 +545,27 @@ def verify_identity(
 def calibrate_preset(
     family: str,
     regime: str,
-    xi_candidates: Optional[Sequence[Tuple[XiExpr, XiExpr]]] = None,
-    fixed_counts: Sequence[int] = (0, 2, 3, 4),
     samples: int = 50,
     seed: int = 0,
-    dims: Tuple[int, int] = (2, 4),
-    tol: float = 1e-10,
 ) -> DictionaryPreset:
     """Grid-scan fixed-site counts, theta patterns and branches; keep the best.
 
-    The ambiguity this resolves: different sections tie the site count to
-    N_f in incompatible ways for the C and D families, so the residual gets
-    the final word.  Deterministic for a fixed seed.
+    The grid takes every boundary pair of the family's presets in the
+    regime, 0, 2, 3 or 4 fixed sites (none on a closed chain) with every
+    theta pattern, and both branches; each trial is verified at rank 2 with
+    4 fundamentals and the least worst residual wins.  The ambiguity this
+    resolves: different sections tie the site count to N_f in incompatible
+    ways for the C and D families, so the residual gets the final word.
+    Deterministic for a fixed seed.
     """
     base = presets(family, regime)
     if not base:
         raise ValueError("no preset to calibrate from for family %s in regime %s"
                          % (family, regime))
-    if xi_candidates is None:
-        xi_candidates = list(dict.fromkeys((p.xi_plus, p.xi_minus) for p in base))
     kind = base[0].chain_kind
     best: Optional[Tuple[float, DictionaryPreset]] = None
-    for xi_p, xi_m in xi_candidates:
-        for count in fixed_counts:
+    for xi_p, xi_m in dict.fromkeys((p.xi_plus, p.xi_minus) for p in base):
+        for count in (0, 2, 3, 4):
             if kind.startswith("closed") and count:
                 continue
             for pattern in combinations_with_replacement((Fraction(0), _HALF), count):
@@ -604,7 +573,7 @@ def calibrate_preset(
                     trial = DictionaryPreset("%s-%s-cal" % (family, regime), family, regime, kind,
                                              xi_p, xi_m, tuple(FixedSite(t) for t in pattern), br)
                     try:
-                        rep = verify_identity(trial, dims, samples, tol, seed)
+                        rep = verify_identity(trial, (2, 4), samples, seed=seed)
                     except (ValueError, RuntimeError):
                         continue
                     if best is None or rep.max_residual < best[0]:

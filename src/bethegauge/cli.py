@@ -684,6 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    preset_ids = [preset.id for preset in all_presets()]
 
     def command(name: str, handler, about: str, table: bool = False) -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=about)
@@ -752,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float)
 
     p = command("verify", _cmd_verify, "certify one preset dictionary", table=True)
-    p.add_argument("--preset", required=True)
+    p.add_argument("--preset", required=True, choices=preset_ids, metavar="ID")
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--nf", type=_nonneg_int, default=4)
     p.add_argument("--samples", type=_positive_int, default=200)
@@ -780,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_flags(p, with_max_iter=True)
 
     p = command("cross-check", _cmd_cross_check, "transport Bethe roots to vacua")
-    p.add_argument("--preset", required=True)
+    p.add_argument("--preset", required=True, choices=preset_ids, metavar="ID")
     p.add_argument("--rank", type=_positive_int, default=1)
     p.add_argument("--nf", type=_nonneg_int, default=2)
     solve_flags(p, with_max_iter=False)

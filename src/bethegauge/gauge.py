@@ -3,9 +3,9 @@
 The superpotential of a theory with adjoint and fundamental matter is a sum
 over roots and weights of terms a * [Li2(e^{-iz}) - z^2/4], z affine in sigma
 and the masses; :func:`_term_table` states them once per shape (family,
-rank, N_f, N_f', realization), and the value, the gradient and the one-loop
-check all read it.  Exponentiating one component of the gradient collapses,
-pair by pair, into a product of sine ratios.  Those closed products are the
+rank, N_f, N_f', realization), and the value and the gradient read it.
+Exponentiating one component of the gradient collapses, pair by pair, into
+a product of sine ratios.  Those closed products are the
 authoritative vacuum equations; they are stated once, as one row table per
 shape and form built by :func:`_vacuum_table`, and every product form
 (square-rooted, full, rational) and the solver's log residual evaluate that
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import lie_roots
 from .rows import RowTable
-from .specfun import SingularPointError, dilog, dilog_qpoch_link
+from .specfun import SingularPointError, dilog
 
 FAMILIES = ("A", "B", "C", "D", "E8", "F4")
 #: why a theory outside A and realization I takes no anti-fundamental masses
@@ -76,7 +76,6 @@ class GaugeTheorySpec:
     m_adj: float
     realization: str = "II"
     masses_anti: Tuple[float, ...] = None  # type: ignore[assignment]
-    beta2: float = 1.0
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -102,8 +101,6 @@ class GaugeTheorySpec:
             )
             if self.family != "A" and self.realization == "II":
                 raise ValueError(NO_ANTI_MASSES)
-        if self.beta2 <= 0:
-            raise ValueError("beta2 must be positive")
 
     @property
     def dim(self) -> int:
@@ -144,9 +141,9 @@ def _check_sigma(spec: GaugeTheorySpec, sigma: Sequence[float]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _term_table(family: str, rank: int, n_f: int, n_anti: int,
                 realization: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Every term of beta2*W as a weight a_t and a row V_t of one matrix V.
+    """Every term of W as a weight a_t and a row V_t of one matrix V.
 
-    beta2*W = sum_t a_t [Li2(e^{-i z_t}) - z_t^2/4] with z = V x, where x is
+    W = sum_t a_t [Li2(e^{-i z_t}) - z_t^2/4] with z = V x, where x is
     sigma || (m_adj, masses, masses_anti).  A root alpha with weight factor c
     gives a gauge term (a, z) = (-w, -k alpha.sigma) and an adjoint term
     (w, k (alpha.sigma + m_adj)); a fundamental mass m on the weight s e_j
@@ -190,24 +187,23 @@ def _term_arguments(spec: GaugeTheorySpec,
 
 
 def superpotential_value(spec: GaugeTheorySpec, sigma: Sequence[float]) -> complex:
-    """W at sigma: sum_t a_t [Li2(e^{-i z_t}) - z_t^2/4] / beta2."""
+    """W at sigma: sum_t a_t [Li2(e^{-i z_t}) - z_t^2/4]."""
     a, _, z = _term_arguments(spec, sigma)
-    return complex(a @ (dilog(np.exp(-1j * z)) - 0.25 * z * z)) / spec.beta2
+    return complex(a @ (dilog(np.exp(-1j * z)) - 0.25 * z * z))
 
 
 def superpotential_grad(spec: GaugeTheorySpec, sigma: Sequence[float]) -> np.ndarray:
-    """Analytic gradient dW/dsigma = V_sigma^T [a (i log(1 - e^{-iz}) - z/2)] / beta2."""
+    """Analytic gradient dW/dsigma = V_sigma^T [a (i log(1 - e^{-iz}) - z/2)]."""
     a, v, z = _term_arguments(spec, sigma)
     gap = 1.0 - np.exp(-1j * z)
     if not gap.all():
         raise SingularPointError("a superpotential term sits on its pole e^(-iz) = 1")
-    return v[:, :spec.dim].T @ (a * (1j * np.log(gap) - 0.5 * z)) / spec.beta2
+    return v[:, :spec.dim].T @ (a * (1j * np.log(gap) - 0.5 * z))
 
 
 def vacuum_from_gradient(spec: GaugeTheorySpec, sigma: Sequence[float]) -> np.ndarray:
-    """exp(beta2*i*dW/dsigma_j) for every j: the gradient route to the products."""
-    grad = superpotential_grad(spec, sigma)
-    return np.exp(1j * spec.beta2 * grad)
+    """exp(i*dW/dsigma_j) for every j: the gradient route to the products."""
+    return np.exp(1j * superpotential_grad(spec, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +312,12 @@ def vacuum_lhs(
     spec: GaugeTheorySpec,
     sigma: Sequence[float],
     j: int,
-    branch: VacuumBranch = BRANCH_PLUS,
 ) -> complex:
-    """Left-hand side of the j-th vacuum equation (contract: equals branch.sign).
+    """Left-hand side of the j-th vacuum equation (contract: equals the branch sign).
 
     The classical families and F4 use the square-rooted closed products; E8
-    uses the full product generated from the superpotential gradient.  The
-    branch never enters the value.
+    uses the full product generated from the superpotential gradient.
     """
-    del branch  # contract metadata only
     return _vacuum_value(spec, sigma, j, "root")
 
 
@@ -342,10 +335,8 @@ def vacuum_lhs_2d(
     spec: GaugeTheorySpec,
     sigma: Sequence[float],
     j: int,
-    branch: VacuumBranch = BRANCH_PLUS,
 ) -> complex:
     """Rational vacuum product of the two-dimensional limit (sin x -> x)."""
-    del branch
     return _vacuum_value(spec, sigma, j, "rational")
 
 
@@ -381,64 +372,3 @@ def _vacuum_lhs_stack(spec: GaugeTheorySpec, regime: str, sigma: np.ndarray,
                       params: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`_vacuum_lhs_values` at a stack of points, as :func:`_vacuum_stack` gives it."""
     return _vacuum_stack(spec, {"3d": "root", "2d": "rational"}[regime], sigma, params)
-
-
-# ---------------------------------------------------------------------------
-# one-loop asymptotics
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OneLoopReport:
-    beta2s: Tuple[float, ...]
-    max_rel_errors: Tuple[float, ...]
-    rate: float
-    n_terms: int = 0
-
-    @property
-    def decreasing(self) -> bool:
-        pairs = zip(self.max_rel_errors, self.max_rel_errors[1:])
-        return all(b <= a for a, b in pairs)
-
-
-def one_loop_asymptotic_check(
-    spec: GaugeTheorySpec,
-    sigma: Sequence[float],
-    beta2s: Sequence[float],
-    tol: float = 1e-12,
-) -> OneLoopReport:
-    """Check each dilogarithm of the superpotential against its product form.
-
-    Every dilog argument e^(-iz) of beta2*W at sigma is compared, as u, with
-    -2*beta2*log prod_k (1 - u e^(-2 beta2 k)); the report carries the worst
-    relative error per beta2 and the fitted log-log convergence rate.
-    """
-    _, _, z = _term_arguments(spec, sigma)
-    args = np.exp(-1j * z)
-    near = np.abs(1.0 - args) < SINGULAR_TOL
-    if near.any():
-        raise SingularPointError("dilog argument %r too close to 1" % (complex(args[near][0]),))
-
-    betas = tuple(float(b) for b in beta2s)
-    if any(b <= 0 for b in betas):
-        raise ValueError("beta2 values must be positive")
-    maxima = []
-    for b2 in betas:
-        worst = 0.0
-        for arg in args.tolist():
-            _, _, rel = dilog_qpoch_link(arg, b2, tol)
-            worst = max(worst, rel)
-        maxima.append(worst)
-
-    rate = float("nan")
-    usable = [(b, e) for b, e in zip(betas, maxima) if e > 0]
-    if len(usable) >= 2:
-        xs = np.log([b for b, _ in usable])
-        ys = np.log([e for _, e in usable])
-        rate = float(np.polyfit(xs, ys, 1)[0])
-    return OneLoopReport(
-        beta2s=betas,
-        max_rel_errors=tuple(maxima),
-        rate=rate,
-        n_terms=len(args),
-    )

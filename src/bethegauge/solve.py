@@ -55,6 +55,13 @@ from .rows import RowTable, deviation
 POLE_TOL = 1e-3
 #: open-chain roots with 2u integral are reflection-degenerate, never eigenvectors
 SELF_CONJUGATE_TOL = 1e-6
+#: accepted keys closer than this (max-abs) to an earlier one are duplicates
+DEDUP_TOL = 1e-6
+#: a cross-check passes when every transported root set meets the vacuum
+#: equations to this residual
+MAP_TOL = 1e-6
+#: Newton's step lengths: the full step, then its halvings down to 1/128 (see _newton)
+_STAGES = (np.array([1.0]), 0.5 ** np.arange(1.0, 8.0))
 
 _TWO_PI = 2.0 * math.pi
 
@@ -75,19 +82,15 @@ class SolveConfig:
     n_starts: int = 64
     tol: float = 1e-10
     max_iter: int = 40
-    damping: float = 1.0
     seed: int = 0
-    dedup_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.n_starts <= 0:
             raise ValueError("n_starts must be positive")
         if self.max_iter < 10:
             raise ValueError("max_iter must be at least 10")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if not self.tol < self.dedup_tol:
-            raise ValueError("tol must be smaller than dedup_tol")
+        if not self.tol < DEDUP_TOL:
+            raise ValueError("tol must be smaller than DEDUP_TOL = %g" % DEDUP_TOL)
 
 
 @dataclass
@@ -223,8 +226,8 @@ def _newton(system: _LogSystem, u0: np.ndarray,
     iteration per tick.
 
     In each iteration a start takes the first step length of the ladder
-    cfg.damping, cfg.damping/2, ... (every one above 1/256) whose trial point
-    cuts the residual norm by a quarter of the step length, or below 1e-12.
+    1, 1/2, ..., 1/128 (:data:`_STAGES`) whose trial point cuts the
+    residual norm by a quarter of the step length, or below 1e-12.
     The full step of every live start is scored as one stack, and the rest
     of the ladder of the starts it fails as one more.  A start fails when it
     lies outside the radius or on a pole (bad_start), when its Jacobian is
@@ -234,11 +237,6 @@ def _newton(system: _LogSystem, u0: np.ndarray,
     _NEWTON_FATES; only a converged start's point is meaningful.
     """
     points, codes = u0.astype(complex), np.full(len(u0), _BAD_START)
-    ladder, lam = [], cfg.damping  # the step lengths above 1/256, halving from cfg.damping
-    while lam > 1.0 / 256.0:
-        ladder.append(lam)
-        lam *= 0.5
-    stages = [np.array(part) for part in (ladder[:1], ladder[1:]) if part]  # full step, the rest
     # the live starts: their index, iterate, residual, Jacobian ratios and norm
     idx, res, ratios = system.evaluate(points)
     u = points[idx]
@@ -255,7 +253,7 @@ def _newton(system: _LogSystem, u0: np.ndarray,
         codes[idx[live[~solved]]] = _SINGULAR
         live, step = live[solved], step[solved]
         moves = []
-        for lams in stages:
+        for lams in _STAGES:
             if not live.size:
                 break
             at, *moved = _first_passes(system, u[live], step, norm[live], lams)
@@ -370,7 +368,7 @@ def _solve(system: _LogSystem, cfg: SolveConfig, draw, screen, sign: float) -> S
     keys = screen(converged, fates)
     worst = deviation(*system.table.products(system._points(keys)), sign)
     hit = np.flatnonzero(worst <= cfg.tol)
-    kept = hit[_distinct(keys[hit], cfg.dedup_tol)]
+    kept = hit[_distinct(keys[hit], DEDUP_TOL)]
     fates["residual"], fates["duplicate"], fates["accepted"] = (
         len(keys) - len(hit), len(hit) - len(kept), len(kept))
     return SolveResult(list(keys[kept]), {"n_converged": len(converged) - fates["complex_vacuum"],
@@ -455,16 +453,14 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
 # ---------------------------------------------------------------------------
 
 
-def cross_check(spec: GaugeTheorySpec, preset, cfg: SolveConfig,
-                map_tol: float = 1e-6):
-    """Solve the chain side, transport roots back, grade the vacuum residual."""
+def cross_check(spec: GaugeTheorySpec, preset, cfg: SolveConfig):
+    """Solve the chain side, transport roots back (sigma = scale * u), grade the
+    vacuum residual against MAP_TOL."""
     from .bridge import VerificationReport, map_gauge_to_chain
 
-    cutoff = 20.0
-    chain, pm = map_gauge_to_chain(preset, spec, cutoff=cutoff)
-    sols = solve_bethe(chain, cfg)
+    sols = solve_bethe(map_gauge_to_chain(preset, spec, cutoff=20.0), cfg)
     if sols.solutions:
-        sigma = np.array([pm.u_to_sigma(r.values) for r in sols])
+        sigma = np.array([r.values for r in sols]) * preset.scale
         res = deviation(*_vacuum_lhs_stack(spec, preset.regime, sigma), preset.branch.sign)
         k = int(np.argmax(res))  # the first worst set; a singular one reads inf
         max_residual, worst = float(res[k]), {"u": [repr(v) for v in sols[k].values]}
@@ -473,7 +469,7 @@ def cross_check(spec: GaugeTheorySpec, preset, cfg: SolveConfig,
         max_residual, worst = math.inf, None
         notes = {"cause": fates_summary(sols.diagnostics["fates"]), **sols.diagnostics}
     return VerificationReport(
-        preset_id=preset.id, samples=len(sols), seed=cfg.seed, tol=map_tol,
-        max_residual=max_residual, worst_point=worst, passed=max_residual <= map_tol,
+        preset_id=preset.id, samples=len(sols), seed=cfg.seed, tol=MAP_TOL,
+        max_residual=max_residual, worst_point=worst, passed=max_residual <= MAP_TOL,
         branch_used=preset.branch.sign, notes=notes,
     )

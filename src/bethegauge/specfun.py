@@ -189,8 +189,8 @@ def dilog_qpoch_link(z: complex, beta2: float, tol: float = 1e-12) -> Tuple[comp
     """Compare -2*beta2*log prod(1 - z e^(-2 beta2 k)) against Li2(z).
 
     Returns (product_side, dilog_side, relative_error).  The agreement is
-    O(beta2), which is the one-loop scaling the superpotential check relies
-    on.  z = 0 gives (0, 0, 0).
+    O(beta2), the one-loop scaling that specfun-selftest checks.  z = 0
+    gives (0, 0, 0).
     """
     z = complex(z)
     if z == 0:

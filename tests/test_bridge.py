@@ -101,12 +101,6 @@ def test_chain_kinds_by_regime():
             assert p.is_open
 
 
-def test_nf_relation_strings():
-    assert preset_by_id("A-3d").nf_relation == "N_f = N_f' = L"
-    assert preset_by_id("B-3d-P3").nf_relation == "N_f = 2*(L - 4)"
-    assert preset_by_id("C-3d-P1").nf_relation == "N_f = 2*(L - 0)"
-
-
 def test_xi_expressions():
     assert XiExpr(Fraction(0), HALF).value(0.3) == pytest.approx(0.15)
     assert XiExpr(HALF, -HALF).value(0.3) == pytest.approx(0.35)
@@ -143,10 +137,9 @@ def test_preset_validation():
 def test_open_map_site_counts():
     p = preset_by_id("B-3d-P3")
     spec = GaugeTheorySpec("B", 2, 4, (0.3, 0.7, 0.45, 0.6), 0.5)
-    chain, pm = map_gauge_to_chain(p, spec)
+    chain = map_gauge_to_chain(p, spec)
     assert chain.n_sites == 2 + 4  # nf/2 free + fixed tail
     assert chain.n_magnons == 2
-    assert pm.n_free == 2 and pm.n_fixed == 4
     # the fixed tail pins spin -1/2 with the preset's theta pattern
     assert chain.spins[2:] == (-0.5,) * 4
     assert chain.inhomogeneities[2:] == (0.0, 0.0, 0.5, 0.5)
@@ -155,7 +148,7 @@ def test_open_map_site_counts():
 def test_closed_map_site_counts():
     p = preset_by_id("A-3d")
     spec = GaugeTheorySpec("A", 2, 3, (0.3, 0.7, 0.5), 0.5, masses_anti=(0.45, 0.6, 0.35))
-    chain, _ = map_gauge_to_chain(p, spec)
+    chain = map_gauge_to_chain(p, spec)
     assert chain.n_sites == 3
     assert chain.n_magnons == 2
     assert not chain.is_open
@@ -164,7 +157,7 @@ def test_closed_map_site_counts():
 def test_round_trip_open():
     p = preset_by_id("B-3d-P2")
     spec = GaugeTheorySpec("B", 2, 4, (0.31, 0.72, 0.44, 0.63), 0.52)
-    chain, _ = map_gauge_to_chain(p, spec)
+    chain = map_gauge_to_chain(p, spec)
     back = map_chain_to_gauge(p, chain)
     assert back.family == "B" and back.rank == 2
     assert max(abs(a - b) for a, b in zip(back.masses, sorted(spec.masses))) < 1e-12
@@ -174,7 +167,7 @@ def test_round_trip_open():
 def test_round_trip_closed_keeps_both_lists():
     p = preset_by_id("A-3d")
     spec = GaugeTheorySpec("A", 2, 2, (0.3, 0.7), 0.5, masses_anti=(0.45, 0.6))
-    chain, _ = map_gauge_to_chain(p, spec)
+    chain = map_gauge_to_chain(p, spec)
     back = map_chain_to_gauge(p, chain)
     assert max(abs(a - b) for a, b in zip(back.masses, spec.masses)) < 1e-12
     assert max(abs(a - b) for a, b in zip(back.masses_anti, spec.masses_anti)) < 1e-12
@@ -184,7 +177,7 @@ def test_mass_order_is_immaterial():
     p = preset_by_id("C-3d-P1")
     a = GaugeTheorySpec("C", 2, 4, (0.31, 0.72, 0.44, 0.63), 0.52)
     b = GaugeTheorySpec("C", 2, 4, (0.72, 0.31, 0.63, 0.44), 0.52)
-    assert map_gauge_to_chain(p, a)[0] == map_gauge_to_chain(p, b)[0]
+    assert map_gauge_to_chain(p, a) == map_gauge_to_chain(p, b)
 
 
 def test_map_rejections():
@@ -245,12 +238,6 @@ def test_geometric_extrapolation_guards_each_sequence():
     assert limits[0, 1] == 1.0 and limits[0, 2] == 2.0
 
 
-@pytest.mark.parametrize("cutoffs", [(5.0, 10.0), ()])
-def test_infinite_boundary_needs_three_cutoffs(cutoffs):
-    with pytest.raises(ValueError, match="three cutoffs"):
-        verify_identity(preset_by_id("D-3d"), (2, 4), 5, cutoffs=cutoffs)
-
-
 def test_report_dict_uses_pass_key():
     report = verify_identity(preset_by_id("C-3d-P1"), dims=(1, 2), samples=5, seed=1)
     d = report.to_dict()
@@ -263,26 +250,20 @@ def test_report_dict_uses_pass_key():
 # ---------------------------------------------------------------------------
 
 
-def test_calibration_recovers_c_dictionary():
-    best = calibrate_preset("C", "3d", samples=15, seed=2, dims=(1, 2))
-    assert best.family == "C"
-    assert len(best.fixed_sites) == 0
-    assert best.branch.sign == +1
-    assert verify_identity(best, dims=(2, 2), samples=30, seed=9).passed
+def _convention(preset):
+    return preset.xi_plus, preset.xi_minus, preset.fixed_sites, preset.branch
 
 
-def test_calibration_recovers_b_theta_pattern():
-    p1 = preset_by_id("B-3d-P1")
-    best = calibrate_preset(
-        "B", "3d",
-        xi_candidates=[(p1.xi_plus, p1.xi_minus)],
-        fixed_counts=(2,),
-        samples=15,
-        seed=2,
-        dims=(1, 2),
-    )
-    assert [f.theta for f in best.fixed_sites] == [Fraction(0), Fraction(0)]
-    assert best.branch.sign == +1
+@pytest.mark.parametrize("family, regime", sorted({(p.family, p.regime) for p in all_presets()}))
+def test_full_grid_calibration_lands_in_the_catalogue(family, regime):
+    best = calibrate_preset(family, regime, samples=15, seed=2)
+    assert (best.family, best.regime) == (family, regime)
+    assert _convention(best) in [_convention(p) for p in presets(family, regime)]
+    if (family, regime) == ("B", "3d"):
+        assert [f.theta for f in best.fixed_sites] == [Fraction(0), Fraction(0)]
+        assert best.branch.sign == +1
+    if (family, regime) == ("C", "3d"):
+        assert not best.fixed_sites
 
 
 def test_duality_compare():
@@ -352,13 +333,13 @@ def _reference_draws(preset, dims, samples, seed):
             continue
         mapped = [map_gauge_to_chain(preset, spec, cutoff=t) for t in cutoffs]
         try:
-            roots = BetheRoots(mapped[0][1].sigma_to_u(sigma))
-            validate_roots(mapped[0][0], roots)
+            roots = BetheRoots(sigma / preset.scale)
+            validate_roots(mapped[0], roots)
         except ValueError:
             rec["outcome"] = "invalid_roots"
             continue
         try:
-            rec["bethe"] = [[bethe_lhs(c, roots, i) for i in range(spec.dim)] for c, _ in mapped]
+            rec["bethe"] = [[bethe_lhs(c, roots, i) for i in range(spec.dim)] for c in mapped]
         except SingularPointError:
             rec["outcome"] = "singular"
             continue
@@ -401,10 +382,9 @@ def test_batched_draws_replay_the_one_at_a_time_loop(preset):
             table, params = _vacuum_system(r["spec"], "rational" if preset.regime == "2d" else "root")
             _assert_close(vac[k], r["vac"], table, np.concatenate((r["sigma"], params)))
         if r["bethe"] is not None:
-            for t, (chain, pm) in enumerate(map_gauge_to_chain(preset, r["spec"], cutoff=c)
-                                            for c in _cutoffs(preset)):
-                table, params = _bethe_system(chain)
-                x = np.concatenate((pm.sigma_to_u(r["sigma"]), params))
+            for t, c in enumerate(_cutoffs(preset)):
+                table, params = _bethe_system(map_gauge_to_chain(preset, r["spec"], cutoff=c))
+                x = np.concatenate((r["sigma"] / preset.scale, params))
                 _assert_close(bethe[k, t], r["bethe"][t], table, x)
 
 
@@ -566,7 +546,7 @@ def test_stacked_columns_are_the_one_chain_map_bitwise(preset):
                 spec = GaugeTheorySpec(preset.family, rank, nf, row[1:nf + 1], row[0],
                                        masses_anti=row[nf + 1:] if preset.family == "A" else None)
                 for t, cutoff in enumerate(cutoffs):
-                    chain, _ = map_gauge_to_chain(preset, spec, cutoff=cutoff)
+                    chain = map_gauge_to_chain(preset, spec, cutoff=cutoff)
                     table, one = _bethe_system(chain)
                     assert table is _bethe_table(preset.chain_kind, cols.spins.shape[1], rank)
                     assert stacked[k, t].tobytes() == one.tobytes()
@@ -620,7 +600,7 @@ def test_root_mask_rejects_the_coincident_and_reflected_draws():
     assert not _root_clashes(reflected, preset_by_id("A-3d").is_open).any()
     spec = GaugeTheorySpec("B", 3, 4, (0.31, 0.72, 0.44, 0.63), 0.52)
     with pytest.raises(ValueError, match="reflection-degenerate"):
-        validate_roots(map_gauge_to_chain(open_preset, spec)[0], BetheRoots(reflected[0]))
+        validate_roots(map_gauge_to_chain(open_preset, spec), BetheRoots(reflected[0]))
 
 
 def test_verify_chunks_build_no_per_draw_objects():
@@ -654,7 +634,7 @@ def test_gauge_chain_gauge_round_trips(preset, rank, pairs, data):
     spec = GaugeTheorySpec(preset.family, rank, nf, masses,
                            preset.scale * data.draw(st.floats(0.09, 0.34)), masses_anti=anti)
     cutoff = data.draw(st.sampled_from(DEFAULT_CUTOFFS)) if preset.id == "D-3d" else None
-    back = map_chain_to_gauge(preset, map_gauge_to_chain(preset, spec, cutoff=cutoff)[0])
+    back = map_chain_to_gauge(preset, map_gauge_to_chain(preset, spec, cutoff=cutoff))
     assert (back.family, back.rank, back.n_fund) == (spec.family, spec.rank, spec.n_fund)
 
     def close(got, want):

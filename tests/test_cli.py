@@ -35,9 +35,11 @@ def test_exit_one_on_check_failure(capsys):
 
 
 def test_exit_one_on_value_error(capsys):
-    code = run(["verify", "--preset", "B-3d-P9", "--samples", "5"])
+    # the arguments parse; the open-chain dictionary then refuses an odd N_f
+    code = run(["verify", "--preset", "B-3d-P1", "--nf", "3", "--samples", "5"])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert ("error: open-chain dictionaries need an even number of fundamentals"
+            in capsys.readouterr().err)
 
 
 def test_exit_two_on_parse_failure(capsys):
@@ -87,6 +89,8 @@ def test_exit_two_without_sites_or_spins(capsys, argv):
      "realization I is only defined for the classical families"),
     (["vacuum", "--family", "F4", "--rank", "4", "--realization", "I"],
      "realization I is only defined for the classical families"),
+    (["verify", "--preset", "B-3d-P9"], "invalid choice: 'B-3d-P9'"),
+    (["cross-check", "--preset", "nope"], "invalid choice: 'nope'"),
 ])
 def test_exit_two_on_gauge_list_lengths(capsys, argv, message):
     assert message in _usage_error(capsys, argv)

