@@ -61,7 +61,15 @@ from .gauge import (
     vacuum_lhs_squared,
 )
 from .lie_roots import build_root_system, expected_root_count, root_family
-from .solve import SolveConfig, cross_check, fates_summary, solve_bethe, solve_vacuum
+from .solve import (
+    DEDUP_TOL,
+    MIN_ITER,
+    SolveConfig,
+    cross_check,
+    fates_summary,
+    solve_bethe,
+    solve_vacuum,
+)
 from .specfun import (
     BracketContext,
     SingularPointError,
@@ -153,6 +161,11 @@ def _argument_error(ns: argparse.Namespace) -> Optional[str]:
                 return "got %d --%s values for %d sites" % (len(values), flag, sites)
     if "u" in ns and len(ns.u) != ns.magnons:
         return "got %d --u values for %d magnons" % (len(ns.u), ns.magnons)
+    if "max_iter" in ns:  # the solve commands, whose SolveConfig would refuse these
+        if not ns.tol < DEDUP_TOL:
+            return "--tol must be smaller than the deduplication distance %g" % DEDUP_TOL
+        if ns.max_iter < MIN_ITER:
+            return "--max-iter must be at least %d" % MIN_ITER
     return None
 
 

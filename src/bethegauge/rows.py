@@ -30,7 +30,27 @@ sin row has
 
 and a linear row |a|^2, arg a and f'/f = 1/a = conj(a) / |a|^2.  The
 kernel takes the sin forms divided through by cosh^2 y, so that it
-overflows no sooner than complex sin does.
+overflows no sooner than complex sin does, and sin x and cos x from the
+half angle, t = tan(x/2):
+
+    sin x = 2t / (1 + t^2),   cos x = (1 - t^2) / (1 + t^2),
+
+since numpy takes float64 tan through a SIMD loop but sin and cos through
+scalar libm (about 7x slower each).  These forms are accurate to a few
+units in the last place relative to sin x, and to about 1e-16 absolute in
+cos x (near cos x = 0 that is not relative: rounding t near 1 loses it).
+tan(x/2) stays below about 1e19 at every double x, so t^2 never overflows.
+
+The kernel allocates nothing of the size of its stack: every intermediate
+goes into the views, the first S rows, of the arrays of one
+:class:`LogScratch`.  The solver owns one per Newton run, sized to the
+widest stack it can score, and drops it when the run returns.  A new set of
+arrays per call cost a page fault per 4 KiB touched, over and over, since
+the allocator gave the freed pages back to the system; keeping the
+scratch on the cached tables instead would hold megabytes per table for
+the life of the process.  The ratios f'/f are read from the scratch
+(:meth:`RowTable.log_ratios`) only at the points Newton takes, after its
+step test, and like the log sums they come back as new arrays.
 
 A point of a stack whose row arguments are all real takes real arithmetic
 in :meth:`RowTable.factors` and :meth:`RowTable.products`: real sin (or
@@ -55,7 +75,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -140,10 +160,10 @@ class RowTable:
             * self.coeffs.real[:, None, : self.n_unknowns]
         return np.kron(jac.reshape(self.n_rows, len(self.by_eq) * self.n_unknowns), np.eye(2))
 
-    def arguments(self, x: np.ndarray) -> np.ndarray:
-        """The row arguments (S, R) at a stack x (S, cols)."""
+    def arguments(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The row arguments (S, R) at a stack x (S, cols), into ``out`` if given."""
         # real product of real coefficients: complex ones over many rows slow later complex sin
-        return _real_product(x, self._columns)
+        return _real_product(x, self._columns, out)
 
     def factors(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Arguments and factor values (S, R) at a stack x (S, cols).
@@ -261,45 +281,111 @@ class RowTable:
             values[:, self._filled] = np.multiply.reduceat(fp, self._starts, axis=1)
         return values
 
-    def log_terms(self, a: np.ndarray, floor: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def log_terms(self, a: np.ndarray, floor: float,
+                  scratch: "LogScratch") -> Tuple[np.ndarray, np.ndarray]:
         """The solver's kernel over a stack of row arguments a (S, R).
 
         Returns the indices of the points whose every |f|^2 is at least
         ``floor`` (nan is not), and at those points the log sums
         sum_r power_r log f_r per equation, on the principal branch
-        (S', n_eq), and the ratios f'/f per row (S', R).
+        (S', n_eq).  On a sin table, sin x and cos x come from t = tan(x/2)
+        as 2t / (1 + t^2) and (1 - t^2) / (1 + t^2).
+
+        Every intermediate of the size of the stack goes into the caller's
+        ``scratch`` (a may be its ``logs``: it is read before they are
+        written), which holds it until the next call: :meth:`log_ratios`
+        reads the ratios f'/f from there, only at the points asked for.  The
+        solver keeps one scratch per Newton run, so that a run allocates,
+        and faults in, its pages once.
         """
-        x, y = np.ascontiguousarray(a.real), np.ascontiguousarray(a.imag)  # for numpy's SIMD loops
+        s = len(a)
+        num, cx, sech2, num_im, den, part, tmp, ch = scratch.real[:, :s]
+        logs, mask = scratch.logs[:s], scratch.mask[:s]
         if self.kind == "linear":  # f = a: |a|^2, arg a, f'/f = conj(a) / |a|^2
-            re, im, num_re, num_im = x, y, x, y
-            den = x * x + y * y
-            clear = den >= floor
+            re, im = num, num_im
+            np.copyto(re, a.real)  # contiguous, for numpy's SIMD loops
+            np.copyto(im, a.imag)
+            np.multiply(re, re, out=den)
+            den += np.multiply(im, im, out=tmp)
+            np.greater_equal(den, floor, out=mask)
         else:  # the sin forms over cosh^2 y: sinh^2 y would overflow from |y| ~ 355 on
-            sx, cx, th, ch = np.sin(x), np.cos(x), np.tanh(y), np.cosh(y)
-            sech2 = (1.0 / ch) ** 2
-            re, im, num_re, num_im = sx, cx * th, sx * cx * sech2, th
-            den = sx * sx * sech2 + th * th  # |f|^2 / cosh^2 y
-            clear = den >= floor * sech2
-        logs = np.empty(den.shape, dtype=complex)
-        ratios = np.empty(den.shape, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):  # at a pole: screened out below
+            t, y, sx, th = part, tmp, num, num_im
+            np.copyto(y, a.imag)  # contiguous, for numpy's SIMD loops
+            # sin x and cos x from one SIMD tan of the half angle (module docstring)
+            np.tan(np.multiply(a.real, 0.5, out=t), out=t)
+            np.multiply(t, 2.0, out=sx)
+            np.subtract(1.0, np.multiply(t, t, out=ch), out=cx)
+            ch += 1.0
+            sx /= ch
+            cx /= ch
+            np.tanh(y, out=th)
+            np.cosh(y, out=ch)
+            np.square(np.divide(1.0, ch, out=sech2), out=sech2)
+            re, im = sx, np.multiply(cx, th, out=t)
+            np.multiply(sx, sx, out=den)
+            den *= sech2
+            den += np.multiply(th, th, out=y)
+            np.greater_equal(den, np.multiply(floor, sech2, out=y), out=mask)
+        with np.errstate(divide="ignore"):  # at a pole: screened out below
             np.log(den, out=logs.real)
-            inv = 1.0 / den
-            np.multiply(num_re, inv, out=ratios.real)
-            np.multiply(num_im, -inv, out=ratios.imag)
         if self.kind != "linear":  # log |f|^2 = log den + 2 log cosh y
-            logs.real += 2.0 * np.log(ch)
+            logs.real += np.multiply(2.0, np.log(ch, out=ch), out=ch)
         np.arctan2(im, re, out=logs.imag)
-        clear = clear.all(axis=1).nonzero()[0]
-        if len(clear) < len(a):
-            logs, ratios = logs[clear], ratios[clear]
-        return clear, _real_product(logs, self._sums), ratios
+        clear = scratch.clear = mask.all(axis=1).nonzero()[0]
+        if len(clear) < s:
+            logs = _take_rows(logs, clear, scratch.gathered[: len(clear)])
+        return clear, _real_product(logs, self._sums)
+
+    def log_ratios(self, scratch: "LogScratch", at) -> np.ndarray:
+        """The ratios f'/f per row (k, R), as a new array, at the points
+        ``at`` (positions among the clear points it returned) of the stack
+        :meth:`log_terms` last took with ``scratch``: f'/f = (num - i num_im)
+        / den, where num is sin x cos x / cosh^2 y and num_im tanh y on a sin
+        table, x and y on a linear one."""
+        rows = scratch.clear[at]
+        k = len(rows)
+        num, cx, sech2, num_im, den, inv, part, tmp = scratch.real  # the last three are free
+        inv, part, tmp = inv[:k], part[:k], tmp[:k]
+        np.divide(1.0, _take_rows(den, rows, inv), out=inv)
+        _take_rows(num, rows, part)
+        if self.kind != "linear":  # sin x cos x / cosh^2 y, multiplied in that order
+            part *= _take_rows(cx, rows, tmp)
+            part *= _take_rows(sech2, rows, tmp)
+        ratios = np.empty((k, self.n_rows), dtype=complex)
+        np.multiply(part, inv, out=ratios.real)
+        np.multiply(_take_rows(num_im, rows, part), inv, out=ratios.imag)
+        np.negative(ratios.imag, out=ratios.imag)  # num_im * -inv
+        return ratios
 
     def log_jacobian(self, ratios: np.ndarray) -> np.ndarray:
         """d log sums / d unknowns, C^T diag(power f'/f) per equation, from the
         ratios f'/f of :meth:`log_terms`: (S, R) -> (S, n_eq, n)."""
         return _real_product(ratios, self._jacobian).reshape(
             len(ratios), len(self.by_eq), self.n_unknowns)
+
+
+class LogScratch:
+    """The work arrays of :meth:`RowTable.log_terms` for stacks of up to
+    ``n_points`` points of one table (or of tables of its shape): the
+    points, eight real (n_points, R) slabs, the logs (which first hold the
+    row arguments), the clear mask, and the clear points of the last stack.
+    A stack of S points works in the first S rows of each, so it touches
+    only the pages it uses.  The solver makes one per Newton run (see
+    ``solve._newton``) and drops it when the run returns."""
+
+    def __init__(self, table: RowTable, n_points: int) -> None:
+        shape, cols = (n_points, table.n_rows), table.coeffs.shape[1]
+        cells = n_points * table.n_rows
+        # one block, so that a solve frees what the next one can reuse whole
+        block = np.empty(10 * cells + 2 * n_points * cols + -(-cells // 8))
+        self.real = block[: 8 * cells].reshape((8,) + shape)
+        self.logs = block[8 * cells: 10 * cells].view(complex).reshape(shape)
+        rest = block[10 * cells:]
+        self.points = rest[: 2 * n_points * cols].view(complex).reshape(n_points, cols)
+        self.mask = rest[2 * n_points * cols:].view(bool)[:cells].reshape(shape)
+        # the logs of the clear points are gathered into two slabs free by then
+        self.gathered = self.real[5:7].reshape(-1).view(complex).reshape(shape)
+        self.clear = np.zeros(0, dtype=int)
 
 
 def deviation(values: np.ndarray, singular: np.ndarray, target) -> np.ndarray:
@@ -323,6 +409,14 @@ def _integer_power(f: np.ndarray, n: int) -> np.ndarray:
         f = f * f
 
 
-def _real_product(z: np.ndarray, doubled: np.ndarray) -> np.ndarray:
-    """z @ m for a complex stack z (S, k) and a real m, given doubled = kron(m, identity(2))."""
-    return (np.ascontiguousarray(z, dtype=complex).view(float) @ doubled).view(complex)
+def _real_product(z: np.ndarray, doubled: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """z @ m for a complex stack z (S, k) and a real m, given doubled = kron(m,
+    identity(2)); into the complex array ``out`` if given."""
+    z = np.ascontiguousarray(z, dtype=complex).view(float)
+    return np.matmul(z, doubled, out=None if out is None else out.view(float)).view(complex)
+
+
+def _take_rows(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a[rows] into out; the rows must be in range (mode "raise" would copy through a buffer)."""
+    return a.take(rows, axis=0, out=out, mode="clip")

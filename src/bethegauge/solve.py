@@ -6,10 +6,12 @@ tables the product forms evaluate (``chain._bethe_table``,
 ``gauge._vacuum_table``): each row contributes power * log f(c.x + shift),
 giving an exact cotangent Jacobian C^T diag(power f'/f).  The logs, the
 ratios f'/f and the pole screen |f|^2 >= 1e-28 come from the table's
-real-arithmetic kernel (:meth:`RowTable.log_terms`).  The
-log residual is folded back by multiples of 2*pi*i, which removes the
-winding ambiguity of the product form; acceptance of a candidate always goes
-through the guarded product-form evaluators, never the solver's own residual.
+real-arithmetic kernel (:meth:`RowTable.log_terms`), which works in one
+:class:`~bethegauge.rows.LogScratch` per Newton run and gives the ratios
+only at the trial points the starts take.  The log residual is folded
+back by multiples of 2*pi*i, which removes the winding ambiguity of the
+product form; acceptance of a candidate always goes through the guarded
+product-form evaluators, never the solver's own residual.
 
 Both solvers are one solve (:func:`_solve`) and differ only in their row
 table and parameters, target, radius, start draw and screen.  A solve
@@ -49,14 +51,17 @@ import numpy as np
 
 from .chain import BetheRoots, ChainSpec, _bethe_system, _root_clashes
 from .gauge import REGIME_SCALE, GaugeTheorySpec, VacuumBranch, _vacuum_lhs_stack, _vacuum_system
-from .rows import RowTable, deviation
+from .rows import LogScratch, RowTable, deviation
 
 #: starts are resampled while any product factor is smaller than this
 POLE_TOL = 1e-3
 #: open-chain roots with 2u integral are reflection-degenerate, never eigenvectors
 SELF_CONJUGATE_TOL = 1e-6
-#: accepted keys closer than this (max-abs) to an earlier one are duplicates
+#: accepted keys closer than this (max-abs) to an earlier one are duplicates;
+#: a solve's tol must be smaller
 DEDUP_TOL = 1e-6
+#: the fewest Newton iterations a solve may be given (SolveConfig.max_iter)
+MIN_ITER = 10
 #: a cross-check passes when every transported root set meets the vacuum
 #: equations to this residual
 MAP_TOL = 1e-6
@@ -87,8 +92,8 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if self.n_starts <= 0:
             raise ValueError("n_starts must be positive")
-        if self.max_iter < 10:
-            raise ValueError("max_iter must be at least 10")
+        if self.max_iter < MIN_ITER:
+            raise ValueError("max_iter must be at least %d" % MIN_ITER)
         if not self.tol < DEDUP_TOL:
             raise ValueError("tol must be smaller than DEDUP_TOL = %g" % DEDUP_TOL)
 
@@ -164,25 +169,27 @@ class _LogSystem:
         """The smallest |f| per point (S,) of a stack u (S, n)."""
         return np.abs(self.table.factors(self._points(u))[1]).min(axis=1)
 
-    def _points(self, u: np.ndarray) -> np.ndarray:
-        """The table's points (S, cols) of the unknowns u (S, n)."""
-        x = np.empty((len(u), u.shape[1] + len(self.params)), dtype=complex)
+    def _points(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The table's points (S, cols) of the unknowns u (S, n), into ``out`` if given."""
+        x = np.empty((len(u), u.shape[1] + len(self.params)), dtype=complex) if out is None else out
         x[:, : u.shape[1]] = u
         x[:, u.shape[1]:] = self.params
         return x
 
-    def evaluate(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(self, u: np.ndarray, scratch: LogScratch) -> Tuple[np.ndarray, np.ndarray]:
         """Over a stack u (S, n): the indices of the points inside the radius and
-        with every |f| >= 1e-14, and at those points the folded residual and the
-        row ratios f'/f of its Jacobian.  Points outside the radius are never
-        evaluated."""
+        with every |f| >= 1e-14, and at those points the folded residual.
+        Points outside the radius are never evaluated.  The kernel works in
+        ``scratch``, where ``self.table.log_ratios(scratch, at)`` then reads
+        the row ratios f'/f of the Jacobian at the at-th returned points."""
         size = np.abs(u if self.table.kind == "linear" else u.imag)
         inside = (size <= self.radius).all(axis=1).nonzero()[0]
         if len(inside) < len(u):
             u = u[inside]
-        a = self.table.arguments(self._points(u))
-        clear, sums, ratios = self.table.log_terms(a, 1e-28)  # |f|^2 >= (1e-14)^2
-        return inside[clear], _fold(sums - self.target), ratios
+        x = self._points(u, scratch.points[: len(u)])
+        a = self.table.arguments(x, scratch.logs[: len(u)])  # read before the logs are written
+        clear, sums = self.table.log_terms(a, 1e-28, scratch)  # |f|^2 >= (1e-14)^2
+        return inside[clear], _fold(sums - self.target)
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -199,16 +206,17 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndar
         return steps, solved
 
 
-def _first_passes(system: _LogSystem, u: np.ndarray, step: np.ndarray, norm: np.ndarray,
-                  lams: np.ndarray) -> Tuple[np.ndarray, ...]:
+def _first_passes(system: _LogSystem, scratch: LogScratch, u: np.ndarray, step: np.ndarray,
+                  norm: np.ndarray, lams: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Score every step length of ``lams`` from every start of the stack u at
     once, and take each start's first one that passes.
 
     Returns the starts that passed (their positions in u), and at their trial
-    points the points, residuals, ratios and residual norms."""
+    points the points, residuals, ratios and residual norms; the ratios are
+    read only at those points."""
     k = len(lams)
     trial = (u[:, None, :] + lams[:, None] * step[:, None, :]).reshape(len(u) * k, -1)
-    ok, res, ratios = system.evaluate(trial)
+    ok, res = system.evaluate(trial, scratch)
     norm_try = np.abs(res).max(axis=1, initial=0.0)
     start = ok // k
     passed = ((norm_try < norm[start] * (1.0 - 0.25 * lams[ok % k]))
@@ -217,7 +225,8 @@ def _first_passes(system: _LogSystem, u: np.ndarray, step: np.ndarray, norm: np.
     first = np.ones(len(passed), dtype=bool)
     np.not_equal(start[passed[1:]], start[passed[:-1]], out=first[1:])
     first = passed[first]
-    return start[first], trial[ok[first]], res[first], ratios[first], norm_try[first]
+    return (start[first], trial[ok[first]], res[first],
+            system.table.log_ratios(scratch, first), norm_try[first])
 
 
 def _newton(system: _LogSystem, u0: np.ndarray,
@@ -235,10 +244,15 @@ def _newton(system: _LogSystem, u0: np.ndarray,
     when max_iter steps leave it unconverged.
     Returns, per start, where it ended (S, n) and its code (S,) in
     _NEWTON_FATES; only a converged start's point is meaningful.
+
+    Every stack is scored in one scratch, sized to the widest, a ladder
+    for every start, and dropped on return.
     """
+    scratch = LogScratch(system.table, len(u0) * len(_STAGES[1]))
     points, codes = u0.astype(complex), np.full(len(u0), _BAD_START)
     # the live starts: their index, iterate, residual, Jacobian ratios and norm
-    idx, res, ratios = system.evaluate(points)
+    idx, res = system.evaluate(points, scratch)
+    ratios = system.table.log_ratios(scratch, slice(None))
     u = points[idx]
     norm = np.abs(res).max(axis=1, initial=0.0)
     for it in range(cfg.max_iter + 1):
@@ -256,7 +270,7 @@ def _newton(system: _LogSystem, u0: np.ndarray,
         for lams in _STAGES:
             if not live.size:
                 break
-            at, *moved = _first_passes(system, u[live], step, norm[live], lams)
+            at, *moved = _first_passes(system, scratch, u[live], step, norm[live], lams)
             moves.append((idx[live[at]], *moved))
             left = np.ones(len(live), dtype=bool)
             left[at] = False

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from bethegauge import cli
+from bethegauge import cli, solve
 from bethegauge.cli import run
 from bethegauge.chain import ChainSpec
 from bethegauge.gauge import BRANCH_PLUS, GaugeTheorySpec, vacuum_lhs
@@ -160,6 +160,29 @@ def test_exit_two_on_rational_regime_outside_classical(capsys, family, rank):
 def test_exit_two_on_chain_list_lengths(capsys, argv):
     err = _usage_error(capsys, argv + ["--kind", "closed-xxz", "--magnons", "1", "--eta", "0.3"])
     assert "values for" in err
+
+
+SOLVE_COMMANDS = {
+    "solve-bethe": ["solve-bethe", "--kind", "closed-xxz", "--sites", "3", "--magnons", "1",
+                    "--eta", "0.3"],
+    "solve-vacuum": ["solve-vacuum", "--family", "B", "--rank", "2", "--nf", "2"],
+    "cross-check": ["cross-check", "--preset", "B-2d"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SOLVE_COMMANDS))
+@pytest.mark.parametrize("tol", [solve.DEDUP_TOL, 1e-5])
+def test_exit_two_on_a_tol_the_deduplication_swallows(capsys, command, tol):
+    err = _usage_error(capsys, SOLVE_COMMANDS[command] + ["--tol", repr(tol)])
+    assert "--tol must be smaller than the deduplication distance 1e-06" in err
+
+
+@pytest.mark.parametrize("command", ["solve-bethe", "solve-vacuum"])
+def test_exit_two_on_too_few_iterations(capsys, command):
+    err = _usage_error(capsys, SOLVE_COMMANDS[command] + ["--max-iter", str(solve.MIN_ITER - 1)])
+    assert "--max-iter must be at least %d" % solve.MIN_ITER in err
+    assert run(SOLVE_COMMANDS[command] + ["--max-iter", str(solve.MIN_ITER), "--starts", "2"]) == 0
+    capsys.readouterr()
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

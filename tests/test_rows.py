@@ -31,6 +31,7 @@ from bethegauge.gauge import (
     vacuum_lhs,
     vacuum_lhs_2d,
 )
+from bethegauge.rows import LogScratch
 from bethegauge.solve import POLE_TOL, _LogSystem
 from bethegauge.specfun import SingularPointError
 
@@ -41,9 +42,10 @@ FD_STEP = 1e-6
 
 def _residual(system, u):
     """The folded log residual and row ratios f'/f at the point u, a one-point stack."""
-    ok, res, ratios = system.evaluate(u[None])
+    scratch = LogScratch(system.table, 1)
+    ok, res = system.evaluate(u[None], scratch)
     assert list(ok) == [0]
-    return res[0], ratios
+    return res[0], system.table.log_ratios(scratch, ok)
 
 
 def _fd_jacobian(system, u):
@@ -425,11 +427,23 @@ def test_log_sum_is_the_principal_complex_log(table):
     a[5] = 0.9999999e-14
     # |Im a| = 400: sinh^2 would overflow, |f| does not
     a[6] = rng.uniform(0.0, 2.0 * math.pi, table.n_rows) + 400j * rng.choice([-1, 1], table.n_rows)
+    if trig:  # where the half-angle forms of sin x and cos x are weakest
+        near_pi = math.pi + rng.choice([-1, 1], (2, table.n_rows)) \
+            * rng.uniform(1e-13, 1e-12, (2, table.n_rows))  # tan(x/2) >= 1e12
+        a[7] = near_pi[0] + 1j * rng.normal(size=table.n_rows)
+        a[8] = near_pi[1]  # real: |f| ~ 1e-12 rests on sin x alone
+        a[9] = 0.5 * math.pi + rng.uniform(-1e-6, 1e-6, table.n_rows) \
+            + 1j * rng.normal(size=table.n_rows)  # cos x ~ 0
+        a[10] = rng.choice([-1, 1], table.n_rows) * rng.uniform(39.0, 41.0, table.n_rows) \
+            + 1j * rng.normal(size=table.n_rows)
     f = np.sin(a) if trig else a
     assert np.all(np.abs(f[2:5]) > 1e-14) and np.all(np.abs(f[5]) < 1e-14)
+    assert np.all(np.abs(f[7:11]) > 1e-14)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        clear, got, ratios = table.log_terms(a, 1e-28)
+        scratch = LogScratch(table, len(a))
+        clear, got = table.log_terms(a, 1e-28, scratch)
+        ratios = table.log_ratios(scratch, slice(None))
     assert list(clear) == [k for k in range(len(a)) if k != 5]
     f = f[clear]
     ref = _log_sum_reference(table, f)

@@ -1,6 +1,7 @@
 """Root finding for Bethe equations and vacuum equations."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from bethegauge.gauge import (
     vacuum_lhs_2d,
 )
 from bethegauge.lie_roots import weyl_images
-from bethegauge.rows import RowTable, deviation
+from bethegauge.rows import LogScratch, RowTable, deviation
 from bethegauge.solve import (
     SolveConfig,
     SolveResult,
@@ -81,7 +82,7 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     points = []
     arguments = system.table.arguments
     monkeypatch.setattr(system.table, "arguments",
-                        lambda x: points.extend(map(tuple, x)) or arguments(x))
+                        lambda x, out=None: points.extend(map(tuple, x)) or arguments(x, out))
     (u,), (code,) = _newton(system, np.array([[0.3 + 0.05j]]), CFG)
     assert code == solve._CONVERGED and abs(u[0] - 0.3646017624694252) < 1e-10
     assert len(points) > 2
@@ -93,7 +94,7 @@ def test_newton_batch_evaluates_each_point_once(monkeypatch):
     points = []
     arguments = system.table.arguments
     monkeypatch.setattr(system.table, "arguments",
-                        lambda x: points.extend(map(tuple, x)) or arguments(x))
+                        lambda x, out=None: points.extend(map(tuple, x)) or arguments(x, out))
     starts = np.array([[0.3 + 0.05j], [0.8 + 0.1j], [0.85 - 0.1j], [0.5j], [0.1], [0.6]])
     assert np.sum(_newton(system, starts, CFG)[1] == solve._CONVERGED) >= 3
     assert len(points) > 2 * len(starts)
@@ -114,6 +115,13 @@ def test_newton_batch_matches_each_start_alone():
     assert 0 < converged.sum() < len(starts)
     for k in np.flatnonzero(converged):
         assert np.max(np.abs(points[k] - alone[k][0][0])) < 1e-9
+
+
+def _evaluate(system, u):
+    """The indices of u's clear points, and there the residuals and row ratios f'/f."""
+    scratch = LogScratch(system.table, len(u))
+    ok, res = system.evaluate(u, scratch)
+    return ok, res, system.table.log_ratios(scratch, slice(None))
 
 
 def _quadratic_system():
@@ -137,7 +145,69 @@ def test_newton_batch_isolates_failing_starts():
         points, codes = _newton(system, stack, CFG)
     assert codes[0] == solve._CONVERGED and np.max(np.abs(points[0] - alone)) < 1e-12
     assert (codes[1:] != solve._CONVERGED).all()
-    assert system.table.log_jacobian(system.evaluate(stack[2:3])[2])[0, 0, 0] == 0
+    assert system.table.log_jacobian(_evaluate(system, stack[2:3])[2])[0, 0, 0] == 0
+
+
+def _ladder_stack(system, rng):
+    """A ladder-sized stack: 7 trial points for each of 64 starts, the first
+    point on a zero of the first row's factor and the second outside the radius."""
+    n = system.table.n_unknowns
+    u = rng.uniform(0.02, 0.98, size=(64 * 7, n)) + 1j * rng.normal(0.0, 0.2, size=(64 * 7, n))
+    coeffs = system.table.coeffs.real
+    u[0, 0] = -(coeffs[0, n:] @ system.params.real) / coeffs[0, 0]
+    u[1, 0] += 2j * system.radius
+    return u
+
+
+L6_M4 = [ChainSpec("closed-xxz", 6, 4, eta, (0.5,) * 6, thetas)
+         for eta, thetas in ((0.31, (0.03, -0.07, 0.09, -0.02, 0.05, 0.0)),
+                             (0.27, (-0.04, 0.08, 0.01, -0.09, 0.02, 0.06)))]
+
+
+def test_evaluate_allocates_nothing_the_size_of_its_stack():
+    # the kernel works in the solve's scratch: after a warm-up, scoring the
+    # widest ladder of the solve workload peaks below one float array of its rows
+    system = _LogSystem(*_bethe_system(L6_M4[0]), 0.0, 4.0)
+    u = _ladder_stack(system, np.random.default_rng(2))
+    scratch = LogScratch(system.table, len(u))
+    system.evaluate(u, scratch)
+    tracemalloc.start()
+    try:
+        ok, _ = system.evaluate(u, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 not in ok and 1 not in ok and len(ok) == len(u) - 2
+    assert peak < np.empty((len(u), system.table.n_rows)).nbytes
+
+
+def test_what_the_kernel_returns_does_not_share_its_scratch():
+    # two systems of one table, evaluated alternately in one scratch, give
+    # bitwise what each gives alone, and nothing returned changes afterwards
+    systems = [_LogSystem(*_bethe_system(chain), 0.0, 4.0) for chain in L6_M4]
+    assert systems[0].table is systems[1].table
+    u = _ladder_stack(systems[0], np.random.default_rng(3))
+
+    def scored(system, scratch):
+        ok, res = system.evaluate(u, scratch)
+        return ok, res, system.table.log_ratios(scratch, slice(None))
+
+    alone = [scored(system, LogScratch(system.table, len(u))) for system in systems]
+    scratch = LogScratch(systems[0].table, len(u))
+    returned, kept = [], []
+    for k in range(4):
+        returned.append(scored(systems[k % 2], scratch))
+        kept.append([a.copy() for a in returned[-1]])
+    for k, (r, copy) in enumerate(zip(returned, kept)):
+        for got, then, want in zip(r, copy, alone[k % 2]):
+            assert np.array_equal(got, then) and np.array_equal(got, want)
+    starts = u[:: 7][:24]
+    points, codes = _newton(systems[0], starts, CFG)
+    first = points.copy(), codes.copy()
+    _newton(systems[1], starts, CFG)
+    _newton(systems[0], starts[::-1], CFG)
+    assert np.array_equal(points, first[0]) and np.array_equal(codes, first[1])
+    assert np.array_equal(_newton(systems[0], starts, CFG)[0], points)
 
 
 def test_newton_of_no_starts():
@@ -148,7 +218,7 @@ def test_newton_of_no_starts():
 def _newton_one_start(system, u0, cfg):
     """One start by the rule _newton documents, one trial point at a time:
     (where it ended, its fate, the Jacobians it solved)."""
-    ok, res, ratios = system.evaluate(u0[None])
+    ok, res, ratios = _evaluate(system, u0[None])
     if not len(ok):
         return u0, "bad_start", 0
     u, res, ratios = u0, res[0], ratios[0]
@@ -164,7 +234,7 @@ def _newton_one_start(system, u0, cfg):
             return u, "singular_jacobian", it + 1
         lam = 1.0
         while lam > 1.0 / 256.0:
-            ok, res_try, ratios_try = system.evaluate((u + lam * step)[None])
+            ok, res_try, ratios_try = _evaluate(system, (u + lam * step)[None])
             norm_try = np.abs(res_try).max(initial=0.0) if len(ok) else np.inf
             if norm_try < norm * (1.0 - 0.25 * lam) or norm_try < 1e-12:
                 u, res, ratios, norm = u + lam * step, res_try[0], ratios_try[0], norm_try
@@ -303,9 +373,9 @@ def test_solves_never_evaluate_points_outside_the_domain(monkeypatch):
     outside = []
     evaluate = _LogSystem.evaluate
 
-    def counting(self, u):
+    def counting(self, u, scratch):
         outside.append(int(np.sum(~np.all(np.abs(u.imag) <= self.radius, axis=-1))))
-        return evaluate(self, u)
+        return evaluate(self, u, scratch)
 
     monkeypatch.setattr(_LogSystem, "evaluate", counting)
     with warnings.catch_warnings():
