@@ -12,14 +12,20 @@ u_j - u_i; that ordering breaks both the reflection symmetry u_i -> -u_i
 and every closed-form check downstream, so the difference factors here put
 the i-th root first.  The sum factors are symmetric and unaffected.
 
-The oracle builds dense transfer matrices from the spin-1/2 R-matrix and
-never reads the row table.  Its monodromies are grown one site at a time,
-Kronecker-extending the 2x2 auxiliary block of 2^a x 2^a operators, which
-costs O(4^L) per site instead of multiplying 2^L x 2^L lifted R-matrices:
-closed t(u) = tr_0 T_0(u), open t(u) = Tr_0 K(u+eta/2, xi_+) U_-(u).  The
+The oracle builds dense transfer matrices from the six-vertex weights of the
+spin-1/2 R-matrix and never reads the row table or the matrix-free rows.
+Its monodromies are grown one site at a time as 2x2 auxiliary blocks of
+2^a x 2^a operators; each site writes the 16 (auxiliary, site) blocks of the
+grown array as scaled copies of the old blocks, O(4^L) per site in place of
+multiplying 2^L x 2^L lifted R-matrices.  The closed T_0(u) grows from site
+L down to site 1, so the new site is always the most significant and every
+block is contiguous; the double row U_-(u) must grow outward from K, site 1
+first, so its new site is the least significant and its blocks are strided.
+Closed t(u) = tr_0 T_0(u), open t(u) = Tr_0 K(u+eta/2, xi_+) U_-(u).  The
 open trace argument follows the displayed A/D-tilde expansion (which fixes
 the K_+ shift uniquely).  The dense oracle is the witness for L <= 8; its
-commutator check is taken block by block over the magnon sectors.
+commutator check is taken block by block over the magnon sectors, its RTT
+check block by block over the auxiliary entries.
 
 Eigenvector certification never builds a dense operator: the Bethe state
 prod B(u_k)|up...up> and t(u) times it are applied to vectors one site at a
@@ -309,10 +315,6 @@ def reflection_residual(
 # monodromy and transfer matrices (dense oracle, spin 1/2)
 # ---------------------------------------------------------------------------
 
-#: sigma_y, which conjugates the auxiliary space of the reversed row
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]])
-
-
 #: longest chain the dense oracle builds: 2^{2L} entries per operator
 ORACLE_MAX_SITES = 8
 
@@ -341,35 +343,58 @@ def _chain_r(chain: ChainSpec, u: complex) -> np.ndarray:
     return _r(lambda x: _br(chain, x), u, chain.eta)
 
 
-def _site_r(chain: ChainSpec, u: complex, a: int) -> np.ndarray:
-    # R_0a(u - th_a) as <i k|R|j l>: auxiliary i, j and site k, l
-    return _chain_r(chain, u - chain.inhomogeneities[a]).reshape(2, 2, 2, 2)
+def _weights(chain: ChainSpec, x: complex, a: int) -> Tuple[complex, complex]:
+    # the six-vertex weights a = [y + eta] and b = [y] of R_0a at y = x - th_a;
+    # the third, c = [eta], is the same at every site
+    y = x - chain.inhomogeneities[a]
+    return _br(chain, y + chain.eta), _br(chain, y)
 
 
-def _grow(acc: np.ndarray, site: np.ndarray) -> np.ndarray:
-    """Append one site: new[i, j] = sum_kl acc[k, l] (x) site[i, j, k, l].
+def _vertex(i: int, q: int, k: int, p: int) -> int:
+    # which weight sits at <i q|R|k p> of a six-vertex R, given i + q = k + p:
+    # 0 for a, 1 for b, 2 for c
+    return 2 if (i, q) != (k, p) else 0 if i == q else 1
 
-    ``acc`` is the (2, 2, d, d) auxiliary block of operators on the sites so
-    far and ``site`` the (2, 2, 2, 2, 2, 2) block of 2x2 operators on the new
-    one; a site costs O(d^2).
-    """
-    d = acc.shape[-1]
-    new = np.tensordot(site, acc, axes=([2, 3], [0, 1]))  # i j q s | p r
-    return new.transpose(0, 1, 4, 2, 5, 3).reshape(2, 2, 2 * d, 2 * d)
+
+#: the double row's site step: per output block (i, j, q, s), the terms
+#: (k, l, x, y) of sum_p R[i q; k p] R^[l p; j s] U[k][l], with x and y the
+#: weights of R and R^ at those entries; at most two terms, none for two blocks
+_DOUBLE_ROW_TERMS = tuple(
+    (i, j, q, s, tuple((i + q - p, j + s - p, _vertex(i, q, i + q - p, p),
+                        _vertex(j + s - p, p, j, s))
+                       for p in range(2) if 0 <= i + q - p <= 1 and 0 <= j + s - p <= 1))
+    for i, j, q, s in product(range(2), repeat=4))
 
 
 def monodromy(chain: ChainSpec, u: complex) -> np.ndarray:
     """T_0(u) = R_0L(u - th_L) ... R_01(u - th_1) as a (2, 2, 2^L, 2^L) block
     array: T[i][j] is the 2^L x 2^L operator in auxiliary entry (i, j).
 
-    Grown site by site from the identity on no sites, T[i][j] <- sum_k
-    T[k][j] (x) R_0a[i, k], at O(4^L) per site.
+    Grown from site L down to site 1, multiplying on the right in auxiliary
+    space, T[i][j] <- sum_k T[i][k] (x) R_0a[k, j].  Site 1 is the most
+    significant, so every new site is the most significant so far, and each
+    of the 16 (i, j; q, s) blocks of the grown array is one contiguous d x d
+    block (d the dimension of the sites so far): the weight of
+    R_0a[k q; j s] times T[i][k] at k = j + s - q.  That is 12 scaled copies
+    and 4 zero blocks, O(4^L) per site.
     """
     _check_oracle(chain)
     acc = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
-    for a in range(chain.n_sites):
-        site = np.einsum("iqks,jl->ijklqs", _site_r(chain, u, a), np.eye(2))
-        acc = _grow(acc, site)
+    wc = _br(chain, chain.eta)
+    for a in reversed(range(chain.n_sites)):
+        wa, wb = _weights(chain, u, a)
+        d = acc.shape[-1]
+        new = np.empty((2, 2, 2, d, 2, d), dtype=complex)  # i, j, site q, old, site s, old
+        t0, t1 = acc[:, 0], acc[:, 1]
+        np.multiply(t0, wa, out=new[:, 0, 0, :, 0])
+        np.multiply(t1, wc, out=new[:, 0, 0, :, 1])
+        new[:, 0, 1, :, 0] = 0
+        np.multiply(t0, wb, out=new[:, 0, 1, :, 1])
+        np.multiply(t1, wb, out=new[:, 1, 0, :, 0])
+        new[:, 1, 0, :, 1] = 0
+        np.multiply(t0, wc, out=new[:, 1, 1, :, 0])
+        np.multiply(t1, wa, out=new[:, 1, 1, :, 1])
+        acc = new.reshape(2, 2, 2 * d, 2 * d)
     return acc
 
 
@@ -377,19 +402,35 @@ def double_row_monodromy(chain: ChainSpec, u: complex) -> np.ndarray:
     """U_-(u) = T(u) K(u - eta/2, xi_-) sigma_y T^t(-u) sigma_y, a block array
     like :func:`monodromy`.
 
-    Grown site by site outward from K: U[i][j] <- sum_kl U[k][l] (x)
-    R_0a(u)[i, k] R^_0a(-u)[l, j] with R^ = sigma_y R^t0 sigma_y transposed
-    in auxiliary space only, at O(4^L) per site.
+    Grown outward from K, site 1 first, each new site appended as the least
+    significant: U[i][j] <- sum_kl R_0a(u)[i, k] U[k][l] R^_0a(-u)[l, j] with
+    R^ = sigma_y R^t0 sigma_y, six-vertex with weights (b, a, -c).  Each of
+    the 16 (i, j; q, s) blocks of the grown array is at most two scaled
+    copies of U blocks (:data:`_DOUBLE_ROW_TERMS`), written straight into its
+    strided view, at O(4^L) per site.
     """
     if not chain.is_open:
         raise ValueError("double-row monodromy is defined for open chains")
     _check_oracle(chain)
     k = _k_diag(chain, u - chain.eta / 2, chain.xi_minus)
     acc = np.diag(k).reshape(2, 2, 1, 1)
+    c = _br(chain, chain.eta)
     for a in range(chain.n_sites):
-        site = np.einsum("iqkp,la,bpas,bj->ijklqs", _site_r(chain, u, a),
-                         _SIGMA_Y, _site_r(chain, -u, a), _SIGMA_Y)
-        acc = _grow(acc, site)
+        w = _weights(chain, u, a) + (c,)
+        ha, hb = _weights(chain, -u, a)
+        hat = (hb, ha, -c)
+        d = acc.shape[-1]
+        new = np.empty((2, 2, d, 2, d, 2), dtype=complex)  # i, j, old, site q, old, site s
+        for i, j, q, s, terms in _DOUBLE_ROW_TERMS:
+            out = new[i, j, :, q, :, s]
+            if not terms:
+                out[...] = 0
+                continue
+            (k0, l0, x0, y0), *rest = terms
+            np.multiply(acc[k0, l0], w[x0] * hat[y0], out=out)
+            for k1, l1, x1, y1 in rest:
+                out += (w[x1] * hat[y1]) * acc[k1, l1]
+        acc = new.reshape(2, 2, 2 * d, 2 * d)
     return acc
 
 
@@ -423,19 +464,21 @@ def open_transfer_expansion(chain: ChainSpec, u: complex) -> np.ndarray:
 
 
 def rtt_residual(chain: ChainSpec, u: complex, v: complex) -> float:
-    """Max-norm defect of R12(u-v) T1(u) T2(v) = T2(v) T1(u) R12(u-v)."""
-    t1u = _aux_embed(monodromy(chain, u), first=True)
-    t2v = _aux_embed(monodromy(chain, v), first=False)
-    r12 = np.kron(_chain_r(chain, u - v), np.eye(2**chain.n_sites))
-    lhs = r12 @ t1u @ t2v
-    rhs = t2v @ t1u @ r12
-    return float(np.max(np.abs(lhs - rhs)))
+    """Max-norm defect of R12(u-v) T1(u) T2(v) = T2(v) T1(u) R12(u-v).
 
-
-def _aux_embed(t: np.ndarray, first: bool) -> np.ndarray:
-    # sum_ij E_ij (x) 1 (x) T_ij (first) or 1 (x) E_ij (x) T_ij (second)
-    out = np.einsum("ijpr,mn->impjnr" if first else "ijpr,mn->mipnjr", t, np.eye(2))
-    return out.reshape(4 * t.shape[-1], 4 * t.shape[-1])
+    Taken per auxiliary block, (a, b) the row and (c, d) the column:
+    (T1(u) T2(v))[ab, cd] = T(u)[a][c] T(v)[b][d] and (T2(v) T1(u))[ab, cd] =
+    T(v)[b][d] T(u)[a][c], 16 products of 2^L x 2^L operators each way, and
+    R12(u-v) mixes the blocks by its 4 x 4 entries.
+    """
+    tu, tv = monodromy(chain, u), monodromy(chain, v)
+    d = tu.shape[-1]
+    fwd = (tu[:, None, :, None] @ tv[None, :, None, :]).reshape(4, 4, d, d)
+    rev = (tv[None, :, None, :] @ tu[:, None, :, None]).reshape(4, 4, d, d)
+    r12 = _chain_r(chain, u - v)
+    lhs = np.tensordot(r12, fwd, axes=1)
+    rhs = np.tensordot(rev, r12, axes=([1], [0]))  # ab, p, r, cd
+    return float(np.max(np.abs(lhs - np.moveaxis(rhs, -1, 1))))
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,7 @@ from .bridge import (
 )
 from .chain import (
     KINDS,
+    ORACLE_MAX_SITES,
     BetheRoots,
     ChainSpec,
     bethe_lhs,
@@ -159,6 +160,8 @@ def _argument_error(ns: argparse.Namespace) -> Optional[str]:
         for flag, values in (("spins", ns.spins), ("thetas", ns.thetas)):
             if values is not None and len(values) != sites:
                 return "got %d --%s values for %d sites" % (len(values), flag, sites)
+    if ns.subcommand == "chain-oracle" and ns.sites > ORACLE_MAX_SITES:
+        return "chain-oracle builds dense matrices only up to --sites %d" % ORACLE_MAX_SITES
     if "u" in ns and len(ns.u) != ns.magnons:
         return "got %d --u values for %d magnons" % (len(ns.u), ns.magnons)
     if "max_iter" in ns:  # the solve commands, whose SolveConfig would refuse these

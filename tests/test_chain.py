@@ -255,17 +255,24 @@ def _weight(chain):
     return (lambda x: bracket(x, ctx)) if chain.is_trig else complex
 
 
-def _lifted_monodromy(chain, u):
+def _r4(w, x, eta, c_scale=1.0):
+    """The six-vertex R(x) of weight w as <i k|R|j l>: auxiliary i, j, site k, l."""
+    a, b, c = w(x + eta), w(x), c_scale * w(eta)
+    return np.array([[a, 0, 0, 0], [0, b, c, 0], [0, c, b, 0], [0, 0, 0, a]],
+                    dtype=complex).reshape(2, 2, 2, 2)
+
+
+def _lifted_monodromy(chain, u, bad_site=None):
     """R_0L(u - th_L) ... R_01(u - th_1), each site's R-matrix lifted to
-    2^L x 2^L by kron and the lifts multiplied in order."""
+    2^L x 2^L by kron and the lifts multiplied in order.  At ``bad_site`` the
+    c weight is doubled, a defect that no change of basis on the site undoes
+    (flipping its sign is conjugation by sigma^z on the site)."""
     w = _weight(chain)
     L, eta = chain.n_sites, chain.eta
     eye, zero = np.eye(2**L, dtype=complex), np.zeros((2**L, 2**L), dtype=complex)
     acc = [[eye, zero], [zero, eye]]
     for a in reversed(range(L)):
-        x = u - chain.inhomogeneities[a]
-        r = np.array([[w(x + eta), 0, 0, 0], [0, w(x), w(eta), 0],
-                      [0, w(eta), w(x), 0], [0, 0, 0, w(x + eta)]]).reshape(2, 2, 2, 2)
+        r = _r4(w, u - chain.inhomogeneities[a], eta, 2.0 if a == bad_site else 1.0)
         site = [[np.kron(np.eye(2**a), np.kron(r[i, :, j, :], np.eye(2 ** (L - 1 - a))))
                  for j in range(2)] for i in range(2)]
         acc = _op_mul(acc, site)
@@ -310,15 +317,64 @@ def test_grown_monodromies_match_lifted_products(kind, sites):
     assert _relative_gap(bethe_vector(chain, shifted), ref) <= 1e-12
 
 
-# ---------------------------------------------------------------------------
-# the matrix-free rows against the dense oracle
-# ---------------------------------------------------------------------------
-
-
 def _drawn_chain(rng, kind, sites, magnons):
     xi = rng.uniform(-0.4, 0.4, size=2) + 0.1j if kind.startswith("open") else (None, None)
     return ChainSpec(kind, sites, magnons, rng.uniform(0.1, 0.4), (0.5,) * sites,
                      tuple(rng.uniform(-0.2, 0.2, size=sites)), xi_plus=xi[0], xi_minus=xi[1])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sites", [7, 8])
+def test_grown_monodromies_match_lifted_products_at_the_timed_lengths(kind, sites):
+    # the lengths the oracle benchmark times, one trig and one rational kind of each shape
+    rng = np.random.default_rng([KINDS.index(kind), sites, 1])
+    chain = _drawn_chain(rng, kind, sites, 1)
+    u = complex(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.3))
+    assert _relative_gap(monodromy(chain, u), _lifted_monodromy(chain, u)) <= 1e-12
+    if chain.is_open:
+        assert _relative_gap(double_row_monodromy(chain, u), _lifted_double_row(chain, u)) <= 1e-12
+
+
+def _kron_rtt_residual(chain, t_of, u, v):
+    """The RTT defect of ``t_of`` with dense 4 * 2^L matrices: R12(u - v) (x) 1
+    and T(u), T(v) embedded in the first and second auxiliary space by kron."""
+    n, w = 2**chain.n_sites, _weight(chain)
+    unit = np.eye(2)
+
+    def embed(t, first):
+        return sum(np.kron(np.kron(unit[:, [i]] @ unit[[j]], unit) if first else
+                           np.kron(unit, unit[:, [i]] @ unit[[j]]), t[i][j])
+                   for i in range(2) for j in range(2))
+
+    t1u, t2v = embed(t_of(chain, u), True), embed(t_of(chain, v), False)
+    r12 = np.kron(_r4(w, u - v, chain.eta).reshape(4, 4), np.eye(n))
+    return float(np.max(np.abs(r12 @ t1u @ t2v - t2v @ t1u @ r12)))
+
+
+@pytest.mark.parametrize("kind", ["closed-xxz", "closed-xxx"])
+@pytest.mark.parametrize("sites", [1, 3, 5])
+def test_blockwise_rtt_matches_the_kron_form(kind, sites, monkeypatch):
+    rng = np.random.default_rng([KINDS.index(kind), sites, 2])
+    chain = _drawn_chain(rng, kind, sites, 1)
+    u, v = 0.23 + 0.11j, -0.41 + 0.07j
+    # the size of the products compared: rational weights make it small at L = 5
+    scale = (np.max(np.abs(monodromy(chain, u))) * np.max(np.abs(monodromy(chain, v)))
+             * abs(_weight(chain)(u - v + chain.eta)))
+    blockwise, kron = rtt_residual(chain, u, v), _kron_rtt_residual(chain, monodromy, u, v)
+    assert blockwise < 1e-12 * scale and kron < 1e-12 * scale
+
+    def broken(chain, x):
+        return np.array(_lifted_monodromy(chain, x, bad_site=sites // 2))
+
+    monkeypatch.setattr(chain_module, "monodromy", broken)
+    blockwise, kron = rtt_residual(chain, u, v), _kron_rtt_residual(chain, broken, u, v)
+    assert blockwise > 1e-2 * scale and kron > 1e-2 * scale
+    assert blockwise == pytest.approx(kron, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free rows against the dense oracle
+# ---------------------------------------------------------------------------
 
 
 @settings(max_examples=48, deadline=None, derandomize=True, database=None)

@@ -7,7 +7,7 @@ import pytest
 
 from bethegauge import cli, solve
 from bethegauge.cli import run
-from bethegauge.chain import ChainSpec
+from bethegauge.chain import ORACLE_MAX_SITES, ChainSpec
 from bethegauge.gauge import BRANCH_PLUS, GaugeTheorySpec, vacuum_lhs
 from bethegauge.solve import SolveConfig, solve_bethe, solve_vacuum
 
@@ -94,6 +94,12 @@ def test_exit_two_without_sites_or_spins(capsys, argv):
 ])
 def test_exit_two_on_gauge_list_lengths(capsys, argv, message):
     assert message in _usage_error(capsys, argv)
+
+
+def test_chain_oracle_exits_two_above_the_dense_cap(capsys):
+    # the library's own refusal would exit 1 as an evaluation error
+    err = _usage_error(capsys, ["chain-oracle", "--sites", str(ORACLE_MAX_SITES + 1)])
+    assert "up to --sites %d" % ORACLE_MAX_SITES in err
 
 
 @pytest.mark.parametrize("family,rank,message", [
