@@ -558,12 +558,22 @@ def calibrate_preset(
     ways for the C and D families, so the residual gets the final word.
     Deterministic for a fixed seed.
     """
+    return _calibrate(family, regime, samples, seed)[0]
+
+
+def _calibrate(family: str, regime: str, samples: int, seed: int
+               ) -> Tuple[DictionaryPreset, VerificationReport, Dict[str, object]]:
+    """:func:`calibrate_preset`'s grid scan: the chosen trial, its report and
+    the grid's ledger, the trials run and the trials whose verification
+    raised, counted by exception type."""
     base = presets(family, regime)
     if not base:
         raise ValueError("no preset to calibrate from for family %s in regime %s"
                          % (family, regime))
     kind = base[0].chain_kind
-    best: Optional[Tuple[float, DictionaryPreset]] = None
+    best: Optional[Tuple[DictionaryPreset, VerificationReport]] = None
+    refused: Dict[str, int] = {}
+    trials = 0
     for xi_p, xi_m in dict.fromkeys((p.xi_plus, p.xi_minus) for p in base):
         for count in (0, 2, 3, 4):
             if kind.startswith("closed") and count:
@@ -572,15 +582,18 @@ def calibrate_preset(
                 for br in (BRANCH_PLUS, BRANCH_MINUS):
                     trial = DictionaryPreset("%s-%s-cal" % (family, regime), family, regime, kind,
                                              xi_p, xi_m, tuple(FixedSite(t) for t in pattern), br)
+                    trials += 1
                     try:
                         rep = verify_identity(trial, (2, 4), samples, seed=seed)
-                    except (ValueError, RuntimeError):
+                    except (ValueError, RuntimeError) as exc:
+                        name = type(exc).__name__
+                        refused[name] = refused.get(name, 0) + 1
                         continue
-                    if best is None or rep.max_residual < best[0]:
-                        best = (rep.max_residual, trial)
+                    if best is None or rep.max_residual < best[1].max_residual:
+                        best = (trial, rep)
     if best is None:
         raise RuntimeError("calibration grid produced no evaluable configuration")
-    return best[1]
+    return best + ({"trials": trials, "refused": refused},)
 
 
 def duality_compare(

@@ -21,11 +21,13 @@ multiplying 2^L x 2^L lifted R-matrices.  The closed T_0(u) grows from site
 L down to site 1, so the new site is always the most significant and every
 block is contiguous; the double row U_-(u) must grow outward from K, site 1
 first, so its new site is the least significant and its blocks are strided.
-Closed t(u) = tr_0 T_0(u), open t(u) = Tr_0 K(u+eta/2, xi_+) U_-(u).  The
+Closed t(u) = tr_0 T_0(u), open t(u) = Tr_0 K(u+eta/2, xi_+) U_-(u); the
+transfer matrix shares the monodromies' site steps and traces the last
+site as it writes it, building only the diagonal auxiliary blocks.  The
 open trace argument follows the displayed A/D-tilde expansion (which fixes
 the K_+ shift uniquely).  The dense oracle is the witness for L <= 8; its
 commutator check is taken block by block over the magnon sectors, its RTT
-check block by block over the auxiliary entries.
+check (of the one-row T_0 only) block by block over the auxiliary entries.
 
 Eigenvector certification never builds a dense operator: the Bethe state
 prod B(u_k)|up...up> and t(u) times it are applied to vectors one site at a
@@ -343,11 +345,10 @@ def _chain_r(chain: ChainSpec, u: complex) -> np.ndarray:
     return _r(lambda x: _br(chain, x), u, chain.eta)
 
 
-def _weights(chain: ChainSpec, x: complex, a: int) -> Tuple[complex, complex]:
-    # the six-vertex weights a = [y + eta] and b = [y] of R_0a at y = x - th_a;
-    # the third, c = [eta], is the same at every site
+def _weights(chain: ChainSpec, x: complex, a: int) -> Tuple[complex, complex, complex]:
+    # the six-vertex weights (a, b, c) = ([y + eta], [y], [eta]) of R_0a at y = x - th_a
     y = x - chain.inhomogeneities[a]
-    return _br(chain, y + chain.eta), _br(chain, y)
+    return _br(chain, y + chain.eta), _br(chain, y), _br(chain, chain.eta)
 
 
 def _vertex(i: int, q: int, k: int, p: int) -> int:
@@ -356,14 +357,74 @@ def _vertex(i: int, q: int, k: int, p: int) -> int:
     return 2 if (i, q) != (k, p) else 0 if i == q else 1
 
 
+#: the one-row site step: per block (j, q, s) of the grown T, the one term
+#: T[i][k] R_0a[k q; j s] at k = j + s - q, with x the weight of R at that
+#: entry; the blocks (0, 1, 0) and (1, 0, 1) have none and are zero
+_ROW_TERMS = tuple((j, q, s, j + s - q, _vertex(j + s - q, q, j, s))
+                   for j, q, s in product(range(2), repeat=3) if 0 <= j + s - q <= 1)
+
 #: the double row's site step: per output block (i, j, q, s), the terms
 #: (k, l, x, y) of sum_p R[i q; k p] R^[l p; j s] U[k][l], with x and y the
-#: weights of R and R^ at those entries; at most two terms, none for two blocks
+#: weights of R and R^ at those entries; at most two terms, none for two
+#: blocks.  Each block goes to slot (i, j) of the grown array
 _DOUBLE_ROW_TERMS = tuple(
-    (i, j, q, s, tuple((i + q - p, j + s - p, _vertex(i, q, i + q - p, p),
-                        _vertex(j + s - p, p, j, s))
-                       for p in range(2) if 0 <= i + q - p <= 1 and 0 <= j + s - p <= 1))
+    ((i, j), q, s, tuple((i + q - p, j + s - p, _vertex(i, q, i + q - p, p),
+                          _vertex(j + s - p, p, j, s))
+                         for p in range(2) if 0 <= i + q - p <= 1 and 0 <= j + s - p <= 1))
     for i, j, q, s in product(range(2), repeat=4))
+
+#: the blocks of the double row's traced last site, those with i = j, each
+#: to slot i of an array of the two diagonal entries
+_DOUBLE_ROW_DIAGONAL = tuple(((i,), q, s, terms)
+                             for (i, j), q, s, terms in _DOUBLE_ROW_TERMS if i == j)
+
+
+def _row_sites(chain: ChainSpec, u: complex, stop: int) -> np.ndarray:
+    """T_0(u) over sites L, ..., stop + 1 (0-based a >= stop), grown as
+    :func:`monodromy` says, the blocks of :data:`_ROW_TERMS` each written
+    for both rows i at once."""
+    acc = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
+    for a in reversed(range(stop, chain.n_sites)):
+        w = _weights(chain, u, a)
+        d = acc.shape[-1]
+        new = np.empty((2, 2, 2, d, 2, d), dtype=complex)  # i, j, site q, old, site s, old
+        new[:, 0, 1, :, 0] = new[:, 1, 0, :, 1] = 0
+        for j, q, s, k, x in _ROW_TERMS:
+            np.multiply(acc[:, k], w[x], out=new[:, j, q, :, s])
+        acc = new.reshape(2, 2, 2 * d, 2 * d)
+    return acc
+
+
+def _double_row_site(chain: ChainSpec, u: complex, a: int, acc: np.ndarray,
+                     blocks) -> np.ndarray:
+    """The ``blocks`` (rows of :data:`_DOUBLE_ROW_TERMS`) of site a's step of
+    :func:`double_row_monodromy`, each written straight into its strided view
+    of its slot: an array (slot..., old, site q, old, site s)."""
+    w = _weights(chain, u, a)
+    ha, hb, c = _weights(chain, -u, a)
+    hat = (hb, ha, -c)
+    d = acc.shape[-1]
+    out = np.empty((2,) * len(blocks[0][0]) + (d, 2, d, 2), dtype=complex)
+    for slot, q, s, terms in blocks:
+        view = out[slot][:, q, :, s]
+        if not terms:
+            view[...] = 0
+            continue
+        (k0, l0, x0, y0), *rest = terms
+        np.multiply(acc[k0, l0], w[x0] * hat[y0], out=view)
+        for k1, l1, x1, y1 in rest:
+            view += (w[x1] * hat[y1]) * acc[k1, l1]
+    return out
+
+
+def _double_row_sites(chain: ChainSpec, u: complex, stop: int) -> np.ndarray:
+    """U_-(u) over sites 1, ..., stop, grown as :func:`double_row_monodromy` says."""
+    k = _k_diag(chain, u - chain.eta / 2, chain.xi_minus)
+    acc = np.diag(k).reshape(2, 2, 1, 1)
+    for a in range(stop):
+        d = acc.shape[-1]
+        acc = _double_row_site(chain, u, a, acc, _DOUBLE_ROW_TERMS).reshape(2, 2, 2 * d, 2 * d)
+    return acc
 
 
 def monodromy(chain: ChainSpec, u: complex) -> np.ndarray:
@@ -379,23 +440,7 @@ def monodromy(chain: ChainSpec, u: complex) -> np.ndarray:
     and 4 zero blocks, O(4^L) per site.
     """
     _check_oracle(chain)
-    acc = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
-    wc = _br(chain, chain.eta)
-    for a in reversed(range(chain.n_sites)):
-        wa, wb = _weights(chain, u, a)
-        d = acc.shape[-1]
-        new = np.empty((2, 2, 2, d, 2, d), dtype=complex)  # i, j, site q, old, site s, old
-        t0, t1 = acc[:, 0], acc[:, 1]
-        np.multiply(t0, wa, out=new[:, 0, 0, :, 0])
-        np.multiply(t1, wc, out=new[:, 0, 0, :, 1])
-        new[:, 0, 1, :, 0] = 0
-        np.multiply(t0, wb, out=new[:, 0, 1, :, 1])
-        np.multiply(t1, wb, out=new[:, 1, 0, :, 0])
-        new[:, 1, 0, :, 1] = 0
-        np.multiply(t0, wc, out=new[:, 1, 1, :, 0])
-        np.multiply(t1, wa, out=new[:, 1, 1, :, 1])
-        acc = new.reshape(2, 2, 2 * d, 2 * d)
-    return acc
+    return _row_sites(chain, u, 0)
 
 
 def double_row_monodromy(chain: ChainSpec, u: complex) -> np.ndarray:
@@ -412,36 +457,42 @@ def double_row_monodromy(chain: ChainSpec, u: complex) -> np.ndarray:
     if not chain.is_open:
         raise ValueError("double-row monodromy is defined for open chains")
     _check_oracle(chain)
-    k = _k_diag(chain, u - chain.eta / 2, chain.xi_minus)
-    acc = np.diag(k).reshape(2, 2, 1, 1)
-    c = _br(chain, chain.eta)
-    for a in range(chain.n_sites):
-        w = _weights(chain, u, a) + (c,)
-        ha, hb = _weights(chain, -u, a)
-        hat = (hb, ha, -c)
-        d = acc.shape[-1]
-        new = np.empty((2, 2, d, 2, d, 2), dtype=complex)  # i, j, old, site q, old, site s
-        for i, j, q, s, terms in _DOUBLE_ROW_TERMS:
-            out = new[i, j, :, q, :, s]
-            if not terms:
-                out[...] = 0
-                continue
-            (k0, l0, x0, y0), *rest = terms
-            np.multiply(acc[k0, l0], w[x0] * hat[y0], out=out)
-            for k1, l1, x1, y1 in rest:
-                out += (w[x1] * hat[y1]) * acc[k1, l1]
-        acc = new.reshape(2, 2, 2 * d, 2 * d)
-    return acc
+    return _double_row_sites(chain, u, chain.n_sites)
 
 
 def transfer_matrix(chain: ChainSpec, u: complex) -> np.ndarray:
-    """Dense transfer matrix at spectral parameter u."""
+    """Dense transfer matrix at spectral parameter u.
+
+    The monodromy is grown over every site but the last one it takes, and
+    that site is traced as it is written, so only the auxiliary blocks the
+    trace reads are built.  Closed, tr_0 T_0(u) at site 1: per (q, s) the
+    blocks of T[0][0] and T[1][1], 6 scaled copies and 2 adds into one
+    2^L x 2^L array.  Open, Tr_0 K(u + eta/2, xi_+) U_-(u) at site L: the 8
+    blocks of U[0][0] and U[1][1], combined as
+    k_0 U[0][0] + k_1 U[1][1].  Every product keeps its operand order, so
+    the result equals the trace of :func:`monodromy` or
+    :func:`double_row_monodromy` exactly, up to the sign of a zero.
+    """
+    _check_oracle(chain)
+    last = chain.n_sites - 1
     if chain.is_open:
-        um = double_row_monodromy(chain, u)
+        acc = _double_row_sites(chain, u, last)
+        d = acc.shape[-1]
+        diag = _double_row_site(chain, u, last, acc, _DOUBLE_ROW_DIAGONAL)
         kp = _k_diag(chain, u + chain.eta / 2, chain.xi_plus)
-        return kp[0] * um[0][0] + kp[1] * um[1][1]
-    t = monodromy(chain, u)
-    return t[0][0] + t[1][1]
+        t = kp[0] * diag[0]
+        t += np.multiply(kp[1], diag[1], out=diag[1])
+        return t.reshape(2 * d, 2 * d)
+    acc = _row_sites(chain, u, 1)
+    w = _weights(chain, u, 0)
+    d = acc.shape[-1]
+    out = np.empty((2, d, 2, d), dtype=complex)  # site q, old, site s, old
+    for j, q, s, k, x in _ROW_TERMS:  # blocks q = s take i = 0, then add i = 1
+        if j and q == s:
+            out[q, :, s] += acc[j, k] * w[x]
+        else:
+            np.multiply(acc[j, k], w[x], out=out[q, :, s])
+    return out.reshape(2 * d, 2 * d)
 
 
 def open_transfer_expansion(chain: ChainSpec, u: complex) -> np.ndarray:
@@ -465,6 +516,10 @@ def open_transfer_expansion(chain: ChainSpec, u: complex) -> np.ndarray:
 
 def rtt_residual(chain: ChainSpec, u: complex, v: complex) -> float:
     """Max-norm defect of R12(u-v) T1(u) T2(v) = T2(v) T1(u) R12(u-v).
+
+    Only the one-row T(u) of :func:`monodromy` is checked, on open chains
+    too: the double row's reflection algebra is not (a closed and an open
+    chain of the same eta and theta give the same defect).
 
     Taken per auxiliary block, (a, b) the row and (c, d) the column:
     (T1(u) T2(v))[ab, cd] = T(u)[a][c] T(v)[b][d] and (T2(v) T1(u))[ab, cd] =

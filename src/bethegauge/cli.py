@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .bridge import (
     VerificationReport,
+    _calibrate,
     all_presets,
-    calibrate_preset,
     duality_compare,
     preset_by_id,
     verify_identity,
@@ -406,8 +406,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(ns: argparse.Namespace) -> int:
-    chosen = calibrate_preset(ns.family, ns.regime, samples=ns.samples, seed=ns.seed)
-    rep = verify_identity(chosen, dims=(2, 4), samples=ns.samples, seed=ns.seed)
+    chosen, rep, grid = _calibrate(ns.family, ns.regime, ns.samples, ns.seed)
+    refused = ", ".join("%s %d" % kv for kv in sorted(grid["refused"].items()))
     payload = {
         "family": ns.family,
         "regime": ns.regime,
@@ -418,6 +418,7 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
             "branch": chosen.branch.sign,
         },
         "report": rep.to_dict(),
+        "grid": grid,
     }
     human = [
         "calibrated %s %s: %d fixed site(s) theta=[%s], branch %+d, xi=(%s, %s)"
@@ -427,6 +428,8 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
            chosen.xi_plus.label() if chosen.xi_plus else "-",
            chosen.xi_minus.label() if chosen.xi_minus else "-"),
         "max residual %.3e over %d samples" % (rep.max_residual, rep.samples),
+        "grid: %d trials, %d refused%s" % (grid["trials"], sum(grid["refused"].values()),
+                                            " (%s)" % refused if refused else ""),
     ]
     _emit(ns, payload, human)
     return 0 if rep.passed else 1

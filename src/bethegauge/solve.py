@@ -287,14 +287,15 @@ def _starts(system: _LogSystem, cfg: SolveConfig, draw) -> np.ndarray:
     while some factor is within POLE_TOL of a pole; a start without a clear
     draw is skipped.
 
-    The draws come in order, as one start at a time would take them, but
-    are scored a stack at a time: one draw per start still to fill, and
-    the draws left over when the last start is filled are dropped.
+    ``draw(count)`` returns ``count`` draws (count, n) in one call, in the
+    order one start at a time would take them.  They are scored a stack at a
+    time: one draw per start still to fill, and the draws left over when the
+    last start is filled are dropped.
     """
     starts: List[np.ndarray] = []
     left, misses = cfg.n_starts, 0
     while left:
-        cand = np.array([draw() for _ in range(left)], dtype=complex).reshape(left, -1)
+        cand = np.asarray(draw(left), dtype=complex).reshape(left, -1)
         for point, clear in zip(cand, (system.min_factor(cand) > POLE_TOL).tolist()):
             if clear:
                 starts.append(point)
@@ -351,12 +352,19 @@ def _canonical(values: np.ndarray, signs: np.ndarray, period: Optional[float]) -
 
 
 def _distinct(keys: Sequence, tol: float) -> List[int]:
-    """The indices of the keys farther than tol (max-abs) from every earlier kept key."""
+    """The indices of the keys farther than tol (max-abs) from every earlier kept key.
+
+    Each kept key's row of the pairwise distances marks the keys it covers,
+    those not at least tol away (a NaN distance covers), so a key is kept
+    when no earlier kept key covers it: one distance row per kept key.
+    """
     arr = np.array(keys)
+    covered = np.zeros(len(arr), dtype=bool)
     kept: List[int] = []
     for k in range(len(arr)):
-        if not kept or np.max(np.abs(arr[kept] - arr[k]), axis=1, initial=0.0).min() >= tol:
+        if not covered[k]:
             kept.append(k)
+            covered |= ~(np.max(np.abs(arr - arr[k]), axis=1, initial=0.0) >= tol)
     return kept
 
 
@@ -409,12 +417,13 @@ def solve_bethe(chain: ChainSpec, cfg: SolveConfig) -> SolveResult:
     half = 0.5 * radius
     signs = _sign_changes("B" if chain.is_open else "A", m)
 
-    def draw() -> np.ndarray:
-        if chain.is_trig:
-            re = rng.uniform(0.02, 0.98, size=m)
-        else:
-            re = rng.uniform(-half, half, size=m)
-        return re + 1j * rng.normal(0.0, 0.2, size=m)
+    def draw(count: int) -> np.ndarray:
+        # per start, its real parts and then its imaginary ones: that interleaving is the stream
+        points = np.empty((count, m), dtype=complex)
+        low, high = (0.02, 0.98) if chain.is_trig else (-half, half)
+        for point in points:
+            point[:] = rng.uniform(low, high, size=m) + 1j * rng.normal(0.0, 0.2, size=m)
+        return points
 
     def screen(u: np.ndarray, fates: Dict[str, int]) -> np.ndarray:
         keys = _canonical(u, signs, 1.0 if chain.is_trig else None)
@@ -455,8 +464,8 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
         fates["complex_vacuum"] = len(u) - int(real.sum())
         return _canonical(u[real].real, signs, None if rational else math.pi)
 
-    result = _solve(system, cfg, lambda: span * rng.uniform(0.02, 0.98, size=n), screen,
-                    branch.sign)
+    result = _solve(system, cfg, lambda count: span * rng.uniform(0.02, 0.98, size=(count, n)),
+                    screen, branch.sign)
     if not table.n_rows:  # no interactions at all: every point is a vacuum on the + branch
         result.diagnostics["underdetermined"] = True
     return result

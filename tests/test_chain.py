@@ -335,6 +335,25 @@ def test_grown_monodromies_match_lifted_products_at_the_timed_lengths(kind, site
         assert _relative_gap(double_row_monodromy(chain, u), _lifted_double_row(chain, u)) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sites", range(1, 9))
+def test_traced_last_site_equals_the_full_trace(kind, sites):
+    # transfer_matrix writes only the diagonal auxiliary blocks of its last
+    # site; with every product's operand order kept it equals the full trace exactly
+    rng = np.random.default_rng([KINDS.index(kind), sites, 3])
+    chain = _drawn_chain(rng, kind, sites, 1)
+    u = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
+    if chain.is_open:
+        w, x = _weight(chain), u + chain.eta / 2
+        kp = np.array([w(x + chain.xi_plus), -w(x - chain.xi_plus)])
+        um = double_row_monodromy(chain, u)
+        full = kp[0] * um[0][0] + kp[1] * um[1][1]
+    else:
+        t = monodromy(chain, u)
+        full = t[0][0] + t[1][1]
+    assert np.array_equal(transfer_matrix(chain, u), full)
+
+
 def _kron_rtt_residual(chain, t_of, u, v):
     """The RTT defect of ``t_of`` with dense 4 * 2^L matrices: R12(u - v) (x) 1
     and T(u), T(v) embedded in the first and second auxiliary space by kron."""

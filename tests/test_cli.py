@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from bethegauge import cli, solve
+from bethegauge import bridge, cli, solve
 from bethegauge.cli import run
 from bethegauge.chain import ORACLE_MAX_SITES, ChainSpec
 from bethegauge.gauge import BRANCH_PLUS, GaugeTheorySpec, vacuum_lhs
@@ -478,3 +478,30 @@ def test_calibrate_without_a_preset_names_the_family_and_regime(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no preset to calibrate from for family A in regime 2d\n"
+
+
+def test_calibrate_counts_its_grid_and_reports_the_chosen_trial_once(capsys, monkeypatch):
+    # minus-branch trials raise RuntimeError, plus-branch ones with fixed sites
+    # ValueError: C 3d has 2 boundary pairs x 13 site patterns x 2 branches
+    calls = []
+    real = bridge.verify_identity
+
+    def verify(trial, *args, **kwargs):
+        calls.append(trial)
+        if trial.branch.sign < 0:
+            raise RuntimeError("refused")
+        if trial.fixed_sites:
+            raise ValueError("refused")
+        return real(trial, *args, **kwargs)
+
+    monkeypatch.setattr(bridge, "verify_identity", verify)
+    monkeypatch.setattr(cli, "verify_identity", verify)
+    argv = ["calibrate", "--family", "C", "--regime", "3d", "--samples", "5", "--seed", "3"]
+    code, doc = _json_doc(capsys, argv)
+    assert code == 0 and len(calls) == 52  # each trial verified once, the chosen one too
+    assert doc["grid"] == {"trials": 52, "refused": {"RuntimeError": 26, "ValueError": 24}}
+    assert doc["report"] in [json.loads(json.dumps(real(t, (2, 4), 5, seed=3).to_dict()))
+                             for t in calls if t.branch.sign > 0 and not t.fixed_sites]
+    assert run(argv) == 0
+    assert (capsys.readouterr().out.splitlines()[-1]
+            == "grid: 52 trials, 50 refused (RuntimeError 26, ValueError 24)")

@@ -827,3 +827,25 @@ def test_cross_check_scores_as_one_by_one(preset_id, spec):
     reference = _mapped_residual_one_by_one(spec, preset)
     assert report.notes["n_root_sets"] >= 1 and math.isfinite(reference)
     assert abs(report.max_residual - reference) <= 1e-14
+
+
+def _distinct_one_at_a_time(keys, tol):
+    """The deduplication rule as a loop: a key is kept when its max-abs
+    distance to every earlier kept key is at least tol."""
+    kept = []
+    for k in range(len(keys)):
+        if all(np.max(np.abs(keys[j] - keys[k]), initial=0.0) >= tol for j in kept):
+            kept.append(k)
+    return kept
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_distinct_keeps_the_keys_of_the_one_at_a_time_rule(n):
+    # exact copies and copies moved by up to about 1e-6, so that closeness is
+    # not transitive and the order of the keys decides; one key is NaN
+    rng = np.random.default_rng(n)
+    base = rng.normal(size=(12, n)) + 1j * rng.normal(size=(12, n))
+    keys = (base[rng.integers(0, 12, size=80)]
+            + 3e-7 * rng.normal(size=(80, n)) * rng.integers(0, 3, size=(80, 1)))
+    keys[40] = np.nan
+    assert solve._distinct(keys, solve.DEDUP_TOL) == _distinct_one_at_a_time(keys, solve.DEDUP_TOL)
