@@ -116,6 +116,11 @@ class DictionaryPreset:
             raise ValueError("regime must be 3d or 2d")
         if len(self.fixed_sites) not in (0, 2, 3, 4):
             raise ValueError("fixed-site count must be in {0, 2, 3, 4}")
+        boundary = (self.xi_plus, self.xi_minus)
+        if self.is_open and None in boundary:
+            raise ValueError("open-chain presets need both xi_plus and xi_minus")
+        if not self.is_open and boundary != (None, None):
+            raise ValueError("closed-chain presets take no boundary parameters")
 
     @property
     def scale(self) -> float:
@@ -124,6 +129,11 @@ class DictionaryPreset:
     @property
     def is_open(self) -> bool:
         return self.chain_kind.startswith("open")
+
+    @property
+    def uses_cutoff(self) -> bool:
+        """An infinite boundary parameter: the Bethe side is regulated at finite cutoffs."""
+        return any(x is not None and x.infinite for x in (self.xi_plus, self.xi_minus))
 
 
 def _xi(const=0, coeff=0, infinite=0) -> XiExpr:
@@ -274,17 +284,12 @@ def _dictionary(preset: DictionaryPreset, params: np.ndarray, n_fund: int,
     thetas[:, n_free:] = [float(site.theta) for site in preset.fixed_sites]
     if preset.chain_kind.endswith("xxz") and np.any(np.abs(np.sin(np.pi * eta)) < 1e-14):
         raise ValueError("crossing parameter eta must not be an integer")  # as BracketContext
-    boundary = (preset.xi_plus, preset.xi_minus)
     xi = None
     if preset.is_open:
-        if None in boundary:
-            raise ValueError("open chains need both xi_plus and xi_minus")
         xi = np.empty((len(params), len(cutoffs), 2), dtype=complex)
         for t, cutoff in enumerate(cutoffs):
-            for side, expr in enumerate(boundary):
+            for side, expr in enumerate((preset.xi_plus, preset.xi_minus)):
                 xi[:, t, side] = expr.value(eta, cutoff)
-    elif boundary != (None, None):
-        raise ValueError("closed chains take no boundary parameters")
     return _Columns(eta, spins, thetas, xi)
 
 
@@ -498,10 +503,7 @@ def verify_identity(
     ``notes["draws"]`` counts the draws made and what became of each.
     """
     branch = preset.branch if branch is None else branch
-    uses_cutoff = any(
-        x is not None and x.infinite for x in (preset.xi_plus, preset.xi_minus)
-    )
-    cuts = DEFAULT_CUTOFFS if uses_cutoff else (None,)
+    cuts = DEFAULT_CUTOFFS if preset.uses_cutoff else (None,)
     max_residual = 0.0
     worst: Optional[Dict[str, object]] = None
     cutoff_worst = np.zeros(len(cuts))
@@ -509,7 +511,7 @@ def verify_identity(
     for points, outcome, (vac, bethe) in _verify_draws(preset, dims, samples, seed, cuts, ledger):
         ok = outcome == _ACCEPTED
         points, vac, bethe = points[ok], vac[ok], bethe[ok]
-        if uses_cutoff:
+        if preset.uses_cutoff:
             per_cut = np.abs(vac[:, None, :] - branch.sign * bethe).max(axis=2)
             cutoff_worst = np.maximum(cutoff_worst, per_cut.max(axis=0, initial=0.0))
             bethe = _extrapolate_geometric(bethe.transpose(0, 2, 1))
@@ -526,7 +528,7 @@ def verify_identity(
                 worst["masses_anti"] = list(spec.masses_anti)
 
     notes: Dict[str, object] = {"draws": ledger}
-    if uses_cutoff:
+    if preset.uses_cutoff:
         notes["cutoffs"] = list(cuts)
         notes["residual_by_cutoff"] = {str(t): float(r) for t, r in zip(cuts, cutoff_worst)}
     return VerificationReport(

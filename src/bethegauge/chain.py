@@ -324,10 +324,12 @@ ORACLE_MAX_SITES = 8
 MATRIX_FREE_MAX_SITES = 14
 
 
-def _check_oracle(chain: ChainSpec, max_sites: int = ORACLE_MAX_SITES) -> None:
-    if chain.n_sites > max_sites:
+def _check_oracle(n_sites: int, spins: Tuple[float, ...],
+                  max_sites: int = ORACLE_MAX_SITES) -> None:
+    """Refuse a chain the oracle does not build: too long, or not spin 1/2."""
+    if n_sites > max_sites:
         raise ValueError("oracle limited to L <= %d" % max_sites)
-    if any(abs(s - 0.5) > 1e-12 for s in chain.spins):
+    if any(abs(s - 0.5) > 1e-12 for s in spins):
         raise ValueError("oracle supports spin-1/2 only")
 
 
@@ -439,7 +441,7 @@ def monodromy(chain: ChainSpec, u: complex) -> np.ndarray:
     R_0a[k q; j s] times T[i][k] at k = j + s - q.  That is 12 scaled copies
     and 4 zero blocks, O(4^L) per site.
     """
-    _check_oracle(chain)
+    _check_oracle(chain.n_sites, chain.spins)
     return _row_sites(chain, u, 0)
 
 
@@ -456,7 +458,7 @@ def double_row_monodromy(chain: ChainSpec, u: complex) -> np.ndarray:
     """
     if not chain.is_open:
         raise ValueError("double-row monodromy is defined for open chains")
-    _check_oracle(chain)
+    _check_oracle(chain.n_sites, chain.spins)
     return _double_row_sites(chain, u, chain.n_sites)
 
 
@@ -473,7 +475,7 @@ def transfer_matrix(chain: ChainSpec, u: complex) -> np.ndarray:
     the result equals the trace of :func:`monodromy` or
     :func:`double_row_monodromy` exactly, up to the sign of a zero.
     """
-    _check_oracle(chain)
+    _check_oracle(chain.n_sites, chain.spins)
     last = chain.n_sites - 1
     if chain.is_open:
         acc = _double_row_sites(chain, u, last)
@@ -622,7 +624,7 @@ def bethe_vector(chain: ChainSpec, roots: BetheRoots) -> np.ndarray:
     matrix-free: the monodromy acts on e_1 (x) psi and auxiliary entry 0 is
     kept, at O(L 2^L) per root, so spin-1/2 chains up to L = 14 are taken.
     """
-    _check_oracle(chain, MATRIX_FREE_MAX_SITES)
+    _check_oracle(chain.n_sites, chain.spins, MATRIX_FREE_MAX_SITES)
     vec = np.zeros(2**chain.n_sites, dtype=complex)
     vec[0] = 1.0
     for ui in roots.values:

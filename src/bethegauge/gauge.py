@@ -37,10 +37,6 @@ from .rows import RowTable
 from .specfun import SingularPointError, dilog
 
 FAMILIES = ("A", "B", "C", "D", "E8", "F4")
-#: why a theory outside A and realization I takes no anti-fundamental masses
-NO_ANTI_MASSES = "anti-fundamental masses only enter the A family or realization I"
-#: why an exceptional family has no realization I
-CLASSICAL_REALIZATION_I = "realization I is only defined for the classical families"
 
 #: minimum distance of any sine argument to the singular set pi*Z
 SINGULAR_TOL = 1e-6
@@ -80,15 +76,13 @@ class GaugeTheorySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError("family must be one of %s" % (FAMILIES,))
-        _, rank = lie_roots.root_family(self.family, self.rank)  # E8 and F4 name their rank
-        if self.rank != rank:
-            raise ValueError("%s has rank %d" % (self.family, rank))
+        lie_roots.root_family(self.family, self.rank)  # refuses a rank E8 or F4 contradicts
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.realization not in ("I", "II"):
             raise ValueError("realization must be 'I' or 'II'")
         if self.family in ("E8", "F4") and self.realization == "I":
-            raise ValueError(CLASSICAL_REALIZATION_I)
+            raise ValueError("realization I is only defined for the classical families")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         if len(self.masses) != self.n_fund:
             raise ValueError("expected %d fundamental masses" % self.n_fund)
@@ -100,7 +94,8 @@ class GaugeTheorySpec:
                 self, "masses_anti", tuple(float(m) for m in self.masses_anti)
             )
             if self.family != "A" and self.realization == "II":
-                raise ValueError(NO_ANTI_MASSES)
+                raise ValueError(
+                    "anti-fundamental masses only enter the A family or realization I")
 
     @property
     def dim(self) -> int:

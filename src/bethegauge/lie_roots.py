@@ -148,8 +148,11 @@ def generate_roots(family: str, rank: int) -> List[Vector]:
 
 
 def root_family(name: str, rank: int) -> Tuple[str, int]:
-    """(family, rank) behind a family name: "E6".."E8" and "F4" carry their rank."""
+    """(family, rank) behind a family name: "E6".."E8" and "F4" carry their rank,
+    and a different ``rank`` is refused."""
     if len(name) == 2 and name[0] in _EXCEPTIONAL_RANKS:
+        if rank != int(name[1]):
+            raise ValueError("%s has rank %s" % (name, name[1]))
         return name[0], int(name[1])
     return name, rank
 

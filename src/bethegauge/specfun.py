@@ -25,6 +25,10 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 PI2_6 = math.pi * math.pi / 6.0
+#: step of the central difference in :func:`dilog_grad_check`
+GRAD_CHECK_STEP = 1e-5
+#: tail bound of the truncated product in :func:`dilog_qpoch_link`
+QPOCH_LINK_TOL = 1e-12
 
 
 def _bernoulli_numbers(n: int):
@@ -114,10 +118,9 @@ def dilog_exp_derivative(x: complex) -> complex:
     return -cmath.log(1.0 - w)
 
 
-def dilog_grad_check(x: complex, h: float = 1e-6) -> Tuple[complex, complex]:
+def dilog_grad_check(x: complex) -> Tuple[complex, complex]:
     """Return (analytic, central finite difference) for d/dx Li2(e^x)."""
-    if not 1e-7 <= h <= 1e-3:
-        raise ValueError("step h must lie in [1e-7, 1e-3]")
+    h = GRAD_CHECK_STEP
     analytic = dilog_exp_derivative(x)
     lo, hi = dilog(np.exp([x - h, x + h]))
     fd = (hi - lo) / (2.0 * h)
@@ -185,7 +188,7 @@ def qpoch_terms_for(z: complex, q: complex, tol: float) -> int:
     return max(1, math.ceil(math.log(target) / math.log(aq)))
 
 
-def dilog_qpoch_link(z: complex, beta2: float, tol: float = 1e-12) -> Tuple[complex, complex, float]:
+def dilog_qpoch_link(z: complex, beta2: float) -> Tuple[complex, complex, float]:
     """Compare -2*beta2*log prod(1 - z e^(-2 beta2 k)) against Li2(z).
 
     Returns (product_side, dilog_side, relative_error).  The agreement is
@@ -196,7 +199,7 @@ def dilog_qpoch_link(z: complex, beta2: float, tol: float = 1e-12) -> Tuple[comp
     if z == 0:
         return 0j, 0j, 0.0
     q = math.exp(-2.0 * beta2)
-    w = z * q ** np.arange(qpoch_terms_for(z, q, tol))
+    w = z * q ** np.arange(qpoch_terms_for(z, q, QPOCH_LINK_TOL))
     # log(1 - w) by parts: numpy's complex log is slow, and log1p keeps the
     # many small late terms accurate
     log_abs = 0.5 * np.log1p(w.real * (w.real - 2.0) + w.imag**2)

@@ -129,6 +129,15 @@ def test_preset_validation():
         )
 
 
+def test_preset_states_the_boundary_rule_of_its_chain_kind():
+    xi = XiExpr(Fraction(0), HALF)
+    with pytest.raises(ValueError, match="open-chain presets need both xi_plus and xi_minus"):
+        DictionaryPreset("x", "B", "3d", "open-xxz", xi, None, (), BRANCH_PLUS)
+    with pytest.raises(ValueError, match="closed-chain presets take no boundary parameters"):
+        DictionaryPreset("x", "A", "3d", "closed-xxz", None, xi, (), BRANCH_PLUS)
+    assert [p.id for p in all_presets() if p.uses_cutoff] == ["D-3d"]
+
+
 # ---------------------------------------------------------------------------
 # parameter maps
 # ---------------------------------------------------------------------------

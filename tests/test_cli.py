@@ -7,7 +7,7 @@ import pytest
 
 from bethegauge import bridge, cli, solve
 from bethegauge.cli import run
-from bethegauge.chain import ORACLE_MAX_SITES, ChainSpec
+from bethegauge.chain import ORACLE_MAX_SITES, BetheRoots, ChainSpec, _check_oracle
 from bethegauge.gauge import BRANCH_PLUS, GaugeTheorySpec, vacuum_lhs
 from bethegauge.solve import SolveConfig, solve_bethe, solve_vacuum
 
@@ -62,10 +62,39 @@ def _usage_error(capsys, argv):
     return capsys.readouterr().err
 
 
+def _refusal(build):
+    """The message of the ValueError that building a library input raises."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    return str(exc.value)
+
+
+def _chain(kind="closed-xxz", sites=3, magnons=1, eta=0.3, **boundary):
+    return ChainSpec(kind, sites, magnons, eta, (0.5,) * sites, (0.0,) * sites, **boundary)
+
+
+CHAIN_FLAGS = ["--kind", "closed-xxz", "--sites", "3", "--magnons", "1"]
+
+
+@pytest.mark.parametrize("argv,build", [
+    (["solve-bethe", "--kind", "open-xxz", "--sites", "3", "--magnons", "1", "--eta", "0.3"],
+     lambda: _chain("open-xxz")),
+    (["bethe"] + CHAIN_FLAGS + ["--eta", "1", "--u", "0.2"], lambda: _chain(eta=1.0)),
+    (["solve-bethe"] + CHAIN_FLAGS + ["--eta", "0.3", "--xi-plus", "0.1"],
+     lambda: _chain(xi_plus=0.1)),
+    (["bethe", "--kind", "closed-xxz", "--sites", "3", "--magnons", "2", "--eta", "0.3",
+      "--u", "0.2,0.2"], lambda: BetheRoots((0.2, 0.2))),
+    (["chain-oracle", "--kind", "closed-xxz", "--eta", "0"], lambda: _chain(eta=0.0)),
+], ids=["open-without-xi", "integer-eta", "xi-on-closed", "coincident-u", "oracle-eta-zero"])
+def test_exit_two_with_the_message_of_the_library_input_it_refuses(capsys, argv, build):
+    # the CLI prints the library's own statement of the rule, not a copy of it
+    assert "error: %s\n" % _refusal(build) in _usage_error(capsys, argv)
+
+
 def test_exit_two_on_mismatched_masses(capsys):
     err = _usage_error(capsys, ["vacuum", "--family", "B", "--rank", "2", "--nf", "2",
                                 "--masses", "0.1"])
-    assert "got 1 masses for --nf 2" in err
+    assert "expected 2 fundamental masses" in err
 
 
 @pytest.mark.parametrize("argv", [["bethe", "--u", "0.2"], ["solve-bethe"]])
@@ -76,7 +105,7 @@ def test_exit_two_without_sites_or_spins(capsys, argv):
 
 @pytest.mark.parametrize("argv,message", [
     (["vacuum", "--family", "B", "--rank", "2", "--sigma", "0.1"],
-     "got 1 --sigma values for rank 2"),
+     "sigma must have 2 components"),
     (["vacuum", "--family", "A", "--rank", "2", "--nf", "2", "--masses-anti", "0.1"],
      "got 1 anti-fundamental masses for --nf 2"),
     (["solve-vacuum", "--family", "A", "--rank", "2", "--nf", "1", "--masses-anti", "0.1,0.2"],
@@ -97,9 +126,9 @@ def test_exit_two_on_gauge_list_lengths(capsys, argv, message):
 
 
 def test_chain_oracle_exits_two_above_the_dense_cap(capsys):
-    # the library's own refusal would exit 1 as an evaluation error
-    err = _usage_error(capsys, ["chain-oracle", "--sites", str(ORACLE_MAX_SITES + 1)])
-    assert "up to --sites %d" % ORACLE_MAX_SITES in err
+    sites = ORACLE_MAX_SITES + 1
+    err = _usage_error(capsys, ["chain-oracle", "--sites", str(sites)])
+    assert "error: %s\n" % _refusal(lambda: _check_oracle(sites, (0.5,) * sites)) in err
 
 
 @pytest.mark.parametrize("family,rank,message", [
@@ -111,7 +140,7 @@ def test_roots_exits_two_on_a_rank_the_name_contradicts(capsys, family, rank, me
 
 
 @pytest.mark.parametrize("argv", [
-    ["vacuum", "--family", "B", "--rank", "2", "--masses-anti", "0.1"],
+    ["vacuum", "--family", "B", "--rank", "2", "--masses-anti", "0.1,0.2"],
     ["solve-vacuum", "--family", "C", "--rank", "2", "--nf", "2", "--masses-anti", "0.1,0.2"],
     ["vacuum", "--family", "E8", "--rank", "8", "--masses-anti", "0.1,0.2"],
 ])
@@ -157,15 +186,18 @@ def test_exit_two_on_rational_regime_outside_classical(capsys, family, rank):
     assert "2d regime covers only" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["bethe", "--sites", "3", "--spins", "0.5,0.5", "--u", "0.2"],
-    ["solve-bethe", "--sites", "3", "--thetas", "0.1"],
-    ["solve-bethe", "--spins", "0.5,0.5", "--thetas", "0.1,0.2,0.3"],
-    ["bethe", "--sites", "3", "--u", "0.1,0.2"],
-])
-def test_exit_two_on_chain_list_lengths(capsys, argv):
+@pytest.mark.parametrize("argv,message", [
+    (["bethe", "--sites", "3", "--spins", "0.5,0.5", "--u", "0.2"],
+     "spins and inhomogeneities must have length 3"),
+    (["solve-bethe", "--sites", "3", "--thetas", "0.1"],
+     "spins and inhomogeneities must have length 3"),
+    (["solve-bethe", "--spins", "0.5,0.5", "--thetas", "0.1,0.2,0.3"],
+     "spins and inhomogeneities must have length 2"),
+    (["bethe", "--sites", "3", "--u", "0.1,0.2"], "expected 1 roots, got 2"),
+], ids=["argv%d" % k for k in range(4)])
+def test_exit_two_on_chain_list_lengths(capsys, argv, message):
     err = _usage_error(capsys, argv + ["--kind", "closed-xxz", "--magnons", "1", "--eta", "0.3"])
-    assert "values for" in err
+    assert message in err
 
 
 SOLVE_COMMANDS = {
@@ -180,13 +212,13 @@ SOLVE_COMMANDS = {
 @pytest.mark.parametrize("tol", [solve.DEDUP_TOL, 1e-5])
 def test_exit_two_on_a_tol_the_deduplication_swallows(capsys, command, tol):
     err = _usage_error(capsys, SOLVE_COMMANDS[command] + ["--tol", repr(tol)])
-    assert "--tol must be smaller than the deduplication distance 1e-06" in err
+    assert "tol must be smaller than DEDUP_TOL = 1e-06" in err
 
 
 @pytest.mark.parametrize("command", ["solve-bethe", "solve-vacuum"])
 def test_exit_two_on_too_few_iterations(capsys, command):
     err = _usage_error(capsys, SOLVE_COMMANDS[command] + ["--max-iter", str(solve.MIN_ITER - 1)])
-    assert "--max-iter must be at least %d" % solve.MIN_ITER in err
+    assert "max_iter must be at least %d" % solve.MIN_ITER in err
     assert run(SOLVE_COMMANDS[command] + ["--max-iter", str(solve.MIN_ITER), "--starts", "2"]) == 0
     capsys.readouterr()
 
@@ -283,8 +315,7 @@ def test_chain_oracle(capsys):
 
 def test_chain_oracle_takes_eta_zero(capsys):
     # --eta 0 is a value, not a request for a drawn eta
-    assert run(["chain-oracle", "--eta", "0"]) == 1
-    assert "eta must not be an integer" in capsys.readouterr().err
+    assert "eta must not be an integer" in _usage_error(capsys, ["chain-oracle", "--eta", "0"])
     code, doc = _json_doc(capsys, ["chain-oracle", "--kind", "closed-xxx", "--eta", "0"])
     assert code == 0
     assert doc["eta"] == 0.0

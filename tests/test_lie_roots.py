@@ -8,6 +8,7 @@ from bethegauge.lie_roots import (
     build_root_system,
     expected_root_count,
     generate_roots,
+    root_family,
     weight_factor,
     weyl_images,
 )
@@ -90,6 +91,14 @@ def test_bad_rank_rejected():
         generate_roots("E", 5)
     with pytest.raises(ValueError):
         generate_roots("A", 0)
+
+
+@pytest.mark.parametrize("name,rank", [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4)])
+def test_root_family_reads_the_rank_a_name_carries_and_refuses_another(name, rank):
+    assert root_family(name, rank) == (name[0], rank)
+    with pytest.raises(ValueError, match="^%s has rank %d$" % (name, rank)):
+        root_family(name, rank - 1)
+    assert root_family("B", 5) == ("B", 5)
 
 
 def test_root_system_wrapper():
