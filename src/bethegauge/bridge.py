@@ -49,6 +49,9 @@ from .gauge import (
 
 #: cutoffs used to realize an infinite boundary parameter
 DEFAULT_CUTOFFS = (5.0, 10.0, 20.0)
+#: the box a random theory and vacuum point are drawn from, in units of the
+#: scale: m_adj, each (anti-)fundamental mass, each component of sigma
+M_ADJ_BOX, MASS_BOX, SIGMA_BOX = (0.09, 0.34), (0.07, 0.43), (0.05, 0.95)
 
 
 @dataclass(frozen=True)
@@ -306,8 +309,7 @@ def map_gauge_to_chain(
         raise ValueError("preset %s does not apply to family %s" % (preset.id, gauge.family))
     if gauge.family != "A" and gauge.realization != "II":
         raise ValueError("the dictionary is stated for realization II products")
-    params = np.array([(gauge.m_adj,) + gauge.masses + (gauge.masses_anti or ())], dtype=float)
-    cols = _dictionary(preset, params, gauge.n_fund, (cutoff,))
+    cols = _dictionary(preset, np.array([gauge.params], dtype=float), gauge.n_fund, (cutoff,))
     xi = (None, None) if cols.xi is None else cols.xi[0, 0].tolist()
     return ChainSpec(preset.chain_kind, cols.spins.shape[1], gauge.dim, float(cols.eta[0]),
                      tuple(cols.spins[0].tolist()), tuple(cols.thetas[0].tolist()), *xi)
@@ -341,14 +343,15 @@ class VerificationReport:
     tol: float
     max_residual: float
     worst_point: Optional[Dict[str, object]]
-    passed: bool
     branch_used: int
     notes: Dict[str, object] = field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
+
     def to_dict(self) -> Dict[str, object]:
-        d = dataclasses.asdict(self)
-        d["pass"] = d.pop("passed")
-        return d
+        return {**dataclasses.asdict(self), "pass": self.passed}
 
 
 def _extrapolate_geometric(values: np.ndarray) -> np.ndarray:
@@ -459,9 +462,8 @@ def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int,
     of a draw that never reached the chain side are NaN.
     """
     shape, _ = _drawn_gauge(preset, dims, np.zeros(1 + 2 * dims[1] + dims[0]))  # never evaluated
-    n_params = 1 + shape.n_fund + len(shape.masses_anti or ())
-    bounds = ([(0.09, 0.34)] + [(0.07, 0.43)] * (n_params - 1)
-              + [(0.05, 0.95)] * shape.dim)
+    n_params = len(shape.params)
+    bounds = [M_ADJ_BOX] + [MASS_BOX] * (n_params - 1) + [SIGMA_BOX] * shape.dim
 
     def score(points):
         params, sigma = points[:, :n_params], points[:, n_params:]
@@ -538,7 +540,6 @@ def verify_identity(
         tol=tol,
         max_residual=max_residual,
         worst_point=worst,
-        passed=max_residual <= tol,
         branch_used=branch.sign,
         notes=notes,
     )
@@ -624,7 +625,7 @@ def duality_compare(
     max_residual = 0.0
     worst = None
     for sigma, outcome, (vals_i, vals_ii) in _sample(
-            np.random.default_rng(seed), [(0.05, 0.95)] * gauge_i.dim, math.pi, samples,
+            np.random.default_rng(seed), [SIGMA_BOX] * gauge_i.dim, math.pi, samples,
             score, ledger):
         ok = outcome == _ACCEPTED
         res = np.abs(vals_i[ok] - vals_ii[ok]).max(axis=1)
@@ -639,7 +640,6 @@ def duality_compare(
         tol=tol,
         max_residual=max_residual,
         worst_point=worst,
-        passed=max_residual <= tol,
         branch_used=+1,
         notes={"realizations": ["I", "II"], "draws": ledger},
     )

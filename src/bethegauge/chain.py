@@ -347,10 +347,13 @@ def _chain_r(chain: ChainSpec, u: complex) -> np.ndarray:
     return _r(lambda x: _br(chain, x), u, chain.eta)
 
 
-def _weights(chain: ChainSpec, x: complex, a: int) -> Tuple[complex, complex, complex]:
-    # the six-vertex weights (a, b, c) = ([y + eta], [y], [eta]) of R_0a at y = x - th_a
+def _weights(chain: ChainSpec, x: complex, a: int,
+             reverse: bool = False) -> Tuple[complex, complex, complex]:
+    # the six-vertex weights (a, b, c) = ([y + eta], [y], [eta]) of R_0a at y = x - th_a;
+    # reversed, (b, a, -c): those of sigma_y R_0a^t0 sigma_y
     y = x - chain.inhomogeneities[a]
-    return _br(chain, y + chain.eta), _br(chain, y), _br(chain, chain.eta)
+    wa, wb, wc = _br(chain, y + chain.eta), _br(chain, y), _br(chain, chain.eta)
+    return (wb, wa, -wc) if reverse else (wa, wb, wc)
 
 
 def _vertex(i: int, q: int, k: int, p: int) -> int:
@@ -402,9 +405,7 @@ def _double_row_site(chain: ChainSpec, u: complex, a: int, acc: np.ndarray,
     """The ``blocks`` (rows of :data:`_DOUBLE_ROW_TERMS`) of site a's step of
     :func:`double_row_monodromy`, each written straight into its strided view
     of its slot: an array (slot..., old, site q, old, site s)."""
-    w = _weights(chain, u, a)
-    ha, hb, c = _weights(chain, -u, a)
-    hat = (hb, ha, -c)
+    w, hat = _weights(chain, u, a), _weights(chain, -u, a, reverse=True)
     d = acc.shape[-1]
     out = np.empty((2,) * len(blocks[0][0]) + (d, 2, d, 2), dtype=complex)
     for slot, q, s, terms in blocks:
@@ -574,17 +575,12 @@ def _row(chain: ChainSpec, states: np.ndarray, x: complex, reverse: bool = False
 
     Forward, R_0a(x - th_a) for a = 1, ..., L in turn: T_0(x).  Reversed,
     sigma_y R_0a^t0(x - th_a) sigma_y for a = L, ..., 1: sigma_y T_0^t0(x)
-    sigma_y.  Both are six-vertex with weights (a, b, c) = ([y + eta], [y],
-    [eta]) at y = x - th_a, the reversed one with (b, a, -c); a site costs
-    O(B 2^L).
+    sigma_y.  Both are six-vertex, with the weights of :func:`_weights`; a
+    site costs O(B 2^L).
     """
     n, batch = chain.n_sites, states.shape[0]
-    c = _br(chain, chain.eta)
     for a in reversed(range(n)) if reverse else range(n):
-        y = x - chain.inhomogeneities[a]
-        wa, wb, wc = _br(chain, y + chain.eta), _br(chain, y), c
-        if reverse:
-            wa, wb, wc = wb, wa, -c
+        wa, wb, wc = _weights(chain, x, a, reverse)
         s = states.reshape(batch, 2, 2**a, 2, 2 ** (n - 1 - a))  # aux, before, site a, after
         states = np.empty_like(s)
         states[:, 0, :, 0] = wa * s[:, 0, :, 0]

@@ -27,6 +27,9 @@ import numpy as np
 
 from . import __version__
 from .bridge import (
+    M_ADJ_BOX,
+    MASS_BOX,
+    SIGMA_BOX,
     VerificationReport,
     _calibrate,
     all_presets,
@@ -221,13 +224,13 @@ def _gauge_spec(ns: argparse.Namespace, family: str, scale: float,
     """The theory the gauge flags describe; masses not given are drawn in units of scale."""
     masses = ns.masses
     if masses is None:
-        masses = tuple(scale * rng.uniform(0.07, 0.43, size=ns.nf))
+        masses = tuple(scale * rng.uniform(*MASS_BOX, size=ns.nf))
     m_adj = ns.m_adj
     if m_adj is None:
-        m_adj = scale * rng.uniform(0.09, 0.34)
+        m_adj = scale * rng.uniform(*M_ADJ_BOX)
     anti = ns.masses_anti  # realization I without a list takes the fundamental masses
     if anti is None and family == "A":
-        anti = tuple(scale * rng.uniform(0.07, 0.43, size=ns.nf))
+        anti = tuple(scale * rng.uniform(*MASS_BOX, size=ns.nf))
     return _from_flags(
         GaugeTheorySpec, family=family, rank=ns.rank, n_fund=ns.nf, masses=tuple(masses),
         m_adj=m_adj, realization=ns.realization, masses_anti=anti,
@@ -237,8 +240,8 @@ def _gauge_spec(ns: argparse.Namespace, family: str, scale: float,
 def _realization_pair(family: str, rank: int, nf: int,
                       rng: np.random.Generator) -> Tuple[GaugeTheorySpec, GaugeTheorySpec]:
     """One drawn 3d theory in realization I and in realization II."""
-    masses = tuple(math.pi * rng.uniform(0.07, 0.43, size=nf))
-    m_adj = math.pi * rng.uniform(0.09, 0.34)
+    masses = tuple(math.pi * rng.uniform(*MASS_BOX, size=nf))
+    m_adj = math.pi * rng.uniform(*M_ADJ_BOX)
     g1, g2 = (GaugeTheorySpec(family=family, rank=rank, n_fund=nf, masses=masses,
                               m_adj=m_adj, realization=r) for r in ("I", "II"))
     return g1, g2
@@ -320,7 +323,7 @@ def _cmd_vacuum(ns: argparse.Namespace) -> int:
     spec = _gauge_spec(ns, ns.family, scale, rng)
     sigma = ns.sigma
     if sigma is None:
-        sigma = scale * rng.uniform(0.05, 0.95, size=spec.dim)
+        sigma = scale * rng.uniform(*SIGMA_BOX, size=spec.dim)
     _from_flags(_check_sigma, spec, sigma)
     sigma = np.asarray(sigma, dtype=float)
     sign = ns.branch.sign
@@ -487,19 +490,15 @@ def _cmd_cross_check(ns: argparse.Namespace) -> int:
 
 
 def _battery_root_counts() -> Dict[str, object]:
-    expectations = [("E8", 8, 240), ("E7", 7, 126), ("E6", 6, 72), ("F4", 4, 48)]
-    for n in range(1, 7):
-        expectations.append(("A", n, n * (n - 1)))
-        expectations.append(("B", n, 2 * n * n))
-        expectations.append(("C", n, 2 * n * n))
-        expectations.append(("D", n, 2 * n * (n - 1)))
+    names = [("E8", 8), ("E7", 7), ("E6", 6), ("F4", 4)] + [
+        (family, n) for n in range(1, 7) for family in "ABCD"]
     rows = []
-    ok = True
-    for family, rank, want in expectations:
-        got = len(build_root_system(*root_family(family, rank)).roots)
-        rows.append({"family": family, "rank": rank, "count": got, "expected": want})
-        ok = ok and got == want
-    return {"name": "root_counts", "pass": ok, "detail": rows}
+    for name, rank in names:
+        family = root_family(name, rank)
+        rows.append({"family": name, "rank": rank, "count": len(build_root_system(*family).roots),
+                     "expected": expected_root_count(*family)})
+    return {"name": "root_counts", "pass": all(r["count"] == r["expected"] for r in rows),
+            "detail": rows}
 
 
 def _battery_gradient(seed: int) -> Dict[str, object]:

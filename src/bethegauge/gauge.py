@@ -101,6 +101,14 @@ class GaugeTheorySpec:
     def dim(self) -> int:
         return 8 if self.family == "E8" else self.rank
 
+    @property
+    def params(self) -> Tuple[float, ...]:  # m_adj || masses || masses_anti
+        return (self.m_adj,) + self.masses + (self.masses_anti or ())
+
+    @property
+    def table_key(self) -> Tuple[str, int, int, int, str]:  # family, rank, N_f, N_f', realization
+        return self.family, self.rank, self.n_fund, len(self.masses_anti or ()), self.realization
+
 
 @lru_cache(maxsize=None)
 def _root_data(family: str, rank: int):
@@ -175,10 +183,8 @@ def _term_table(family: str, rank: int, n_f: int, n_anti: int,
 def _term_arguments(spec: GaugeTheorySpec,
                     sigma: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The term table of ``spec``'s shape and every term's argument z = V x at sigma."""
-    sig = _check_sigma(spec, sigma)
-    anti = spec.masses_anti or ()
-    a, v = _term_table(spec.family, spec.rank, spec.n_fund, len(anti), spec.realization)
-    return a, v, v @ np.concatenate((sig, (spec.m_adj,) + spec.masses + anti))
+    a, v = _term_table(*spec.table_key)
+    return a, v, v @ np.concatenate((_check_sigma(spec, sigma), spec.params))
 
 
 def superpotential_value(spec: GaugeTheorySpec, sigma: Sequence[float]) -> complex:
@@ -289,10 +295,7 @@ def _vacuum_table(family: str, rank: int, n_f: int, n_anti: int, realization: st
 
 def _vacuum_system(spec: GaugeTheorySpec, form: str) -> Tuple[RowTable, np.ndarray]:
     """The vacuum row table of ``spec`` and its parameter vector."""
-    anti = spec.masses_anti or ()
-    table = _vacuum_table(spec.family, spec.rank, spec.n_fund, len(anti),
-                          spec.realization, form)
-    return table, np.array((spec.m_adj,) + spec.masses + anti + (1.0,), dtype=complex)
+    return _vacuum_table(*spec.table_key, form), np.array(spec.params + (1.0,), dtype=complex)
 
 
 def _vacuum_value(spec: GaugeTheorySpec, sigma: Sequence[float], j: int, form: str) -> complex:

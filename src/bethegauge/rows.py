@@ -15,15 +15,14 @@ values of the parameters.
 :meth:`RowTable.product` evaluates one equation's rows at one point, for
 the public per-equation evaluators.  Everything else works on stacks of
 points, whose row arguments are one real matrix product
-(:meth:`RowTable.arguments`).  :meth:`RowTable.factors` takes their sine:
-:meth:`RowTable.products` takes one point per sampled draw and marks the
-singular ones with the same guard, :func:`deviation` reads a point's
-residual from what it returns, and the solver's start filter reads the
-smallest |f|.  For its Newton steps the solver passes one point per start
-and gets the log sums and Jacobians C^T diag(power f'/f) of the whole
-stack from one real-arithmetic kernel (:meth:`RowTable.log_terms`) and real
-matrix products, never from complex sin, log or tan: with a = x + iy, a
-sin row has
+(:meth:`RowTable.arguments`).  :meth:`RowTable.products` takes one point
+per sampled draw, evaluates its sines and marks the singular points with
+the same guard, and :func:`deviation` reads a point's residual from what it
+returns.  The solver passes one point per start, to its start filter and
+to its Newton steps, and gets the pole mask, the log sums and the
+Jacobians C^T diag(power f'/f) of the whole stack from one real-arithmetic
+kernel (:meth:`RowTable.log_terms`) and real matrix products, never from
+complex sin, log or tan: with a = x + iy, a sin row has
 
     |f|^2 = sin^2 x + sinh^2 y,   arg f = atan2(cos x sinh y, sin x cosh y),
     f'/f = (sin x cos x - i sinh y cosh y) / |f|^2,
@@ -43,26 +42,26 @@ tan(x/2) stays below about 1e19 at every double x, so t^2 never overflows.
 
 The kernel allocates nothing of the size of its stack: every intermediate
 goes into the views, the first S rows, of the arrays of one
-:class:`LogScratch`.  The solver owns one per Newton run, sized to the
-widest stack it can score, and drops it when the run returns.  A new set of
-arrays per call cost a page fault per 4 KiB touched, over and over, since
-the allocator gave the freed pages back to the system; keeping the
-scratch on the cached tables instead would hold megabytes per table for
-the life of the process.  The ratios f'/f are read from the scratch
-(:meth:`RowTable.log_ratios`) only at the points Newton takes, after its
-step test, and like the log sums they come back as new arrays.
+:class:`LogScratch`.  The solver owns one for its start filter and one per
+Newton run, each sized to the widest stack it scores, and drops each when
+that step returns.  A new set of arrays per call cost a page fault per 4 KiB
+touched, over and over, since the allocator gave the freed pages back to
+the system; keeping the scratch on the cached tables instead would hold
+megabytes per table for the life of the process.  The ratios f'/f are read
+from the scratch (:meth:`RowTable.log_ratios`) only at the points Newton
+takes, after its step test, and like the log sums they come back as new
+arrays.
 
 A point of a stack whose row arguments are all real takes real arithmetic
-in :meth:`RowTable.factors` and :meth:`RowTable.products`: real sin (or
-the argument), integer powers by binary powering and one reciprocal for a
-negative power, and each equation's product as a sequential product over
-its rows.  These are the operations numpy's complex sin, power and product
-make on a zero imaginary part, so the values equal the complex path's
-wherever real and complex sin agree.  The choice is made point by point,
-never per stack, so that a point's values never depend on the other points
-of its stack.  :meth:`RowTable.product` keeps complex sin, power and
-product at every point: it is the reference the stacked path is tested
-against.
+in :meth:`RowTable.products`: real sin (or the argument), integer powers
+by binary powering and one reciprocal for a negative power, and each
+equation's product as a sequential product over its rows.  These are the
+operations numpy's complex sin, power and product make on a zero imaginary
+part, so the values equal the complex path's wherever real and complex sin
+agree.  The choice is made point by point, never per stack, so that a
+point's values never depend on the other points of its stack.
+:meth:`RowTable.product` keeps complex sin, power and product at every
+point: it is the reference the stacked path is tested against.
 
 :meth:`RowTable.products` gives a point the same bits at any stack height
 and position, but the stacked Jacobian product need not: at one point of
@@ -165,37 +164,21 @@ class RowTable:
         # real product of real coefficients: complex ones over many rows slow later complex sin
         return _real_product(x, self._columns, out)
 
-    def factors(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Arguments and factor values (S, R) at a stack x (S, cols).
-
-        A point whose arguments are all real takes real sin, any other
-        point complex sin; the values are complex either way.
-        """
-        if self.kind == "linear":
-            a = self.arguments(x)
-            return a, a
-        a, parts = self._parts(x)
-        f = np.empty_like(a)
-        for at, args in parts:
-            f[at] = np.sin(args)
-        return a, f
-
-    def _parts(self, x: np.ndarray) -> Tuple[np.ndarray, list]:
-        """The row arguments a (S, R) of a stack x (S, cols), and its points
-        by arithmetic: (at, args) per kind present, at the points' indices
-        (or all of them, as a slice) and args their arguments, real where
-        every argument of a point is real."""
+    def _parts(self, x: np.ndarray) -> list:
+        """The points of a stack x (S, cols) by arithmetic: (at, args) per kind
+        present, at the points' indices (or all of them, as a slice) and args
+        their row arguments, real where every argument of a point is real."""
         a = self.arguments(x)
         if not np.any(x.imag) and np.isfinite(x).all():  # then every argument is real
             real = np.ones(len(x), dtype=bool)
         else:
             real = ~a.imag.any(axis=1)
         if real.all():
-            return a, [(slice(None), np.ascontiguousarray(a.real))]
+            return [(slice(None), np.ascontiguousarray(a.real))]
         if not real.any():
-            return a, [(slice(None), a)]
-        return a, [(at, args[at]) for at, args in ((np.flatnonzero(real), a.real),
-                                                    (np.flatnonzero(~real), a))]
+            return [(slice(None), a)]
+        return [(at, args[at]) for at, args in ((np.flatnonzero(real), a.real),
+                                                (np.flatnonzero(~real), a))]
 
     def _singular(self, a: np.ndarray, f: np.ndarray, guarded) -> np.ndarray:
         """The guard: which of the ``guarded`` factors of a point, or of a stack, are singular."""
@@ -237,7 +220,7 @@ class RowTable:
         if len(x) == 1:
             values, singular = self.products(np.concatenate((x, x)))
             return values[:1], singular[:1]
-        _, parts = self._parts(x)
+        parts = self._parts(x)
         if len(parts) == 1:
             return self._stack_products(parts[0][1])
         values = np.empty((len(x), len(self.rows_of)), dtype=complex)
@@ -370,8 +353,9 @@ class LogScratch:
     points, eight real (n_points, R) slabs, the logs (which first hold the
     row arguments), the clear mask, and the clear points of the last stack.
     A stack of S points works in the first S rows of each, so it touches
-    only the pages it uses.  The solver makes one per Newton run (see
-    ``solve._newton``) and drops it when the run returns."""
+    only the pages it uses.  The solver makes one for its start filter and
+    one per Newton run (see ``solve._starts`` and ``solve._newton``) and
+    drops each when that step returns."""
 
     def __init__(self, table: RowTable, n_points: int) -> None:
         shape, cols = (n_points, table.n_rows), table.coeffs.shape[1]

@@ -305,13 +305,20 @@ def test_newton_takes_one_iteration_per_tick(name, monkeypatch):
     assert calls["evaluate"] <= 2 * jacobians + 1
 
 
+def _min_factors(system, u):
+    """The smallest |f| per point of a stack u, from np.sin of the row
+    arguments: a witness for the start filter, which reads the Newton kernel."""
+    a = system.table.arguments(system._points(u))
+    return np.abs(a if system.table.kind == "linear" else np.sin(a)).min(axis=1)
+
+
 def _drawn_one_at_a_time(system, cfg, draw):
     """The start stream as the one-start solver drew it, with its rejections."""
     starts, rejected = [], 0
     for _ in range(cfg.n_starts):
         for _ in range(100):
             cand = draw()
-            if system.min_factor(cand.astype(complex)[None])[0] > solve.POLE_TOL:
+            if _min_factors(system, cand.astype(complex)[None])[0] > solve.POLE_TOL:
                 starts.append(cand)
                 break
             rejected += 1
@@ -366,6 +373,47 @@ def test_vacuum_starts_follow_the_one_at_a_time_stream(monkeypatch, rational):
         system, CFG, lambda: span * rng.uniform(0.02, 0.98, size=2))
     assert rejected > 0
     assert np.array_equal(stack, expected)
+
+
+def _filter_cases():
+    spec = GaugeTheorySpec("C", 3, 2, (0.31, 0.52), 0.23)
+    xxz = ChainSpec("closed-xxz", 4, 2, 0.317, (0.5,) * 4, (0.03, -0.07, 0.11, 0.0))
+    xxx = ChainSpec("open-xxx", 3, 2, 0.37, (0.5,) * 3, (0.02, -0.03, 0.05),
+                    xi_plus=0.3, xi_minus=-0.2)
+    yield "vacuum-3d-sin", _vacuum_system(spec, "root"), (0.0, math.pi)
+    yield "xxz-sin_pi", _bethe_system(xxz), (0.0, 1.0)
+    yield "xxx-linear", _bethe_system(xxx), (-1.5, 1.5)
+    yield "vacuum-2d-linear", _vacuum_system(spec, "rational"), (0.0, 1.0)
+
+
+@pytest.mark.parametrize("name, system, box", list(_filter_cases()),
+                         ids=[c[0] for c in _filter_cases()])
+def test_start_filter_keeps_exactly_the_draws_clear_by_sin(monkeypatch, name, system, box):
+    # real and complex draws alike; the filter reads the Newton kernel, the
+    # witness np.sin (or the argument) of the row arguments
+    monkeypatch.setattr(solve, "POLE_TOL", 0.02)  # so that a tenth to a quarter are rejected
+    system = _LogSystem(*system, 0.0, math.inf)
+    assert system.table.kind == name.rsplit("-", 1)[1]
+    rng = np.random.default_rng(5)
+    n = system.table.n_unknowns
+    handed = []
+
+    def draw(count):
+        out = []
+        while len(out) < count:
+            u = rng.uniform(*box, size=n) + 1j * rng.normal(0.0, 0.2, size=n) * (len(handed) % 2)
+            if abs(_min_factors(system, u[None])[0] / solve.POLE_TOL - 1.0) > 1e-12:
+                handed.append(u)
+                out.append(u)
+        return np.array(out)
+
+    cfg = SolveConfig(n_starts=200, seed=0)
+    starts = solve._starts(system, cfg, draw)
+    handed = np.array(handed)
+    clear = handed[_min_factors(system, handed) > solve.POLE_TOL]
+    assert len(clear) >= cfg.n_starts and len(clear) < len(handed)
+    assert np.array_equal(starts, clear[: cfg.n_starts])
+    assert np.any(starts.imag) and not np.all(starts.imag)
 
 
 def test_solves_never_evaluate_points_outside_the_domain(monkeypatch):
