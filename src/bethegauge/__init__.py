@@ -41,7 +41,7 @@ from .gauge import (
     vacuum_lhs_2d,
     vacuum_lhs_squared,
 )
-from .lie_roots import RootSystem, build_root_system, generate_roots, weight_factor
+from .lie_roots import generate_roots, weight_factor
 from .solve import SolveConfig, cross_check, solve_bethe, solve_vacuum
 from .specfun import dilog, dilog_qpoch_link, qpoch
 
@@ -54,14 +54,12 @@ __all__ = [
     "ChainSpec",
     "DictionaryPreset",
     "GaugeTheorySpec",
-    "RootSystem",
     "SolveConfig",
     "VacuumBranch",
     "VerificationReport",
     "all_presets",
     "bethe_lhs",
     "bethe_residuals",
-    "build_root_system",
     "calibrate_preset",
     "certify_roots",
     "cross_check",

@@ -15,8 +15,9 @@ with each fundamental mass pair (m, m') absorbed into one free site via
 The dictionary is stated once, as stacked columns: :func:`_dictionary` maps
 a stack of gauge points to eta, the site spins and inhomogeneities and, per
 cutoff, xi_+-, and :func:`map_gauge_to_chain` builds its chain from row 0.
-Verification draws random admissible points, maps each chunk of kept draws
-across at once, and reports the worst |vacuum_lhs - branch * bethe_lhs|.
+Verification draws random admissible points a chunk at a time, maps each
+chunk's kept draws across at once, and reports the worst
+|vacuum_lhs - branch * bethe_lhs| as one reduction over the accepted draws.
 A chunk is a unit of work only: the draws, the ledger and the report are
 the same whatever the chunk size, so its one constant is set by cost alone.
 An infinite boundary parameter is realized as opposite-sign imaginary
@@ -395,44 +396,47 @@ def _outcomes(singular: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _sample(rng: np.random.Generator, bounds: Sequence[Tuple[float, float]], scale: float,
-            samples: int, score, ledger: Dict[str, int]):
-    """Draw, score and keep points chunk by chunk until ``samples`` are accepted.
+            samples: int, score, outcomes: Sequence[str] = OUTCOMES):
+    """Draw and score points chunk by chunk until ``samples`` are accepted.
 
     A draw is one row: column c is scale * uniform(bounds[c]).  A chunk of
     rows comes from one ``rng.random`` call, which gives bitwise the values
     of the same draws made one ``rng.uniform`` call at a time.
     ``score(points)`` returns every row's outcome (an index into
-    :data:`OUTCOMES`) followed by per-row arrays.  Yields (points, outcome,
-    arrays) per chunk in draw order, cut after the ``samples``-th
-    acceptance, and counts what it yields into ``ledger``, which starts
-    with an ``attempted`` count of zero and one zero count per outcome it
-    can hold.  Raises RuntimeError once the first 60 * ``samples`` draws
-    leave fewer than ``samples`` accepted.
+    :data:`OUTCOMES`) followed by per-row arrays.  Returns the outcome of
+    every draw up to the ``samples``-th acceptance, the accepted draws'
+    points and arrays in draw order, and the ledger: the ``attempted``
+    count, then one count per name of ``outcomes``.  Raises RuntimeError
+    once the first 60 * ``samples`` draws leave fewer than ``samples``
+    accepted.
 
-    What it yields and counts does not depend on :data:`_CHUNK`: the draws
-    are one stream however it is split, the score of a row does not depend
-    on the other rows of its chunk, the unscored tail of the last chunk is
-    neither yielded nor counted, and the cap bounds draws, not chunks.
+    What it returns does not depend on :data:`_CHUNK`: the draws are one
+    stream however it is split, the score of a row does not depend on the
+    other rows of its chunk, the unscored tail of the last chunk is
+    neither kept nor counted, and the cap bounds draws, not chunks.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     lo, hi = np.array(bounds, dtype=float).T
-    cap, need = _DRAWS_PER_SAMPLE * samples, samples
-    while need:
-        if ledger["attempted"] == cap:
-            raise RuntimeError("sampling kept hitting singular configurations (draws: %s)"
-                               % ", ".join("%s %d" % kv for kv in ledger.items()))
-        points = scale * (lo + (hi - lo) * rng.random((min(_CHUNK, cap - ledger["attempted"]),
-                                                       len(lo))))
+    cap, drawn, need = _DRAWS_PER_SAMPLE * samples, 0, samples
+    counted, kept = [], []  # per chunk: the counted outcomes; the accepted rows
+    while need and drawn < cap:
+        points = scale * (lo + (hi - lo) * rng.random((min(_CHUNK, cap - drawn), len(lo))))
         outcome, *arrays = score(points)
-        kept = np.flatnonzero(outcome == _ACCEPTED)
-        k = int(kept[need - 1]) + 1 if len(kept) >= need else len(points)
-        need -= min(need, len(kept))
-        ledger["attempted"] += k
-        for name, n in zip(OUTCOMES, np.bincount(outcome[:k], minlength=len(OUTCOMES))):
-            if n:
-                ledger[name] += int(n)
-        yield points[:k], outcome[:k], [a[:k] for a in arrays]
+        ok = np.flatnonzero(outcome == _ACCEPTED)[:need]
+        k = int(ok[-1]) + 1 if len(ok) == need else len(points)
+        need, drawn = need - len(ok), drawn + k
+        counted.append(outcome[:k])
+        kept.append([points[ok]] + [a[ok] for a in arrays])
+    outcome = np.concatenate(counted)
+    ledger = {"attempted": len(outcome),
+              **dict(zip(outcomes, np.bincount(outcome, minlength=len(outcomes)).tolist()))}
+    if need:
+        raise RuntimeError("sampling kept hitting singular configurations or leaving the "
+                           "magnitude window (draws: %s)"
+                           % ", ".join("%s %d" % kv for kv in ledger.items()))
+    points, *arrays = (np.concatenate(parts) for parts in zip(*kept))
+    return outcome, points, arrays, ledger
 
 
 def _drawn_gauge(preset: DictionaryPreset, dims: Tuple[int, int],
@@ -447,7 +451,7 @@ def _drawn_gauge(preset: DictionaryPreset, dims: Tuple[int, int],
 
 
 def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int, seed: int,
-                  cutoffs: Sequence[Optional[float]], ledger: Dict[str, int]):
+                  cutoffs: Sequence[Optional[float]]):
     """The draws of :func:`verify_identity`, scored a chunk at a time.
 
     A draw is eta, the masses, for family A the anti-fundamental masses,
@@ -457,9 +461,8 @@ def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int,
     every vacuum product inside the window and map to valid Bethe roots.
     The draws the vacuum side keeps are mapped together by
     :func:`_dictionary` and scored at every cutoff by one stacked product.
-    Yields (points, outcome, vacuum values (k, dim), Bethe values (k,
-    len(cutoffs), dim)) per chunk, as :func:`_sample` does; the Bethe values
-    of a draw that never reached the chain side are NaN.
+    Returns what :func:`_sample` returns, with the accepted draws' vacuum
+    values (samples, dim) and Bethe values (samples, len(cutoffs), dim).
     """
     shape, _ = _drawn_gauge(preset, dims, np.zeros(1 + 2 * dims[1] + dims[0]))  # never evaluated
     n_params = len(shape.params)
@@ -486,7 +489,7 @@ def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int,
             outcome[reached[hit.reshape(-1, len(cutoffs)).any(axis=1)]] = _SINGULAR
         return outcome, vac, bethe
 
-    return _sample(np.random.default_rng(seed), bounds, preset.scale, samples, score, ledger)
+    return _sample(np.random.default_rng(seed), bounds, preset.scale, samples, score)
 
 
 def verify_identity(
@@ -506,39 +509,30 @@ def verify_identity(
     """
     branch = preset.branch if branch is None else branch
     cuts = DEFAULT_CUTOFFS if preset.uses_cutoff else (None,)
-    max_residual = 0.0
-    worst: Optional[Dict[str, object]] = None
-    cutoff_worst = np.zeros(len(cuts))
-    ledger = dict.fromkeys(("attempted",) + OUTCOMES, 0)
-    for points, outcome, (vac, bethe) in _verify_draws(preset, dims, samples, seed, cuts, ledger):
-        ok = outcome == _ACCEPTED
-        points, vac, bethe = points[ok], vac[ok], bethe[ok]
-        if preset.uses_cutoff:
-            per_cut = np.abs(vac[:, None, :] - branch.sign * bethe).max(axis=2)
-            cutoff_worst = np.maximum(cutoff_worst, per_cut.max(axis=0, initial=0.0))
-            bethe = _extrapolate_geometric(bethe.transpose(0, 2, 1))
-        else:
-            bethe = bethe[:, 0]
-        res = np.abs(vac - branch.sign * bethe).max(axis=1)
-        if len(res) and res.max() > max_residual:
-            k = int(res.argmax())  # the chunk's first worst draw
-            max_residual = float(res[k])
-            spec, sigma = _drawn_gauge(preset, dims, points[k])
-            worst = {"sigma": sigma.tolist(), "masses": list(spec.masses),
-                     "m_adj": float(spec.m_adj)}
-            if preset.family == "A":  # the drawn anti-fundamental masses replay the point
-                worst["masses_anti"] = list(spec.masses_anti)
-
+    _, points, (vac, bethe), ledger = _verify_draws(preset, dims, samples, seed, cuts)
     notes: Dict[str, object] = {"draws": ledger}
     if preset.uses_cutoff:
+        by_cut = np.abs(vac[:, None, :] - branch.sign * bethe).max(axis=(0, 2))
         notes["cutoffs"] = list(cuts)
-        notes["residual_by_cutoff"] = {str(t): float(r) for t, r in zip(cuts, cutoff_worst)}
+        notes["residual_by_cutoff"] = {str(t): float(r) for t, r in zip(cuts, by_cut)}
+        bethe = _extrapolate_geometric(bethe.transpose(0, 2, 1))
+    else:
+        bethe = bethe[:, 0]
+    res = np.abs(vac - branch.sign * bethe).max(axis=1)
+    k = int(res.argmax())  # the first worst draw
+    worst: Optional[Dict[str, object]] = None
+    if res[k] > 0:
+        spec, sigma = _drawn_gauge(preset, dims, points[k])
+        worst = {"sigma": sigma.tolist(), "masses": list(spec.masses),
+                 "m_adj": float(spec.m_adj)}
+        if preset.family == "A":  # the drawn anti-fundamental masses replay the point
+            worst["masses_anti"] = list(spec.masses_anti)
     return VerificationReport(
         preset_id=preset.id,
         samples=samples,
         seed=seed,
         tol=tol,
-        max_residual=max_residual,
+        max_residual=float(res[k]),
         worst_point=worst,
         branch_used=branch.sign,
         notes=notes,
@@ -615,31 +609,24 @@ def duality_compare(
         raise ValueError("comparison requires equal fundamental mass lists (m = m')")
     if abs(gauge_i.m_adj - gauge_ii.m_adj) > 0:
         raise ValueError("adjoint masses differ")
-    ledger = dict.fromkeys(("attempted",) + OUTCOMES[:_INVALID], 0)  # no roots to check
 
     def score(sigma):
         vals_i, singular_i = _vacuum_stack(gauge_i, "full", sigma)
         vals_ii, singular_ii = _vacuum_stack(gauge_ii, "full", sigma)
         return _outcomes(singular_i | singular_ii, vals_ii), vals_i, vals_ii
 
-    max_residual = 0.0
-    worst = None
-    for sigma, outcome, (vals_i, vals_ii) in _sample(
-            np.random.default_rng(seed), [SIGMA_BOX] * gauge_i.dim, math.pi, samples,
-            score, ledger):
-        ok = outcome == _ACCEPTED
-        res = np.abs(vals_i[ok] - vals_ii[ok]).max(axis=1)
-        if len(res) and res.max() > max_residual:
-            k = int(res.argmax())  # the chunk's first worst draw
-            max_residual = float(res[k])
-            worst = {"sigma": sigma[ok][k].tolist()}
+    _, sigma, (vals_i, vals_ii), ledger = _sample(
+        np.random.default_rng(seed), [SIGMA_BOX] * gauge_i.dim, math.pi, samples, score,
+        OUTCOMES[:_INVALID])  # no roots to check
+    res = np.abs(vals_i - vals_ii).max(axis=1)
+    k = int(res.argmax())  # the first worst draw
     return VerificationReport(
         preset_id="duality-%s-%d" % (gauge_i.family, gauge_i.rank),
         samples=samples,
         seed=seed,
         tol=tol,
-        max_residual=max_residual,
-        worst_point=worst,
+        max_residual=float(res[k]),
+        worst_point={"sigma": sigma[k].tolist()} if res[k] > 0 else None,
         branch_used=+1,
         notes={"realizations": ["I", "II"], "draws": ledger},
     )

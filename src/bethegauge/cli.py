@@ -66,7 +66,7 @@ from .gauge import (
     vacuum_lhs_2d,
     vacuum_lhs_squared,
 )
-from .lie_roots import build_root_system, expected_root_count, root_family
+from .lie_roots import expected_root_count, generate_roots, root_family, weight_factor
 from .solve import SolveConfig, cross_check, fates_summary, solve_bethe, solve_vacuum
 from .specfun import (
     BracketContext,
@@ -269,22 +269,22 @@ def _solve_config(ns: argparse.Namespace) -> SolveConfig:
 
 def _cmd_roots(ns: argparse.Namespace) -> int:
     family, rank = _from_flags(root_family, ns.family, ns.rank)
-    rs = build_root_system(family, rank)
+    roots = generate_roots(family, rank)
     expected = expected_root_count(family, rank)
     payload = {
         "family": ns.family,
         "rank": rank,
-        "count": len(rs.roots),
+        "count": len(roots),
         "expected": expected,
-        "weight_factor_histogram": Counter(str(w) for w in rs.weight_factors()),
+        "weight_factor_histogram": Counter(str(weight_factor(r)) for r in roots),
     }
     human = ["family %s rank %d: %d roots (expected %d)"
-             % (ns.family, rank, len(rs.roots), expected)]
-    rows: List[List[object]] = [["index"] + ["x%d" % i for i in range(len(rs.roots[0]))]]
-    for idx, root in enumerate(rs.roots):
+             % (ns.family, rank, len(roots), expected)]
+    rows: List[List[object]] = [["index"] + ["x%d" % i for i in range(len(roots[0]))]]
+    for idx, root in enumerate(roots):
         rows.append([idx] + [str(c) for c in root])
     _emit(ns, payload, human, rows)
-    return 0 if len(rs.roots) == expected else 1
+    return 0 if len(roots) == expected else 1
 
 
 def _specfun_checks(seed: int) -> List[Dict[str, object]]:
@@ -495,7 +495,7 @@ def _battery_root_counts() -> Dict[str, object]:
     rows = []
     for name, rank in names:
         family = root_family(name, rank)
-        rows.append({"family": name, "rank": rank, "count": len(build_root_system(*family).roots),
+        rows.append({"family": name, "rank": rank, "count": len(generate_roots(*family)),
                      "expected": expected_root_count(*family)})
     return {"name": "root_counts", "pass": all(r["count"] == r["expected"] for r in rows),
             "detail": rows}

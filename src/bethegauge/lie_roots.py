@@ -9,7 +9,6 @@ are written in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations, permutations, product
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
@@ -36,6 +35,13 @@ def dot(u: Sequence[Q], v: Sequence[Q]) -> Q:
 def length_sq(root: Sequence[Q]) -> Q:
     """Exact squared length |alpha|^2."""
     return dot(root, root)
+
+
+def _known_family(family: str) -> None:
+    """Refuse a family outside :data:`FAMILIES`; the G family is out of scope."""
+    if family not in FAMILIES:
+        raise ValueError("G-type root systems are out of scope" if family == "G"
+                         else "unknown family %r" % (family,))
 
 
 def weight_factor(root: Sequence[Q]) -> Q:
@@ -118,10 +124,7 @@ def generate_roots(family: str, rank: int) -> List[Vector]:
     Raises ValueError for unsupported (family, rank) combinations; the G
     family is explicitly out of scope.
     """
-    if family == "G":
-        raise ValueError("G-type root systems are out of scope")
-    if family not in FAMILIES:
-        raise ValueError("unknown family %r" % (family,))
+    _known_family(family)
     if family in _EXCEPTIONAL_RANKS:
         if rank not in _EXCEPTIONAL_RANKS[family]:
             raise ValueError("rank %d not supported for family %s" % (rank, family))
@@ -172,27 +175,6 @@ def expected_root_count(family: str, rank: int) -> int:
     raise ValueError("unknown family %r" % (family,))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """A root system together with its exact per-root weight factors."""
-
-    family: str
-    rank: int
-    roots: Tuple[Vector, ...]
-
-    @property
-    def dim(self) -> int:
-        # ambient coordinate dimension (E6/E7 live inside R^8)
-        return 8 if self.family == "E" else self.rank
-
-    def weight_factors(self) -> Tuple[Q, ...]:
-        return tuple(weight_factor(r) for r in self.roots)
-
-
-def build_root_system(family: str, rank: int) -> RootSystem:
-    return RootSystem(family=family, rank=rank, roots=tuple(generate_roots(family, rank)))
-
-
 class WeylOrbit(NamedTuple):
     images: List[Tuple[float, ...]]
     complete: bool
@@ -206,10 +188,7 @@ def weyl_images(family: str, rank: int, point: Sequence[float]) -> WeylOrbit:
     the permutation subgroup is generated and the orbit is flagged as
     incomplete.
     """
-    if family == "G":
-        raise ValueError("G-type root systems are out of scope")
-    if family not in FAMILIES:
-        raise ValueError("unknown family %r" % (family,))
+    _known_family(family)
     pt = tuple(point)
     if len(pt) != rank:
         raise ValueError("point has %d coordinates, expected %d" % (len(pt), rank))

@@ -34,6 +34,7 @@ from bethegauge import chain as chain_module
 from bethegauge.chain import BetheRoots, _bethe_system, bethe_lhs, validate_roots
 from bethegauge.chain import ChainSpec, _bethe_params, _bethe_table, _root_clashes
 from bethegauge.gauge import (
+    BRANCH_MINUS,
     BRANCH_PLUS,
     GaugeTheorySpec,
     _vacuum_lhs_values,
@@ -358,10 +359,15 @@ def _reference_draws(preset, dims, samples, seed):
 
 
 def _batched_draws(preset, dims, samples, seed):
-    """Points, outcomes and values of the batched run, and its ledger."""
-    ledger = dict.fromkeys(("attempted",) + OUTCOMES, 0)
-    chunks = list(_verify_draws(preset, dims, samples, seed, _cutoffs(preset), ledger))
-    return [np.concatenate(parts) for parts in zip(*[(p, o, v, b) for p, o, (v, b) in chunks])], ledger
+    """The batched run: every outcome, the accepted points, their vacuum and
+    Bethe values, and the ledger."""
+    outcome, points, (vac, bethe), ledger = _verify_draws(preset, dims, samples, seed,
+                                                          _cutoffs(preset))
+    return outcome, points, vac, bethe, ledger
+
+
+def _accepted(ref):
+    return [r for r in ref if r["outcome"] == "accepted"]
 
 
 def _ledger(outcomes):
@@ -370,31 +376,41 @@ def _ledger(outcomes):
     return counts
 
 
+def _close_bound(table, x):
+    """1e-12 relative, beyond what one rounding of each argument can move a product."""
+    return 1e-12 + rounding_bound(table, x)
+
+
 def _assert_close(values, reference, table, x):
-    """Equal to 1e-12 relative, beyond what one rounding of each argument can move a product."""
+    """Equal to within :func:`_close_bound` of the reference."""
     reference = np.asarray(reference)
-    tol = 1e-12 + rounding_bound(table, x)
-    assert np.all(np.abs(values - reference) <= tol * np.abs(reference))
+    assert np.all(np.abs(values - reference) <= _close_bound(table, x) * np.abs(reference))
+
+
+def _vacuum_table_at(preset, r):
+    table, params = _vacuum_system(r["spec"], "rational" if preset.regime == "2d" else "root")
+    return table, np.concatenate((r["sigma"], params))
+
+
+def _bethe_table_at(preset, r, cutoff):
+    table, params = _bethe_system(map_gauge_to_chain(preset, r["spec"], cutoff=cutoff))
+    return table, np.concatenate((r["sigma"] / preset.scale, params))
 
 
 @pytest.mark.parametrize("preset", all_presets(), ids=lambda p: p.id)
 def test_batched_draws_replay_the_one_at_a_time_loop(preset):
     dims, samples = (2, 4), 25
     ref = _reference_draws(preset, dims, samples, seed=17)
-    (points, outcome, vac, bethe), ledger = _batched_draws(preset, dims, samples, seed=17)
-    assert np.array_equal(points, np.array([r["point"] for r in ref]))  # bitwise
+    outcome, points, vac, bethe, ledger = _batched_draws(preset, dims, samples, seed=17)
     assert [OUTCOMES[k] for k in outcome] == [r["outcome"] for r in ref]
     assert ledger == _ledger([r["outcome"] for r in ref])
     assert ledger["accepted"] == samples
-    for k, r in enumerate(ref):
-        if r["vac"] is not None:
-            table, params = _vacuum_system(r["spec"], "rational" if preset.regime == "2d" else "root")
-            _assert_close(vac[k], r["vac"], table, np.concatenate((r["sigma"], params)))
-        if r["bethe"] is not None:
-            for t, c in enumerate(_cutoffs(preset)):
-                table, params = _bethe_system(map_gauge_to_chain(preset, r["spec"], cutoff=c))
-                x = np.concatenate((r["sigma"] / preset.scale, params))
-                _assert_close(bethe[k, t], r["bethe"][t], table, x)
+    accepted = _accepted(ref)
+    assert np.array_equal(points, np.array([r["point"] for r in accepted]))  # bitwise
+    for k, r in enumerate(accepted):
+        _assert_close(vac[k], r["vac"], *_vacuum_table_at(preset, r))
+        for t, c in enumerate(_cutoffs(preset)):
+            _assert_close(bethe[k, t], r["bethe"][t], *_bethe_table_at(preset, r, c))
 
 
 @pytest.mark.parametrize("preset_id, rank, seed, samples, outcome", [
@@ -404,8 +420,9 @@ def test_batched_draws_replay_the_one_at_a_time_loop(preset):
 def test_rejected_draws_match_the_reference(preset_id, rank, seed, samples, outcome):
     preset = preset_by_id(preset_id)
     ref = _reference_draws(preset, (rank, 4), samples, seed)
-    (points, outcomes, _, _), ledger = _batched_draws(preset, (rank, 4), samples, seed)
-    assert np.array_equal(points, np.array([r["point"] for r in ref]))
+    outcomes, points, _, _, ledger = _batched_draws(preset, (rank, 4), samples, seed)
+    assert [OUTCOMES[k] for k in outcomes] == [r["outcome"] for r in ref]
+    assert np.array_equal(points, np.array([r["point"] for r in _accepted(ref)]))
     assert ledger == _ledger([r["outcome"] for r in ref])
     assert ledger[outcome] == 1
 
@@ -424,7 +441,7 @@ def test_sampling_cap_raises_as_the_loop_did():
 @pytest.mark.parametrize("preset_id", ["A-3d", "D-3d", "C-2d-P1"])
 def test_fewer_samples_give_a_prefix_of_the_ledger(preset_id):
     preset = preset_by_id(preset_id)
-    (_, outcome, _, _), _ = _batched_draws(preset, (2, 4), 40, seed=8)
+    outcome, *_ = _batched_draws(preset, (2, 4), 40, seed=8)
     for n in (1, 7, 40):
         stop = int(np.flatnonzero(outcome == OUTCOMES.index("accepted"))[n - 1]) + 1
         report = verify_identity(preset, dims=(2, 4), samples=n, tol=1.0, seed=8)
@@ -435,14 +452,50 @@ def test_fewer_samples_give_a_prefix_of_the_ledger(preset_id):
 def test_worst_point_replays_the_worst_draw(preset_id):
     preset = preset_by_id(preset_id)
     report = verify_identity(preset, dims=(2, 4), samples=30, tol=1e-6, seed=4)
-    (points, outcome, vac, bethe), _ = _batched_draws(preset, (2, 4), 30, seed=4)
+    _, points, vac, bethe, _ = _batched_draws(preset, (2, 4), 30, seed=4)
     w = report.worst_point
     drawn = [w["m_adj"], *w["masses"], *w.get("masses_anti", ()), *w["sigma"]]
-    k = [i for i, p in enumerate(points.tolist()) if p == drawn]
-    assert len(k) == 1 and OUTCOMES[outcome[k[0]]] == "accepted"
+    k = [i for i, p in enumerate(points.tolist()) if p == drawn]  # among the accepted draws
+    assert len(k) == 1
     assert ("masses_anti" in w) == (preset.family == "A")
     if preset_id != "D-3d":  # D-3d extrapolates over the cutoffs
         assert np.max(np.abs(vac[k[0]] - preset.branch.sign * bethe[k[0], 0])) == report.max_residual
+
+
+@pytest.mark.parametrize("branch", [BRANCH_PLUS, BRANCH_MINUS], ids=["plus", "minus"])
+@pytest.mark.parametrize("preset_id", ["D-3d", "C-2d-P1"])
+def test_report_residuals_reduce_the_accepted_reference_draws(preset_id, branch):
+    # both presets match on the + branch; on the - branch each residual is about
+    # 2|vac|, so the residuals of different draws, components and cutoffs differ
+    # by far more than the rounding bound
+    preset = preset_by_id(preset_id)
+    cutoffs, sign = _cutoffs(preset), branch.sign
+    report = verify_identity(preset, dims=(3, 4), samples=20, tol=1.0, seed=9, branch=branch)
+    by_cutoff, by_cutoff_bound, res, bound = [], [], [], []  # per accepted reference draw
+    for r in _accepted(_reference_draws(preset, (3, 4), 20, seed=9)):
+        vac, bethe = np.array(r["vac"]), np.array(r["bethe"])  # (dim,), (len(cutoffs), dim)
+        slack = _close_bound(*_vacuum_table_at(preset, r)) * np.abs(vac) + np.array(
+            [_close_bound(*_bethe_table_at(preset, r, c)) for c in cutoffs]) * np.abs(bethe)
+        by_cutoff.append(np.abs(vac - sign * bethe).max(axis=1))
+        by_cutoff_bound.append(slack.max(axis=1))
+        if len(cutoffs) == 1:
+            res.append(by_cutoff[-1][0])
+            bound.append(by_cutoff_bound[-1][0])
+            continue
+        # to first order the limit b3 - d^2 / den moves (1 + 2|d / den|)^2 times its inputs
+        b1, b2, b3 = bethe
+        q = np.abs((b3 - b2) / (b1 - 2 * b2 + b3))
+        res.append(np.abs(vac - sign * _extrapolate_geometric(bethe.T)).max())
+        bound.append(np.max(slack.max(axis=0) * (1 + 2 * q) ** 2))
+    assert len(res) == 20
+    assert abs(report.max_residual - max(res)) <= max(bound)
+    if len(cutoffs) == 1:
+        assert "residual_by_cutoff" not in report.notes
+        return
+    got = report.notes["residual_by_cutoff"]
+    assert list(got) == [str(t) for t in cutoffs]
+    want, tol = np.max(by_cutoff, axis=0), np.max(by_cutoff_bound, axis=0)
+    assert np.all(np.abs(np.array(list(got.values())) - want) <= tol)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -495,11 +548,12 @@ def test_bethe_singular_draws_match_the_reference(monkeypatch, preset_id):
     try:
         preset = preset_by_id(preset_id)
         ref = _reference_draws(preset, (2, 4), 20, seed=3)
-        (points, outcome, _, _), ledger = _batched_draws(preset, (2, 4), 20, seed=3)
+        outcome, points, _, _, ledger = _batched_draws(preset, (2, 4), 20, seed=3)
     finally:
         chain_module._bethe_table.cache_clear()
-    assert np.array_equal(points, np.array([r["point"] for r in ref]))
     assert [OUTCOMES[k] for k in outcome] == [r["outcome"] for r in ref]
+    assert ledger == _ledger([r["outcome"] for r in ref])
+    assert np.array_equal(points, np.array([r["point"] for r in _accepted(ref)]))
     assert sum(r["outcome"] == "singular" and r["vac"] is not None for r in ref) > 0
 
 
@@ -594,11 +648,11 @@ def test_root_mask_classifies_as_the_root_checks():
 def test_root_mask_rejects_the_coincident_and_reflected_draws():
     # D-2d rank 3, seed 6 draws two sigma components 4.8e-9 apart
     preset = preset_by_id("D-2d")
-    ledger = dict.fromkeys(("attempted",) + OUTCOMES, 0)
-    chunks = list(_verify_draws(preset, (3, 4), 100, 6, (None,), ledger))
-    points, outcome = (np.concatenate(parts) for parts in zip(*[(p, o) for p, o, _ in chunks]))
-    (k,) = np.flatnonzero(outcome == OUTCOMES.index("invalid_roots"))
-    u = points[k, -3:] / preset.scale
+    ref = _reference_draws(preset, (3, 4), 100, seed=6)
+    outcome, *_ = _verify_draws(preset, (3, 4), 100, 6, (None,))
+    assert [OUTCOMES[k] for k in outcome] == [r["outcome"] for r in ref]
+    (invalid,) = [r for r in ref if r["outcome"] == "invalid_roots"]
+    u = invalid["sigma"] / preset.scale
     assert _root_clashes(u[None], True).any()
     with pytest.raises(ValueError, match="coincide"):
         BetheRoots(u)
@@ -680,7 +734,7 @@ def _under_each_chunk(monkeypatch, run):
 @pytest.mark.parametrize("preset_id, rank, seed", [
     ("B-3d-P1", 2, 3),
     ("C-2d-P1", 3, 0),
-    ("D-3d", 2, 0),  # a chunk of one draw keeps none: no cutoff residual to fold in
+    ("D-3d", 2, 0),  # the residual at every cutoff
     ("A-3d", 2, 0),
 ])
 def test_verify_report_does_not_depend_on_the_chunk_size(monkeypatch, preset_id, rank, seed):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from bethegauge.lie_roots import (
-    build_root_system,
     expected_root_count,
     generate_roots,
     root_family,
@@ -99,13 +98,6 @@ def test_root_family_reads_the_rank_a_name_carries_and_refuses_another(name, ran
     with pytest.raises(ValueError, match="^%s has rank %d$" % (name, rank)):
         root_family(name, rank - 1)
     assert root_family("B", 5) == ("B", 5)
-
-
-def test_root_system_wrapper():
-    rs = build_root_system("E", 7)
-    assert len(rs.roots) == 126
-    assert rs.dim == 8
-    assert len(rs.weight_factors()) == 126
 
 
 def test_weyl_images_orbit_sizes():
