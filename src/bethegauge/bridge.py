@@ -41,6 +41,8 @@ from .chain import ChainSpec, _bethe_params, _bethe_table, _root_clashes
 from .gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
+    CLASSICAL,
+    FAMILIES,
     REGIME_SCALE,
     GaugeTheorySpec,
     VacuumBranch,
@@ -208,10 +210,10 @@ _CATALOG = _build_catalog()
 
 def presets(family: str, regime: str) -> List[DictionaryPreset]:
     """All presets for one family and regime."""
-    if family in ("E8", "F4"):
+    if family in FAMILIES and family not in CLASSICAL:
         raise ValueError("no boundary dictionary is defined for the exceptional families")
-    if family not in ("A", "B", "C", "D"):
-        raise ValueError("family must be one of A, B, C, D")
+    if family not in CLASSICAL:
+        raise ValueError("family must be one of %s" % ", ".join(CLASSICAL))
     if regime not in REGIME_SCALE:
         raise ValueError("regime must be 3d or 2d")
     return [p for p in _CATALOG if p.family == family and p.regime == regime]
@@ -550,7 +552,9 @@ def calibrate_preset(
     The grid takes every boundary pair of the family's presets in the
     regime, 0, 2, 3 or 4 fixed sites (none on a closed chain) with every
     theta pattern, and both branches; each trial is verified at rank 2 with
-    4 fundamentals and the least worst residual wins.  The ambiguity this
+    4 fundamentals.  The first trial in grid order whose verification passes
+    wins; the least worst residual decides only when none passes, since the
+    residuals of passing trials differ only by rounding.  The ambiguity this
     resolves: different sections tie the site count to N_f in incompatible
     ways for the C and D families, so the residual gets the final word.
     Deterministic for a fixed seed.
@@ -586,7 +590,8 @@ def _calibrate(family: str, regime: str, samples: int, seed: int
                         name = type(exc).__name__
                         refused[name] = refused.get(name, 0) + 1
                         continue
-                    if best is None or rep.max_residual < best[1].max_residual:
+                    if best is None or (not best[1].passed  # the first passing trial wins
+                                        and rep.max_residual < best[1].max_residual):
                         best = (trial, rep)
     if best is None:
         raise RuntimeError("calibration grid produced no evaluable configuration")

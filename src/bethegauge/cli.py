@@ -54,6 +54,7 @@ from .chain import (
 from .gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
+    CLASSICAL,
     FAMILIES,
     REGIME_SCALE,
     GaugeTheorySpec,
@@ -78,8 +79,6 @@ from .specfun import (
 )
 
 SCHEMA_VERSION = "1"
-
-CLASSICAL = ("A", "B", "C", "D")
 
 T = TypeVar("T")
 

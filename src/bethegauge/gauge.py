@@ -4,10 +4,12 @@ The superpotential of a theory with adjoint and fundamental matter is a sum
 over roots and weights of terms a * [Li2(e^{-iz}) - z^2/4], z affine in sigma
 and the masses; :func:`_term_table` states them once per shape (family,
 rank, N_f, N_f', realization), and the value and the gradient read it.
-Exponentiating one component of the gradient collapses, pair by pair, into
-a product of sine ratios.  Those closed products are the
-authoritative vacuum equations; they are stated once, as one row table per
-shape and form built by :func:`_vacuum_table`, and every product form
+The vacuum equations are exp(i dW/dsigma_j) = 1.  Exponentiating one
+component of the gradient collapses each +-alpha pair of roots, and each
++-e_j pair of matter weights, into one sine ratio.  Those closed products
+are the authoritative vacuum equations; :func:`_vacuum_table` generates
+their rows from the same root data as the terms of W, one loop for every
+family, as one row table per shape and form, and every product form
 (square-rooted, full, rational) and the solver's log residual evaluate that
 table.  The gradient route never touches the row table and stays an
 independent cross-check.
@@ -36,7 +38,9 @@ from . import lie_roots
 from .rows import RowTable
 from .specfun import SingularPointError, dilog
 
-FAMILIES = ("A", "B", "C", "D", "E8", "F4")
+#: the families with realization I, a rational limit, a solver and a dictionary
+CLASSICAL = ("A", "B", "C", "D")
+FAMILIES = CLASSICAL + ("E8", "F4")
 
 #: minimum distance of any sine argument to the singular set pi*Z
 SINGULAR_TOL = 1e-6
@@ -81,7 +85,7 @@ class GaugeTheorySpec:
             raise ValueError("rank must be >= 1")
         if self.realization not in ("I", "II"):
             raise ValueError("realization must be 'I' or 'II'")
-        if self.family in ("E8", "F4") and self.realization == "I":
+        if self.family not in CLASSICAL and self.realization == "I":
             raise ValueError("realization I is only defined for the classical families")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         if len(self.masses) != self.n_fund:
@@ -99,7 +103,7 @@ class GaugeTheorySpec:
 
     @property
     def dim(self) -> int:
-        return 8 if self.family == "E8" else self.rank
+        return self.rank
 
     @property
     def params(self) -> Tuple[float, ...]:  # m_adj || masses || masses_anti
@@ -156,26 +160,26 @@ def _term_table(family: str, rank: int, n_f: int, n_anti: int,
     (k, w, h) = (2, c/2, 1/2).  A couples the weights e_j only, every other
     family +-e_j.
     """
-    n = 8 if family == "E8" else rank
-    width = n + 1 + n_f + n_anti
+    width = rank + 1 + n_f + n_anti
     half = realization == "I"
     terms = []
     for alpha, c, _ in _root_data(family, rank):
         k, w = (2.0, 0.5 * c) if half else (c, 1.0)
         gauge = np.zeros(width)
-        gauge[:n] = alpha
+        gauge[:rank] = alpha
         adjoint = gauge.copy()
-        adjoint[n] = 1.0
+        adjoint[rank] = 1.0
         terms += [(-w, -k * gauge), (w, k * adjoint)]
     h = 0.5 if half else 1.0
     for s in (1.0,) if family == "A" else (1.0, -1.0):
-        for j in range(n):
-            for col in range(n + 1, width):
+        for j in range(rank):
+            for col in range(rank + 1, width):
                 matter = np.zeros(width)
-                matter[j] = s if col <= n + n_f else -s
+                matter[j] = s if col <= rank + n_f else -s
                 matter[col] = 1.0
                 terms.append((h, 2.0 * matter))
-    a, v = (np.array(t) for t in zip(*terms))
+    a = np.array([t[0] for t in terms])  # no terms: A1 or D1 without matter, W = 0
+    v = np.array([t[1] for t in terms]).reshape(len(terms), width)
     a.flags.writeable = v.flags.writeable = False
     return a, v
 
@@ -219,78 +223,54 @@ def _vacuum_table(family: str, rank: int, n_f: int, n_anti: int, realization: st
 
     ``form`` is "root" (the square-rooted products), "full" (the
     unsquare-rooted ones) or "rational" (the two-dimensional limit: the
-    root rows with linear factors and the trig-only cos rows dropped).  The
-    full form doubles every root power except where it is not the square of
-    the square root: B's prefactor sin(2x) and realization I's matter rows,
-    which split into fundamental and anti-fundamental halves.  Columns are
+    root rows with linear factors).  Equation j is exp(i dW/dsigma_j)
+    collapsed pair by pair: each root alpha with gradient exponent
+    e = c alpha_j > 0 gives one ratio sin(c (alpha.sigma - m_adj) / 2) /
+    sin(c (alpha.sigma + m_adj) / 2), the +-alpha pair, at power e / h in
+    the root form and 2e / h in the full one.  h = 2 where every exponent of
+    the family is even, so that the full form is exp(i dW/dsigma_j) and the
+    root form its square root; E8's half-integer roots give odd exponents,
+    h = 1, and its root form is exp(i dW/dsigma_j) itself.  The matter rows
+    come first: A's weights e_j, realization II's +-e_j; realization I's
+    split into fundamental and anti-fundamental halves, so its full form is
+    not the square of its (paired) root form.  Columns are
     sigma || (m_adj, masses, masses_anti) || 1.
     """
-    if form == "rational" and family in ("E8", "F4"):
+    if form == "rational" and family not in CLASSICAL:
         raise ValueError("the rational limit is implemented for the classical families")
     if family == "A" and n_f != n_anti:
         raise ValueError("A-family vacuum product needs N_f = N_f'")
     if realization == "I" and family != "A" and form != "full" and n_f != n_anti:
         raise ValueError("paired square-rooted form needs N_f = N_f'")
-    n = 8 if family == "E8" else rank
-    adj, fund, anti = n, n + 1, n + 1 + n_f
+    roots = _root_data(family, rank)
+    h = 2 if all(e % 2 == 0 for _, _, exps in roots for e in exps) else 1
+    adj, fund, anti = rank, rank + 1, rank + 1 + n_f
     p = 2 if form == "full" else 1
     rows: List = []
 
-    def ratio(j, power, num, den, shift=0.0):
-        rows.append((j, power, num, shift))
-        rows.append((j, -power, den, shift))
+    def ratio(j, power, num, den):
+        rows.append((j, power, num, 0.0))
+        rows.append((j, -power, den, 0.0))
 
-    for j in range(n):
-        if family == "E8":
-            # the pairwise-collapsed gradient exponential; the constants
-            # (-2i)^(-e) (2i)^(-e) = 4^(-e) multiply to 1, since the roots
-            # come in +- pairs and the exponents e sum to zero
-            for alpha, c, exps in _root_data(family, rank):
-                e = exps[j] * p
-                if e:
-                    arg = {k: 0.5 * c * a for k, a in enumerate(alpha) if a}
-                    rows.append((j, -e, arg, 0.0))
-                    rows.append((j, -e, {**arg, adj: 0.5 * c}, 0.0))
-            for i in range(n_f):  # weights +-e_j, argument doubled
-                ratio(j, 2 * p, {j: 1, fund + i: -1}, {j: -1, fund + i: -1})
-            continue
+    for j in range(rank):
         if family == "A":
             for i in range(n_f):
                 ratio(j, p, {j: 1, anti + i: -1}, {j: 1, fund + i: 1})
-            for k in range(n):
-                if k != j:
-                    ratio(j, p, {j: 1, k: -1, adj: -1}, {j: 1, k: -1, adj: 1})
-            continue
-        # prod over k != j and both signs of sin(s_j +- s_k - m)/sin(-s_j +- s_k - m)
-        for k in range(n):
-            if k != j:
-                for sgn in (1, -1):
-                    ratio(j, p, {j: 1, k: sgn, adj: -1}, {j: -1, k: sgn, adj: -1})
-        if realization == "II":
+        elif realization == "II":  # the weights +-e_j, exponent 2
             for i in range(n_f):
-                ratio(j, p, {j: 1, fund + i: -1}, {j: -1, fund + i: -1})
+                ratio(j, 2 * p // h, {j: 1, fund + i: -1}, {j: -1, fund + i: -1})
         elif form == "full":
             for col in range(fund, fund + n_f + n_anti):
                 ratio(j, 1, {j: 1, col: -1}, {j: -1, col: -1})
         else:  # paired square root, exact only on the equal-mass locus
             for i in range(n_f):
                 ratio(j, 1, {j: 1, anti + i: -1}, {j: -1, fund + i: -1})
-        if family == "B":
-            if form == "full":
-                ratio(j, 4, {j: 2, adj: -2}, {j: 2, adj: 2})
-            else:
-                ratio(j, 2, {j: 1, adj: -1}, {j: 1, adj: 1})
-                if form == "root":  # cos x = sin(x + pi/2)
-                    ratio(j, 2, {j: 1, adj: -1}, {j: 1, adj: 1}, math.pi / 2.0)
-        elif family == "C":
-            ratio(j, p, {j: 1, adj: -0.5}, {j: 1, adj: 0.5})
-        elif family == "F4":
-            ratio(j, 2 * p, {j: 1, adj: -1}, {j: 1, adj: 1})
-            for sgn in (1, -1):
-                half_sum = {k: sgn for k in range(4) if k != j}
-                ratio(j, p, {**half_sum, j: 1, adj: -1}, {**half_sum, j: -1, adj: -1})
+        for alpha, c, exps in roots:
+            if exps[j] > 0:
+                arg = {k: 0.5 * c * a for k, a in enumerate(alpha) if a}
+                ratio(j, p * exps[j] // h, {**arg, adj: -0.5 * c}, {**arg, adj: 0.5 * c})
     kind = "linear" if form == "rational" else "sin"
-    return RowTable(kind, n, n, 1 + n_f + n_anti, rows, "zero_set", SINGULAR_TOL)
+    return RowTable(kind, rank, rank, 1 + n_f + n_anti, rows, "zero_set", SINGULAR_TOL)
 
 
 def _vacuum_system(spec: GaugeTheorySpec, form: str) -> Tuple[RowTable, np.ndarray]:
@@ -313,18 +293,20 @@ def vacuum_lhs(
 ) -> complex:
     """Left-hand side of the j-th vacuum equation (contract: equals the branch sign).
 
-    The classical families and F4 use the square-rooted closed products; E8
-    uses the full product generated from the superpotential gradient.
+    The root form of :func:`_vacuum_table`: in realization II, the square
+    root of exp(i dW/dsigma_j) for every family but E8, whose odd gradient
+    exponents leave no square root; there it is exp(i dW/dsigma_j) itself.
     """
     return _vacuum_value(spec, sigma, j, "root")
 
 
 def vacuum_lhs_squared(spec: GaugeTheorySpec, sigma: Sequence[float], j: int) -> complex:
-    """The full (unsquare-rooted) vacuum product, evaluated independently.
+    """The full (unsquare-rooted) vacuum product: the square of :func:`vacuum_lhs`.
 
-    For the classical families this is the doubled-argument form whose
-    square root gives :func:`vacuum_lhs`; it also equals the exponentiated
-    gradient of the realization II superpotential.
+    In realization II it equals exp(i dW/dsigma_j) for every family but E8,
+    whose full form is that exponential squared.  Realization I splits the
+    matter rows into fundamental and anti-fundamental halves, so the square
+    holds there only at equal mass lists.
     """
     return _vacuum_value(spec, sigma, j, "full")
 

@@ -53,7 +53,8 @@ import numpy as np
 
 from .bridge import DEFAULT_CUTOFFS, DictionaryPreset, VerificationReport, map_gauge_to_chain
 from .chain import BetheRoots, ChainSpec, _bethe_system, _root_clashes
-from .gauge import REGIME_SCALE, GaugeTheorySpec, VacuumBranch, _vacuum_lhs_stack, _vacuum_system
+from .gauge import (CLASSICAL, REGIME_SCALE, GaugeTheorySpec, VacuumBranch, _vacuum_lhs_stack,
+                    _vacuum_system)
 from .rows import LogScratch, RowTable, deviation
 
 #: starts are resampled while any product factor is smaller than this
@@ -450,7 +451,7 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
                  rational: bool = False) -> SolveResult:
     """Real vacuum solutions on the given branch, keyed up to the Weyl group
     and, in 3d, the period sigma -> sigma + pi."""
-    if spec.family not in ("A", "B", "C", "D"):
+    if spec.family not in CLASSICAL:
         raise ValueError("the analytic solver covers the classical families")
     n = spec.dim
     table, params = _vacuum_system(spec, "rational" if rational else "root")

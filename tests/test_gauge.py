@@ -1,6 +1,7 @@
 """Vacuum products, superpotential gradients and their cross-checks."""
 
 import cmath
+import math
 import warnings
 
 import numpy as np
@@ -68,15 +69,17 @@ def test_gradient_matches_finite_differences_realization_i():
     assert gap.max() < 1e-6
 
 
-@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("family", ["A", "B", "C", "D", "F4"])
 def test_gradient_route_equals_full_products(family):
     # exponentiating the gradient must reproduce the closed doubled-argument
-    # products exactly; this ties the superpotential to the vacuum equations
+    # products exactly; this ties the superpotential to the vacuum equations.
+    # Magnitudes swing widely, compare relatively
     spec = SPECS[family]
     sig = SIGMAS[family]
     route = vacuum_from_gradient(spec, sig)
     for j in range(spec.dim):
-        assert abs(route[j] - vacuum_lhs_squared(spec, sig, j)) < 1e-10
+        full = vacuum_lhs_squared(spec, sig, j)
+        assert abs(route[j] - full) < 1e-10 * abs(full)
 
 
 def test_gradient_route_e8_matches_generated_product():
@@ -88,6 +91,28 @@ def test_gradient_route_e8_matches_generated_product():
     for j in range(8):
         lhs = vacuum_lhs(spec, sig, j)
         assert abs(route[j] - lhs) / abs(lhs) < 1e-10
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D", "F4", "E8"])
+def test_rows_are_the_exponentiated_gradient_at_seeded_points(family):
+    # realization II: exp(i dW/dsigma) is the full product, for E8 the root
+    # form (its odd exponents leave no square root), and the root form
+    # squares to the full one
+    rng = np.random.default_rng(["A", "B", "C", "D", "F4", "E8"].index(family))
+    ranks = (1, 2, 3, 4) if family in "ABCD" else (int(family[1]),)
+    for rank in ranks:
+        for n_fund in (0, 2, 4):
+            for _ in range(3):
+                spec = GaugeTheorySpec(family, rank, n_fund,
+                                       tuple(math.pi * rng.uniform(0.07, 0.43, size=n_fund)),
+                                       math.pi * rng.uniform(0.09, 0.34))
+                sigma = math.pi * rng.uniform(0.05, 0.95, size=rank)
+                route = vacuum_from_gradient(spec, sigma)
+                for j in range(rank):
+                    root, full = vacuum_lhs(spec, sigma, j), vacuum_lhs_squared(spec, sigma, j)
+                    want = root if family == "E8" else full
+                    assert abs(route[j] - want) <= 1e-10 * abs(want)
+                    assert abs(root ** 2 - full) <= 1e-12 * abs(full)
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C", "D", "F4", "E8"])

@@ -139,12 +139,20 @@ def test_bethe_log_residual_matches_products(kind):
     pytest.fail("only %d admissible points" % checked)
 
 
-def test_e8_rows_are_generated_from_root_data():
-    spec = GaugeTheorySpec("E8", 8, 2, (0.27, 0.31), 0.14)
-    table, _ = _vacuum_system(spec, "root")
-    for j in range(8):
-        coupled = sum(1 for _, _, exps in _root_data("E8", 8) if exps[j])
-        assert len(table.rows_of[j]) == 2 * coupled + 2 * spec.n_fund
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 3),
+                                          ("F4", 4), ("E8", 8)])
+def test_vacuum_rows_are_generated_from_root_data(family, rank):
+    # one ratio, two rows, per +-alpha pair of the roots coupled to sigma_j
+    # and per +-e_j pair of matter weights, in every form
+    n_anti = 2 if family == "A" else 0
+    forms = ("root", "full", "rational") if family in "ABCD" else ("root", "full")
+    for form in forms:
+        table = _vacuum_table(family, rank, 2, n_anti, "II", form)
+        for j in range(rank):
+            coupled = sum(1 for _, _, exps in _root_data(family, rank) if exps[j])
+            assert len(table.rows_of[j]) == coupled + 2 * 2
+    if family == "E8":
+        assert len(table.rows_of[0]) == 160
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +197,19 @@ def _assert_stack_matches_products(table, stack):
     return singular
 
 
-def test_stacked_mask_fires_on_b_cos_row():
-    # cos(sigma + m_adj) of B's root form vanishes at sigma = pi/2 - m_adj
+def test_stacked_mask_fires_on_b_short_root_row():
+    # sin(2 (sigma_0 + m_adj)), the denominator of B's short root e_0, vanishes
+    # at sigma_0 = pi/2 - m_adj; its argument is twice sigma_0's distance from there
     spec = GaugeTheorySpec("B", 2, 2, (0.3, 0.7), 0.4)
     sigma = np.array([[math.pi / 2 - 0.4 + 1e-7, 1.1],
-                      [math.pi / 2 - 0.4 + 1.5e-6, 1.1],  # |cos| < 2 tol, yet tol away
+                      [math.pi / 2 - 0.4 + 0.75e-6, 1.1],  # |sin| < 2 tol, yet tol away
+                      [math.pi / 2 - 0.4 + 1.5e-6, 1.1],
                       [0.9, 1.7]])
     table, params = _vacuum_system(spec, "root")
-    stack = np.concatenate((sigma, np.tile(params, (3, 1))), axis=1)
-    assert list(_assert_stack_matches_products(table, stack)) == [True, False, False]
-    assert list(_vacuum_stack(spec, "root", sigma)[1]) == [True, False, False]
-    assert not _vacuum_stack(spec, "rational", sigma)[1].any()  # no cos row there
+    stack = np.concatenate((sigma, np.tile(params, (4, 1))), axis=1)
+    assert list(_assert_stack_matches_products(table, stack)) == [True, False, False, False]
+    assert list(_vacuum_stack(spec, "root", sigma)[1]) == [True, False, False, False]
+    assert not _vacuum_stack(spec, "rational", sigma)[1].any()  # 2 (sigma_0 + m_adj) is not 0
     with pytest.raises(SingularPointError):
         vacuum_lhs(spec, sigma[0], 0)
 
