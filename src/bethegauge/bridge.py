@@ -13,17 +13,19 @@ with each fundamental mass pair (m, m') absorbed into one free site via
     theta_a = eta/2 + (m - m') / (2 * scale).
 
 The dictionary is stated once, as stacked columns: :func:`_dictionary` maps
-a stack of gauge points to eta, the site spins and inhomogeneities and, per
-cutoff, xi_+-, and :func:`map_gauge_to_chain` builds its chain from row 0.
+a stack of gauge points to eta, the site spins and inhomogeneities and
+xi_+-, and :func:`map_gauge_to_chain` builds its chain from row 0.
 Verification draws random admissible points a chunk at a time, maps each
 chunk's kept draws across at once, and reports the worst
 |vacuum_lhs - branch * bethe_lhs| as one reduction over the accepted draws.
 A chunk is a unit of work only: the draws, the ledger and the report are
 the same whatever the chunk size, so its one constant is set by cost alone.
-An infinite boundary parameter is realized as opposite-sign imaginary
-regulators +-iT; the equal-sign reading leaves a residual phase
-exp(-4*pi*i*u) and never converges, so the opposite-sign pairing is the
-implemented limit.
+An infinite boundary parameter is the exact limit xi = +-i inf, with no
+cutoff: D-3d's pair (+i inf, -i inf) is the U_q(sl_2)-invariant boundary,
+whose two boundary ratios tend to -e^(-+2 pi i u) and cancel, so its Bethe
+equations have no boundary factor (``chain`` states this once).  The
+equal-sign pair would leave the phase e^(-+4 pi i u), and the chain
+refuses it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain import ChainSpec, _bethe_params, _bethe_table, _root_clashes
+from .chain import ChainSpec, _bethe_rows, _root_clashes
 from .gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
@@ -50,8 +52,6 @@ from .gauge import (
     _vacuum_stack,
 )
 
-#: cutoffs used to realize an infinite boundary parameter
-DEFAULT_CUTOFFS = (5.0, 10.0, 20.0)
 #: the box a random theory and vacuum point are drawn from, in units of the
 #: scale: m_adj, each (anti-)fundamental mass, each component of sigma
 M_ADJ_BOX, MASS_BOX, SIGMA_BOX = (0.09, 0.34), (0.07, 0.43), (0.05, 0.95)
@@ -63,13 +63,11 @@ class XiExpr:
 
     const: Fraction = Fraction(0)
     eta_coeff: Fraction = Fraction(0)
-    infinite: int = 0  # 0 finite, +-1 for the regulated +-iT limit
+    infinite: int = 0  # 0 finite, +-1 for the limit +-i inf
 
-    def value(self, eta: float, cutoff: Optional[float] = None) -> complex:
+    def value(self, eta: float) -> complex:
         if self.infinite:
-            if cutoff is None:
-                raise ValueError("infinite boundary parameter needs a cutoff")
-            return 1j * self.infinite * float(cutoff)
+            return complex(0.0, self.infinite * math.inf)
         return float(self.const) + float(self.eta_coeff) * eta
 
     def label(self) -> str:
@@ -135,11 +133,6 @@ class DictionaryPreset:
     @property
     def is_open(self) -> bool:
         return self.chain_kind.startswith("open")
-
-    @property
-    def uses_cutoff(self) -> bool:
-        """An infinite boundary parameter: the Bethe side is regulated at finite cutoffs."""
-        return any(x is not None and x.infinite for x in (self.xi_plus, self.xi_minus))
 
 
 def _xi(const=0, coeff=0, infinite=0) -> XiExpr:
@@ -253,11 +246,10 @@ class _Columns(NamedTuple):
     eta: np.ndarray  # (S,)
     spins: np.ndarray  # (S, L)
     thetas: np.ndarray  # (S, L)
-    xi: Optional[np.ndarray]  # (S, len(cutoffs), 2): xi_+, xi_- per cutoff; open chains only
+    xi: Optional[np.ndarray]  # (S, 2): xi_+, xi_-; open chains only
 
 
-def _dictionary(preset: DictionaryPreset, params: np.ndarray, n_fund: int,
-                cutoffs: Sequence[Optional[float]]) -> _Columns:
+def _dictionary(preset: DictionaryPreset, params: np.ndarray, n_fund: int) -> _Columns:
     """The dictionary, stated once: the chain data of a stack of gauge points.
 
     ``params`` (S, 1 + N_f + N_f') holds each point's m_adj || masses ||
@@ -292,18 +284,13 @@ def _dictionary(preset: DictionaryPreset, params: np.ndarray, n_fund: int,
         raise ValueError("crossing parameter eta must not be an integer")  # as BracketContext
     xi = None
     if preset.is_open:
-        xi = np.empty((len(params), len(cutoffs), 2), dtype=complex)
-        for t, cutoff in enumerate(cutoffs):
-            for side, expr in enumerate((preset.xi_plus, preset.xi_minus)):
-                xi[:, t, side] = expr.value(eta, cutoff)
+        xi = np.empty((len(params), 2), dtype=complex)
+        for side, expr in enumerate((preset.xi_plus, preset.xi_minus)):
+            xi[:, side] = expr.value(eta)
     return _Columns(eta, spins, thetas, xi)
 
 
-def map_gauge_to_chain(
-    preset: DictionaryPreset,
-    gauge: GaugeTheorySpec,
-    cutoff: Optional[float] = None,
-) -> ChainSpec:
+def map_gauge_to_chain(preset: DictionaryPreset, gauge: GaugeTheorySpec) -> ChainSpec:
     """Translate a gauge theory into the preset's spin chain: row 0 of :func:`_dictionary`.
 
     The chain's roots are sigma / ``preset.scale``.
@@ -312,8 +299,8 @@ def map_gauge_to_chain(
         raise ValueError("preset %s does not apply to family %s" % (preset.id, gauge.family))
     if gauge.family != "A" and gauge.realization != "II":
         raise ValueError("the dictionary is stated for realization II products")
-    cols = _dictionary(preset, np.array([gauge.params], dtype=float), gauge.n_fund, (cutoff,))
-    xi = (None, None) if cols.xi is None else cols.xi[0, 0].tolist()
+    cols = _dictionary(preset, np.array([gauge.params], dtype=float), gauge.n_fund)
+    xi = (None, None) if cols.xi is None else cols.xi[0].tolist()
     return ChainSpec(preset.chain_kind, cols.spins.shape[1], gauge.dim, float(cols.eta[0]),
                      tuple(cols.spins[0].tolist()), tuple(cols.thetas[0].tolist()), *xi)
 
@@ -357,26 +344,14 @@ class VerificationReport:
         return {**dataclasses.asdict(self), "pass": self.passed}
 
 
-def _extrapolate_geometric(values: np.ndarray) -> np.ndarray:
-    """Aitken-style limits of geometrically converging sequences along the last
-    axis.  Where the last two differences leave nothing to extrapolate (the
-    first two terms agree, or the second difference vanishes) the limit is the
-    last term."""
-    b1, b2, b3 = values[..., -3], values[..., -2], values[..., -1]
-    den = b1 - 2.0 * b2 + b3
-    last = (np.abs(b1 - b2) < 1e-13) | (np.abs(den) < 1e-300)
-    d = b3 - b2
-    return np.where(last, b3, b3 - d * d / np.where(last, 1.0, den))
-
-
 #: draws scored together in one stacked evaluation.  Each chunk pays one fixed
 #: stack of calls (vacuum products, window, dictionary, root mask, Bethe
 #: parameters and products), which at 64 draws cost more than the draws.  On a
 #: 2-core x86 host with one BLAS thread, the 36 CLI tasks of a benchmark
 #: certify round at seed 11 take 0.19-0.22 s at 256 against 0.36-0.43 s at 64
 #: (0.17-0.20 s at 384, 0.21-0.25 s at 512; medians of two runs of 9 and 21
-#: rounds), and the largest traced peak of a task, verify D-3d rank 3 with its
-#: three cutoffs, is 1.4 MB (0.8 MB at 64, 2.0 MB at 384).  384 saves under a
+#: rounds), and the largest tracemalloc peak of a verify task, C-3d-P2 rank 3
+#: at seed 11, is 0.55 MB (0.35 MB at 64, 0.80 MB at 384).  384 saves under a
 #: tenth for a peak 45% higher, so the chunk stays at 256.  Reports do not
 #: depend on it.
 _CHUNK = 256
@@ -452,8 +427,7 @@ def _drawn_gauge(preset: DictionaryPreset, dims: Tuple[int, int],
     return spec, point[len(point) - spec.dim:]
 
 
-def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int, seed: int,
-                  cutoffs: Sequence[Optional[float]]):
+def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int, seed: int):
     """The draws of :func:`verify_identity`, scored a chunk at a time.
 
     A draw is eta, the masses, for family A the anti-fundamental masses,
@@ -462,9 +436,10 @@ def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int,
     Bethe product would raise :class:`SingularPointError`; it must keep
     every vacuum product inside the window and map to valid Bethe roots.
     The draws the vacuum side keeps are mapped together by
-    :func:`_dictionary` and scored at every cutoff by one stacked product.
-    Returns what :func:`_sample` returns, with the accepted draws' vacuum
-    values (samples, dim) and Bethe values (samples, len(cutoffs), dim).
+    :func:`_dictionary` and scored by one stacked product of the rows
+    :func:`_bethe_rows` states for their chains.  Returns what
+    :func:`_sample` returns, with the accepted draws' vacuum values and
+    Bethe values, each (samples, dim).
     """
     shape, _ = _drawn_gauge(preset, dims, np.zeros(1 + 2 * dims[1] + dims[0]))  # never evaluated
     n_params = len(shape.params)
@@ -474,21 +449,18 @@ def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int,
         params, sigma = points[:, :n_params], points[:, n_params:]
         vac, singular = _vacuum_lhs_stack(shape, preset.regime, sigma, params)
         outcome = _outcomes(singular, vac)
-        bethe = np.full((len(points), len(cutoffs), shape.dim), np.nan, dtype=complex)
+        bethe = np.full((len(points), shape.dim), np.nan, dtype=complex)
         kept = np.flatnonzero(outcome == _ACCEPTED)
-        u = sigma[kept, None] / preset.scale  # (k, 1, dim): the roots at every cutoff
-        cols = _dictionary(preset, params[kept], shape.n_fund, cutoffs)
-        ok = ~_root_clashes(u[:, 0], preset.is_open).any(axis=1)  # else coincident or reflected
+        u = sigma[kept] / preset.scale
+        cols = _dictionary(preset, params[kept], shape.n_fund)
+        ok = ~_root_clashes(u, preset.is_open).any(axis=1)  # else coincident or reflected
         outcome[kept[~ok]] = _INVALID
         reached = kept[ok]
         if len(reached):
-            chain = _bethe_params(cols.eta[:, None], cols.spins[:, None], cols.thetas[:, None],
-                                  cols.xi)  # (k, len(cutoffs), n_params of the chain)
-            x = np.concatenate((np.broadcast_to(u, chain.shape[:2] + u.shape[2:]), chain), axis=2)
-            table = _bethe_table(preset.chain_kind, cols.spins.shape[1], shape.dim)
-            values, hit = table.products(x[ok].reshape(-1, x.shape[2]))
-            bethe[reached] = values.reshape(-1, len(cutoffs), shape.dim)
-            outcome[reached[hit.reshape(-1, len(cutoffs)).any(axis=1)]] = _SINGULAR
+            table, chain = _bethe_rows(preset.chain_kind, shape.dim, *cols)
+            values, hit = table.products(np.concatenate((u, chain), axis=1)[ok])
+            bethe[reached] = values
+            outcome[reached[hit]] = _SINGULAR
         return outcome, vac, bethe
 
     return _sample(np.random.default_rng(seed), bounds, preset.scale, samples, score)
@@ -502,24 +474,15 @@ def verify_identity(
     seed: int = 0,
     branch: Optional[VacuumBranch] = None,
 ) -> VerificationReport:
-    """Sample the correspondence and report the worst matched residual.
+    """Sample the correspondence and report the worst matched residual,
+    max |vacuum_lhs - branch * bethe_lhs| over the accepted draws.
 
-    For infinite boundary parameters the Bethe side is evaluated at every
-    cutoff of :data:`DEFAULT_CUTOFFS` and extrapolated; the per-cutoff
-    residuals land in the notes.
+    Every preset's Bethe side is its chain's own row table, D-3d's at its
+    exact boundary xi = (+i inf, -i inf), so no preset is extrapolated.
     ``notes["draws"]`` counts the draws made and what became of each.
     """
     branch = preset.branch if branch is None else branch
-    cuts = DEFAULT_CUTOFFS if preset.uses_cutoff else (None,)
-    _, points, (vac, bethe), ledger = _verify_draws(preset, dims, samples, seed, cuts)
-    notes: Dict[str, object] = {"draws": ledger}
-    if preset.uses_cutoff:
-        by_cut = np.abs(vac[:, None, :] - branch.sign * bethe).max(axis=(0, 2))
-        notes["cutoffs"] = list(cuts)
-        notes["residual_by_cutoff"] = {str(t): float(r) for t, r in zip(cuts, by_cut)}
-        bethe = _extrapolate_geometric(bethe.transpose(0, 2, 1))
-    else:
-        bethe = bethe[:, 0]
+    _, points, (vac, bethe), ledger = _verify_draws(preset, dims, samples, seed)
     res = np.abs(vac - branch.sign * bethe).max(axis=1)
     k = int(res.argmax())  # the first worst draw
     worst: Optional[Dict[str, object]] = None
@@ -537,7 +500,7 @@ def verify_identity(
         max_residual=float(res[k]),
         worst_point=worst,
         branch_used=branch.sign,
-        notes=notes,
+        notes={"draws": ledger},
     )
 
 

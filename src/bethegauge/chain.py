@@ -4,8 +4,14 @@ Closed chains: product of site terms equals the magnon scattering product;
 we return everything moved to one side, so the contract is LHS = 1.  Open
 chains (diagonal boundaries) add two boundary factors and double every site
 and magnon term.  The equations are stated once, as one row table per
-(kind, L, M) built by :func:`_bethe_table`; :func:`bethe_lhs` and the
-solver's log residual both evaluate it.
+(kind, L, M, boundary) built by :func:`_bethe_table`; :func:`bethe_lhs` and
+the solver's log residual both evaluate it.
+
+An open XXZ chain also takes xi = (+i inf, -i inf), written complex(0,
++-inf), the boundary of the U_q(sl_2)-invariant chain (Sklyanin, J. Phys. A
+21 (1988) 2375; Pasquier and Saleur, Nucl. Phys. B 330 (1990) 523), at its
+exact limit: no boundary rows (:func:`_bethe_rows`), and K from the
+normalized limit of its weight (:func:`_boundary_weight`).
 
 The printed open-chain magnon factor orders the difference terms as
 u_j - u_i; that ordering breaks both the reflection symmetry u_i -> -u_i
@@ -37,6 +43,8 @@ B(u) as they solve the row table's equations, unshifted.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -93,6 +101,10 @@ class ChainSpec:
                 raise ValueError("open chains need both xi_plus and xi_minus")
             object.__setattr__(self, "xi_plus", complex(self.xi_plus))
             object.__setattr__(self, "xi_minus", complex(self.xi_minus))
+            xi = {self.xi_plus, self.xi_minus}
+            if not all(map(cmath.isfinite, xi)) and not (
+                    self.is_trig and xi == {complex(0, math.inf), complex(0, -math.inf)}):
+                raise ValueError("a non-finite boundary must be the xxz pair (+i*inf, -i*inf)")
         elif self.xi_plus is not None or self.xi_minus is not None:
             raise ValueError("closed chains take no boundary parameters")
 
@@ -169,12 +181,13 @@ def validate_roots(chain: ChainSpec, roots: BetheRoots) -> None:
 
 
 @lru_cache(maxsize=None)
-def _bethe_table(kind: str, n_sites: int, n_magnons: int) -> RowTable:
+def _bethe_table(kind: str, n_sites: int, n_magnons: int, boundary: bool) -> RowTable:
     """Rows of every Bethe equation of one shape.
 
-    Columns are u || (eta, eta*s_a, theta_a, xi_+, xi_-) || 1.  Trig kinds use
-    sin(pi x); the sin(pi eta) normalizations cancel in every ratio, so the
-    bracket denominator is dropped here.
+    Columns are u || (eta, eta*s_a, theta_a, [xi_+, xi_-]) || 1, the boundary
+    ones only with ``boundary``.  Trig kinds use sin(pi x); the sin(pi eta)
+    normalizations cancel in every ratio, so the bracket denominator is
+    dropped here.
     """
     is_open = kind.startswith("open")
     m, L = n_magnons, n_sites
@@ -194,7 +207,7 @@ def _bethe_table(kind: str, n_sites: int, n_magnons: int) -> RowTable:
                 ratio(i, {**dn, i: -1}, {**dn, i: 1})
             else:
                 ratio(i, {**up, i: 1}, {**dn, i: 1})
-        if is_open:
+        if boundary:
             for b in (xi, xi + 1):
                 ratio(i, {i: 1, eta: -0.5, b: 1}, {i: 1, eta: 0.5, b: -1})
         for j in range(n_magnons):
@@ -203,17 +216,24 @@ def _bethe_table(kind: str, n_sites: int, n_magnons: int) -> RowTable:
                     ratio(i, {i: 1, j: 1, eta: -1}, {i: 1, j: 1, eta: 1})
                 ratio(i, {i: 1, j: -1, eta: -1}, {i: 1, j: -1, eta: 1})
     kind_f = "sin_pi" if kind.endswith("xxz") else "linear"
-    n_params = 1 + 2 * n_sites + (2 if is_open else 0)
+    n_params = 1 + 2 * n_sites + (2 if boundary else 0)
     return RowTable(kind_f, n_magnons, n_magnons, n_params, rows, "denominator", DENOM_TOL)
 
 
-def _bethe_params(eta, spins, thetas, xi=None) -> np.ndarray:
-    """The Bethe table's parameter columns (eta, eta*s_a, theta_a, [xi_+, xi_-], 1).
+def _bethe_rows(kind: str, n_magnons: int, eta, spins, thetas,
+                xi) -> Tuple[RowTable, np.ndarray]:
+    """The Bethe row table of one chain, or of a stack of chains of one shape,
+    and its parameter columns (eta, eta*s_a, theta_a, [xi_+, xi_-], 1):
+    ``eta`` (...), ``spins`` and ``thetas`` (..., L) and ``xi`` (..., 2), None
+    on closed chains, broadcast against each other over the leading axes.
 
-    For one chain, or for a stack: ``eta`` (...), ``spins`` and ``thetas``
-    (..., L), and for open chains ``xi`` (..., 2), broadcast against each
-    other over the leading axes.
+    A finite xi adds the ratios [u - eta/2 + xi]/[u + eta/2 - xi] to every
+    equation.  The pair (+i inf, -i inf), the one non-finite pair
+    :class:`ChainSpec` takes, adds no rows and no columns: as xi -> +-i inf
+    the ratio tends to -e^(-+2 pi i u), and the two cancel exactly.
     """
+    if xi is not None and not np.isfinite(xi).all():
+        xi = None
     eta, spins = np.asarray(eta, dtype=float), np.asarray(spins, dtype=float)
     n = spins.shape[-1]
     lead = np.broadcast_shapes(eta.shape, spins.shape[:-1], np.shape(thetas)[:-1],
@@ -225,14 +245,14 @@ def _bethe_params(eta, spins, thetas, xi=None) -> np.ndarray:
     if xi is not None:
         out[..., 1 + 2 * n:-1] = xi
     out[..., -1] = 1.0
-    return out
+    return _bethe_table(kind, n, n_magnons, xi is not None), out
 
 
 def _bethe_system(chain: ChainSpec) -> Tuple[RowTable, np.ndarray]:
     """The Bethe row table of ``chain`` and its parameter vector."""
-    table = _bethe_table(chain.kind, chain.n_sites, chain.n_magnons)
     xi = (chain.xi_plus, chain.xi_minus) if chain.is_open else None
-    return table, _bethe_params(chain.eta, chain.spins, chain.inhomogeneities, xi)
+    return _bethe_rows(chain.kind, chain.n_magnons, chain.eta, chain.spins,
+                       chain.inhomogeneities, xi)
 
 
 def bethe_lhs(chain: ChainSpec, roots: BetheRoots, i: int) -> complex:
@@ -338,9 +358,18 @@ def _br(chain: ChainSpec, x: complex) -> complex:
     return complex(x) if chain._bracket is None else bracket(x, chain._bracket)
 
 
+def _boundary_weight(chain: ChainSpec, x: complex, xi: complex) -> complex:
+    """The boundary weight w(x, xi) = [x + xi]; at xi = +-i inf its normalized
+    limit e^(-+i pi x), since [x +- iT] is e^(-+i pi x) times a factor free
+    of x, up to a relative e^(-2 pi T)."""
+    if cmath.isfinite(xi):
+        return _br(chain, x + xi)
+    return cmath.exp(-1j * math.copysign(math.pi, xi.imag) * x)
+
+
 def _k_diag(chain: ChainSpec, x: complex, xi: complex) -> np.ndarray:
-    # the diagonal of the boundary matrix K(x, xi) = diag([x + xi], -[x - xi])
-    return np.array([_br(chain, x + xi), -_br(chain, x - xi)])
+    # the diagonal of the boundary matrix K(x, xi) = diag([x + xi], -[x - xi]) = diag(w(x), w(-x))
+    return np.array([_boundary_weight(chain, x, xi), _boundary_weight(chain, -x, xi)])
 
 
 def _chain_r(chain: ChainSpec, u: complex) -> np.ndarray:
@@ -512,9 +541,11 @@ def open_transfer_expansion(chain: ChainSpec, u: complex) -> np.ndarray:
     if abs(b2u) < DENOM_TOL:
         raise SingularPointError("expansion singular at [2u] = 0")
     dt = _br(chain, 2 * u) * um[1][1] - _br(chain, chain.eta) * um[0][0]
-    c_a = _br(chain, 2 * u + chain.eta) * _br(chain, u - chain.eta / 2 + chain.xi_plus)
-    c_d = _br(chain, u + chain.eta / 2 - chain.xi_plus)
-    return (c_a * um[0][0] - c_d * dt) / b2u
+    h, xi = chain.eta / 2, chain.xi_plus
+    # [u - eta/2 + xi_+] = w(u - eta/2, xi_+), [u + eta/2 - xi_+] = -w(-u - eta/2, xi_+)
+    c_a = _br(chain, 2 * u + chain.eta) * _boundary_weight(chain, u - h, xi)
+    c_d = _boundary_weight(chain, -u - h, xi)
+    return (c_a * um[0][0] + c_d * dt) / b2u
 
 
 def rtt_residual(chain: ChainSpec, u: complex, v: complex) -> float:

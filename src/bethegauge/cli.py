@@ -544,10 +544,9 @@ def _battery_gradient(seed: int) -> Dict[str, object]:
 def _battery_presets(seed: int) -> Dict[str, object]:
     rows = []
     for preset in all_presets():
-        tol = 1e-6 if preset.uses_cutoff else 1e-10
-        rep = verify_identity(preset, dims=(2, 4), samples=200, tol=tol, seed=seed)
+        rep = verify_identity(preset, dims=(2, 4), samples=200, tol=1e-10, seed=seed)
         rows.append({"preset": preset.id, "max_residual": rep.max_residual,
-                     "tol": tol, "pass": rep.passed})
+                     "tol": 1e-10, "pass": rep.passed})
     flipped = verify_identity(preset_by_id("B-3d-P5"), dims=(2, 4), samples=50,
                               tol=1e-10, seed=seed, branch=BRANCH_PLUS)
     rows.append({"preset": "B-3d-P5 (forced +1)",

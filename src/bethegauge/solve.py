@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bridge import DEFAULT_CUTOFFS, DictionaryPreset, VerificationReport, map_gauge_to_chain
+from .bridge import DictionaryPreset, VerificationReport, map_gauge_to_chain
 from .chain import BetheRoots, ChainSpec, _bethe_system, _root_clashes
 from .gauge import (CLASSICAL, REGIME_SCALE, GaugeTheorySpec, VacuumBranch, _vacuum_lhs_stack,
                     _vacuum_system)
@@ -483,7 +483,7 @@ def cross_check(spec: GaugeTheorySpec, preset: DictionaryPreset,
                 cfg: SolveConfig) -> VerificationReport:
     """Solve the chain side, transport roots back (sigma = scale * u), grade the
     vacuum residual against MAP_TOL."""
-    sols = solve_bethe(map_gauge_to_chain(preset, spec, cutoff=max(DEFAULT_CUTOFFS)), cfg)
+    sols = solve_bethe(map_gauge_to_chain(preset, spec), cfg)
     if sols.solutions:
         sigma = np.array([r.values for r in sols]) * preset.scale
         res = deviation(*_vacuum_lhs_stack(spec, preset.regime, sigma), preset.branch.sign)

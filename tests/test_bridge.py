@@ -1,6 +1,7 @@
 """Dictionary presets, parameter maps and identity certification."""
 
 import ast
+import dataclasses
 import inspect
 import math
 import textwrap
@@ -12,13 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bethegauge.bridge import (
-    DEFAULT_CUTOFFS,
     OUTCOMES,
     DictionaryPreset,
     FixedSite,
     XiExpr,
     _dictionary,
-    _extrapolate_geometric,
     _verify_draws,
     all_presets,
     calibrate_preset,
@@ -32,7 +31,7 @@ from bethegauge.bridge import (
 from bethegauge import bridge
 from bethegauge import chain as chain_module
 from bethegauge.chain import BetheRoots, _bethe_system, bethe_lhs, validate_roots
-from bethegauge.chain import ChainSpec, _bethe_params, _bethe_table, _root_clashes
+from bethegauge.chain import ChainSpec, _bethe_rows, _root_clashes
 from bethegauge.gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
@@ -110,9 +109,8 @@ def test_xi_expressions():
     dinf = preset_by_id("D-3d")
     assert dinf.xi_plus.label() == "+i*inf"
     assert dinf.xi_minus.label() == "-i*inf"
-    assert dinf.xi_plus.value(0.3, cutoff=10.0) == 10j
-    with pytest.raises(ValueError):
-        dinf.xi_plus.value(0.3)
+    assert dinf.xi_plus.value(0.3) == complex(0, math.inf)
+    assert dinf.xi_minus.value(0.3) == complex(0, -math.inf)
 
 
 def test_fixed_site_contract():
@@ -136,7 +134,7 @@ def test_preset_states_the_boundary_rule_of_its_chain_kind():
         DictionaryPreset("x", "B", "3d", "open-xxz", xi, None, (), BRANCH_PLUS)
     with pytest.raises(ValueError, match="closed-chain presets take no boundary parameters"):
         DictionaryPreset("x", "A", "3d", "closed-xxz", None, xi, (), BRANCH_PLUS)
-    assert [p.id for p in all_presets() if p.uses_cutoff] == ["D-3d"]
+    assert [p.id for p in all_presets() if p.xi_plus and p.xi_plus.infinite] == ["D-3d"]
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +199,9 @@ def test_map_rejections():
         map_gauge_to_chain(
             p, GaugeTheorySpec("B", 2, 2, (0.3, 0.7), 0.5, realization="I")
         )
-    with pytest.raises(ValueError):
-        map_gauge_to_chain(preset_by_id("D-3d"), GaugeTheorySpec("D", 2, 2, (0.3, 0.7), 0.5))
+    # D-3d maps to its exact boundary
+    chain = map_gauge_to_chain(preset_by_id("D-3d"), GaugeTheorySpec("D", 2, 2, (0.3, 0.7), 0.5))
+    assert (chain.xi_plus, chain.xi_minus) == (complex(0, math.inf), complex(0, -math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +211,36 @@ def test_map_rejections():
 
 @pytest.mark.parametrize("preset", all_presets(), ids=lambda p: p.id)
 def test_preset_identities(preset):
-    tol = 1e-6 if preset.id == "D-3d" else 1e-10
-    report = verify_identity(preset, dims=(2, 2), samples=50, tol=tol, seed=11)
+    report = verify_identity(preset, dims=(2, 2), samples=50, tol=1e-10, seed=11)
     assert report.passed, "%s residual %g" % (preset.id, report.max_residual)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5, 9])
+@pytest.mark.parametrize("nf", [2, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_d3d_passes_the_default_gate_at_its_exact_boundary(rank, nf, seed):
+    # rank 3, N_f = 2, seed 2 is the worst recorded draw set, at 7.2e-11
+    report = verify_identity(preset_by_id("D-3d"), dims=(rank, nf), seed=seed)
+    assert report.tol == 1e-10
+    assert report.passed, "rank %d N_f %d seed %d: %g" % (rank, nf, seed, report.max_residual)
+    assert list(report.notes) == ["draws"]
+
+
+def test_dropping_the_boundary_rows_is_exact():
+    # at xi = +-20i the two boundary ratios multiply to 1 up to a relative
+    # e^(-40 pi), so the rows the limit drops move no equation beyond rounding
+    preset, rng = preset_by_id("D-3d"), np.random.default_rng(15)
+    for rank in (1, 2, 3):
+        for nf in (2, 4):
+            spec = GaugeTheorySpec("D", rank, nf, tuple(math.pi * rng.uniform(0.07, 0.43, nf)),
+                                   math.pi * rng.uniform(0.09, 0.34))
+            chain = map_gauge_to_chain(preset, spec)
+            far = dataclasses.replace(chain, xi_plus=20j, xi_minus=-20j)
+            assert _bethe_system(chain)[0].n_rows == _bethe_system(far)[0].n_rows - 4 * rank
+            roots = BetheRoots(rng.uniform(0.05, 0.95, rank) + 1j * rng.uniform(-0.2, 0.2, rank))
+            for i in range(rank):
+                ref = bethe_lhs(far, roots, i)
+                assert abs(bethe_lhs(chain, roots, i) - ref) <= 1e-13 * abs(ref)
 
 
 def test_forced_branch_flip_fails():
@@ -225,27 +251,6 @@ def test_forced_branch_flip_fails():
     assert not flipped.passed
     assert flipped.max_residual >= 0.1
     assert flipped.branch_used == +1
-
-
-def test_cutoff_extrapolation_notes():
-    report = verify_identity(preset_by_id("D-3d"), dims=(2, 2), samples=20, tol=1e-6, seed=5)
-    assert report.passed
-    assert report.notes["cutoffs"] == list(DEFAULT_CUTOFFS)
-    by_cutoff = report.notes["residual_by_cutoff"]
-    assert set(by_cutoff) == {"5.0", "10.0", "20.0"}
-    assert all(v >= 0 for v in by_cutoff.values())
-
-
-def test_geometric_extrapolation_guards_each_sequence():
-    # one stack: a geometric sequence extrapolates to its limit, while a
-    # converged one and one with no second difference keep their last term
-    # (and divide by no zero)
-    seqs = np.array([[[2.0 + 1.0j + 0.5**k for k in (1, 2, 3)],
-                      [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]])
-    limits = _extrapolate_geometric(seqs)
-    assert limits.shape == (1, 3)
-    assert limits[0, 0] == 2.0 + 1.0j
-    assert limits[0, 1] == 1.0 and limits[0, 2] == 2.0
 
 
 def test_report_dict_uses_pass_key():
@@ -319,19 +324,14 @@ def test_duality_preconditions():
 # ---------------------------------------------------------------------------
 
 
-def _cutoffs(preset):
-    infinite = any(x is not None and x.infinite for x in (preset.xi_plus, preset.xi_minus))
-    return DEFAULT_CUTOFFS if infinite else (None,)
-
-
 def _reference_draws(preset, dims, samples, seed):
     """The sampler one draw at a time, as rng.uniform calls: per draw the point
     (m_adj, masses, [masses_anti], sigma), its outcome, the spec, sigma and the
-    vacuum and per-cutoff Bethe values it reached.  Stops at the samples-th
+    vacuum and Bethe values it reached.  Stops at the samples-th
     acceptance or after 60 * samples draws."""
     rank, nf = dims
     rng = np.random.default_rng(seed)
-    scale, cutoffs = preset.scale, _cutoffs(preset)
+    scale = preset.scale
     out, accepted = [], 0
     while accepted < samples and len(out) < 60 * samples:
         eta = rng.uniform(0.09, 0.34)
@@ -350,15 +350,15 @@ def _reference_draws(preset, dims, samples, seed):
         if any(not (1e-2 < abs(v) < 1e2) for v in rec["vac"]):
             rec["outcome"] = "magnitude_window"
             continue
-        mapped = [map_gauge_to_chain(preset, spec, cutoff=t) for t in cutoffs]
+        mapped = map_gauge_to_chain(preset, spec)
         try:
             roots = BetheRoots(sigma / preset.scale)
-            validate_roots(mapped[0], roots)
+            validate_roots(mapped, roots)
         except ValueError:
             rec["outcome"] = "invalid_roots"
             continue
         try:
-            rec["bethe"] = [[bethe_lhs(c, roots, i) for i in range(spec.dim)] for c in mapped]
+            rec["bethe"] = [bethe_lhs(mapped, roots, i) for i in range(spec.dim)]
         except SingularPointError:
             rec["outcome"] = "singular"
             continue
@@ -370,8 +370,7 @@ def _reference_draws(preset, dims, samples, seed):
 def _batched_draws(preset, dims, samples, seed):
     """The batched run: every outcome, the accepted points, their vacuum and
     Bethe values, and the ledger."""
-    outcome, points, (vac, bethe), ledger = _verify_draws(preset, dims, samples, seed,
-                                                          _cutoffs(preset))
+    outcome, points, (vac, bethe), ledger = _verify_draws(preset, dims, samples, seed)
     return outcome, points, vac, bethe, ledger
 
 
@@ -401,8 +400,8 @@ def _vacuum_table_at(preset, r):
     return table, np.concatenate((r["sigma"], params))
 
 
-def _bethe_table_at(preset, r, cutoff):
-    table, params = _bethe_system(map_gauge_to_chain(preset, r["spec"], cutoff=cutoff))
+def _bethe_table_at(preset, r):
+    table, params = _bethe_system(map_gauge_to_chain(preset, r["spec"]))
     return table, np.concatenate((r["sigma"] / preset.scale, params))
 
 
@@ -418,8 +417,7 @@ def test_batched_draws_replay_the_one_at_a_time_loop(preset):
     assert np.array_equal(points, np.array([r["point"] for r in accepted]))  # bitwise
     for k, r in enumerate(accepted):
         _assert_close(vac[k], r["vac"], *_vacuum_table_at(preset, r))
-        for t, c in enumerate(_cutoffs(preset)):
-            _assert_close(bethe[k, t], r["bethe"][t], *_bethe_table_at(preset, r, c))
+        _assert_close(bethe[k], r["bethe"], *_bethe_table_at(preset, r))
 
 
 @pytest.mark.parametrize("preset_id, rank, seed, samples, outcome", [
@@ -467,44 +465,27 @@ def test_worst_point_replays_the_worst_draw(preset_id):
     k = [i for i, p in enumerate(points.tolist()) if p == drawn]  # among the accepted draws
     assert len(k) == 1
     assert ("masses_anti" in w) == (preset.family == "A")
-    if preset_id != "D-3d":  # D-3d extrapolates over the cutoffs
-        assert np.max(np.abs(vac[k[0]] - preset.branch.sign * bethe[k[0], 0])) == report.max_residual
+    assert np.max(np.abs(vac[k[0]] - preset.branch.sign * bethe[k[0]])) == report.max_residual
 
 
 @pytest.mark.parametrize("branch", [BRANCH_PLUS, BRANCH_MINUS], ids=["plus", "minus"])
 @pytest.mark.parametrize("preset_id", ["D-3d", "C-2d-P1"])
 def test_report_residuals_reduce_the_accepted_reference_draws(preset_id, branch):
     # both presets match on the + branch; on the - branch each residual is about
-    # 2|vac|, so the residuals of different draws, components and cutoffs differ
-    # by far more than the rounding bound
+    # 2|vac|, so the residuals of different draws and components differ by far
+    # more than the rounding bound
     preset = preset_by_id(preset_id)
-    cutoffs, sign = _cutoffs(preset), branch.sign
     report = verify_identity(preset, dims=(3, 4), samples=20, tol=1.0, seed=9, branch=branch)
-    by_cutoff, by_cutoff_bound, res, bound = [], [], [], []  # per accepted reference draw
+    res, bound = [], []  # per accepted reference draw
     for r in _accepted(_reference_draws(preset, (3, 4), 20, seed=9)):
-        vac, bethe = np.array(r["vac"]), np.array(r["bethe"])  # (dim,), (len(cutoffs), dim)
-        slack = _close_bound(*_vacuum_table_at(preset, r)) * np.abs(vac) + np.array(
-            [_close_bound(*_bethe_table_at(preset, r, c)) for c in cutoffs]) * np.abs(bethe)
-        by_cutoff.append(np.abs(vac - sign * bethe).max(axis=1))
-        by_cutoff_bound.append(slack.max(axis=1))
-        if len(cutoffs) == 1:
-            res.append(by_cutoff[-1][0])
-            bound.append(by_cutoff_bound[-1][0])
-            continue
-        # to first order the limit b3 - d^2 / den moves (1 + 2|d / den|)^2 times its inputs
-        b1, b2, b3 = bethe
-        q = np.abs((b3 - b2) / (b1 - 2 * b2 + b3))
-        res.append(np.abs(vac - sign * _extrapolate_geometric(bethe.T)).max())
-        bound.append(np.max(slack.max(axis=0) * (1 + 2 * q) ** 2))
+        vac, bethe = np.array(r["vac"]), np.array(r["bethe"])  # (dim,) each
+        slack = (_close_bound(*_vacuum_table_at(preset, r)) * np.abs(vac)
+                 + _close_bound(*_bethe_table_at(preset, r)) * np.abs(bethe))
+        res.append(np.abs(vac - branch.sign * bethe).max())
+        bound.append(slack.max())
     assert len(res) == 20
     assert abs(report.max_residual - max(res)) <= max(bound)
-    if len(cutoffs) == 1:
-        assert "residual_by_cutoff" not in report.notes
-        return
-    got = report.notes["residual_by_cutoff"]
-    assert list(got) == [str(t) for t in cutoffs]
-    want, tol = np.max(by_cutoff, axis=0), np.max(by_cutoff_bound, axis=0)
-    assert np.all(np.abs(np.array(list(got.values())) - want) <= tol)
+    assert list(report.notes) == ["draws"]
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -578,12 +559,13 @@ def test_unpaired_a_masses_are_refused():
     with pytest.raises(ValueError, match="N_f = N_f'"):
         map_gauge_to_chain(preset_by_id("A-3d"), spec)
     with pytest.raises(ValueError, match="N_f = N_f'"):
-        _dictionary(preset_by_id("A-3d"), np.array([[0.5, 0.1, 0.2, 0.15]] * 3), 2, (None,))
+        _dictionary(preset_by_id("A-3d"), np.array([[0.5, 0.1, 0.2, 0.15]] * 3), 2)
 
 
-def _one_site_at_a_time(preset, spec, cutoff):
+def _one_site_at_a_time(preset, spec):
     """The Bethe parameters of ``spec`` from the dictionary's formulas in Python
-    floats, one free site at a time: (eta, eta*s, theta, [xi_+, xi_-], 1)."""
+    floats, one free site at a time: (eta, eta*s, theta, [xi_+, xi_-], 1), the
+    boundary columns only for a finite boundary."""
     scale = preset.scale
     eta = spec.m_adj / scale
     if preset.family == "A":
@@ -596,33 +578,29 @@ def _one_site_at_a_time(preset, spec, cutoff):
     spins += [float(site.spin) for site in preset.fixed_sites]
     thetas += [float(site.theta) for site in preset.fixed_sites]
     params = [eta] + [eta * s for s in spins] + thetas
-    if preset.is_open:
-        params += [preset.xi_plus.value(eta, cutoff), preset.xi_minus.value(eta, cutoff)]
+    if preset.is_open and not preset.xi_plus.infinite:
+        params += [preset.xi_plus.value(eta), preset.xi_minus.value(eta)]
     return np.array(params + [1.0], dtype=complex)
 
 
 @pytest.mark.parametrize("preset", all_presets(), ids=lambda p: p.id)
 def test_stacked_columns_are_the_one_chain_map_bitwise(preset):
-    cutoffs = _cutoffs(preset)
     rng = np.random.default_rng(list(map(ord, preset.id)))
     for rank in (1, 2, 3):
         for nf in ((1, 2, 3) if preset.family == "A" else (2, 4, 6)):
             n_params = 1 + nf * (2 if preset.family == "A" else 1)
             params = preset.scale * np.column_stack(
                 (rng.uniform(0.09, 0.34, 6), rng.uniform(0.07, 0.43, (6, n_params - 1))))
-            cols = _dictionary(preset, params, nf, cutoffs)
-            stacked = _bethe_params(cols.eta[:, None], cols.spins[:, None], cols.thetas[:, None],
-                                    cols.xi)
-            assert stacked.shape[:2] == (6, len(cutoffs))
+            cols = _dictionary(preset, params, nf)
+            stacked_table, stacked = _bethe_rows(preset.chain_kind, rank, *cols)
+            assert stacked.shape[0] == 6
             for k, row in enumerate(params):
                 spec = GaugeTheorySpec(preset.family, rank, nf, row[1:nf + 1], row[0],
                                        masses_anti=row[nf + 1:] if preset.family == "A" else None)
-                for t, cutoff in enumerate(cutoffs):
-                    chain = map_gauge_to_chain(preset, spec, cutoff=cutoff)
-                    table, one = _bethe_system(chain)
-                    assert table is _bethe_table(preset.chain_kind, cols.spins.shape[1], rank)
-                    assert stacked[k, t].tobytes() == one.tobytes()
-                    assert one.tobytes() == _one_site_at_a_time(preset, spec, cutoff).tobytes()
+                table, one = _bethe_system(map_gauge_to_chain(preset, spec))
+                assert table is stacked_table
+                assert stacked[k].tobytes() == one.tobytes()
+                assert one.tobytes() == _one_site_at_a_time(preset, spec).tobytes()
 
 
 def _classify(values, is_open):
@@ -658,7 +636,7 @@ def test_root_mask_rejects_the_coincident_and_reflected_draws():
     # D-2d rank 3, seed 6 draws two sigma components 4.8e-9 apart
     preset = preset_by_id("D-2d")
     ref = _reference_draws(preset, (3, 4), 100, seed=6)
-    outcome, *_ = _verify_draws(preset, (3, 4), 100, 6, (None,))
+    outcome, *_ = _verify_draws(preset, (3, 4), 100, 6)
     assert [OUTCOMES[k] for k in outcome] == [r["outcome"] for r in ref]
     (invalid,) = [r for r in ref if r["outcome"] == "invalid_roots"]
     u = invalid["sigma"] / preset.scale
@@ -705,8 +683,7 @@ def test_gauge_chain_gauge_round_trips(preset, rank, pairs, data):
         anti = tuple(preset.scale * data.draw(unit) for _ in range(nf))
     spec = GaugeTheorySpec(preset.family, rank, nf, masses,
                            preset.scale * data.draw(st.floats(0.09, 0.34)), masses_anti=anti)
-    cutoff = data.draw(st.sampled_from(DEFAULT_CUTOFFS)) if preset.id == "D-3d" else None
-    back = map_chain_to_gauge(preset, map_gauge_to_chain(preset, spec, cutoff=cutoff))
+    back = map_chain_to_gauge(preset, map_gauge_to_chain(preset, spec))
     assert (back.family, back.rank, back.n_fund) == (spec.family, spec.rank, spec.n_fund)
 
     def close(got, want):
@@ -743,7 +720,7 @@ def _under_each_chunk(monkeypatch, run):
 @pytest.mark.parametrize("preset_id, rank, seed", [
     ("B-3d-P1", 2, 3),
     ("C-2d-P1", 3, 0),
-    ("D-3d", 2, 0),  # the residual at every cutoff
+    ("D-3d", 2, 0),  # the limit boundary
     ("A-3d", 2, 0),
 ])
 def test_verify_report_does_not_depend_on_the_chunk_size(monkeypatch, preset_id, rank, seed):

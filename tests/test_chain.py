@@ -1,5 +1,7 @@
 """Bethe equations, transfer-matrix oracle and eigenvector certification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +41,15 @@ OPEN_XXZ = ChainSpec(
 OPEN_XXX = ChainSpec(
     "open-xxx", 2, 1, 0.37, (0.5,) * 2, (0.05, -0.08), xi_plus=0.31, xi_minus=-0.22
 )
+#: the U_q(sl_2)-invariant boundary, the exact limit xi = (+i inf, -i inf)
+LIMIT = (complex(0, math.inf), complex(0, -math.inf))
+
+
+def _limit_chain(sites, magnons, xi=LIMIT):
+    """An open XXZ chain at one eta, with alternating inhomogeneities."""
+    thetas = tuple(0.03 * (-1) ** a * (a + 1) for a in range(sites))
+    return ChainSpec("open-xxz", sites, magnons, 0.27, (0.5,) * sites, thetas, *xi)
+
 
 # regression roots, found by the solver and certified against the dense oracle
 CLOSED_XXZ_ROOTS = (
@@ -87,12 +98,12 @@ def test_rtt_relation(chain):
     assert rtt_residual(chain, 0.23 + 0.11j, -0.41 + 0.07j) < 1e-12
 
 
-@pytest.mark.parametrize("chain", [CLOSED_XXZ, OPEN_XXZ, OPEN_XXX])
+@pytest.mark.parametrize("chain", [CLOSED_XXZ, OPEN_XXZ, OPEN_XXX, _limit_chain(4, 1)])
 def test_transfer_matrices_commute(chain):
     assert commutator_residual(chain, 0.23 + 0.11j, -0.41 + 0.07j) < 1e-10
 
 
-@pytest.mark.parametrize("chain", [OPEN_XXZ, OPEN_XXX])
+@pytest.mark.parametrize("chain", [OPEN_XXZ, OPEN_XXX, _limit_chain(3, 1)])
 def test_open_transfer_two_evaluation_paths_agree(chain):
     # the traced K_+(u + eta/2) and the A/D-tilde expansion must coincide
     for u in (0.1731, 0.29 + 0.13j, -0.37 + 0.05j):
@@ -480,6 +491,56 @@ def test_commutator_rejects_a_transfer_matrix_that_mixes_sectors(monkeypatch):
     monkeypatch.setattr(chain_module, "transfer_matrix", lambda chain, u: mixed)
     with pytest.raises(ValueError):
         commutator_residual(CLOSED_XXZ, 0.3, 0.6)
+
+
+# ---------------------------------------------------------------------------
+# the boundary at its limit xi = (+i inf, -i inf)
+# ---------------------------------------------------------------------------
+
+
+def test_a_non_finite_boundary_is_only_the_xxz_limit_pair():
+    for xi in (LIMIT, LIMIT[::-1], (complex("infj"), complex("-infj"))):
+        _limit_chain(2, 1, xi)
+    refused = [(LIMIT[0], 0.2), (0.2, LIMIT[1]), (complex("nan"), 0.2), (LIMIT[0], LIMIT[0]),
+               (complex(1, math.inf), LIMIT[1]), (complex(math.inf, 0), complex(-math.inf, 0))]
+    for xi in refused:
+        with pytest.raises(ValueError, match="non-finite boundary"):
+            _limit_chain(2, 1, xi)
+    with pytest.raises(ValueError, match="non-finite boundary"):
+        ChainSpec("open-xxx", 2, 1, 0.27, (0.5,) * 2, (0.0, 0.0), *LIMIT)
+
+
+#: the limit's Bethe states are its U_q(sl_2) highest-weight vectors, which
+#: need M <= L/2; past that, the root sets the solver finds give vanishing
+#: or uncertified states
+LIMIT_SHAPES = [(sites, m) for sites in range(3, 7) for m in range(1, 4) if 2 * m <= sites]
+
+
+@pytest.mark.parametrize("sites, magnons", LIMIT_SHAPES)
+def test_limit_root_sets_certify_and_fail_at_a_finite_boundary(sites, magnons):
+    chain, finite = _limit_chain(sites, magnons), _limit_chain(sites, magnons, (0.3, -0.2))
+    found = solve_bethe(chain, SolveConfig(n_starts=48, seed=sites + magnons))
+    assert len(found) >= 1
+    for roots in found:
+        assert certify_roots(chain, roots).residual <= 1e-8
+        _assert_same_certificate(chain, roots)
+        assert certify_roots(finite, roots).residual > 1e-4
+
+
+def _scalar_gap(t, ref):
+    """The relative gap of ref to its nearest multiple c t."""
+    return _relative_gap(np.vdot(t, ref) / np.vdot(t, t) * t, ref)
+
+
+@pytest.mark.parametrize("sites", [3, 5])
+def test_limit_transfer_matrix_is_the_far_boundary_one_up_to_a_scalar(sites):
+    # at xi = +-20i each boundary weight is its limit times a scalar, to a
+    # relative e^(-40 pi); this pins the sign of the limit, which the Bethe
+    # equations leave open: the reversed pair solves them too
+    u = 0.31 + 0.05j
+    far = transfer_matrix(_limit_chain(sites, 1, (20j, -20j)), u)
+    assert _scalar_gap(transfer_matrix(_limit_chain(sites, 1), u), far) <= 1e-14
+    assert _scalar_gap(transfer_matrix(_limit_chain(sites, 1, LIMIT[::-1]), u), far) > 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ def _chain(kind="closed-xxz", sites=3, magnons=1, eta=0.3, **boundary):
 
 
 CHAIN_FLAGS = ["--kind", "closed-xxz", "--sites", "3", "--magnons", "1"]
+OPEN_FLAGS = ["solve-bethe", "--kind", "open-xxz", "--sites", "4", "--magnons", "2", "--eta", "0.3"]
 
 
 @pytest.mark.parametrize("argv,build", [
@@ -85,7 +86,15 @@ CHAIN_FLAGS = ["--kind", "closed-xxz", "--sites", "3", "--magnons", "1"]
     (["bethe", "--kind", "closed-xxz", "--sites", "3", "--magnons", "2", "--eta", "0.3",
       "--u", "0.2,0.2"], lambda: BetheRoots((0.2, 0.2))),
     (["chain-oracle", "--kind", "closed-xxz", "--eta", "0"], lambda: _chain(eta=0.0)),
-], ids=["open-without-xi", "integer-eta", "xi-on-closed", "coincident-u", "oracle-eta-zero"])
+    (OPEN_FLAGS + ["--xi-plus=infj", "--xi-minus", "0.2"],
+     lambda: _chain("open-xxz", 4, 2, xi_plus=complex("infj"), xi_minus=0.2)),
+    (OPEN_FLAGS + ["--xi-plus=nan", "--xi-minus=-infj"],
+     lambda: _chain("open-xxz", 4, 2, xi_plus=complex("nan"), xi_minus=complex("-infj"))),
+    (["solve-bethe", "--kind", "open-xxx", "--sites", "4", "--magnons", "2", "--eta", "0.3",
+      "--xi-plus=infj", "--xi-minus=-infj"],
+     lambda: _chain("open-xxx", 4, 2, xi_plus=complex("infj"), xi_minus=complex("-infj"))),
+], ids=["open-without-xi", "integer-eta", "xi-on-closed", "coincident-u", "oracle-eta-zero",
+        "lone-infinite-xi", "nan-xi", "infinite-xi-on-xxx"])
 def test_exit_two_with_the_message_of_the_library_input_it_refuses(capsys, argv, build):
     # the CLI prints the library's own statement of the rule, not a copy of it
     assert "error: %s\n" % _refusal(build) in _usage_error(capsys, argv)
@@ -338,6 +347,18 @@ def test_solve_bethe_reports_root_sets(capsys):
     assert code == 0
     assert len(doc["root_sets"]) == 3
     assert all(rs["max_residual"] < 1e-10 for rs in doc["root_sets"])
+
+
+def test_the_limit_boundary_solves_and_evaluates(capsys):
+    # xi = (+i inf, -i inf) is a boundary the chain takes, not a NaN
+    code, doc = _json_doc(capsys, OPEN_FLAGS + ["--xi-plus=infj", "--xi-minus=-infj"])
+    assert code == 0
+    assert doc["root_sets"] and all(rs["max_residual"] < 1e-10 for rs in doc["root_sets"])
+    code, doc = _json_doc(capsys, ["bethe", "--kind", "open-xxz", "--sites", "4", "--magnons",
+                                   "1", "--eta", "0.3", "--xi-plus=-infj", "--xi-minus=infj",
+                                   "--u", "0.2+0.1j"])
+    assert code == 0
+    assert all(np.isfinite(r) for r in doc["residuals"])
 
 
 def test_solve_vacuum_finds_anchor(capsys):

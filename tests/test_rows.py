@@ -251,7 +251,8 @@ def _table_and_stack(draw, points=("complex", "real", "mixed")):
                               draw(st.sampled_from(["root", "full"])))
     else:
         kind = draw(st.sampled_from(["closed-xxz", "open-xxz", "closed-xxx", "open-xxx"]))
-        table = _bethe_table(kind, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        table = _bethe_table(kind, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                             kind.startswith("open"))
     cols = table.coeffs.shape[1] - 1
     size = draw(st.integers(1, 4))
     re = draw(st.lists(st.lists(_coordinate, min_size=cols, max_size=cols),
@@ -417,9 +418,9 @@ def _log_sum_reference(table, f):
     return (table.power.real * np.log(f)) @ table.by_eq.T
 
 
-@pytest.mark.parametrize("table", [_bethe_table("open-xxz", 3, 2),
+@pytest.mark.parametrize("table", [_bethe_table("open-xxz", 3, 2, True),
                                    _vacuum_table("B", 3, 2, 0, "II", "root"),
-                                   _bethe_table("open-xxx", 3, 2)],
+                                   _bethe_table("open-xxx", 3, 2, True)],
                          ids=["open-xxz", "B3", "open-xxx"])
 def test_log_sum_is_the_principal_complex_log(table):
     # the kernel's log sums and f'/f against numpy's complex sin, log and cos

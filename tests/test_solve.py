@@ -851,7 +851,7 @@ def test_solve_vacuum_keeps_the_residual_that_accepted_each_solution(regime):
 
 
 def _mapped_residual_one_by_one(spec, preset):
-    chain = map_gauge_to_chain(preset, spec, cutoff=20.0)
+    chain = map_gauge_to_chain(preset, spec)
     worst = 0.0
     for roots in solve_bethe(chain, CFG):
         sigma = np.array(roots.values) * preset.scale
