@@ -109,7 +109,6 @@ class DictionaryPreset:
     id: str
     family: str
     regime: str  # "3d" | "2d"
-    chain_kind: str
     xi_plus: Optional[XiExpr]
     xi_minus: Optional[XiExpr]
     fixed_sites: Tuple[FixedSite, ...]
@@ -131,8 +130,14 @@ class DictionaryPreset:
         return REGIME_SCALE[self.regime]
 
     @property
+    def chain_kind(self) -> str:
+        """Closed for family A and open otherwise; XXZ in 3d, XXX in 2d."""
+        return "%s-%s" % ("closed" if self.family == "A" else "open",
+                          "xxz" if self.regime == "3d" else "xxx")
+
+    @property
     def is_open(self) -> bool:
-        return self.chain_kind.startswith("open")
+        return self.family != "A"
 
 
 def _xi(const=0, coeff=0, infinite=0) -> XiExpr:
@@ -144,58 +149,26 @@ def _fixed(*thetas) -> Tuple[FixedSite, ...]:
 
 
 def _build_catalog() -> Tuple[DictionaryPreset, ...]:
-    out = [
-        DictionaryPreset("A-3d", "A", "3d", "closed-xxz", None, None, (), BRANCH_PLUS),
-        DictionaryPreset(
-            "B-3d-P1", "B", "3d", "open-xxz",
-            _xi(_HALF, -_HALF), _xi(_HALF, -_HALF), _fixed(0, 0), BRANCH_PLUS,
-        ),
-        DictionaryPreset(
-            "B-3d-P2", "B", "3d", "open-xxz",
-            _xi(0, -_HALF), _xi(0, -_HALF), _fixed(_HALF, _HALF), BRANCH_PLUS,
-        ),
-        DictionaryPreset(
-            "B-3d-P3", "B", "3d", "open-xxz",
-            _xi(0, _HALF), _xi(0, _HALF), _fixed(0, 0, _HALF, _HALF), BRANCH_PLUS,
-        ),
-        DictionaryPreset(
-            "B-3d-P4", "B", "3d", "open-xxz",
-            _xi(0, -_HALF), _xi(0, _HALF), _fixed(0, _HALF, _HALF), BRANCH_PLUS,
-        ),
-        DictionaryPreset(
-            "B-3d-P5", "B", "3d", "open-xxz",
-            _xi(_HALF, -_HALF), _xi(0, _HALF), _fixed(_HALF, 0, 0), BRANCH_MINUS,
-        ),
-        DictionaryPreset(
-            "C-3d-P1", "C", "3d", "open-xxz",
-            _xi(0, _HALF), _xi(0, 0), (), BRANCH_PLUS,
-        ),
-        DictionaryPreset(
-            "C-3d-P2", "C", "3d", "open-xxz",
-            _xi(0, 0), _xi(0, _HALF), (), BRANCH_PLUS,
-        ),
-        DictionaryPreset(
-            "D-3d", "D", "3d", "open-xxz",
-            _xi(infinite=+1), _xi(infinite=-1), (), BRANCH_PLUS,
-        ),
-        DictionaryPreset(
-            "B-2d", "B", "2d", "open-xxx",
-            _xi(0, -_HALF), _xi(0, -_HALF), (), BRANCH_PLUS,
-        ),
-        DictionaryPreset(
-            "C-2d-P1", "C", "2d", "open-xxx",
-            _xi(0, _HALF), _xi(0, 0), (), BRANCH_PLUS,
-        ),
-        DictionaryPreset(
-            "C-2d-P2", "C", "2d", "open-xxx",
-            _xi(0, 0), _xi(0, _HALF), (), BRANCH_PLUS,
-        ),
-        DictionaryPreset(
-            "D-2d", "D", "2d", "open-xxx",
-            _xi(0, _HALF), _xi(0, _HALF), (), BRANCH_PLUS,
-        ),
-    ]
-    return tuple(out)
+    return (
+        DictionaryPreset("A-3d", "A", "3d", None, None, (), BRANCH_PLUS),
+        DictionaryPreset("B-3d-P1", "B", "3d", _xi(_HALF, -_HALF), _xi(_HALF, -_HALF),
+                         _fixed(0, 0), BRANCH_PLUS),
+        DictionaryPreset("B-3d-P2", "B", "3d", _xi(0, -_HALF), _xi(0, -_HALF),
+                         _fixed(_HALF, _HALF), BRANCH_PLUS),
+        DictionaryPreset("B-3d-P3", "B", "3d", _xi(0, _HALF), _xi(0, _HALF),
+                         _fixed(0, 0, _HALF, _HALF), BRANCH_PLUS),
+        DictionaryPreset("B-3d-P4", "B", "3d", _xi(0, -_HALF), _xi(0, _HALF),
+                         _fixed(0, _HALF, _HALF), BRANCH_PLUS),
+        DictionaryPreset("B-3d-P5", "B", "3d", _xi(_HALF, -_HALF), _xi(0, _HALF),
+                         _fixed(_HALF, 0, 0), BRANCH_MINUS),
+        DictionaryPreset("C-3d-P1", "C", "3d", _xi(0, _HALF), _xi(0, 0), (), BRANCH_PLUS),
+        DictionaryPreset("C-3d-P2", "C", "3d", _xi(0, 0), _xi(0, _HALF), (), BRANCH_PLUS),
+        DictionaryPreset("D-3d", "D", "3d", _xi(infinite=+1), _xi(infinite=-1), (), BRANCH_PLUS),
+        DictionaryPreset("B-2d", "B", "2d", _xi(0, -_HALF), _xi(0, -_HALF), (), BRANCH_PLUS),
+        DictionaryPreset("C-2d-P1", "C", "2d", _xi(0, _HALF), _xi(0, 0), (), BRANCH_PLUS),
+        DictionaryPreset("C-2d-P2", "C", "2d", _xi(0, 0), _xi(0, _HALF), (), BRANCH_PLUS),
+        DictionaryPreset("D-2d", "D", "2d", _xi(0, _HALF), _xi(0, _HALF), (), BRANCH_PLUS),
+    )
 
 
 _CATALOG = _build_catalog()
@@ -534,17 +507,16 @@ def _calibrate(family: str, regime: str, samples: int, seed: int
     if not base:
         raise ValueError("no preset to calibrate from for family %s in regime %s"
                          % (family, regime))
-    kind = base[0].chain_kind
     best: Optional[Tuple[DictionaryPreset, VerificationReport]] = None
     refused: Dict[str, int] = {}
     trials = 0
     for xi_p, xi_m in dict.fromkeys((p.xi_plus, p.xi_minus) for p in base):
         for count in (0, 2, 3, 4):
-            if kind.startswith("closed") and count:
+            if count and not base[0].is_open:
                 continue
             for pattern in combinations_with_replacement((Fraction(0), _HALF), count):
                 for br in (BRANCH_PLUS, BRANCH_MINUS):
-                    trial = DictionaryPreset("%s-%s-cal" % (family, regime), family, regime, kind,
+                    trial = DictionaryPreset("%s-%s-cal" % (family, regime), family, regime,
                                              xi_p, xi_m, tuple(FixedSite(t) for t in pattern), br)
                     trials += 1
                     try:

@@ -182,9 +182,9 @@ def validate_roots(chain: ChainSpec, roots: BetheRoots) -> None:
 
 @lru_cache(maxsize=None)
 def _bethe_table(kind: str, n_sites: int, n_magnons: int, boundary: bool) -> RowTable:
-    """Rows of every Bethe equation of one shape.
+    """The ratios of every Bethe equation of one shape, as one row table.
 
-    Columns are u || (eta, eta*s_a, theta_a, [xi_+, xi_-]) || 1, the boundary
+    Columns are u || (eta, eta*s_a, theta_a, [xi_+, xi_-]), the boundary
     ones only with ``boundary``.  Trig kinds use sin(pi x); the sin(pi eta)
     normalizations cancel in every ratio, so the bracket denominator is
     dropped here.
@@ -192,38 +192,33 @@ def _bethe_table(kind: str, n_sites: int, n_magnons: int, boundary: bool) -> Row
     is_open = kind.startswith("open")
     m, L = n_magnons, n_sites
     eta, spin, theta, xi = m, m + 1, m + 1 + L, m + 1 + 2 * L
-    rows: List = []
-
-    def ratio(i, num, den):
-        rows.append((i, 1, num, 0.0))
-        rows.append((i, -1, den, 0.0))
-
+    ratios: List = []  # (equation, power, numerator, denominator)
     for i in range(n_magnons):
         for a in range(n_sites):
             up = {eta: 0.5, spin + a: 1, theta + a: -1}  # eta/2 + eta*s - theta
             dn = {eta: 0.5, spin + a: -1, theta + a: -1}  # eta/2 - eta*s - theta
             if is_open:
-                ratio(i, {**up, i: 1}, {**up, i: -1})
-                ratio(i, {**dn, i: -1}, {**dn, i: 1})
+                ratios.append((i, 1, {**up, i: 1}, {**up, i: -1}))
+                ratios.append((i, 1, {**dn, i: -1}, {**dn, i: 1}))
             else:
-                ratio(i, {**up, i: 1}, {**dn, i: 1})
+                ratios.append((i, 1, {**up, i: 1}, {**dn, i: 1}))
         if boundary:
             for b in (xi, xi + 1):
-                ratio(i, {i: 1, eta: -0.5, b: 1}, {i: 1, eta: 0.5, b: -1})
+                ratios.append((i, 1, {i: 1, eta: -0.5, b: 1}, {i: 1, eta: 0.5, b: -1}))
         for j in range(n_magnons):
             if j != i:
                 if is_open:
-                    ratio(i, {i: 1, j: 1, eta: -1}, {i: 1, j: 1, eta: 1})
-                ratio(i, {i: 1, j: -1, eta: -1}, {i: 1, j: -1, eta: 1})
+                    ratios.append((i, 1, {i: 1, j: 1, eta: -1}, {i: 1, j: 1, eta: 1}))
+                ratios.append((i, 1, {i: 1, j: -1, eta: -1}, {i: 1, j: -1, eta: 1}))
     kind_f = "sin_pi" if kind.endswith("xxz") else "linear"
     n_params = 1 + 2 * n_sites + (2 if boundary else 0)
-    return RowTable(kind_f, n_magnons, n_magnons, n_params, rows, "denominator", DENOM_TOL)
+    return RowTable(kind_f, n_magnons, n_magnons, n_params, ratios, "denominator", DENOM_TOL)
 
 
 def _bethe_rows(kind: str, n_magnons: int, eta, spins, thetas,
                 xi) -> Tuple[RowTable, np.ndarray]:
     """The Bethe row table of one chain, or of a stack of chains of one shape,
-    and its parameter columns (eta, eta*s_a, theta_a, [xi_+, xi_-], 1):
+    and its parameter columns (eta, eta*s_a, theta_a, [xi_+, xi_-]):
     ``eta`` (...), ``spins`` and ``thetas`` (..., L) and ``xi`` (..., 2), None
     on closed chains, broadcast against each other over the leading axes.
 
@@ -238,13 +233,12 @@ def _bethe_rows(kind: str, n_magnons: int, eta, spins, thetas,
     n = spins.shape[-1]
     lead = np.broadcast_shapes(eta.shape, spins.shape[:-1], np.shape(thetas)[:-1],
                                np.shape(xi)[:-1])  # np.shape(None) is ()
-    out = np.empty(lead + (2 + 2 * n + (0 if xi is None else 2),), dtype=complex)
+    out = np.empty(lead + (1 + 2 * n + (0 if xi is None else 2),), dtype=complex)
     out[..., 0] = eta
     out[..., 1:1 + n] = eta[..., None] * spins
     out[..., 1 + n:1 + 2 * n] = thetas
     if xi is not None:
-        out[..., 1 + 2 * n:-1] = xi
-    out[..., -1] = 1.0
+        out[..., 1 + 2 * n:] = xi
     return _bethe_table(kind, n, n_magnons, xi is not None), out
 
 

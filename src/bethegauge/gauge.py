@@ -48,6 +48,8 @@ SINGULAR_TOL = 1e-6
 #: unit of sigma and of the masses in each regime: the trigonometric ("3d")
 #: products have period pi, the rational ("2d") limit has no period
 REGIME_SCALE = {"3d": math.pi, "2d": 1.0}
+#: the vacuum form each regime evaluates (see :func:`_vacuum_table`)
+REGIME_FORM = {"3d": "root", "2d": "rational"}
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ def vacuum_from_gradient(spec: GaugeTheorySpec, sigma: Sequence[float]) -> np.nd
 @lru_cache(maxsize=None)
 def _vacuum_table(family: str, rank: int, n_f: int, n_anti: int, realization: str,
                   form: str) -> RowTable:
-    """Rows of every vacuum equation of one shape.
+    """The ratios of every vacuum equation of one shape, as one row table.
 
     ``form`` is "root" (the square-rooted products), "full" (the
     unsquare-rooted ones) or "rational" (the two-dimensional limit: the
@@ -234,7 +236,7 @@ def _vacuum_table(family: str, rank: int, n_f: int, n_anti: int, realization: st
     come first: A's weights e_j, realization II's +-e_j; realization I's
     split into fundamental and anti-fundamental halves, so its full form is
     not the square of its (paired) root form.  Columns are
-    sigma || (m_adj, masses, masses_anti) || 1.
+    sigma || (m_adj, masses, masses_anti).
     """
     if form == "rational" and family not in CLASSICAL:
         raise ValueError("the rational limit is implemented for the classical families")
@@ -246,36 +248,32 @@ def _vacuum_table(family: str, rank: int, n_f: int, n_anti: int, realization: st
     h = 2 if all(e % 2 == 0 for _, _, exps in roots for e in exps) else 1
     adj, fund, anti = rank, rank + 1, rank + 1 + n_f
     p = 2 if form == "full" else 1
-    rows: List = []
-
-    def ratio(j, power, num, den):
-        rows.append((j, power, num, 0.0))
-        rows.append((j, -power, den, 0.0))
-
+    ratios: List = []  # (equation, power, numerator, denominator)
     for j in range(rank):
         if family == "A":
             for i in range(n_f):
-                ratio(j, p, {j: 1, anti + i: -1}, {j: 1, fund + i: 1})
+                ratios.append((j, p, {j: 1, anti + i: -1}, {j: 1, fund + i: 1}))
         elif realization == "II":  # the weights +-e_j, exponent 2
             for i in range(n_f):
-                ratio(j, 2 * p // h, {j: 1, fund + i: -1}, {j: -1, fund + i: -1})
+                ratios.append((j, 2 * p // h, {j: 1, fund + i: -1}, {j: -1, fund + i: -1}))
         elif form == "full":
             for col in range(fund, fund + n_f + n_anti):
-                ratio(j, 1, {j: 1, col: -1}, {j: -1, col: -1})
+                ratios.append((j, 1, {j: 1, col: -1}, {j: -1, col: -1}))
         else:  # paired square root, exact only on the equal-mass locus
             for i in range(n_f):
-                ratio(j, 1, {j: 1, anti + i: -1}, {j: -1, fund + i: -1})
+                ratios.append((j, 1, {j: 1, anti + i: -1}, {j: -1, fund + i: -1}))
         for alpha, c, exps in roots:
             if exps[j] > 0:
                 arg = {k: 0.5 * c * a for k, a in enumerate(alpha) if a}
-                ratio(j, p * exps[j] // h, {**arg, adj: -0.5 * c}, {**arg, adj: 0.5 * c})
+                ratios.append((j, p * exps[j] // h,
+                               {**arg, adj: -0.5 * c}, {**arg, adj: 0.5 * c}))
     kind = "linear" if form == "rational" else "sin"
-    return RowTable(kind, rank, rank, 1 + n_f + n_anti, rows, "zero_set", SINGULAR_TOL)
+    return RowTable(kind, rank, rank, 1 + n_f + n_anti, ratios, "zero_set", SINGULAR_TOL)
 
 
 def _vacuum_system(spec: GaugeTheorySpec, form: str) -> Tuple[RowTable, np.ndarray]:
     """The vacuum row table of ``spec`` and its parameter vector."""
-    return _vacuum_table(*spec.table_key, form), np.array(spec.params + (1.0,), dtype=complex)
+    return _vacuum_table(*spec.table_key, form), np.array(spec.params, dtype=complex)
 
 
 def _vacuum_value(spec: GaugeTheorySpec, sigma: Sequence[float], j: int, form: str) -> complex:
@@ -324,11 +322,12 @@ def _vacuum_lhs_values(spec: GaugeTheorySpec, sigma: Sequence[float],
                        regime: str) -> List[complex]:
     """Every vacuum equation's left-hand side at sigma in ``regime``.
 
-    The trigonometric regime "3d" evaluates :func:`vacuum_lhs`, the rational
-    regime "2d" :func:`vacuum_lhs_2d`.  Calling the public evaluators per
-    equation keeps each call visible to wrappers installed on them.
+    Each regime evaluates its :data:`REGIME_FORM`: the root form
+    :func:`vacuum_lhs` in "3d", the rational :func:`vacuum_lhs_2d` in "2d".
+    Calling the public evaluators per equation keeps each call visible to
+    wrappers installed on them.
     """
-    lhs = {"3d": vacuum_lhs, "2d": vacuum_lhs_2d}[regime]
+    lhs = {"root": vacuum_lhs, "rational": vacuum_lhs_2d}[REGIME_FORM[regime]]
     return [lhs(spec, sigma, j) for j in range(spec.dim)]
 
 
@@ -344,11 +343,11 @@ def _vacuum_stack(spec: GaugeTheorySpec, form: str, sigma: np.ndarray,
     """
     table, own = _vacuum_system(spec, form)
     if params is None:
-        params = np.broadcast_to(own[:-1], (len(sigma), len(own) - 1))
-    return table.products(np.concatenate((sigma, params, np.ones((len(sigma), 1))), axis=1))
+        params = np.broadcast_to(own, (len(sigma), len(own)))
+    return table.products(np.concatenate((sigma, params), axis=1))
 
 
 def _vacuum_lhs_stack(spec: GaugeTheorySpec, regime: str, sigma: np.ndarray,
                       params: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`_vacuum_lhs_values` at a stack of points, as :func:`_vacuum_stack` gives it."""
-    return _vacuum_stack(spec, {"3d": "root", "2d": "rational"}[regime], sigma, params)
+    return _vacuum_stack(spec, REGIME_FORM[regime], sigma, params)

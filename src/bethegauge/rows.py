@@ -1,16 +1,19 @@
 """Equation systems as row tables, and the one evaluator both sides share.
 
-Every vacuum equation and every Bethe equation is a product of factors
+Every vacuum equation and every Bethe equation is a product of ratios
 
-    prod_r f(c_r . (x || p) + shift_r) ** power_r
+    prod_k (f(n_k . x) / f(d_k . x)) ** power_k
 
-over the rows r of that equation: x are the unknowns (Coulomb parameters
-sigma or Bethe roots u), p the parameters (masses, m_adj, eta, spins,
-inhomogeneities, boundary parameters), c_r a rational coefficient vector
-and f one of sin, sin(pi .) or the identity (the rational limit).  ``gauge``
-builds the vacuum rows from root data and ``chain`` the Bethe rows from
-chain data; a table depends only on the shape of its system, never on the
-values of the parameters.
+over the ratios k of that equation: x = unknowns || parameters is a point,
+the unknowns being Coulomb parameters sigma or Bethe roots u and the
+parameters masses, m_adj, eta, spins, inhomogeneities or boundary
+parameters; n_k and d_k are rational coefficient vectors and f one of sin,
+sin(pi .) or the identity (the rational limit).  A table stores ratio k as
+two rows, 2k its numerator at +power_k and 2k + 1 its denominator at
+-power_k, and equation j's rows are the one range offsets[j]:offsets[j+1].
+``gauge`` builds the vacuum ratios from root data and ``chain`` the Bethe
+ratios from chain data; a table depends only on the shape of its system,
+never on the values of the parameters.
 
 :meth:`RowTable.product` evaluates one equation's rows at one point, for
 the public per-equation evaluators.  Everything else works on stacks of
@@ -53,13 +56,14 @@ takes, after its step test, and like the log sums they come back as new
 arrays.
 
 A point of a stack whose row arguments are all real takes real arithmetic
-in :meth:`RowTable.products`: real sin (or the argument), integer powers
-by binary powering and one reciprocal for a negative power, and each
-equation's product as a sequential product over its rows.  These are the
-operations numpy's complex sin, power and product make on a zero imaginary
-part, so the values equal the complex path's wherever real and complex sin
-agree.  The choice is made point by point, never per stack, so that a
-point's values never depend on the other points of its stack.
+in :meth:`RowTable.products`: real sin (or the argument), and integer
+powers by binary powering and one reciprocal for a negative power, the
+operations numpy's complex sin and power make on a zero imaginary part.
+Both arithmetics then take each equation's product by one ordered
+reduction over its rows, so the values equal the complex path's wherever
+real and complex sin agree.  The choice is made point by point, never per
+stack, so that a point's values never depend on the other points of its
+stack.
 :meth:`RowTable.product` keeps complex sin, power and product at every
 point: it is the reference the stacked path is tested against.
 
@@ -80,61 +84,67 @@ import numpy as np
 
 from .specfun import SingularPointError
 
-#: one row: (equation index, power, {column: coefficient}, shift)
-Row = Tuple[int, int, Dict[int, float], float]
+#: one ratio: (equation index, power, {column: numerator coefficient},
+#: {column: denominator coefficient})
+Ratio = Tuple[int, int, Dict[int, float], Dict[int, float]]
 
 
 class RowTable:
     """The rows of one equation system; one factor kind per table.
 
-    A point is x = unknowns || parameters || 1: the last column carries the
-    shifts.  sin(pi .) rows store pi * c, so every trig table evaluates sin.
-    The singular guard belongs to the side that built the table:
-    ``"zero_set"`` rejects any argument within ``guard_tol`` of the zero set
-    of f (sin: pi*Z in the complex plane, linear: 0); ``"denominator"``
-    rejects any factor of negative power with |f| < ``guard_tol``.
+    Built from the system's ratios, each stored as two rows: the numerator
+    at +power, then the denominator at -power.  A point is x = unknowns ||
+    parameters, and equation j's rows are offsets[j]:offsets[j+1].
+    sin(pi .) rows store pi * c, so every trig table evaluates sin.  The
+    singular guard belongs to the side that built the table: ``"zero_set"``
+    rejects any argument within ``guard_tol`` of the zero set of f (sin:
+    pi*Z in the complex plane, linear: 0); ``"denominator"`` rejects any
+    factor of negative power with |f| < ``guard_tol``.
     """
 
     def __init__(self, kind: str, n_eq: int, n_unknowns: int, n_params: int,
-                 rows: Iterable[Row], guard: str, guard_tol: float) -> None:
-        rows = list(rows)
+                 ratios: Iterable[Ratio], guard: str, guard_tol: float) -> None:
+        ratios = list(ratios)
         self.kind, self.n_unknowns = kind, n_unknowns
         self.guard, self.guard_tol = guard, guard_tol
         self.scale = math.pi if kind == "sin_pi" else 1.0
-        self.coeffs = np.zeros((len(rows), n_unknowns + n_params + 1), dtype=complex)
-        for k, (_, _, coeffs, shift) in enumerate(rows):
-            for col, c in coeffs.items():
-                self.coeffs[k, col] = c
-            self.coeffs[k, -1] = shift
+        self.coeffs = np.zeros((2 * len(ratios), n_unknowns + n_params), dtype=complex)
+        for k, (_, _, num, den) in enumerate(ratios):
+            for row, coeffs in ((2 * k, num), (2 * k + 1, den)):
+                for col, c in coeffs.items():
+                    self.coeffs[row, col] = c
         self.coeffs *= self.scale
-        self.power = np.array([r[1] for r in rows], dtype=complex)
+        self.power = np.array([sign * r[1] for r in ratios for sign in (1, -1)], dtype=complex)
         if np.any(self.coeffs.imag) or np.any(self.power.imag):
-            raise ValueError("row coefficients, shifts and powers must be real")
+            raise ValueError("ratio coefficients and powers must be real")
         n = self.power.real  # numpy's complex power multiplies out integers below 100
         if np.any((n != np.rint(n)) | (n == 0) | (np.abs(n) >= 100)):
             raise ValueError("powers must be non-zero integers below 100 in magnitude")
-        eq = np.array([r[0] for r in rows], dtype=int)
-        if np.any(np.diff(eq) < 0):
-            raise ValueError("rows must come equation by equation")
-        self.by_eq = (eq == np.arange(n_eq)[:, None]).astype(float)
-        self.rows_of = tuple(np.flatnonzero(e) for e in self.by_eq)
-        self.guarded = np.flatnonzero(self.power.real < 0) if guard == "denominator" else slice(None)
-        # per equation, for product: its own rows' coefficients, powers and guarded rows
-        self._equations = tuple(
-            (self.coeffs[r], self.power[r],
-             np.flatnonzero(self.power[r].real < 0) if guard == "denominator" else slice(None))
-            for r in self.rows_of)
-        # for the real path: the rows raised to each |power| > 1, the inverted
-        # rows, and the equations that have rows, with the first row of each
+        eq = np.array([r[0] for r in ratios], dtype=int)
+        if np.any(np.diff(eq) < 0) or np.any((eq < 0) | (eq >= n_eq)):
+            raise ValueError("ratios must come equation by equation, each of one of the "
+                             "%d equations" % n_eq)
+        self.offsets = 2 * np.searchsorted(eq, np.arange(n_eq + 1))
+        self.by_eq = np.repeat(np.eye(n_eq), np.diff(self.offsets), axis=1)
+        self.guarded = self._guarded(self.power)
+        # for the real path: the rows raised to each |power| > 1 and the inverted rows;
+        # for the reduction: the equations that have rows
         self._raised = tuple((k, np.flatnonzero(np.abs(n) == k))
                              for k in sorted({int(abs(p)) for p in n}) if k > 1)
         self._inverted = np.flatnonzero(n < 0)
-        self._filled = np.flatnonzero(np.bincount(eq, minlength=n_eq))
-        self._starts = np.searchsorted(eq, self._filled)
+        self._filled = np.flatnonzero(np.diff(self.offsets))
 
     @property
     def n_rows(self) -> int:
         return len(self.power)
+
+    @property
+    def n_eq(self) -> int:
+        return len(self.offsets) - 1
+
+    def _guarded(self, power: np.ndarray):
+        """The rows of ``power`` the guard reads: those of negative power, or all."""
+        return np.flatnonzero(power.real < 0) if self.guard == "denominator" else slice(None)
 
     # The real matrices of stacked evaluation, each as kron(m, identity(2)) (the
     # log sums halve the real part): a complex stack times a real matrix is
@@ -157,7 +167,7 @@ class RowTable:
         """(R, n_eq * n): the solver's Jacobian rows, power times C^T per equation."""
         jac = (self.power.real[:, None] * self.by_eq.T)[:, :, None] \
             * self.coeffs.real[:, None, : self.n_unknowns]
-        return np.kron(jac.reshape(self.n_rows, len(self.by_eq) * self.n_unknowns), np.eye(2))
+        return np.kron(jac.reshape(self.n_rows, self.n_eq * self.n_unknowns), np.eye(2))
 
     def arguments(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The row arguments (S, R) at a stack x (S, cols), into ``out`` if given."""
@@ -193,9 +203,10 @@ class RowTable:
 
     def product(self, x: np.ndarray, j: int) -> complex:
         """Equation j's guarded product, over its rows in order, at the point x."""
-        coeffs, power, guarded = self._equations[j]
-        a = coeffs.dot(x)
+        rows = slice(self.offsets[j], self.offsets[j + 1])
+        a, power = self.coeffs[rows].dot(x), self.power[rows]
         f = a if self.kind == "linear" else np.sin(a)
+        guarded = self._guarded(power)
         hit = self._singular(a, f, guarded)
         if hit.any():
             raise SingularPointError("singular factor at argument %r (%s guard, tol %g)"
@@ -212,10 +223,9 @@ class RowTable:
         points whose arguments are all real are evaluated together in real
         arithmetic, the others together in complex arithmetic.  A point's
         values do not depend on the other points of its stack: a one-point
-        stack, or a lone point of either kind, is evaluated as two copies of
-        the point, since numpy takes a single row through other kernels
-        (BLAS matrix-vector for the arguments, a scalar loop for the complex
-        products) that round differently.
+        stack is evaluated as two copies of the point, since numpy takes a
+        single row's arguments through another kernel (BLAS matrix-vector)
+        that rounds differently.
         """
         if len(x) == 1:
             values, singular = self.products(np.concatenate((x, x)))
@@ -223,46 +233,35 @@ class RowTable:
         parts = self._parts(x)
         if len(parts) == 1:
             return self._stack_products(parts[0][1])
-        values = np.empty((len(x), len(self.rows_of)), dtype=complex)
+        values = np.empty((len(x), self.n_eq), dtype=complex)
         singular = np.empty(len(x), dtype=bool)
         for at, args in parts:
-            if len(at) == 1:  # a lone point goes as two copies, as a one-point stack does
-                args = np.concatenate((args, args))
-            v, hit = self._stack_products(args)
-            values[at], singular[at] = v[: len(at)], hit[: len(at)]
+            values[at], singular[at] = self._stack_products(args)
         return values, singular
 
     def _stack_products(self, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`products` from the row arguments a (S, R), S >= 2, in a's own arithmetic."""
+        """:meth:`products` from the row arguments a (S, R), in a's own arithmetic.
+
+        Complex factors are raised as f ** power.  Real ones take the
+        operations numpy's complex power makes on a zero imaginary part: it
+        raises to an integer power below 100 by binary powering and one
+        reciprocal for a negative power.  Then one ordered reduction
+        multiplies each equation's rows, in row order, in either arithmetic.
+        """
         f = a if self.kind == "linear" else np.sin(a)
         with np.errstate(all="ignore"):  # a factor at a zero, masked as singular
-            values = self._complex_products(f) if np.iscomplexobj(f) else self._real_products(f)
+            if np.iscomplexobj(f):
+                fp = f ** self.power
+            else:
+                fp = f.copy()
+                for k, rows in self._raised:
+                    fp[:, rows] = _integer_power(f[:, rows], k)
+                fp[:, self._inverted] = 1.0 / fp[:, self._inverted]
+            values = np.ones((len(f), self.n_eq), dtype=complex)  # 1 where an equation has no rows
+            if len(self._filled):
+                values[:, self._filled] = np.multiply.reduceat(
+                    fp, self.offsets[self._filled], axis=1)
         return values, self._singular(a, f, self.guarded).any(axis=1)
-
-    def _complex_products(self, f: np.ndarray) -> np.ndarray:
-        """Each equation's product (S, n_eq) of complex factor values f (S, R)."""
-        fp = f ** self.power
-        values = np.ones((len(f), len(self.rows_of)), dtype=complex)  # (S, 0) without equations
-        for j, rows in enumerate(self.rows_of):
-            values[:, j] = fp[:, rows].prod(axis=1)
-        return values
-
-    def _real_products(self, f: np.ndarray) -> np.ndarray:
-        """Each equation's product (S, n_eq), as complex numbers, of real factor values f (S, R).
-
-        The operations of :meth:`_complex_products` on a zero imaginary
-        part: numpy raises a complex number to an integer power below 100
-        by binary powering and one reciprocal for a negative power, and
-        multiplies an equation's rows in row order.
-        """
-        fp = f.copy()
-        for k, rows in self._raised:
-            fp[:, rows] = _integer_power(f[:, rows], k)
-        fp[:, self._inverted] = 1.0 / fp[:, self._inverted]
-        values = np.ones((len(f), len(self.rows_of)), dtype=complex)
-        if len(self._filled):
-            values[:, self._filled] = np.multiply.reduceat(fp, self._starts, axis=1)
-        return values
 
     def log_terms(self, a: np.ndarray, floor: float,
                   scratch: "LogScratch") -> Tuple[np.ndarray, np.ndarray]:
@@ -344,7 +343,7 @@ class RowTable:
         """d log sums / d unknowns, C^T diag(power f'/f) per equation, from the
         ratios f'/f of :meth:`log_terms`: (S, R) -> (S, n_eq, n)."""
         return _real_product(ratios, self._jacobian).reshape(
-            len(ratios), len(self.by_eq), self.n_unknowns)
+            len(ratios), self.n_eq, self.n_unknowns)
 
 
 class LogScratch:

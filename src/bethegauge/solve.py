@@ -3,11 +3,11 @@
 Both systems are products of sine (or linear) factors equated to +-1, so the
 solver works on the summed principal-branch logarithms of the same row
 tables the product forms evaluate (``chain._bethe_table``,
-``gauge._vacuum_table``): each row contributes power * log f(c.x + shift),
-giving an exact cotangent Jacobian C^T diag(power f'/f).  The start
-filter's pole mask |f|^2 >= POLE_TOL^2, and Newton's logs, ratios f'/f and
-pole screen |f|^2 >= 1e-28, come from the table's real-arithmetic kernel
-(:meth:`RowTable.log_terms`), which works in one
+``gauge._vacuum_table``): each row contributes power * log f(c.x), x the
+unknowns || parameters, giving an exact cotangent Jacobian C^T diag(power
+f'/f).  The start filter's pole mask |f|^2 >= POLE_TOL^2, and Newton's
+logs, ratios f'/f and pole screen |f|^2 >= 1e-28, come from the table's
+real-arithmetic kernel (:meth:`RowTable.log_terms`), which works in one
 :class:`~bethegauge.rows.LogScratch` for the filter and one per Newton run
 and gives the ratios only at the trial points the starts take.  The log
 residual is folded back by multiples of 2*pi*i, which removes the winding
@@ -53,8 +53,8 @@ import numpy as np
 
 from .bridge import DictionaryPreset, VerificationReport, map_gauge_to_chain
 from .chain import BetheRoots, ChainSpec, _bethe_system, _root_clashes
-from .gauge import (CLASSICAL, REGIME_SCALE, GaugeTheorySpec, VacuumBranch, _vacuum_lhs_stack,
-                    _vacuum_system)
+from .gauge import (CLASSICAL, REGIME_FORM, REGIME_SCALE, GaugeTheorySpec, VacuumBranch,
+                    _vacuum_lhs_stack, _vacuum_system)
 from .rows import LogScratch, RowTable, deviation
 
 #: starts are resampled while any product factor is smaller than this
@@ -453,13 +453,13 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
     and, in 3d, the period sigma -> sigma + pi."""
     if spec.family not in CLASSICAL:
         raise ValueError("the analytic solver covers the classical families")
-    n = spec.dim
-    table, params = _vacuum_system(spec, "rational" if rational else "root")
+    n, regime = spec.dim, "2d" if rational else "3d"
+    table, params = _vacuum_system(spec, REGIME_FORM[regime])
     radius = 2.0 + math.pi + spec.dim * max(abs(p) for p in spec.params)
     system = _LogSystem(table, params, 0.0 if branch.sign == +1 else math.pi * 1j,
                         10.0 * radius if rational else radius)
     rng = np.random.default_rng(cfg.seed)
-    span = REGIME_SCALE["2d" if rational else "3d"]
+    span = REGIME_SCALE[regime]
     signs = _sign_changes(spec.family, n)
 
     def screen(u: np.ndarray, fates: Dict[str, int]) -> np.ndarray:

@@ -89,18 +89,6 @@ def test_branch_assignments():
     assert minus == ["B-3d-P5"]
 
 
-def test_chain_kinds_by_regime():
-    for p in all_presets():
-        if p.regime == "3d":
-            assert p.chain_kind.endswith("xxz")
-        else:
-            assert p.chain_kind.endswith("xxx")
-        if p.family == "A":
-            assert not p.is_open
-        else:
-            assert p.is_open
-
-
 def test_xi_expressions():
     assert XiExpr(Fraction(0), HALF).value(0.3) == pytest.approx(0.15)
     assert XiExpr(HALF, -HALF).value(0.3) == pytest.approx(0.35)
@@ -121,19 +109,17 @@ def test_fixed_site_contract():
 
 def test_preset_validation():
     with pytest.raises(ValueError):
-        DictionaryPreset("x", "B", "4d", "open-xxz", None, None, (), BRANCH_PLUS)
+        DictionaryPreset("x", "B", "4d", None, None, (), BRANCH_PLUS)
     with pytest.raises(ValueError):
-        DictionaryPreset(
-            "x", "B", "3d", "open-xxz", None, None, (FixedSite(HALF),), BRANCH_PLUS
-        )
+        DictionaryPreset("x", "B", "3d", None, None, (FixedSite(HALF),), BRANCH_PLUS)
 
 
 def test_preset_states_the_boundary_rule_of_its_chain_kind():
     xi = XiExpr(Fraction(0), HALF)
     with pytest.raises(ValueError, match="open-chain presets need both xi_plus and xi_minus"):
-        DictionaryPreset("x", "B", "3d", "open-xxz", xi, None, (), BRANCH_PLUS)
+        DictionaryPreset("x", "B", "3d", xi, None, (), BRANCH_PLUS)
     with pytest.raises(ValueError, match="closed-chain presets take no boundary parameters"):
-        DictionaryPreset("x", "A", "3d", "closed-xxz", None, xi, (), BRANCH_PLUS)
+        DictionaryPreset("x", "A", "3d", None, xi, (), BRANCH_PLUS)
     assert [p.id for p in all_presets() if p.xi_plus and p.xi_plus.infinite] == ["D-3d"]
 
 
@@ -564,7 +550,7 @@ def test_unpaired_a_masses_are_refused():
 
 def _one_site_at_a_time(preset, spec):
     """The Bethe parameters of ``spec`` from the dictionary's formulas in Python
-    floats, one free site at a time: (eta, eta*s, theta, [xi_+, xi_-], 1), the
+    floats, one free site at a time: (eta, eta*s, theta, [xi_+, xi_-]), the
     boundary columns only for a finite boundary."""
     scale = preset.scale
     eta = spec.m_adj / scale
@@ -580,7 +566,7 @@ def _one_site_at_a_time(preset, spec):
     params = [eta] + [eta * s for s in spins] + thetas
     if preset.is_open and not preset.xi_plus.infinite:
         params += [preset.xi_plus.value(eta), preset.xi_minus.value(eta)]
-    return np.array(params + [1.0], dtype=complex)
+    return np.array(params, dtype=complex)
 
 
 @pytest.mark.parametrize("preset", all_presets(), ids=lambda p: p.id)

@@ -16,6 +16,7 @@ from bethegauge.chain import (
     DENOM_TOL,
     BetheRoots,
     ChainSpec,
+    _bethe_rows,
     _bethe_system,
     _bethe_table,
     bethe_lhs,
@@ -31,7 +32,7 @@ from bethegauge.gauge import (
     vacuum_lhs,
     vacuum_lhs_2d,
 )
-from bethegauge.rows import LogScratch
+from bethegauge.rows import LogScratch, RowTable
 from bethegauge.solve import POLE_TOL, _LogSystem
 from bethegauge.specfun import SingularPointError
 
@@ -150,9 +151,125 @@ def test_vacuum_rows_are_generated_from_root_data(family, rank):
         table = _vacuum_table(family, rank, 2, n_anti, "II", form)
         for j in range(rank):
             coupled = sum(1 for _, _, exps in _root_data(family, rank) if exps[j])
-            assert len(table.rows_of[j]) == coupled + 2 * 2
+            assert table.offsets[j + 1] - table.offsets[j] == coupled + 2 * 2
     if family == "E8":
-        assert len(table.rows_of[0]) == 160
+        assert table.offsets[1] == 160
+
+
+# ---------------------------------------------------------------------------
+# a table is its ratios: row pairs, one row range per equation, no constant column
+# ---------------------------------------------------------------------------
+
+
+def _table_shapes():
+    """(table, n_params) for every table _table_and_stack draws, and for the
+    wider shapes other tests build: vacuum ranks to 4 with up to 4
+    fundamentals, Bethe chains to L = 6, M = 4, the open XXZ limit
+    boundary (no boundary columns) among them."""
+    for family in "ABCD":
+        for rank in range(1, 5):
+            for n_f in range(5):
+                for realization in ("I", "II"):
+                    n_anti = n_f if family == "A" or realization == "I" else 0
+                    for form in ("root", "full", "rational"):
+                        yield (_vacuum_table(family, rank, n_f, n_anti, realization, form),
+                               1 + n_f + n_anti)
+    for family in ("E8", "F4"):
+        for n_f in range(3):
+            for form in ("root", "full"):
+                yield _vacuum_table(family, int(family[1]), n_f, 0, "II", form), 1 + n_f
+    for kind, boundaries in (("closed-xxz", (False,)), ("closed-xxx", (False,)),
+                             ("open-xxz", (True, False)), ("open-xxx", (True,))):
+        for sites in range(1, 7):
+            for magnons in range(1, 5):
+                for boundary in boundaries:
+                    yield (_bethe_table(kind, sites, magnons, boundary),
+                           1 + 2 * sites + 2 * boundary)
+
+
+def test_every_table_is_its_ratios_row_pair_by_row_pair():
+    for table, n_params in _table_shapes():
+        rows, eqs = table.n_rows, table.n_eq
+        assert table.coeffs.shape == (rows, table.n_unknowns + n_params)  # no constant column
+        # ratio k is rows 2k (numerator, power p > 0) and 2k + 1 (denominator, -p)
+        assert rows % 2 == 0 and np.all(table.power.real[::2] > 0)
+        assert np.array_equal(table.power[1::2], -table.power[::2])
+        # offsets partition the rows, and no equation splits a pair
+        offsets = table.offsets
+        assert len(offsets) == eqs + 1 and offsets[0] == 0 and offsets[-1] == rows
+        assert np.all(np.diff(offsets) >= 0) and np.all(offsets % 2 == 0)
+        for j in range(eqs):
+            assert np.array_equal(np.flatnonzero(table.by_eq[j]),
+                                  np.arange(offsets[j], offsets[j + 1]))
+        # "denominator" guards exactly the ratio denominators
+        if table.guard == "denominator":
+            assert np.array_equal(table.guarded, np.arange(1, rows, 2))
+
+
+def test_a_table_takes_ratios_and_an_equation_without_rows_is_one():
+    ratios = [(0, 2, {0: 1.0}, {1: 1.0}), (2, 1, {0: 1.0, 1: -1.0}, {0: 1.0, 1: 1.0})]
+    table = RowTable("linear", 3, 1, 1, ratios, "denominator", 1e-12)
+    assert np.array_equal(table.coeffs, [[1, 0], [0, 1], [1, -1], [1, 1]])
+    assert np.array_equal(table.power, [2, -2, 1, -1])
+    assert list(table.offsets) == [0, 2, 2, 4]
+    x = np.array([[0.5, 2.0], [3.0, 0.25]], dtype=complex)  # unknown u || parameter p
+    values, singular = table.products(x)
+    want = [[(u / p) ** 2, 1.0, (u - p) / (u + p)] for u, p in x]
+    assert not singular.any() and np.allclose(values, want, rtol=1e-15, atol=0)
+    assert [table.product(x[0], j) for j in range(3)] == pytest.approx(want[0], rel=1e-15)
+    with pytest.raises(ValueError, match="equation by equation"):
+        RowTable("linear", 3, 1, 1, ratios[::-1], "denominator", 1e-12)
+    with pytest.raises(ValueError, match="equation by equation"):
+        RowTable("linear", 2, 1, 1, ratios, "denominator", 1e-12)  # equation 2 of 2
+
+
+def _vacuum_specs():
+    for family in "ABCD":
+        for realization in ("I", "II"):
+            masses_anti = (0.15, 0.25) if family == "A" or realization == "I" else None
+            yield GaugeTheorySpec(family, 2, 2, (0.3, 0.7), 0.4, realization=realization,
+                                  masses_anti=masses_anti)
+    yield GaugeTheorySpec("E8", 8, 1, (0.3,), 0.4)
+    yield GaugeTheorySpec("F4", 4, 2, (0.3, 0.7), 0.4)
+
+
+def _chains():
+    for kind in ("closed-xxz", "closed-xxx", "open-xxz", "open-xxx"):
+        xi = (0.2, -0.1) if kind.startswith("open") else (None, None)
+        yield ChainSpec(kind, 3, 2, 0.3, (0.5, 1.0, 0.5), (0.01, -0.02, 0.03), *xi)
+    yield ChainSpec("open-xxz", 3, 2, 0.3, (0.5,) * 3, (0.0,) * 3,
+                    complex(0, math.inf), complex(0, -math.inf))
+
+
+def test_every_point_a_builder_makes_has_the_width_of_its_table(monkeypatch):
+    widths = []
+    products = RowTable.products
+
+    def spy(table, x):
+        widths.append((x.shape[-1], table.coeffs.shape[1]))
+        return products(table, x)
+
+    monkeypatch.setattr(RowTable, "products", spy)
+    sigma = np.full((3, 8), 0.37)
+    for spec in _vacuum_specs():
+        forms = ("root", "full") + (("rational",) if spec.family in "ABCD" else ())
+        for form in forms:
+            table, params = _vacuum_system(spec, form)
+            assert np.array_equal(params, spec.params)  # the parameters, and nothing after them
+            assert spec.dim + len(params) == table.coeffs.shape[1]
+            _vacuum_stack(spec, form, sigma[:, :spec.dim])
+    for chain in _chains():
+        table, params = _bethe_system(chain)
+        xi = (chain.xi_plus, chain.xi_minus) if chain.is_open else None
+        own = ([chain.eta] + [chain.eta * s for s in chain.spins] + list(chain.inhomogeneities)
+               + (list(xi) if xi is not None and np.isfinite(xi).all() else []))
+        assert np.array_equal(params, own)
+        assert chain.n_magnons + len(params) == table.coeffs.shape[1]
+        stacked_table, stacked = _bethe_rows(
+            chain.kind, chain.n_magnons, np.full(4, chain.eta), np.tile(chain.spins, (4, 1)),
+            np.tile(chain.inhomogeneities, (4, 1)), None if xi is None else np.tile(xi, (4, 1)))
+        assert stacked_table is table and stacked.shape == (4, len(params))
+    assert len(widths) == 28 and all(got == want for got, want in widths)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +287,12 @@ def rounding_bound(table, x):
         slope = 1 / a if table.kind == "linear" else np.cos(a) / f
     terms = np.abs(table.coeffs) @ np.abs(x)
     per_row = 8 * np.finfo(float).eps * np.abs(table.power) * (np.abs(slope) * terms + 1)
-    return np.array([per_row[rows].sum() for rows in table.rows_of])
+    return np.array([per_row[rows].sum() for rows in _equation_rows(table)])
+
+
+def _equation_rows(table):
+    """Each equation's rows, as the slice offsets[j]:offsets[j+1]."""
+    return [slice(lo, hi) for lo, hi in zip(table.offsets[:-1], table.offsets[1:])]
 
 
 def _one_at_a_time(table, stack):
@@ -178,7 +300,7 @@ def _one_at_a_time(table, stack):
     out = []
     for x in stack:
         try:
-            out.append([table.product(x, j) for j in range(len(table.rows_of))])
+            out.append([table.product(x, j) for j in range(table.n_eq)])
         except SingularPointError:
             out.append(None)
     return out
@@ -186,7 +308,7 @@ def _one_at_a_time(table, stack):
 
 def _assert_stack_matches_products(table, stack):
     values, singular = table.products(stack)
-    assert values.shape == (len(stack), len(table.rows_of)) and singular.shape == (len(stack),)
+    assert values.shape == (len(stack), table.n_eq) and singular.shape == (len(stack),)
     for x, vals, hit, ref in zip(stack, values, singular, _one_at_a_time(table, stack)):
         assert hit == (ref is None)
         if ref is not None:
@@ -253,7 +375,7 @@ def _table_and_stack(draw, points=("complex", "real", "mixed")):
         kind = draw(st.sampled_from(["closed-xxz", "open-xxz", "closed-xxx", "open-xxx"]))
         table = _bethe_table(kind, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
                              kind.startswith("open"))
-    cols = table.coeffs.shape[1] - 1
+    cols = table.coeffs.shape[1]
     size = draw(st.integers(1, 4))
     re = draw(st.lists(st.lists(_coordinate, min_size=cols, max_size=cols),
                        min_size=size, max_size=size))
@@ -264,8 +386,7 @@ def _table_and_stack(draw, points=("complex", "real", "mixed")):
         real = draw(st.lists(st.booleans(), min_size=size, max_size=size)) \
             if reality == "mixed" else [True] * size
         im[np.array(real)] = 0.0
-    stack = np.array(re) + 1j * im
-    return table, np.concatenate((stack, np.ones((size, 1))), axis=1)
+    return table, np.array(re) + 1j * im
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -293,7 +414,7 @@ def _complex_reference(table, stack):
     f = a if table.kind == "linear" else np.sin(a)
     with np.errstate(all="ignore"):
         fp = f ** table.power
-        values = np.stack([fp[:, rows].prod(axis=1) for rows in table.rows_of], axis=1)
+        values = np.stack([fp[:, rows].prod(axis=1) for rows in _equation_rows(table)], axis=1)
     return values, table._singular(a, f, table.guarded).any(axis=1)
 
 
@@ -343,7 +464,7 @@ def _names(node):
 def _table_machinery(tree):
     """Functions of a module that reach the row tables, plus the rows module's names."""
     rows_names = {n.name for n in _tree("rows").body
-                  if isinstance(n, (ast.ClassDef, ast.FunctionDef))} | {"Row", "rows"}
+                  if isinstance(n, (ast.ClassDef, ast.FunctionDef))} | {"Ratio", "rows"}
     fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     reached = set(rows_names)
     while True:

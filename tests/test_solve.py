@@ -125,19 +125,21 @@ def _evaluate(system, u):
 
 
 def _quadratic_system():
-    # (u - 1)(u + 1) = 1 with linear factors: roots +-sqrt(2), and the
-    # Jacobian 1/(u - 1) + 1/(u + 1) vanishes exactly at u = 0
-    rows = [(0, 1, {0: 1.0}, -1.0), (0, 1, {0: 1.0}, 1.0)]
-    table = RowTable("linear", 1, 1, 0, rows, "denominator", 1e-12)
-    return _LogSystem(table, np.array([1.0 + 0j]), 0.0, 5.0)
+    # (u - p)(u + p) / ((u - 2p)(u + 2p)) = -1 with linear factors and the
+    # parameter p = 1: roots +-sqrt(5/2), poles at +-1, and the Jacobian
+    # 1/(u - 1) + 1/(u + 1) - 1/(u - 2) - 1/(u + 2) vanishes exactly at u = 0
+    ratios = [(0, 1, {0: 1.0, 1: -1.0}, {0: 1.0, 1: -2.0}),
+              (0, 1, {0: 1.0, 1: 1.0}, {0: 1.0, 1: 2.0})]
+    table = RowTable("linear", 1, 1, 1, ratios, "denominator", 1e-12)
+    return _LogSystem(table, np.array([1.0 + 0j]), math.pi * 1j, 5.0)
 
 
 def test_newton_batch_isolates_failing_starts():
     system = _quadratic_system()
     good = np.array([1.3 + 0j])
     alone = _newton(system, good[None], CFG)[0][0]
-    assert abs(alone[0] - math.sqrt(2.0)) < 1e-12
-    # near u = 0 the first step jumps ~1.6e3i, outside the domain at every
+    assert abs(alone[0] - math.sqrt(2.5)) < 1e-12
+    # near u = 0 the first step is ~2.3e3 long, outside the domain at every
     # step length; u = 0 has a singular Jacobian; u = 1 starts on a pole
     stack = np.array([good, [1e-3 + 0j], [0j], [1.0 + 0j]])
     with warnings.catch_warnings():
