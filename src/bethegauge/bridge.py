@@ -15,9 +15,11 @@ with each fundamental mass pair (m, m') absorbed into one free site via
 The dictionary is stated once, as stacked columns: :func:`_dictionary` maps
 a stack of gauge points to eta, the site spins and inhomogeneities and
 xi_+-, and :func:`map_gauge_to_chain` builds its chain from row 0.
-Verification draws random admissible points a chunk at a time, maps each
-chunk's kept draws across at once, and reports the worst
-|vacuum_lhs - branch * bethe_lhs| as one reduction over the accepted draws.
+Verification draws random admissible points a chunk at a time and screens
+each chunk by its vacuum side alone; the draws the screen keeps are mapped
+across the dictionary and scored on the Bethe side together, in one pass
+per report unless that pass rejects some of them.  The report is the worst
+|vacuum_lhs - branch * bethe_lhs|, one reduction over the accepted draws.
 A chunk is a unit of work only: the draws, the ledger and the report are
 the same whatever the chunk size, so its one constant is set by cost alone.
 An infinite boundary parameter is the exact limit xi = +-i inf, with no
@@ -317,16 +319,19 @@ class VerificationReport:
         return {**dataclasses.asdict(self), "pass": self.passed}
 
 
-#: draws scored together in one stacked evaluation.  Each chunk pays one fixed
-#: stack of calls (vacuum products, window, dictionary, root mask, Bethe
-#: parameters and products), which at 64 draws cost more than the draws.  On a
-#: 2-core x86 host with one BLAS thread, the 36 CLI tasks of a benchmark
-#: certify round at seed 11 take 0.19-0.22 s at 256 against 0.36-0.43 s at 64
-#: (0.17-0.20 s at 384, 0.21-0.25 s at 512; medians of two runs of 9 and 21
-#: rounds), and the largest tracemalloc peak of a verify task, C-3d-P2 rank 3
-#: at seed 11, is 0.55 MB (0.35 MB at 64, 0.80 MB at 384).  384 saves under a
-#: tenth for a peak 45% higher, so the chunk stays at 256.  Reports do not
-#: depend on it.
+#: draws screened together in one stacked evaluation, and the most draws one
+#: Bethe pass settles.  Each chunk pays one fixed stack of calls (vacuum
+#: products, guard, window); a Bethe pass (root mask, dictionary, Bethe
+#: parameters and products) is paid per batch of still-needed draws, so a
+#: 200-sample report usually makes one.  On a 2-core x86 host with one BLAS
+#: thread, the 36 CLI tasks of a benchmark certify round at seed 11 take
+#: 0.096-0.100 s at 256 against 0.150-0.162 s at 64 (0.096-0.121 s at 384,
+#: 0.096-0.099 s at 512; medians of two runs of 21 rounds).  The largest
+#: tracemalloc peak of a verify task there is B-3d-P3 rank 3's, 0.93 MB: its
+#: one Bethe pass evaluates 200 draws on a 108-row table (0.33 MB at 64, 0.94
+#: MB at 384, 1.06 MB at 512).  C-3d-P2 rank 3 peaks at 0.56 MB (0.21 MB at 64,
+#: 0.81 MB at 384).  A larger chunk saves nothing measurable for a higher
+#: peak, so the chunk stays at 256.  Reports do not depend on it.
 _CHUNK = 256
 #: a run gives up once this many draws per requested sample leave it short
 _DRAWS_PER_SAMPLE = 60
@@ -346,39 +351,62 @@ def _outcomes(singular: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _sample(rng: np.random.Generator, bounds: Sequence[Tuple[float, float]], scale: float,
-            samples: int, score, outcomes: Sequence[str] = OUTCOMES):
-    """Draw and score points chunk by chunk until ``samples`` are accepted.
+            samples: int, screen, settle=None, outcomes: Sequence[str] = OUTCOMES):
+    """Draw and score points until ``samples`` are accepted, in two stages.
 
     A draw is one row: column c is scale * uniform(bounds[c]).  A chunk of
     rows comes from one ``rng.random`` call, which gives bitwise the values
     of the same draws made one ``rng.uniform`` call at a time.
-    ``score(points)`` returns every row's outcome (an index into
-    :data:`OUTCOMES`) followed by per-row arrays.  Returns the outcome of
-    every draw up to the ``samples``-th acceptance, the accepted draws'
-    points and arrays in draw order, and the ledger: the ``attempted``
-    count, then one count per name of ``outcomes``.  Raises RuntimeError
-    once the first 60 * ``samples`` draws leave fewer than ``samples``
-    accepted.
+    ``screen(points)`` scores a chunk: every row's outcome (an index into
+    :data:`OUTCOMES`; accepted means screened in) followed by per-row
+    arrays.  ``settle(points)`` scores a batch of screened-in rows: every
+    row's final outcome followed by more per-row arrays.  Without it the
+    screen's outcome is final.  A batch is the first screened-in draws not
+    yet settled, as many as are still needed and at most :data:`_CHUNK`, so
+    a draw is settled only if it can still count, and a batch that settles
+    short is topped up from the rest of the same stream.  Of a chunk, only
+    the outcomes of its counted draws and its screened-in rows are kept.
+    Returns the outcome of every draw up to the ``samples``-th acceptance,
+    the accepted draws' points and arrays in draw order, and the ledger:
+    the ``attempted`` count, then one count per name of ``outcomes``.
+    Raises RuntimeError once the first 60 * ``samples`` draws leave fewer
+    than ``samples`` accepted.
 
     What it returns does not depend on :data:`_CHUNK`: the draws are one
-    stream however it is split, the score of a row does not depend on the
-    other rows of its chunk, the unscored tail of the last chunk is
+    stream however it is split, each stage gives a row the same bits at
+    every stack height and position (tested for the shipped tables, not
+    guaranteed by construction), the unscored tail of the last chunk is
     neither kept nor counted, and the cap bounds draws, not chunks.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     lo, hi = np.array(bounds, dtype=float).T
-    cap, drawn, need = _DRAWS_PER_SAMPLE * samples, 0, samples
-    counted, kept = [], []  # per chunk: the counted outcomes; the accepted rows
+    cap, need = _DRAWS_PER_SAMPLE * samples, samples
+    # per counted stretch of a chunk: its outcomes; per batch: its draws' indices with
+    # their settled outcomes, and its accepted rows
+    counted, settled, kept = [], [], []
+    points, at, drawn = np.empty((0, len(lo))), 0, 0  # the chunk being counted, up to row at
     while need and drawn < cap:
-        points = scale * (lo + (hi - lo) * rng.random((min(_CHUNK, cap - drawn), len(lo))))
-        outcome, *arrays = score(points)
-        ok = np.flatnonzero(outcome == _ACCEPTED)[:need]
-        k = int(ok[-1]) + 1 if len(ok) == need else len(points)
-        need, drawn = need - len(ok), drawn + k
-        counted.append(outcome[:k])
-        kept.append([points[ok]] + [a[ok] for a in arrays])
+        batch, want = [], min(need, _CHUNK)  # per stretch: its screened-in indices and rows
+        while want and drawn < cap:
+            if at == len(points):
+                points = scale * (lo + (hi - lo) * rng.random((min(_CHUNK, cap - drawn), len(lo))))
+                (outcome, *arrays), at = screen(points), 0
+            ok = at + np.flatnonzero(outcome[at:] == _ACCEPTED)[:want]
+            end = int(ok[-1]) + 1 if len(ok) == want else len(points)
+            counted.append(outcome[at:end])
+            batch.append([drawn - at + ok] + [a[ok] for a in [points] + arrays])
+            want, drawn, at = want - len(ok), drawn + end - at, end
+        index, *rows = (np.concatenate(parts) for parts in zip(*batch))
+        del batch  # its rows are copied into rows
+        fate, *more = settle(rows[0]) if settle else (np.full(len(index), _ACCEPTED),)
+        settled.append((index, fate))
+        good = fate == _ACCEPTED
+        need -= int(good.sum())
+        kept.append([a[good] for a in rows + more])
     outcome = np.concatenate(counted)
+    index, fate = (np.concatenate(parts) for parts in zip(*settled))
+    outcome[index] = fate
     ledger = {"attempted": len(outcome),
               **dict(zip(outcomes, np.bincount(outcome, minlength=len(outcomes)).tolist()))}
     if need:
@@ -401,42 +429,43 @@ def _drawn_gauge(preset: DictionaryPreset, dims: Tuple[int, int],
 
 
 def _verify_draws(preset: DictionaryPreset, dims: Tuple[int, int], samples: int, seed: int):
-    """The draws of :func:`verify_identity`, scored a chunk at a time.
+    """The draws of :func:`verify_identity`, in :func:`_sample`'s two stages.
 
     A draw is eta, the masses, for family A the anti-fundamental masses,
     then sigma, in units of the preset's scale, so its point reads as
     :func:`_drawn_gauge` reads it.  A draw is singular when a vacuum or a
     Bethe product would raise :class:`SingularPointError`; it must keep
     every vacuum product inside the window and map to valid Bethe roots.
-    The draws the vacuum side keeps are mapped together by
-    :func:`_dictionary` and scored by one stacked product of the rows
-    :func:`_bethe_rows` states for their chains.  Returns what
-    :func:`_sample` returns, with the accepted draws' vacuum values and
-    Bethe values, each (samples, dim).
+    The screen is the vacuum side: one stacked product per chunk, its
+    singular guard and the window.  The settling pass is the Bethe side:
+    the root check, then :func:`_dictionary` maps the batch's valid draws
+    together and one stacked product scores the rows :func:`_bethe_rows`
+    states for their chains.  Returns what :func:`_sample` returns, with
+    the accepted draws' vacuum values and Bethe values, each (samples, dim).
     """
     shape, _ = _drawn_gauge(preset, dims, np.zeros(1 + 2 * dims[1] + dims[0]))  # never evaluated
     n_params = len(shape.params)
     bounds = [M_ADJ_BOX] + [MASS_BOX] * (n_params - 1) + [SIGMA_BOX] * shape.dim
 
-    def score(points):
-        params, sigma = points[:, :n_params], points[:, n_params:]
-        vac, singular = _vacuum_lhs_stack(shape, preset.regime, sigma, params)
-        outcome = _outcomes(singular, vac)
-        bethe = np.full((len(points), shape.dim), np.nan, dtype=complex)
-        kept = np.flatnonzero(outcome == _ACCEPTED)
-        u = sigma[kept] / preset.scale
-        cols = _dictionary(preset, params[kept], shape.n_fund)
-        ok = ~_root_clashes(u, preset.is_open).any(axis=1)  # else coincident or reflected
-        outcome[kept[~ok]] = _INVALID
-        reached = kept[ok]
-        if len(reached):
-            table, chain = _bethe_rows(preset.chain_kind, shape.dim, *cols)
-            values, hit = table.products(np.concatenate((u, chain), axis=1)[ok])
-            bethe[reached] = values
-            outcome[reached[hit]] = _SINGULAR
-        return outcome, vac, bethe
+    def screen(points):
+        vac, singular = _vacuum_lhs_stack(shape, preset.regime, points[:, n_params:],
+                                          points[:, :n_params])
+        return _outcomes(singular, vac), vac
 
-    return _sample(np.random.default_rng(seed), bounds, preset.scale, samples, score)
+    def settle(points):
+        params, u = points[:, :n_params], points[:, n_params:] / preset.scale
+        ok = ~_root_clashes(u, preset.is_open).any(axis=1)  # else coincident or reflected
+        table, x = _bethe_rows(preset.chain_kind, shape.dim,
+                               *_dictionary(preset, params[ok], shape.n_fund))
+        outcome = np.where(ok, _ACCEPTED, _INVALID)
+        bethe = np.full(u.shape, np.nan, dtype=complex)
+        if ok.any():
+            x = np.concatenate((u[ok], x), axis=1)  # a point is its roots || its chain
+            bethe[ok], hit = table.products(x)
+            outcome[np.flatnonzero(ok)[hit]] = _SINGULAR
+        return outcome, bethe
+
+    return _sample(np.random.default_rng(seed), bounds, preset.scale, samples, screen, settle)
 
 
 def verify_identity(
@@ -550,14 +579,14 @@ def duality_compare(
     if abs(gauge_i.m_adj - gauge_ii.m_adj) > 0:
         raise ValueError("adjoint masses differ")
 
-    def score(sigma):
+    def screen(sigma):
         vals_i, singular_i = _vacuum_stack(gauge_i, "full", sigma)
         vals_ii, singular_ii = _vacuum_stack(gauge_ii, "full", sigma)
         return _outcomes(singular_i | singular_ii, vals_ii), vals_i, vals_ii
 
     _, sigma, (vals_i, vals_ii), ledger = _sample(
-        np.random.default_rng(seed), [SIGMA_BOX] * gauge_i.dim, math.pi, samples, score,
-        OUTCOMES[:_INVALID])  # no roots to check
+        np.random.default_rng(seed), [SIGMA_BOX] * gauge_i.dim, math.pi, samples, screen,
+        outcomes=OUTCOMES[:_INVALID])  # no roots to check
     res = np.abs(vals_i - vals_ii).max(axis=1)
     k = int(res.argmax())  # the first worst draw
     return VerificationReport(

@@ -62,16 +62,20 @@ operations numpy's complex sin and power make on a zero imaginary part.
 Both arithmetics then take each equation's product by one ordered
 reduction over its rows, so the values equal the complex path's wherever
 real and complex sin agree.  The choice is made point by point, never per
-stack, so that a point's values never depend on the other points of its
-stack.
+stack, so no other point of a stack can change it.
 :meth:`RowTable.product` keeps complex sin, power and product at every
 point: it is the reference the stacked path is tested against.
 
-:meth:`RowTable.products` gives a point the same bits at any stack height
-and position, but the stacked Jacobian product need not: at one point of
-the B3 rational vacuum table, its rows differed in their last bits at 139
-of 147 stack heights and positions.  So a Newton start's last bits depend
-on which other starts are alive with it.
+The row arguments of a stack are one BLAS matrix product, and nothing
+here makes their rounding independent of the stack's height.  That
+:meth:`RowTable.products` gives a point the same bits alone and at any
+stack height and position is tested, at the heights the samplers use,
+for the tables ``verify`` evaluates at ranks 2-3 with N_f 4 and
+``duality-compare`` at ranks 1-3; it is not guaranteed by construction.
+The stacked Jacobian product does not hold to it: at one point of the B3
+rational vacuum table, its rows differed in their last bits at 139 of 147
+stack heights and positions.  So a Newton start's last bits depend on
+which other starts are alive with it.
 """
 
 from __future__ import annotations
@@ -221,11 +225,13 @@ class RowTable:
         singular exactly where :meth:`product` raises for one of its
         equations.  The values of a singular point are unspecified.  The
         points whose arguments are all real are evaluated together in real
-        arithmetic, the others together in complex arithmetic.  A point's
-        values do not depend on the other points of its stack: a one-point
+        arithmetic, the others together in complex arithmetic.  A one-point
         stack is evaluated as two copies of the point, since numpy takes a
         single row's arguments through another kernel (BLAS matrix-vector)
-        that rounds differently.
+        that rounds differently.  That a point's values do not depend on the
+        other points of its stack is tested for the shipped tables (see the
+        module docstring), not guaranteed: the arguments are one matrix
+        product, whose rounding may follow the stack's height.
         """
         if len(x) == 1:
             values, singular = self.products(np.concatenate((x, x)))

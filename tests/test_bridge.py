@@ -13,11 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bethegauge.bridge import (
+    M_ADJ_BOX,
+    MASS_BOX,
     OUTCOMES,
+    SIGMA_BOX,
     DictionaryPreset,
     FixedSite,
     XiExpr,
     _dictionary,
+    _drawn_gauge,
     _verify_draws,
     all_presets,
     calibrate_preset,
@@ -28,14 +32,16 @@ from bethegauge.bridge import (
     presets,
     verify_identity,
 )
-from bethegauge import bridge
+from bethegauge import bridge, cli
 from bethegauge import chain as chain_module
 from bethegauge.chain import BetheRoots, _bethe_system, bethe_lhs, validate_roots
 from bethegauge.chain import ChainSpec, _bethe_rows, _root_clashes
 from bethegauge.gauge import (
     BRANCH_MINUS,
     BRANCH_PLUS,
+    REGIME_FORM,
     GaugeTheorySpec,
+    _vacuum_lhs_stack,
     _vacuum_lhs_values,
     _vacuum_system,
     vacuum_lhs,
@@ -642,7 +648,9 @@ def test_root_mask_rejects_the_coincident_and_reflected_draws():
 def test_verify_chunks_build_no_per_draw_objects():
     source = textwrap.dedent(inspect.getsource(_verify_draws))
     tree = ast.parse(source)
-    (score,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "score"]
+    stages = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    screen, settle = stages.pop("screen"), stages.pop("settle")
+    assert list(stages) == ["_verify_draws"]
 
     def called(node):
         return {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
@@ -652,9 +660,14 @@ def test_verify_chunks_build_no_per_draw_objects():
     per_object = {"ChainSpec", "BetheRoots", "GaugeTheorySpec", "map_gauge_to_chain",
                   "validate_roots", "_bethe_stack"}
     assert not called(tree) & per_object
-    assert not called(score) & (per_object | {"_drawn_gauge"})
-    assert {"_dictionary", "_root_clashes", "products"} <= called(score)
-    assert not any(isinstance(n, (ast.For, ast.While, ast.comprehension)) for n in ast.walk(score))
+    bethe_pass = {"_dictionary", "_root_clashes", "products"}
+    for stage in (screen, settle):
+        assert not called(stage) & (per_object | {"_drawn_gauge"})
+        assert not any(isinstance(n, (ast.For, ast.While, ast.comprehension))
+                       for n in ast.walk(stage))
+    assert bethe_pass <= called(settle)
+    assert not called(screen) & bethe_pass
+    assert "_vacuum_lhs_stack" in called(screen) - called(settle)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -734,3 +747,149 @@ def test_exhausted_sampling_does_not_depend_on_the_chunk_size(monkeypatch):
     assert messages[0].startswith("sampling kept hitting singular configurations")
     assert "attempted 180," in messages[0]
     assert all(m == messages[0] for m in messages[1:])
+
+
+# ---------------------------------------------------------------------------
+# two stages: the vacuum side screens each chunk, the Bethe side settles the
+# draws it keeps, a batch at a time
+# ---------------------------------------------------------------------------
+
+
+def _verify_box(preset, rank):
+    """The shape of a verify draw at (rank, N_f 4), and the box it is drawn
+    from in units of the scale, as (low, high) per column."""
+    shape, _ = _drawn_gauge(preset, (rank, 4), np.zeros(1 + 2 * 4 + rank))
+    n_params = len(shape.params)
+    return shape, np.array([M_ADJ_BOX] + [MASS_BOX] * (n_params - 1) + [SIGMA_BOX] * shape.dim).T
+
+
+def _per_chunk_draws(preset, dims, samples, seed):
+    """The sampler in one stage, from the pieces of :func:`_verify_draws`: each
+    256-draw chunk is screened, and its kept draws mapped across the dictionary
+    and scored on the Bethe side, before the next is drawn.  Returns every
+    counted outcome, the accepted points, vacuum and Bethe values, and the
+    ledger, whether or not the cap left the run short."""
+    rng = np.random.default_rng(seed)
+    shape, (lo, hi) = _verify_box(preset, dims[0])
+    n_params = len(shape.params)
+    accepted, singular, invalid = (OUTCOMES.index(name)
+                                   for name in ("accepted", "singular", "invalid_roots"))
+    cap, drawn, need = 60 * samples, 0, samples
+    counted, kept = [], []
+    while need and drawn < cap:
+        points = preset.scale * (lo + (hi - lo) * rng.random((min(256, cap - drawn), len(lo))))
+        params, sigma = points[:, :n_params], points[:, n_params:]
+        vac, hit = _vacuum_lhs_stack(shape, preset.regime, sigma, params)
+        outcome = bridge._outcomes(hit, vac)
+        bethe = np.full(sigma.shape, np.nan, dtype=complex)
+        screened = np.flatnonzero(outcome == accepted)
+        u = sigma[screened] / preset.scale
+        ok = ~_root_clashes(u, preset.is_open).any(axis=1)
+        outcome[screened[~ok]] = invalid
+        reached = screened[ok]
+        if len(reached):
+            cols = _dictionary(preset, params[reached], shape.n_fund)
+            table, chain = _bethe_rows(preset.chain_kind, shape.dim, *cols)
+            bethe[reached], hit = table.products(np.concatenate((u[ok], chain), axis=1))
+            outcome[reached[hit]] = singular
+        first = np.flatnonzero(outcome == accepted)[:need]
+        k = int(first[-1]) + 1 if len(first) == need else len(points)
+        need, drawn = need - len(first), drawn + k
+        counted.append(outcome[:k])
+        kept.append((points[first], vac[first], bethe[first]))
+    outcome = np.concatenate(counted)
+    points, vac, bethe = (np.concatenate(parts) for parts in zip(*kept))
+    return outcome, points, vac, bethe, _ledger([OUTCOMES[k] for k in outcome])
+
+
+@pytest.mark.parametrize("preset_id, rank, samples, seed", [
+    ("D-2d", 3, 200, 6),  # one invalid draw: the first batch settles short
+    ("B-2d", 3, 200, 5),  # the cap: 87 accepted in 12,000 draws
+    ("C-2d-P1", 3, 1, 0),
+    ("A-3d", 2, 1, 3),
+    ("B-2d", 3, 1, 0),  # no draw passes the window: the one batch is empty
+    ("C-2d-P1", 3, 200, 0),  # 7,029 draws, 28 chunks
+])
+def test_two_stages_replay_the_per_chunk_scorer(preset_id, rank, samples, seed):
+    preset = preset_by_id(preset_id)
+    outcome, points, vac, bethe, ledger = _per_chunk_draws(preset, (rank, 4), samples, seed)
+    if ledger["accepted"] < samples:
+        with pytest.raises(RuntimeError) as err:
+            _verify_draws(preset, (rank, 4), samples, seed)
+        assert str(err.value).endswith(
+            "(draws: %s)" % ", ".join("%s %d" % kv for kv in ledger.items()))
+        return
+    got = _batched_draws(preset, (rank, 4), samples, seed)
+    assert got[-1] == ledger
+    assert np.array_equal(got[0], outcome)
+    for mine, theirs in zip(got[1:4], (points, vac, bethe)):
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def test_the_edge_cases_of_the_two_stages_are_reached():
+    # what test_two_stages_replay_the_per_chunk_scorer's cases are there for
+    demoted = _per_chunk_draws(preset_by_id("D-2d"), (3, 4), 200, 6)[-1]
+    assert demoted["invalid_roots"] == 1  # and the Bethe pass then runs twice (below)
+    assert _per_chunk_draws(preset_by_id("B-2d"), (3, 4), 200, 5)[-1]["attempted"] == 12000
+    empty = _per_chunk_draws(preset_by_id("B-2d"), (3, 4), 1, 0)[-1]
+    assert empty["attempted"] == empty["magnitude_window"] == 60
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["--preset", "C-2d-P1", "--rank", "3", "--nf", "4"], [200]),
+    (["--preset", "D-2d", "--rank", "3", "--nf", "4", "--seed", "6"], [199, 1]),
+    (["--preset", "B-2d", "--rank", "3", "--samples", "1"], [0]),
+])
+def test_a_report_maps_its_draws_across_the_dictionary_once(monkeypatch, capsys, argv, passes):
+    calls = []
+
+    def counted(preset, params, n_fund):
+        calls.append(len(params))
+        return _dictionary(preset, params, n_fund)
+
+    monkeypatch.setattr(bridge, "_dictionary", counted)
+    cli.run(["verify"] + argv + ["--json", "--no-timestamp"])
+    capsys.readouterr()
+    assert calls == passes
+
+
+#: the stack heights a verify chunk or batch takes, among others
+HEIGHTS = (1, 2, 7, 64, 199, 200, 256)
+
+
+def _assert_alike_at_every_height(table, x):
+    alone = [table.products(x[k:k + 1]) for k in range(len(x))]
+    values = np.concatenate([v for v, _ in alone])
+    singular = np.concatenate([s for _, s in alone])
+    for height in HEIGHTS:
+        for shift in (0, height // 2 + 1):
+            order = np.resize(np.roll(np.arange(len(x)), -shift), -(-len(x) // height) * height)
+            for stack in order.reshape(-1, height):
+                got, hit = table.products(x[stack])
+                assert got.tobytes() == values[stack].tobytes()
+                assert np.array_equal(hit, singular[stack])
+
+
+@pytest.mark.parametrize("rank", (2, 3))
+@pytest.mark.parametrize("preset", all_presets(), ids=lambda p: p.id)
+def test_a_verify_draw_evaluates_alike_alone_and_at_every_height(preset, rank):
+    # what the stacked products give a point is tested here, for the tables
+    # verify ships: nothing in RowTable.arguments, one matrix product, makes
+    # a point's bits independent of the other points of its stack
+    shape, (lo, hi) = _verify_box(preset, rank)
+    points = preset.scale * (lo + (hi - lo) * np.random.default_rng(rank).random((256, len(lo))))
+    params, sigma = points[:, :len(shape.params)], points[:, len(shape.params):]
+    vacuum, _ = _vacuum_system(shape, REGIME_FORM[preset.regime])
+    _assert_alike_at_every_height(vacuum, np.concatenate((sigma, params), axis=1))
+    bethe, chain = _bethe_rows(preset.chain_kind, rank, *_dictionary(preset, params, 4))
+    _assert_alike_at_every_height(bethe, np.concatenate((sigma / preset.scale, chain), axis=1))
+
+
+@pytest.mark.parametrize("family, rank", [(f, r) for f in "BC" for r in (1, 2, 3)])
+def test_a_duality_draw_evaluates_alike_alone_and_at_every_height(family, rank):
+    pair = cli._realization_pair(family, rank, 4, np.random.default_rng(rank))
+    sigma = math.pi * np.random.default_rng(7).uniform(*SIGMA_BOX, (256, rank))
+    for spec in pair:
+        table, own = _vacuum_system(spec, "full")
+        _assert_alike_at_every_height(
+            table, np.concatenate((sigma, np.broadcast_to(own, (256, len(own)))), axis=1))
