@@ -20,8 +20,11 @@ each chunk by its vacuum side alone; the draws the screen keeps are mapped
 across the dictionary and scored on the Bethe side together, in one pass
 per report unless that pass rejects some of them.  The report is the worst
 |vacuum_lhs - branch * bethe_lhs|, one reduction over the accepted draws.
-A chunk is a unit of work only: the draws, the ledger and the report are
-the same whatever the chunk size, so its one constant is set by cost alone.
+The duality comparison samples the same way: realization II's squared
+products screen each chunk, and realization I's are evaluated only on the
+draws settled.  A chunk is a unit of work only: the draws, the ledger and
+the report are the same whatever the chunk size, so its one constant is
+set by cost alone.
 An infinite boundary parameter is the exact limit xi = +-i inf, with no
 cutoff: D-3d's pair (+i inf, -i inf) is the U_q(sl_2)-invariant boundary,
 whose two boundary ratios tend to -e^(-+2 pi i u) and cancel, so its Bethe
@@ -320,18 +323,20 @@ class VerificationReport:
 
 
 #: draws screened together in one stacked evaluation, and the most draws one
-#: Bethe pass settles.  Each chunk pays one fixed stack of calls (vacuum
-#: products, guard, window); a Bethe pass (root mask, dictionary, Bethe
-#: parameters and products) is paid per batch of still-needed draws, so a
-#: 200-sample report usually makes one.  On a 2-core x86 host with one BLAS
-#: thread, the 36 CLI tasks of a benchmark certify round at seed 11 take
-#: 0.096-0.100 s at 256 against 0.150-0.162 s at 64 (0.096-0.121 s at 384,
-#: 0.096-0.099 s at 512; medians of two runs of 21 rounds).  The largest
-#: tracemalloc peak of a verify task there is B-3d-P3 rank 3's, 0.93 MB: its
-#: one Bethe pass evaluates 200 draws on a 108-row table (0.33 MB at 64, 0.94
-#: MB at 384, 1.06 MB at 512).  C-3d-P2 rank 3 peaks at 0.56 MB (0.21 MB at 64,
-#: 0.81 MB at 384).  A larger chunk saves nothing measurable for a higher
-#: peak, so the chunk stays at 256.  Reports do not depend on it.
+#: settling pass takes.  Each chunk pays one fixed stack of calls (vacuum or
+#: realization II products, guard, window); a settling pass (verify's root
+#: mask, dictionary, Bethe parameters and products, or realization I's
+#: products) is paid per batch of still-needed draws, so a 200-sample report
+#: usually makes one.  On a 2-core x86 host with one BLAS thread, the 36 CLI
+#: tasks of a benchmark certify round at seed 11 take 0.091-0.098 s at 256
+#: against 0.135-0.158 s at 64 (0.093-0.101 s at 384, 0.090-0.138 s at 512;
+#: medians of two runs of 21 rounds).  The largest tracemalloc peak of a
+#: verify task there is B-3d-P3 rank 3's, 0.90 MB: its one Bethe pass
+#: evaluates 200 draws on a 108-row table (0.32 MB at 64, 0.90 MB at 384,
+#: 1.03 MB at 512).  C-3d-P2 rank 3 peaks at 0.54 MB (0.20 MB at 64, 0.79 MB
+#: at 384).  The largest duality peak is C rank 3's, 0.61 MB (0.17 MB at 64,
+#: 0.91 MB at 384, 1.20 MB at 512).  A larger chunk saves nothing measurable
+#: for a higher peak, so the chunk stays at 256.  Reports do not depend on it.
 _CHUNK = 256
 #: a run gives up once this many draws per requested sample leave it short
 _DRAWS_PER_SAMPLE = 60
@@ -351,7 +356,7 @@ def _outcomes(singular: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _sample(rng: np.random.Generator, bounds: Sequence[Tuple[float, float]], scale: float,
-            samples: int, screen, settle=None, outcomes: Sequence[str] = OUTCOMES):
+            samples: int, screen, settle, outcomes: Sequence[str] = OUTCOMES):
     """Draw and score points until ``samples`` are accepted, in two stages.
 
     A draw is one row: column c is scale * uniform(bounds[c]).  A chunk of
@@ -359,54 +364,49 @@ def _sample(rng: np.random.Generator, bounds: Sequence[Tuple[float, float]], sca
     of the same draws made one ``rng.uniform`` call at a time.
     ``screen(points)`` scores a chunk: every row's outcome (an index into
     :data:`OUTCOMES`; accepted means screened in) followed by per-row
-    arrays.  ``settle(points)`` scores a batch of screened-in rows: every
-    row's final outcome followed by more per-row arrays.  Without it the
-    screen's outcome is final.  A batch is the first screened-in draws not
-    yet settled, as many as are still needed and at most :data:`_CHUNK`, so
-    a draw is settled only if it can still count, and a batch that settles
-    short is topped up from the rest of the same stream.  Of a chunk, only
-    the outcomes of its counted draws and its screened-in rows are kept.
-    Returns the outcome of every draw up to the ``samples``-th acceptance,
-    the accepted draws' points and arrays in draw order, and the ledger:
-    the ``attempted`` count, then one count per name of ``outcomes``.
-    Raises RuntimeError once the first 60 * ``samples`` draws leave fewer
-    than ``samples`` accepted.
+    arrays.  The screened-in draws queue for ``settle(points)``, which
+    scores a batch of them: every row's final outcome followed by more
+    per-row arrays.  A batch is the head of the queue, as many draws as are
+    still needed and at most :data:`_CHUNK`; a chunk is drawn only while the
+    queue is shorter than that.  So a draw is settled only if it can still
+    count, and a batch that settles short is topped up from the rest of the
+    same stream.  Settled outcomes overwrite screened ones in one outcome
+    array, which ends at the ``samples``-th acceptance.  Returns that
+    array, the accepted draws' points and arrays in draw order, and the
+    ledger: the ``attempted`` count, then one count per name of
+    ``outcomes``.  Raises RuntimeError once the first 60 * ``samples``
+    draws leave fewer than ``samples`` accepted.
 
     What it returns does not depend on :data:`_CHUNK`: the draws are one
     stream however it is split, each stage gives a row the same bits at
     every stack height and position (tested for the shipped tables, not
-    guaranteed by construction), the unscored tail of the last chunk is
-    neither kept nor counted, and the cap bounds draws, not chunks.
+    guaranteed by construction), the draws after the last acceptance are
+    cut, and the cap bounds draws, not chunks.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     lo, hi = np.array(bounds, dtype=float).T
     cap, need = _DRAWS_PER_SAMPLE * samples, samples
-    # per counted stretch of a chunk: its outcomes; per batch: its draws' indices with
-    # their settled outcomes, and its accepted rows
-    counted, settled, kept = [], [], []
-    points, at, drawn = np.empty((0, len(lo))), 0, 0  # the chunk being counted, up to row at
-    while need and drawn < cap:
-        batch, want = [], min(need, _CHUNK)  # per stretch: its screened-in indices and rows
-        while want and drawn < cap:
-            if at == len(points):
-                points = scale * (lo + (hi - lo) * rng.random((min(_CHUNK, cap - drawn), len(lo))))
-                (outcome, *arrays), at = screen(points), 0
-            ok = at + np.flatnonzero(outcome[at:] == _ACCEPTED)[:want]
-            end = int(ok[-1]) + 1 if len(ok) == want else len(points)
-            counted.append(outcome[at:end])
-            batch.append([drawn - at + ok] + [a[ok] for a in [points] + arrays])
-            want, drawn, at = want - len(ok), drawn + end - at, end
-        index, *rows = (np.concatenate(parts) for parts in zip(*batch))
-        del batch  # its rows are copied into rows
-        fate, *more = settle(rows[0]) if settle else (np.full(len(index), _ACCEPTED),)
-        settled.append((index, fate))
-        good = fate == _ACCEPTED
-        need -= int(good.sum())
-        kept.append([a[good] for a in rows + more])
-    outcome = np.concatenate(counted)
-    index, fate = (np.concatenate(parts) for parts in zip(*settled))
-    outcome[index] = fate
+    outcome = np.empty(0, dtype=int)  # every draw's, as screened and then as settled
+    queue, kept = [], []  # the screened-in draws not yet settled: index, point, arrays
+    while need and (len(outcome) < cap or len(queue[0])):
+        size = min(need, _CHUNK)
+        while len(outcome) < cap and (not queue or len(queue[0]) < size):
+            shape = (min(_CHUNK, cap - len(outcome)), len(lo))
+            points = scale * (lo + (hi - lo) * rng.random(shape))
+            fate, *arrays = screen(points)
+            ok = np.flatnonzero(fate == _ACCEPTED)
+            screened = [len(outcome) + ok] + [a[ok] for a in [points] + arrays]
+            queue = [np.concatenate(pair) for pair in zip(queue, screened)] if queue else screened
+            outcome = np.concatenate((outcome, fate))
+            del points, arrays, screened  # of a chunk, only its queued rows are kept
+        (index, *rows), queue = [a[:size] for a in queue], [a[size:] for a in queue]
+        fate, *more = settle(rows[0])
+        outcome[index] = fate
+        kept.append([a[fate == _ACCEPTED] for a in rows + more])
+        need -= len(kept[-1][0])
+    if not need:
+        outcome = outcome[:np.flatnonzero(outcome == _ACCEPTED)[samples - 1] + 1]
     ledger = {"attempted": len(outcome),
               **dict(zip(outcomes, np.bincount(outcome, minlength=len(outcomes)).tolist()))}
     if need:
@@ -569,7 +569,16 @@ def duality_compare(
     seed: int = 0,
     tol: float = 1e-10,
 ) -> VerificationReport:
-    """Certify that both realizations square to the same vacuum equations."""
+    """Certify that both realizations square to the same vacuum equations.
+
+    Sigma is drawn in :func:`_sample`'s two stages.  The screen is
+    realization II: its full products, their singular guard and the
+    magnitude window.  The settling pass evaluates realization I's full
+    products and guard on the screened-in draws still needed.  At equal
+    masses realization I's rows are realization II's split in two, with the
+    same arguments, so both flag the same draws singular and the pass
+    demotes none.  The report is the worst |I - II| over the accepted draws.
+    """
     if gauge_i.realization != "I" or gauge_ii.realization != "II":
         raise ValueError("expected (realization I, realization II) in that order")
     if (gauge_i.family, gauge_i.rank) != (gauge_ii.family, gauge_ii.rank):
@@ -580,12 +589,15 @@ def duality_compare(
         raise ValueError("adjoint masses differ")
 
     def screen(sigma):
-        vals_i, singular_i = _vacuum_stack(gauge_i, "full", sigma)
-        vals_ii, singular_ii = _vacuum_stack(gauge_ii, "full", sigma)
-        return _outcomes(singular_i | singular_ii, vals_ii), vals_i, vals_ii
+        vals_ii, singular = _vacuum_stack(gauge_ii, "full", sigma)
+        return _outcomes(singular, vals_ii), vals_ii
 
-    _, sigma, (vals_i, vals_ii), ledger = _sample(
-        np.random.default_rng(seed), [SIGMA_BOX] * gauge_i.dim, math.pi, samples, screen,
+    def settle(sigma):
+        vals_i, singular = _vacuum_stack(gauge_i, "full", sigma)
+        return np.where(singular, _SINGULAR, _ACCEPTED), vals_i
+
+    _, sigma, (vals_ii, vals_i), ledger = _sample(
+        np.random.default_rng(seed), [SIGMA_BOX] * gauge_i.dim, math.pi, samples, screen, settle,
         outcomes=OUTCOMES[:_INVALID])  # no roots to check
     res = np.abs(vals_i - vals_ii).max(axis=1)
     k = int(res.argmax())  # the first worst draw

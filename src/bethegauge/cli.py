@@ -279,7 +279,8 @@ def _cmd_roots(ns: argparse.Namespace) -> int:
     }
     human = ["family %s rank %d: %d roots (expected %d)"
              % (ns.family, rank, len(roots), expected)]
-    rows: List[List[object]] = [["index"] + ["x%d" % i for i in range(len(roots[0]))]]
+    width = len(roots[0]) if roots else rank  # U(1) and D1 have no roots
+    rows: List[List[object]] = [["index"] + ["x%d" % i for i in range(width)]]
     for idx, root in enumerate(roots):
         rows.append([idx] + [str(c) for c in root])
     _emit(ns, payload, human, rows)

@@ -69,8 +69,9 @@ point: it is the reference the stacked path is tested against.
 The row arguments of a stack are one BLAS matrix product, and nothing
 here makes their rounding independent of the stack's height.  That
 :meth:`RowTable.products` gives a point the same bits alone and at any
-stack height and position is tested, at the heights the samplers use,
-for the tables ``verify`` evaluates at ranks 2-3 with N_f 4 and
+stack height and position is tested, at the heights the samplers' chunks
+and batches take (1, 2, 4, 7, 30, 44, 50, 64, 199, 200 and 256), for the
+tables ``verify`` evaluates at ranks 2-3 with N_f 4 and
 ``duality-compare`` at ranks 1-3; it is not guaranteed by construction.
 The stacked Jacobian product does not hold to it: at one point of the B3
 rational vacuum table, its rows differed in their last bits at 139 of 147

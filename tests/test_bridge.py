@@ -41,8 +41,10 @@ from bethegauge.gauge import (
     BRANCH_PLUS,
     REGIME_FORM,
     GaugeTheorySpec,
+    _root_data,
     _vacuum_lhs_stack,
     _vacuum_lhs_values,
+    _vacuum_stack,
     _vacuum_system,
     vacuum_lhs,
     vacuum_lhs_squared,
@@ -750,8 +752,10 @@ def test_exhausted_sampling_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# two stages: the vacuum side screens each chunk, the Bethe side settles the
-# draws it keeps, a batch at a time
+# two stages: one side screens each chunk, the other settles the draws it
+# keeps, a batch at a time.  verify screens by the vacuum side and settles on
+# the Bethe side; duality-compare screens by realization II and settles on
+# realization I
 # ---------------------------------------------------------------------------
 
 
@@ -809,6 +813,7 @@ def _per_chunk_draws(preset, dims, samples, seed):
     ("A-3d", 2, 1, 3),
     ("B-2d", 3, 1, 0),  # no draw passes the window: the one batch is empty
     ("C-2d-P1", 3, 200, 0),  # 7,029 draws, 28 chunks
+    ("C-2d-P1", 3, 300, 0),  # two batches, of 256 and 44
 ])
 def test_two_stages_replay_the_per_chunk_scorer(preset_id, rank, samples, seed):
     preset = preset_by_id(preset_id)
@@ -839,6 +844,7 @@ def test_the_edge_cases_of_the_two_stages_are_reached():
     (["--preset", "C-2d-P1", "--rank", "3", "--nf", "4"], [200]),
     (["--preset", "D-2d", "--rank", "3", "--nf", "4", "--seed", "6"], [199, 1]),
     (["--preset", "B-2d", "--rank", "3", "--samples", "1"], [0]),
+    (["--preset", "C-2d-P1", "--rank", "3", "--nf", "4", "--samples", "300"], [256, 44]),
 ])
 def test_a_report_maps_its_draws_across_the_dictionary_once(monkeypatch, capsys, argv, passes):
     calls = []
@@ -853,8 +859,61 @@ def test_a_report_maps_its_draws_across_the_dictionary_once(monkeypatch, capsys,
     assert calls == passes
 
 
-#: the stack heights a verify chunk or batch takes, among others
-HEIGHTS = (1, 2, 7, 64, 199, 200, 256)
+@pytest.mark.parametrize("family, rank, seed, screened", [
+    ("B", 3, 11, 6),  # 1,493 draws for 50 accepted
+    ("C", 2, 0, 1),
+])
+def test_duality_evaluates_realization_i_on_the_settled_draws_only(
+        monkeypatch, capsys, family, rank, seed, screened):
+    calls = {"I": [], "II": []}
+
+    def counted(spec, form, sigma, params=None):
+        calls[spec.realization].append(len(sigma))
+        return _vacuum_stack(spec, form, sigma, params)
+
+    monkeypatch.setattr(bridge, "_vacuum_stack", counted)
+    cli.run(["duality-compare", "--family", family, "--rank", str(rank), "--seed", str(seed),
+             "--json", "--no-timestamp"])
+    capsys.readouterr()
+    assert calls == {"I": [50], "II": [256] * screened}
+
+
+def _near_walls(spec, rng):
+    """Points inside the singular guard, 1e-7 off a matter wall sigma_j = m_i
+    and off the wall alpha.sigma = m_adj of the family's shortest root, on
+    either side, each in a random point of the sampling box."""
+    roots = [alpha for alpha, _, _ in _root_data(spec.family, spec.rank)]
+    shortest = min(roots, key=lambda alpha: (np.dot(alpha, alpha), alpha))
+    j = int(np.flatnonzero(shortest)[0])
+    points = []
+    for offset in (-1e-7, 1e-7):
+        for i, mass in enumerate(spec.masses):
+            sigma = math.pi * rng.uniform(*SIGMA_BOX, spec.rank)
+            sigma[i % spec.rank] = mass + offset
+            points.append(sigma)
+        sigma = math.pi * rng.uniform(*SIGMA_BOX, spec.rank)
+        rest = np.dot(shortest, sigma) - shortest[j] * sigma[j]
+        sigma[j] = (spec.m_adj + offset - rest) / shortest[j]
+        points.append(sigma)
+    return np.array(points)
+
+
+@pytest.mark.parametrize("family, rank", [(f, r) for f in "BC" for r in (1, 2, 3)])
+def test_both_realizations_flag_the_same_points_singular(family, rank):
+    # at equal masses realization I's full rows are realization II's split in
+    # two, so the screen by realization II alone keeps duality-compare's ledger
+    rng = np.random.default_rng([rank, ord(family)])
+    spec_i, spec_ii = cli._realization_pair(family, rank, 4, rng)
+    walls = _near_walls(spec_ii, rng)
+    sigma = np.concatenate((walls, math.pi * rng.uniform(*SIGMA_BOX, (256, rank))))
+    _, singular_i = _vacuum_stack(spec_i, "full", sigma)
+    _, singular_ii = _vacuum_stack(spec_ii, "full", sigma)
+    assert np.array_equal(singular_i, singular_ii)
+    assert singular_ii[:len(walls)].all() and not singular_ii[len(walls):].any()
+
+
+#: the stack heights a chunk or batch of either sampler takes, among others
+HEIGHTS = (1, 2, 4, 7, 30, 44, 50, 64, 199, 200, 256)
 
 
 def _assert_alike_at_every_height(table, x):

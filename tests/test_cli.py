@@ -279,6 +279,18 @@ def test_roots_csv_lists_every_root(capsys):
     assert len(lines) == 1 + 12  # header + one row per root
 
 
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_roots_of_a_rank_one_family_without_roots(capsys, family):
+    argv = ["roots", "--family", family, "--rank", "1"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "family %s rank 1: 0 roots (expected 0)\n" % family
+    code, doc = _json_doc(capsys, argv)
+    assert code == 0
+    assert (doc["count"], doc["expected"], doc["weight_factor_histogram"]) == (0, 0, {})
+    assert run(argv + ["--csv"]) == 0
+    assert capsys.readouterr().out == "index,x0\n"  # the header alone
+
+
 def test_timestamp_only_when_requested(capsys):
     run(["roots", "--family", "A", "--rank", "2", "--json"])
     doc = json.loads(capsys.readouterr().out)
