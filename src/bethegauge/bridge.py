@@ -370,11 +370,12 @@ def _sample(rng: np.random.Generator, bounds: Sequence[Tuple[float, float]], sca
     still needed and at most :data:`_CHUNK`; a chunk is drawn only while the
     queue is shorter than that.  So a draw is settled only if it can still
     count, and a batch that settles short is topped up from the rest of the
-    same stream.  Settled outcomes overwrite screened ones in one outcome
-    array, which ends at the ``samples``-th acceptance.  Returns that
-    array, the accepted draws' points and arrays in draw order, and the
-    ledger: the ``attempted`` count, then one count per name of
-    ``outcomes``.  Raises RuntimeError once the first 60 * ``samples``
+    same stream; a batch is never empty, since sampling stops once the cap
+    is reached with nothing queued.  Settled outcomes overwrite screened
+    ones in one outcome array, which ends at the ``samples``-th acceptance.
+    Returns that array, the accepted draws' points and arrays in draw
+    order, and the ledger: the ``attempted`` count, then one count per name
+    of ``outcomes``.  Raises RuntimeError once the first 60 * ``samples``
     draws leave fewer than ``samples`` accepted.
 
     What it returns does not depend on :data:`_CHUNK`: the draws are one
@@ -389,7 +390,7 @@ def _sample(rng: np.random.Generator, bounds: Sequence[Tuple[float, float]], sca
     cap, need = _DRAWS_PER_SAMPLE * samples, samples
     outcome = np.empty(0, dtype=int)  # every draw's, as screened and then as settled
     queue, kept = [], []  # the screened-in draws not yet settled: index, point, arrays
-    while need and (len(outcome) < cap or len(queue[0])):
+    while need:
         size = min(need, _CHUNK)
         while len(outcome) < cap and (not queue or len(queue[0]) < size):
             shape = (min(_CHUNK, cap - len(outcome)), len(lo))
@@ -400,6 +401,8 @@ def _sample(rng: np.random.Generator, bounds: Sequence[Tuple[float, float]], sca
             queue = [np.concatenate(pair) for pair in zip(queue, screened)] if queue else screened
             outcome = np.concatenate((outcome, fate))
             del points, arrays, screened  # of a chunk, only its queued rows are kept
+        if not len(queue[0]):  # the cap is reached with nothing left to settle
+            break
         (index, *rows), queue = [a[:size] for a in queue], [a[size:] for a in queue]
         fate, *more = settle(rows[0])
         outcome[index] = fate

@@ -376,7 +376,9 @@ def _cmd_chain_oracle(ns: argparse.Namespace) -> int:
         ctx = BracketContext(eta)
         checks.append(_check("yang_baxter", yang_baxter_residual(u, v, ctx), 1e-12))
         if chain.is_open:
-            checks.append(_check("reflection", reflection_residual(u, v, xi_p, ctx), 1e-12))
+            # each boundary's K matrix solves the same reflection equation: check both
+            worst = max(reflection_residual(u, v, xi, ctx) for xi in (xi_m, xi_p))
+            checks.append(_check("reflection", worst, 1e-12))
     checks.append(_check("rtt_exchange", rtt_residual(chain, u, v), 1e-12))
     checks.append(_check("transfer_commutator", commutator_residual(chain, u, v), 1e-10))
     ok = all(c["pass"] for c in checks)

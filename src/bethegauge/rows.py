@@ -21,10 +21,10 @@ points, whose row arguments are one real matrix product
 (:meth:`RowTable.arguments`).  :meth:`RowTable.products` takes one point
 per sampled draw, evaluates its sines and marks the singular points with
 the same guard, and :func:`deviation` reads a point's residual from what it
-returns.  The solver passes one point per start, to its start filter and
-to its Newton steps, and gets the pole mask, the log sums and the
-Jacobians C^T diag(power f'/f) of the whole stack from one real-arithmetic
-kernel (:meth:`RowTable.log_terms`) and real matrix products, never from
+returns.  The solver passes one point per start to its Newton steps, and
+gets the pole screen (every |f| >= 1e-14), the log sums and the Jacobians
+C^T diag(power f'/f) of the whole stack from one real-arithmetic kernel
+(:meth:`RowTable.log_terms`) and real matrix products, never from
 complex sin, log or tan: with a = x + iy, a sin row has
 
     |f|^2 = sin^2 x + sinh^2 y,   arg f = atan2(cos x sinh y, sin x cosh y),
@@ -45,11 +45,11 @@ tan(x/2) stays below about 1e19 at every double x, so t^2 never overflows.
 
 The kernel allocates nothing of the size of its stack: every intermediate
 goes into the views, the first S rows, of the arrays of one
-:class:`LogScratch`.  The solver owns one for its start filter and one per
-Newton run, each sized to the widest stack it scores, and drops each when
-that step returns.  A new set of arrays per call cost a page fault per 4 KiB
-touched, over and over, since the allocator gave the freed pages back to
-the system; keeping the scratch on the cached tables instead would hold
+:class:`LogScratch`.  The solver owns one per solve, for its Newton run,
+sized to the widest stack it scores, and drops it when the run returns.
+A new set of arrays per call cost a page fault per 4 KiB touched, over
+and over, since the allocator gave the freed pages back to the system;
+keeping the scratch on the cached tables instead would hold
 megabytes per table for the life of the process.  The ratios f'/f are read
 from the scratch (:meth:`RowTable.log_ratios`) only at the points Newton
 takes, after its step test, and like the log sums they come back as new
@@ -89,6 +89,9 @@ import numpy as np
 
 from .specfun import SingularPointError
 
+#: the kernel's pole screen: a point is clear when every |f|^2 >= _POLE_FLOOR,
+#: |f| >= 1e-14 (see :meth:`RowTable.log_terms`)
+_POLE_FLOOR = 1e-28
 #: one ratio: (equation index, power, {column: numerator coefficient},
 #: {column: denominator coefficient})
 Ratio = Tuple[int, int, Dict[int, float], Dict[int, float]]
@@ -270,22 +273,22 @@ class RowTable:
                     fp, self.offsets[self._filled], axis=1)
         return values, self._singular(a, f, self.guarded).any(axis=1)
 
-    def log_terms(self, a: np.ndarray, floor: float,
+    def log_terms(self, a: np.ndarray,
                   scratch: "LogScratch") -> Tuple[np.ndarray, np.ndarray]:
         """The solver's kernel over a stack of row arguments a (S, R).
 
-        Returns the indices of the points whose every |f|^2 is at least
-        ``floor`` (nan is not), and at those points the log sums
-        sum_r power_r log f_r per equation, on the principal branch
-        (S', n_eq).  On a sin table, sin x and cos x come from t = tan(x/2)
+        Returns the indices of the points clear of the poles, those whose
+        every |f|^2 is at least :data:`_POLE_FLOOR` (nan is not), and at
+        those points the log sums sum_r power_r log f_r per equation, on the
+        principal branch (S', n_eq).  On a sin table, sin x and cos x come from t = tan(x/2)
         as 2t / (1 + t^2) and (1 - t^2) / (1 + t^2).
 
         Every intermediate of the size of the stack goes into the caller's
         ``scratch`` (a may be its ``logs``: it is read before they are
         written), which holds it until the next call: :meth:`log_ratios`
         reads the ratios f'/f from there, only at the points asked for.  The
-        solver keeps one scratch per Newton run, so that a run allocates,
-        and faults in, its pages once.
+        solver keeps one scratch per solve, for its Newton run, so that a
+        solve allocates, and faults in, its pages once.
         """
         s = len(a)
         num, cx, sech2, num_im, den, part, tmp, ch = scratch.real[:, :s]
@@ -296,7 +299,7 @@ class RowTable:
             np.copyto(im, a.imag)
             np.multiply(re, re, out=den)
             den += np.multiply(im, im, out=tmp)
-            np.greater_equal(den, floor, out=mask)
+            np.greater_equal(den, _POLE_FLOOR, out=mask)
         else:  # the sin forms over cosh^2 y: sinh^2 y would overflow from |y| ~ 355 on
             t, y, sx, th = part, tmp, num, num_im
             np.copyto(y, a.imag)  # contiguous, for numpy's SIMD loops
@@ -314,7 +317,7 @@ class RowTable:
             np.multiply(sx, sx, out=den)
             den *= sech2
             den += np.multiply(th, th, out=y)
-            np.greater_equal(den, np.multiply(floor, sech2, out=y), out=mask)
+            np.greater_equal(den, np.multiply(_POLE_FLOOR, sech2, out=y), out=mask)
         with np.errstate(divide="ignore"):  # at a pole: screened out below
             np.log(den, out=logs.real)
         if self.kind != "linear":  # log |f|^2 = log den + 2 log cosh y
@@ -359,9 +362,8 @@ class LogScratch:
     points, eight real (n_points, R) slabs, the logs (which first hold the
     row arguments), the clear mask, and the clear points of the last stack.
     A stack of S points works in the first S rows of each, so it touches
-    only the pages it uses.  The solver makes one for its start filter and
-    one per Newton run (see ``solve._starts`` and ``solve._newton``) and
-    drops each when that step returns."""
+    only the pages it uses.  The solver makes one per solve, for its Newton
+    run (see ``solve._newton``), and drops it when the run returns."""
 
     def __init__(self, table: RowTable, n_points: int) -> None:
         shape, cols = (n_points, table.n_rows), table.coeffs.shape[1]

@@ -5,11 +5,10 @@ solver works on the summed principal-branch logarithms of the same row
 tables the product forms evaluate (``chain._bethe_table``,
 ``gauge._vacuum_table``): each row contributes power * log f(c.x), x the
 unknowns || parameters, giving an exact cotangent Jacobian C^T diag(power
-f'/f).  The start filter's pole mask |f|^2 >= POLE_TOL^2, and Newton's
-logs, ratios f'/f and pole screen |f|^2 >= 1e-28, come from the table's
-real-arithmetic kernel (:meth:`RowTable.log_terms`), which works in one
-:class:`~bethegauge.rows.LogScratch` for the filter and one per Newton run
-and gives the ratios only at the trial points the starts take.  The log
+f'/f).  Newton's logs, ratios f'/f and pole screen |f| >= 1e-14 come
+from the table's real-arithmetic kernel (:meth:`RowTable.log_terms`),
+which works in one :class:`~bethegauge.rows.LogScratch` per solve and
+gives the ratios only at the trial points the starts take.  The log
 residual is folded back by multiples of 2*pi*i, which removes the winding
 ambiguity of the product form; acceptance of a candidate always goes
 through the guarded product-form evaluators, never the solver's own
@@ -17,12 +16,14 @@ residual.
 
 Both solvers are one solve (:func:`_solve`) and differ only in their row
 table and parameters, target, radius, start draw and screen.  A solve
-first draws all its starts, scoring the draws against the pole filter a
-stack at a time, then steps them together, one damped Newton iteration per
-tick: every live start solves its Jacobian, its full step is scored in one
-stack, and the backtracking ladder of the starts that fail it in one more
-(see :func:`_newton`).  The screen drops complex vacua, or self-conjugate
-and invalid root sets, and takes the rest to their canonical keys; the keys
+takes the first cfg.n_starts draws of its stream as its starts and steps
+them together, one damped Newton iteration per tick: every live start
+solves its Jacobian, its full step is scored in one stack, and the
+backtracking ladder of the starts that fail it in one more (see
+:func:`_newton`).  Newton's first evaluation is the one pole screen: a
+start outside the radius or on a pole is a bad_start, and no start is
+drawn again.  The screen drops complex vacua, or self-conjugate and
+invalid root sets, and takes the rest to their canonical keys; the keys
 are checked by one stacked product-form evaluation of the system's own
 table and deduplicated in start order, and each solution keeps the residual
 that check read.  A system without rows (no magnons, or a vacuum without
@@ -57,8 +58,6 @@ from .gauge import (CLASSICAL, REGIME_FORM, REGIME_SCALE, GaugeTheorySpec, Vacuu
                     _vacuum_lhs_stack, _vacuum_system)
 from .rows import LogScratch, RowTable, deviation
 
-#: starts are resampled while any product factor is smaller than this
-POLE_TOL = 1e-3
 #: open-chain roots with 2u integral are reflection-degenerate, never eigenvectors
 SELF_CONJUGATE_TOL = 1e-6
 #: accepted keys closer than this (max-abs) to an earlier one are duplicates;
@@ -74,15 +73,15 @@ _STAGES = (np.array([1.0]), 0.5 ** np.arange(1.0, 8.0))
 
 _TWO_PI = 2.0 * math.pi
 
-#: What became of a start, in the order a start meets them.  Before Newton:
-#: no clear draw in 100 (no_start), outside the radius or on a pole at the
+#: What became of a start, in the order a start meets them.  At Newton's
+#: first evaluation: outside the radius or with some |f| < 1e-14 at the
 #: start (bad_start).  In Newton: no step length cut the residual
 #: (step_exhausted), max_iter steps left it unconverged, a singular Jacobian.
 #: After Newton: a complex vacuum, an open-chain root with 2u integral
 #: (self_conjugate), an invalid root set (coincident or reflection-degenerate
 #: roots), a product-form residual above tol or a singular product (residual),
 #: a duplicate of an earlier solution, accepted.
-FATES = ("no_start", "bad_start", "step_exhausted", "max_iter", "singular_jacobian",
+FATES = ("bad_start", "step_exhausted", "max_iter", "singular_jacobian",
          "complex_vacuum", "self_conjugate", "invalid", "residual", "duplicate", "accepted")
 
 
@@ -136,11 +135,10 @@ def fates_summary(fates: Dict[str, int]) -> str:
     return "%d starts" % sum(fates.values()) + (": " + met if met else "")
 
 
-def _ledger(n_starts: int, codes: np.ndarray) -> Dict[str, int]:
-    """The fate counts of a solve asked for ``n_starts`` starts, of which the
-    ones Newton ended with ``codes`` (see :func:`_newton`) got a clear draw."""
+def _ledger(codes: np.ndarray) -> Dict[str, int]:
+    """The fate counts of a solve whose starts Newton ended with ``codes``
+    (see :func:`_newton`); the fates after Newton are still 0."""
     fates = dict.fromkeys(FATES, 0)
-    fates["no_start"] = n_starts - len(codes)
     counts = np.bincount(codes, minlength=len(_NEWTON_FATES)).tolist()
     fates.update(zip(_NEWTON_FATES[1:], counts[1:]))
     return fates
@@ -178,17 +176,18 @@ class _LogSystem:
 
     def evaluate(self, u: np.ndarray, scratch: LogScratch) -> Tuple[np.ndarray, np.ndarray]:
         """Over a stack u (S, n): the indices of the points inside the radius and
-        with every |f| >= 1e-14, and at those points the folded residual.
-        Points outside the radius are never evaluated.  The kernel works in
-        ``scratch``, where ``self.table.log_ratios(scratch, at)`` then reads
-        the row ratios f'/f of the Jacobian at the at-th returned points."""
+        clear of the poles (every |f| >= 1e-14, the kernel's own screen), and
+        at those points the folded residual.  Points outside the radius are
+        never evaluated.  The kernel works in ``scratch``, where
+        ``self.table.log_ratios(scratch, at)`` then reads the row ratios f'/f
+        of the Jacobian at the at-th returned points."""
         size = np.abs(u if self.table.kind == "linear" else u.imag)
         inside = (size <= self.radius).all(axis=1).nonzero()[0]
         if len(inside) < len(u):
             u = u[inside]
         x = self._points(u, scratch.points[: len(u)])
         a = self.table.arguments(x, scratch.logs[: len(u)])  # read before the logs are written
-        clear, sums = self.table.log_terms(a, 1e-28, scratch)  # |f|^2 >= (1e-14)^2
+        clear, sums = self.table.log_terms(a, scratch)
         return inside[clear], _fold(sums - self.target)
 
 
@@ -239,14 +238,15 @@ def _newton(system: _LogSystem, u0: np.ndarray,
     residual norm by a quarter of the step length, or below 1e-12.
     The full step of every live start is scored as one stack, and the rest
     of the ladder of the starts it fails as one more.  A start fails when it
-    lies outside the radius or on a pole (bad_start), when its Jacobian is
+    lies outside the radius or has some |f| < 1e-14 (bad_start: the first
+    evaluation is the solve's one pole screen), when its Jacobian is
     singular, when no step length of the ladder passes (step_exhausted), or
     when max_iter steps leave it unconverged.
     Returns, per start, where it ended (S, n) and its code (S,) in
     _NEWTON_FATES; only a converged start's point is meaningful.
 
-    Every stack is scored in one scratch, sized to the widest, a ladder
-    for every start, and dropped on return.
+    Every stack is scored in one scratch, the solve's only one, sized to
+    the widest, a ladder for every start, and dropped on return.
     """
     scratch = LogScratch(system.table, len(u0) * len(_STAGES[1]))
     points, codes = u0.astype(complex), np.full(len(u0), _BAD_START)
@@ -280,36 +280,6 @@ def _newton(system: _LogSystem, u0: np.ndarray,
             break
         idx, u, res, ratios, norm = (np.concatenate(parts) for parts in zip(*moves))
     return points, codes
-
-
-def _starts(system: _LogSystem, cfg: SolveConfig, draw) -> np.ndarray:
-    """cfg.n_starts start points (k, n), each drawn again, up to 100 times,
-    while some factor has |f| < POLE_TOL; a start without a clear draw is
-    skipped.
-
-    ``draw(count)`` returns ``count`` draws (count, n) in one call, in the
-    order one start at a time would take them.  They are scored a stack at a
-    time, by the pole mask of the Newton kernel in a scratch of its own: one
-    draw per start still to fill, and the draws left over when the last
-    start is filled are dropped.
-    """
-    table, scratch = system.table, LogScratch(system.table, cfg.n_starts)
-    starts: List[np.ndarray] = []
-    left, misses = cfg.n_starts, 0
-    while left:
-        cand = np.asarray(draw(left), dtype=complex).reshape(left, -1)
-        a = table.arguments(system._points(cand, scratch.points[:left]), scratch.logs[:left])
-        kept = np.zeros(left, dtype=bool)
-        kept[table.log_terms(a, POLE_TOL ** 2, scratch)[0]] = True  # every |f|^2 >= POLE_TOL^2
-        for point, clear in zip(cand, kept.tolist()):
-            if clear:
-                starts.append(point)
-            misses = 0 if clear else misses + 1
-            if clear or misses == 100:
-                left, misses = left - 1, 0
-                if not left:
-                    break
-    return np.array(starts, dtype=complex).reshape(-1, system.table.n_unknowns)
 
 
 @lru_cache(maxsize=None)
@@ -377,6 +347,8 @@ def _solve(system: _LogSystem, cfg: SolveConfig, draw, screen, sign: float) -> S
     """The one solve behind both solvers: draw the starts, step them by Newton,
     screen the converged points and accept their keys.
 
+    ``draw(count)`` returns the first ``count`` draws (count, n) of the
+    solver's stream in one call, and Newton takes all cfg.n_starts of them.
     ``screen`` takes the converged points as a stack (S, n), counts in the
     fates the ones it drops and returns the canonical keys of the rest.  The
     keys are checked by one stacked product-form evaluation: a key whose
@@ -386,11 +358,11 @@ def _solve(system: _LogSystem, cfg: SolveConfig, draw, screen, sign: float) -> S
     solution exactly when the empty products 1 are the sign.
     """
     if system.table.n_rows:
-        points, codes = _newton(system, _starts(system, cfg, draw), cfg)
+        points, codes = _newton(system, draw(cfg.n_starts), cfg)
     else:
         points = np.zeros((cfg.n_starts, system.table.n_unknowns), dtype=complex)
         codes = np.full(cfg.n_starts, _CONVERGED)
-    fates = _ledger(cfg.n_starts, codes)
+    fates = _ledger(codes)
     converged = points[codes == _CONVERGED]
     keys = screen(converged, fates)
     worst = deviation(*system.table.products(system._points(keys)), sign)
@@ -399,7 +371,7 @@ def _solve(system: _LogSystem, cfg: SolveConfig, draw, screen, sign: float) -> S
     fates["residual"], fates["duplicate"], fates["accepted"] = (
         len(keys) - len(hit), len(hit) - len(kept), len(kept))
     return SolveResult(list(keys[kept]), {"n_converged": len(converged) - fates["complex_vacuum"],
-                                          "n_starts": len(codes), "fates": fates},
+                                          "n_starts": cfg.n_starts, "fates": fates},
                        worst[kept].tolist())
 
 

@@ -334,6 +334,25 @@ def test_chain_oracle(capsys):
     assert doc["pass"] is True
 
 
+def test_chain_oracle_checks_the_reflection_equation_at_both_boundaries(monkeypatch, capsys):
+    seen = []
+    reflection = cli.reflection_residual
+
+    def recorded(u, v, xi, ctx):
+        seen.append((xi, reflection(u, v, xi, ctx)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "reflection_residual", recorded)
+    code, doc = _json_doc(capsys, ["chain-oracle", "--kind", "open-xxz", "--seed", "3"])
+    assert code == 0
+    rng = np.random.default_rng(3)
+    rng.uniform(0.2, 0.4)  # eta
+    xi_plus, xi_minus = rng.uniform(-0.4, 0.4, size=2)
+    assert sorted(xi for xi, _ in seen) == sorted([xi_plus, xi_minus])
+    (check,) = [c for c in doc["checks"] if c["name"] == "reflection"]
+    assert check["value"] == max(value for _, value in seen)
+
+
 def test_chain_oracle_takes_eta_zero(capsys):
     # --eta 0 is a value, not a request for a drawn eta
     assert "eta must not be an integer" in _usage_error(capsys, ["chain-oracle", "--eta", "0"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bethegauge.bridge import map_gauge_to_chain, preset_by_id
+from bethegauge.bridge import M_ADJ_BOX, MASS_BOX, map_gauge_to_chain, preset_by_id
 from bethegauge.chain import (
     BetheRoots,
     ChainSpec,
@@ -309,22 +309,9 @@ def test_newton_takes_one_iteration_per_tick(name, monkeypatch):
 
 def _min_factors(system, u):
     """The smallest |f| per point of a stack u, from np.sin of the row
-    arguments: a witness for the start filter, which reads the Newton kernel."""
+    arguments: a witness for the pole screen, which reads the Newton kernel."""
     a = system.table.arguments(system._points(u))
     return np.abs(a if system.table.kind == "linear" else np.sin(a)).min(axis=1)
-
-
-def _drawn_one_at_a_time(system, cfg, draw):
-    """The start stream as the one-start solver drew it, with its rejections."""
-    starts, rejected = [], 0
-    for _ in range(cfg.n_starts):
-        for _ in range(100):
-            cand = draw()
-            if _min_factors(system, cand.astype(complex)[None])[0] > solve.POLE_TOL:
-                starts.append(cand)
-                break
-            rejected += 1
-    return np.array(starts, dtype=complex), rejected
 
 
 def _starts_handed_to_newton(monkeypatch, run):
@@ -338,11 +325,9 @@ def _starts_handed_to_newton(monkeypatch, run):
 
 
 def test_bethe_starts_follow_the_one_at_a_time_stream(monkeypatch):
-    monkeypatch.setattr(solve, "POLE_TOL", 0.05)  # so that the filter rejects draws
     for chain in (CLOSED_XXZ, ChainSpec("open-xxx", 2, 2, 0.37, (0.5,) * 2, (0.02, -0.03),
                                         xi_plus=0.3, xi_minus=-0.2)):
         stack = _starts_handed_to_newton(monkeypatch, lambda: solve_bethe(chain, CFG))
-        system = _LogSystem(*_bethe_system(chain), 0.0, math.inf)
         rng = np.random.default_rng(CFG.seed)
         half = 0.5 * (2.0 + chain.n_sites * chain.eta * max(1.0, *map(abs, chain.spins))
                       + max(abs(t) for t in chain.inhomogeneities))
@@ -355,67 +340,66 @@ def test_bethe_starts_follow_the_one_at_a_time_stream(monkeypatch):
                 re = rng.uniform(-half, half, size=m)
             return re + 1j * rng.normal(0.0, 0.2, size=m)
 
-        expected, rejected = _drawn_one_at_a_time(system, CFG, draw)
-        assert rejected > 0
+        expected = np.array([draw() for _ in range(CFG.n_starts)])
         assert stack.shape == expected.shape
         assert np.array_equal(stack, expected)
 
 
-@pytest.mark.parametrize("rational", [False, True])
-def test_vacuum_starts_follow_the_one_at_a_time_stream(monkeypatch, rational):
-    monkeypatch.setattr(solve, "POLE_TOL", 0.05)
-    spec = GaugeTheorySpec("B", 2, 2, (0.31, 0.52), 0.23)
+def _drawn_theory(family, rank, seed):
+    """The 2d theory ``solve-vacuum --family F --rank R --regime 2d --seed S`` draws."""
+    rng = np.random.default_rng(seed)
+    masses = tuple(rng.uniform(*MASS_BOX, size=2))
+    return GaugeTheorySpec(family, rank, 2, masses, rng.uniform(*M_ADJ_BOX))
+
+
+@pytest.mark.parametrize("spec, rational, cfg, near", [
+    pytest.param(GaugeTheorySpec("B", 2, 2, (0.31, 0.52), 0.23), False, CFG, 0, id="False"),
+    pytest.param(GaugeTheorySpec("B", 2, 2, (0.31, 0.52), 0.23), True, CFG, 0, id="True"),
+    # three of its 64 starts have some |f| < 1e-3; Newton takes them as drawn
+    pytest.param(_drawn_theory("B", 3, 3), True, SolveConfig(seed=3), 3, id="B3-2d-seed3"),
+])
+def test_vacuum_starts_follow_the_one_at_a_time_stream(monkeypatch, spec, rational, cfg, near):
     stack = _starts_handed_to_newton(
-        monkeypatch, lambda: solve_vacuum(spec, BRANCH_PLUS, CFG, rational=rational))
+        monkeypatch, lambda: solve_vacuum(spec, BRANCH_PLUS, cfg, rational=rational))
+    rng = np.random.default_rng(cfg.seed)
+    span = 1.0 if rational else math.pi
+    expected = np.array([span * rng.uniform(0.02, 0.98, size=spec.dim)
+                         for _ in range(cfg.n_starts)])
+    assert stack.shape == expected.shape
+    assert np.array_equal(stack, expected)
     system = _LogSystem(*_vacuum_system(spec, "rational" if rational else "root"), 0.0,
                         math.inf)
-    rng = np.random.default_rng(CFG.seed)
+    assert np.count_nonzero(_min_factors(system, stack.astype(complex)) < 1e-3) == near
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["sin", "linear"])
+def test_a_start_near_a_pole_is_stepped_by_newton(monkeypatch, rational):
+    # one factor 1e-6 from its zero: clear of the kernel's screen |f| >= 1e-14,
+    # so the start is handed to Newton as drawn, stepped, and met by a Newton fate
+    spec = GaugeTheorySpec("B", 2, 2, (0.31, 0.52), 0.23)
+    table, params = _vacuum_system(spec, "rational" if rational else "root")
+    system = _LogSystem(table, params, 0.0, 10.0)
     span = 1.0 if rational else math.pi
-    expected, rejected = _drawn_one_at_a_time(
-        system, CFG, lambda: span * rng.uniform(0.02, 0.98, size=2))
-    assert rejected > 0
-    assert np.array_equal(stack, expected)
+    draws = span * np.random.default_rng(0).uniform(0.02, 0.98, size=(CFG.n_starts, 2))
+    a = table.arguments(system._points(draws[:1].astype(complex)))[0].real
+    row = np.flatnonzero(table.coeffs[:, 0].real)[0]
+    zero = 0.0 if rational else math.pi * round(a[row] / math.pi)
+    draws[0, 0] += (zero + 1e-6 - a[row]) / table.coeffs[row, 0].real
+    assert 1e-7 < _min_factors(system, draws[:1].astype(complex))[0] < 1e-5
+    seen, newton = [], solve._newton
 
+    def spied(system, u0, cfg):
+        points, codes = newton(system, u0, cfg)
+        seen.append((u0, codes))
+        return points, codes
 
-def _filter_cases():
-    spec = GaugeTheorySpec("C", 3, 2, (0.31, 0.52), 0.23)
-    xxz = ChainSpec("closed-xxz", 4, 2, 0.317, (0.5,) * 4, (0.03, -0.07, 0.11, 0.0))
-    xxx = ChainSpec("open-xxx", 3, 2, 0.37, (0.5,) * 3, (0.02, -0.03, 0.05),
-                    xi_plus=0.3, xi_minus=-0.2)
-    yield "vacuum-3d-sin", _vacuum_system(spec, "root"), (0.0, math.pi)
-    yield "xxz-sin_pi", _bethe_system(xxz), (0.0, 1.0)
-    yield "xxx-linear", _bethe_system(xxx), (-1.5, 1.5)
-    yield "vacuum-2d-linear", _vacuum_system(spec, "rational"), (0.0, 1.0)
-
-
-@pytest.mark.parametrize("name, system, box", list(_filter_cases()),
-                         ids=[c[0] for c in _filter_cases()])
-def test_start_filter_keeps_exactly_the_draws_clear_by_sin(monkeypatch, name, system, box):
-    # real and complex draws alike; the filter reads the Newton kernel, the
-    # witness np.sin (or the argument) of the row arguments
-    monkeypatch.setattr(solve, "POLE_TOL", 0.02)  # so that a tenth to a quarter are rejected
-    system = _LogSystem(*system, 0.0, math.inf)
-    assert system.table.kind == name.rsplit("-", 1)[1]
-    rng = np.random.default_rng(5)
-    n = system.table.n_unknowns
-    handed = []
-
-    def draw(count):
-        out = []
-        while len(out) < count:
-            u = rng.uniform(*box, size=n) + 1j * rng.normal(0.0, 0.2, size=n) * (len(handed) % 2)
-            if abs(_min_factors(system, u[None])[0] / solve.POLE_TOL - 1.0) > 1e-12:
-                handed.append(u)
-                out.append(u)
-        return np.array(out)
-
-    cfg = SolveConfig(n_starts=200, seed=0)
-    starts = solve._starts(system, cfg, draw)
-    handed = np.array(handed)
-    clear = handed[_min_factors(system, handed) > solve.POLE_TOL]
-    assert len(clear) >= cfg.n_starts and len(clear) < len(handed)
-    assert np.array_equal(starts, clear[: cfg.n_starts])
-    assert np.any(starts.imag) and not np.all(starts.imag)
+    monkeypatch.setattr(solve, "_newton", spied)
+    res = solve._solve(system, CFG, lambda count: draws[:count], lambda u, fates: u, 1.0)
+    ((u0, codes),) = seen
+    assert np.array_equal(u0, draws)
+    assert solve._NEWTON_FATES[codes[0]] != "bad_start"
+    assert res.diagnostics["fates"]["bad_start"] == 0
+    _assert_ledger_adds_up(res, CFG.n_starts)
 
 
 def test_solves_never_evaluate_points_outside_the_domain(monkeypatch):
@@ -760,10 +744,10 @@ def _assert_ledger_adds_up(res, n_starts):
     fates = res.diagnostics["fates"]
     assert list(fates) == list(solve.FATES)
     assert sum(fates.values()) == n_starts
-    assert res.diagnostics["n_starts"] == n_starts - fates["no_start"]
+    assert res.diagnostics["n_starts"] == n_starts
     assert fates["accepted"] == len(res)
     newton = ("bad_start", "step_exhausted", "max_iter", "singular_jacobian")
-    after = res.diagnostics["n_converged"] + sum(fates[f] for f in newton) + fates["no_start"]
+    after = res.diagnostics["n_converged"] + sum(fates[f] for f in newton)
     assert after + fates["complex_vacuum"] == n_starts
 
 
@@ -792,16 +776,6 @@ def test_trivial_solves_account_for_every_start():
     assert res.diagnostics["fates"]["residual"] == CFG.n_starts
 
 
-def test_skipped_starts_are_counted_and_not_reported_as_drawn(monkeypatch):
-    monkeypatch.setattr(solve, "POLE_TOL", 2.0)  # |sin| of a real start never exceeds 1
-    res = solve_vacuum(GaugeTheorySpec("C", 1, 2, (0.26, 0.41), 0.17), BRANCH_PLUS,
-                       SolveConfig(n_starts=3, seed=0))
-    assert len(res) == 0
-    assert res.diagnostics["n_starts"] == 0
-    assert res.diagnostics["fates"]["no_start"] == 3
-    _assert_ledger_adds_up(res, 3)
-
-
 def test_newton_names_the_fate_of_each_start():
     system = _quadratic_system()
     # converged; off the domain at every step length; a singular Jacobian; on a pole
@@ -809,9 +783,8 @@ def test_newton_names_the_fate_of_each_start():
     _, codes = _newton(system, stack, CFG)
     assert [solve._NEWTON_FATES[k] for k in codes] == [
         None, "step_exhausted", "singular_jacobian", "bad_start"]
-    assert solve._ledger(6, codes) == {**dict.fromkeys(solve.FATES, 0), "no_start": 2,
-                                     "step_exhausted": 1, "singular_jacobian": 1,
-                                     "bad_start": 1}
+    assert solve._ledger(codes) == {**dict.fromkeys(solve.FATES, 0), "step_exhausted": 1,
+                                    "singular_jacobian": 1, "bad_start": 1}
 
 
 def test_cross_check_names_the_filter_that_emptied_it():
