@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -322,6 +322,24 @@ class VerificationReport:
         return {**dataclasses.asdict(self), "pass": self.passed}
 
 
+def _worst_report(preset_id: str, residuals: np.ndarray, seed: int, tol: float, branch: int,
+                  notes: Dict[str, object],
+                  point: Callable[[int], Dict[str, object]]) -> VerificationReport:
+    """The one reduction behind every report: the worst of ``residuals``,
+    one entry per accepted draw or root set, graded against ``tol``.
+
+    The first worst entry k is reported, with ``point(k)`` as its worst
+    point unless its residual is exactly 0; an empty array reads inf, with
+    no point.
+    """
+    if not len(residuals):
+        return VerificationReport(preset_id, 0, seed, tol, math.inf, None, branch, notes)
+    k = int(np.argmax(residuals))
+    worst = float(residuals[k])
+    return VerificationReport(preset_id, len(residuals), seed, tol, worst,
+                              point(k) if worst > 0 else None, branch, notes)
+
+
 #: draws screened together in one stacked evaluation, and the most draws one
 #: settling pass takes.  Each chunk pays one fixed stack of calls (vacuum or
 #: realization II products, guard, window); a settling pass (verify's root
@@ -488,25 +506,17 @@ def verify_identity(
     """
     branch = preset.branch if branch is None else branch
     _, points, (vac, bethe), ledger = _verify_draws(preset, dims, samples, seed)
-    res = np.abs(vac - branch.sign * bethe).max(axis=1)
-    k = int(res.argmax())  # the first worst draw
-    worst: Optional[Dict[str, object]] = None
-    if res[k] > 0:
+
+    def point(k: int) -> Dict[str, object]:
         spec, sigma = _drawn_gauge(preset, dims, points[k])
         worst = {"sigma": sigma.tolist(), "masses": list(spec.masses),
                  "m_adj": float(spec.m_adj)}
         if preset.family == "A":  # the drawn anti-fundamental masses replay the point
             worst["masses_anti"] = list(spec.masses_anti)
-    return VerificationReport(
-        preset_id=preset.id,
-        samples=samples,
-        seed=seed,
-        tol=tol,
-        max_residual=float(res[k]),
-        worst_point=worst,
-        branch_used=branch.sign,
-        notes={"draws": ledger},
-    )
+        return worst
+
+    return _worst_report(preset.id, np.abs(vac - branch.sign * bethe).max(axis=1), seed, tol,
+                         branch.sign, {"draws": ledger}, point)
 
 
 def calibrate_preset(
@@ -602,15 +612,7 @@ def duality_compare(
     _, sigma, (vals_ii, vals_i), ledger = _sample(
         np.random.default_rng(seed), [SIGMA_BOX] * gauge_i.dim, math.pi, samples, screen, settle,
         outcomes=OUTCOMES[:_INVALID])  # no roots to check
-    res = np.abs(vals_i - vals_ii).max(axis=1)
-    k = int(res.argmax())  # the first worst draw
-    return VerificationReport(
-        preset_id="duality-%s-%d" % (gauge_i.family, gauge_i.rank),
-        samples=samples,
-        seed=seed,
-        tol=tol,
-        max_residual=float(res[k]),
-        worst_point={"sigma": sigma[k].tolist()} if res[k] > 0 else None,
-        branch_used=+1,
-        notes={"realizations": ["I", "II"], "draws": ledger},
-    )
+    return _worst_report("duality-%s-%d" % (gauge_i.family, gauge_i.rank),
+                         np.abs(vals_i - vals_ii).max(axis=1), seed, tol, +1,
+                         {"realizations": ["I", "II"], "draws": ledger},
+                         lambda k: {"sigma": sigma[k].tolist()})

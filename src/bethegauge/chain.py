@@ -271,30 +271,47 @@ def bethe_residuals(chain: ChainSpec, roots: BetheRoots) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _r(weight, u: complex, eta: float) -> np.ndarray:
-    # six-vertex R-matrix from a weight function [x]
-    a, b, c = weight(u + eta), weight(u), weight(eta)
-    return np.array(
-        [
-            [a, 0, 0, 0],
-            [0, b, c, 0],
-            [0, c, b, 0],
-            [0, 0, 0, a],
-        ],
-        dtype=complex,
-    )
+def _weight(ctx: Optional[BracketContext], x: complex) -> complex:
+    # the weight [x]: the bracket of ctx on trig kinds, x itself on rational ones (no ctx)
+    return complex(x) if ctx is None else bracket(x, ctx)
+
+
+def _six_vertex(ctx: Optional[BracketContext], y: complex,
+                eta: float) -> Tuple[complex, complex, complex]:
+    """The six-vertex weights (a, b, c) = ([y + eta], [y], [eta]) of R(y), the
+    one statement that the R-matrix checks and the transfer matrices read."""
+    return _weight(ctx, y + eta), _weight(ctx, y), _weight(ctx, eta)
+
+
+def _r(ctx: Optional[BracketContext], u: complex, eta: float) -> np.ndarray:
+    a, b, c = _six_vertex(ctx, u, eta)
+    return np.array([[a, 0, 0, 0], [0, b, c, 0], [0, c, b, 0], [0, 0, 0, a]], dtype=complex)
 
 
 def r_matrix(u: complex, ctx: BracketContext) -> np.ndarray:
     """Six-vertex R-matrix with entries in the bracket normalization."""
-    return _r(lambda x: bracket(x, ctx), u, ctx.eta)
+    return _r(ctx, u, ctx.eta)
+
+
+def _boundary_weight(ctx: Optional[BracketContext], x: complex, xi: complex) -> complex:
+    """The boundary weight w(x, xi) = [x + xi]; at xi = +-i inf its normalized
+    limit e^(-+i pi x), since [x +- iT] is e^(-+i pi x) times a factor free
+    of x, up to a relative e^(-2 pi T)."""
+    if cmath.isfinite(xi):
+        return _weight(ctx, x + xi)
+    return cmath.exp(-1j * math.copysign(math.pi, xi.imag) * x)
+
+
+def _k_diag(ctx: Optional[BracketContext], x: complex, xi: complex) -> np.ndarray:
+    """The diagonal of the boundary matrix K(x, xi) = diag([x + xi], -[x - xi])
+    = diag(w(x), w(-x)), the one statement that the reflection check and the
+    open transfer matrices read."""
+    return np.array([_boundary_weight(ctx, x, xi), _boundary_weight(ctx, -x, xi)])
 
 
 def k_matrix(u: complex, xi: complex, ctx: BracketContext) -> np.ndarray:
     """Diagonal boundary matrix diag([u+xi], -[u-xi])."""
-    return np.array(
-        [[bracket(u + xi, ctx), 0], [0, -bracket(u - xi, ctx)]], dtype=complex
-    )
+    return np.diag(_k_diag(ctx, u, xi))
 
 
 def yang_baxter_residual(u: complex, v: complex, ctx: BracketContext) -> float:
@@ -347,35 +364,11 @@ def _check_oracle(n_sites: int, spins: Tuple[float, ...],
         raise ValueError("oracle supports spin-1/2 only")
 
 
-def _br(chain: ChainSpec, x: complex) -> complex:
-    # the chain's weight: the bracket for trig kinds, x itself for rational ones
-    return complex(x) if chain._bracket is None else bracket(x, chain._bracket)
-
-
-def _boundary_weight(chain: ChainSpec, x: complex, xi: complex) -> complex:
-    """The boundary weight w(x, xi) = [x + xi]; at xi = +-i inf its normalized
-    limit e^(-+i pi x), since [x +- iT] is e^(-+i pi x) times a factor free
-    of x, up to a relative e^(-2 pi T)."""
-    if cmath.isfinite(xi):
-        return _br(chain, x + xi)
-    return cmath.exp(-1j * math.copysign(math.pi, xi.imag) * x)
-
-
-def _k_diag(chain: ChainSpec, x: complex, xi: complex) -> np.ndarray:
-    # the diagonal of the boundary matrix K(x, xi) = diag([x + xi], -[x - xi]) = diag(w(x), w(-x))
-    return np.array([_boundary_weight(chain, x, xi), _boundary_weight(chain, -x, xi)])
-
-
-def _chain_r(chain: ChainSpec, u: complex) -> np.ndarray:
-    return _r(lambda x: _br(chain, x), u, chain.eta)
-
-
 def _weights(chain: ChainSpec, x: complex, a: int,
              reverse: bool = False) -> Tuple[complex, complex, complex]:
-    # the six-vertex weights (a, b, c) = ([y + eta], [y], [eta]) of R_0a at y = x - th_a;
-    # reversed, (b, a, -c): those of sigma_y R_0a^t0 sigma_y
-    y = x - chain.inhomogeneities[a]
-    wa, wb, wc = _br(chain, y + chain.eta), _br(chain, y), _br(chain, chain.eta)
+    # the six-vertex weights of R_0a at x - th_a; reversed, (b, a, -c): those of
+    # sigma_y R_0a^t0 sigma_y
+    wa, wb, wc = _six_vertex(chain._bracket, x - chain.inhomogeneities[a], chain.eta)
     return (wb, wa, -wc) if reverse else (wa, wb, wc)
 
 
@@ -445,7 +438,7 @@ def _double_row_site(chain: ChainSpec, u: complex, a: int, acc: np.ndarray,
 
 def _double_row_sites(chain: ChainSpec, u: complex, stop: int) -> np.ndarray:
     """U_-(u) over sites 1, ..., stop, grown as :func:`double_row_monodromy` says."""
-    k = _k_diag(chain, u - chain.eta / 2, chain.xi_minus)
+    k = _k_diag(chain._bracket, u - chain.eta / 2, chain.xi_minus)
     acc = np.diag(k).reshape(2, 2, 1, 1)
     for a in range(stop):
         d = acc.shape[-1]
@@ -505,7 +498,7 @@ def transfer_matrix(chain: ChainSpec, u: complex) -> np.ndarray:
         acc = _double_row_sites(chain, u, last)
         d = acc.shape[-1]
         diag = _double_row_site(chain, u, last, acc, _DOUBLE_ROW_DIAGONAL)
-        kp = _k_diag(chain, u + chain.eta / 2, chain.xi_plus)
+        kp = _k_diag(chain._bracket, u + chain.eta / 2, chain.xi_plus)
         t = kp[0] * diag[0]
         t += np.multiply(kp[1], diag[1], out=diag[1])
         return t.reshape(2 * d, 2 * d)
@@ -531,14 +524,14 @@ def open_transfer_expansion(chain: ChainSpec, u: complex) -> np.ndarray:
     if not chain.is_open:
         raise ValueError("expansion applies to open chains")
     um = double_row_monodromy(chain, u)
-    b2u = _br(chain, 2 * u)
+    ctx, h, xi = chain._bracket, chain.eta / 2, chain.xi_plus
+    b2u = _weight(ctx, 2 * u)
     if abs(b2u) < DENOM_TOL:
         raise SingularPointError("expansion singular at [2u] = 0")
-    dt = _br(chain, 2 * u) * um[1][1] - _br(chain, chain.eta) * um[0][0]
-    h, xi = chain.eta / 2, chain.xi_plus
+    dt = b2u * um[1][1] - _weight(ctx, chain.eta) * um[0][0]
     # [u - eta/2 + xi_+] = w(u - eta/2, xi_+), [u + eta/2 - xi_+] = -w(-u - eta/2, xi_+)
-    c_a = _br(chain, 2 * u + chain.eta) * _boundary_weight(chain, u - h, xi)
-    c_d = _boundary_weight(chain, -u - h, xi)
+    c_a = _weight(ctx, 2 * u + chain.eta) * _boundary_weight(ctx, u - h, xi)
+    c_d = _boundary_weight(ctx, -u - h, xi)
     return (c_a * um[0][0] + c_d * dt) / b2u
 
 
@@ -558,7 +551,7 @@ def rtt_residual(chain: ChainSpec, u: complex, v: complex) -> float:
     d = tu.shape[-1]
     fwd = (tu[:, None, :, None] @ tv[None, :, None, :]).reshape(4, 4, d, d)
     rev = (tv[None, :, None, :] @ tu[:, None, :, None]).reshape(4, 4, d, d)
-    r12 = _chain_r(chain, u - v)
+    r12 = _r(chain._bracket, u - v, chain.eta)
     lhs = np.tensordot(r12, fwd, axes=1)
     rhs = np.tensordot(rev, r12, axes=([1], [0]))  # ab, p, r, cd
     return float(np.max(np.abs(lhs - np.moveaxis(rhs, -1, 1))))
@@ -621,7 +614,7 @@ def _apply_monodromy(chain: ChainSpec, u: complex, states: np.ndarray) -> np.nda
     if not chain.is_open:
         return _row(chain, states, u)
     states = _row(chain, states, -u, reverse=True)
-    k = _k_diag(chain, u - chain.eta / 2, chain.xi_minus)
+    k = _k_diag(chain._bracket, u - chain.eta / 2, chain.xi_minus)
     return _row(chain, k[:, None] * states, u)
 
 
@@ -633,7 +626,7 @@ def _apply_transfer(chain: ChainSpec, u: complex, vec: np.ndarray) -> np.ndarray
     states[0, 0] = states[1, 1] = vec
     diag = _apply_monodromy(chain, u, states)[[0, 1], [0, 1]]
     if chain.is_open:
-        return _k_diag(chain, u + chain.eta / 2, chain.xi_plus) @ diag
+        return _k_diag(chain._bracket, u + chain.eta / 2, chain.xi_plus) @ diag
     return diag[0] + diag[1]
 
 

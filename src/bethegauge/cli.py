@@ -6,14 +6,21 @@ support --csv.  Reports are reproducible: the same argv and seed give
 byte-identical JSON once timestamps are disabled with --no-timestamp.  The
 BGL_SEED environment variable overrides the default seed of any subcommand.
 Each handler reads the parsed namespace, so every default is stated once,
-in the parser or in the library dataclass the parser takes it from, and
-every input rule once, in the library: an input built from the flags that
-the library refuses is a bad argument.
+in the parser or in the library dataclass or function the parser takes it
+from, and every input rule once, in the library: an input built from the
+flags that the library refuses is a bad argument.
+
+Exit codes: 2 on a bad argument (the parser), 1 on an evaluation error
+(:func:`run`), and otherwise the report's own verdict: every report is
+written by ``_emit``, which returns 1 exactly when the report has ``pass``
+and it is false.  Every subcommand but vacuum, bethe, solve-bethe and
+solve-vacuum grades its report with ``pass``.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -33,6 +40,7 @@ from .bridge import (
     VerificationReport,
     _calibrate,
     all_presets,
+    calibrate_preset,
     duality_compare,
     preset_by_id,
     verify_identity,
@@ -62,7 +70,6 @@ from .gauge import (
     _vacuum_lhs_values,
     superpotential_grad,
     superpotential_value,
-    vacuum_from_gradient,
     vacuum_lhs,
     vacuum_lhs_2d,
     vacuum_lhs_squared,
@@ -81,6 +88,13 @@ from .specfun import (
 SCHEMA_VERSION = "1"
 
 T = TypeVar("T")
+
+
+#: the library's keyword defaults that the parser takes, read at import so that
+#: a wrapper installed later cannot hide them
+_VERIFY, _DUALITY, _CALIBRATE = (
+    {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+    for fn in (verify_identity, duality_compare, calibrate_preset))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +189,9 @@ def _jsonable(x):
 
 
 def _emit(ns: argparse.Namespace, payload: Dict[str, object], human: Sequence[str],
-          rows: Optional[List[List[object]]] = None) -> None:
-    """Write the report as JSON, as CSV rows, or as the human lines.
+          rows: Optional[List[List[object]]] = None) -> int:
+    """Write the report as JSON, as CSV rows, or as the human lines, and
+    return the exit code: 1 exactly when the payload's ``pass`` is false.
 
     Only the subcommands that pass ``rows`` declare --csv.
     """
@@ -195,6 +210,7 @@ def _emit(ns: argparse.Namespace, payload: Dict[str, object], human: Sequence[st
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0 if payload.get("pass", True) else 1
 
 
 def _verdict(ok: bool) -> str:
@@ -203,9 +219,21 @@ def _verdict(ok: bool) -> str:
 
 def _emit_report(ns: argparse.Namespace, rep: VerificationReport, summary: str,
                  rows: Optional[List[List[object]]] = None) -> int:
-    """Emit a verification report under its one summary line; exit 1 if it failed."""
-    _emit(ns, rep.to_dict(), ["%s -> %s" % (summary, _verdict(rep.passed))], rows)
-    return 0 if rep.passed else 1
+    """Emit a verification report under its one summary line."""
+    return _emit(ns, rep.to_dict(), ["%s -> %s" % (summary, _verdict(rep.passed))], rows)
+
+
+def _emit_graded(ns: argparse.Namespace, title: str, key: str, items: List[Dict[str, object]],
+                 line: str, payload: Optional[Dict[str, object]] = None,
+                 rows: Optional[List[List[object]]] = None) -> int:
+    """Emit graded items under ``key``: one human ``line`` per item, formatted
+    from the item, its 1-based ``number`` and its ``verdict``, then the
+    verdict of all under ``title``; they pass when every item passes."""
+    ok = all(item["pass"] for item in items)
+    human = [line % dict(item, number=k + 1, verdict=_verdict(item["pass"]))
+             for k, item in enumerate(items)]
+    human.append("%s: %s" % (title, _verdict(ok)))
+    return _emit(ns, {**(payload or {}), key: items, "pass": ok}, human, rows)
 
 
 def _check(name: str, value: float, bound: float) -> Dict[str, object]:
@@ -276,6 +304,7 @@ def _cmd_roots(ns: argparse.Namespace) -> int:
         "count": len(roots),
         "expected": expected,
         "weight_factor_histogram": Counter(str(weight_factor(r)) for r in roots),
+        "pass": len(roots) == expected,
     }
     human = ["family %s rank %d: %d roots (expected %d)"
              % (ns.family, rank, len(roots), expected)]
@@ -283,8 +312,7 @@ def _cmd_roots(ns: argparse.Namespace) -> int:
     rows: List[List[object]] = [["index"] + ["x%d" % i for i in range(width)]]
     for idx, root in enumerate(roots):
         rows.append([idx] + [str(c) for c in root])
-    _emit(ns, payload, human, rows)
-    return 0 if len(roots) == expected else 1
+    return _emit(ns, payload, human, rows)
 
 
 def _specfun_checks(seed: int) -> List[Dict[str, object]]:
@@ -309,12 +337,8 @@ def _specfun_checks(seed: int) -> List[Dict[str, object]]:
 
 
 def _cmd_specfun_selftest(ns: argparse.Namespace) -> int:
-    checks = _specfun_checks(ns.seed)
-    ok = all(c["pass"] for c in checks)
-    human = ["%-24s %s" % (c["name"], _verdict(c["pass"])) for c in checks]
-    human.append("specfun selftest: %s" % _verdict(ok))
-    _emit(ns, {"checks": checks, "pass": ok}, human)
-    return 0 if ok else 1
+    return _emit_graded(ns, "specfun selftest", "checks", _specfun_checks(ns.seed),
+                        "%(name)-24s %(verdict)s")
 
 
 def _cmd_vacuum(ns: argparse.Namespace) -> int:
@@ -337,8 +361,7 @@ def _cmd_vacuum(ns: argparse.Namespace) -> int:
     human = ["vacuum %s rank %d (%s, branch %+d)" % (spec.family, spec.rank, ns.regime, sign)]
     for j, (v, r) in enumerate(zip(values, residuals)):
         human.append("  j=%d  LHS=%s  |LHS-branch|=%.3e" % (j, v, r))
-    _emit(ns, payload, human)
-    return 0
+    return _emit(ns, payload, human)
 
 
 def _cmd_bethe(ns: argparse.Namespace) -> int:
@@ -353,8 +376,7 @@ def _cmd_bethe(ns: argparse.Namespace) -> int:
     human = ["bethe %s L=%d M=%d" % (chain.kind, chain.n_sites, chain.n_magnons)]
     for i, r in enumerate(res):
         human.append("  i=%d  |LHS-1|=%.3e" % (i, r))
-    _emit(ns, payload, human)
-    return 0
+    return _emit(ns, payload, human)
 
 
 def _cmd_chain_oracle(ns: argparse.Namespace) -> int:
@@ -381,12 +403,8 @@ def _cmd_chain_oracle(ns: argparse.Namespace) -> int:
             checks.append(_check("reflection", worst, 1e-12))
     checks.append(_check("rtt_exchange", rtt_residual(chain, u, v), 1e-12))
     checks.append(_check("transfer_commutator", commutator_residual(chain, u, v), 1e-10))
-    ok = all(c["pass"] for c in checks)
-    payload = {"kind": ns.kind, "sites": ns.sites, "eta": eta, "checks": checks, "pass": ok}
-    human = ["%-20s %.3e  %s" % (c["name"], c["value"], _verdict(c["pass"])) for c in checks]
-    human.append("chain oracle: %s" % _verdict(ok))
-    _emit(ns, payload, human)
-    return 0 if ok else 1
+    return _emit_graded(ns, "chain oracle", "checks", checks, "%(name)-20s %(value).3e  %(verdict)s",
+                        {"kind": ns.kind, "sites": ns.sites, "eta": eta})
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
@@ -402,7 +420,6 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 def _cmd_calibrate(ns: argparse.Namespace) -> int:
     chosen, rep, grid = _calibrate(ns.family, ns.regime, ns.samples, ns.seed)
-    refused = ", ".join("%s %d" % kv for kv in sorted(grid["refused"].items()))
     payload = {
         "family": ns.family,
         "regime": ns.regime,
@@ -414,20 +431,19 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
         },
         "report": rep.to_dict(),
         "grid": grid,
+        "pass": rep.passed,
     }
+    trial, report = payload["chosen"], payload["report"]  # the human lines read the JSON's
+    refused = ", ".join("%s %d" % kv for kv in sorted(grid["refused"].items()))
     human = [
         "calibrated %s %s: %d fixed site(s) theta=[%s], branch %+d, xi=(%s, %s)"
-        % (ns.family, ns.regime, len(chosen.fixed_sites),
-           ", ".join(str(s.theta) for s in chosen.fixed_sites),
-           chosen.branch.sign,
-           chosen.xi_plus.label() if chosen.xi_plus else "-",
-           chosen.xi_minus.label() if chosen.xi_minus else "-"),
-        "max residual %.3e over %d samples" % (rep.max_residual, rep.samples),
+        % (ns.family, ns.regime, len(trial["fixed_sites"]), ", ".join(trial["fixed_sites"]),
+           trial["branch"], trial["xi_plus"] or "-", trial["xi_minus"] or "-"),
+        "max residual %.3e over %d samples" % (report["max_residual"], report["samples"]),
         "grid: %d trials, %d refused%s" % (grid["trials"], sum(grid["refused"].values()),
                                             " (%s)" % refused if refused else ""),
     ]
-    _emit(ns, payload, human)
-    return 0 if rep.passed else 1
+    return _emit(ns, payload, human)
 
 
 def _cmd_duality_compare(ns: argparse.Namespace) -> int:
@@ -451,8 +467,7 @@ def _cmd_solve_bethe(ns: argparse.Namespace) -> int:
     payload = {"kind": chain.kind, "sites": chain.n_sites,
                "magnons": chain.n_magnons, "root_sets": sets,
                "diagnostics": result.diagnostics}
-    _emit(ns, payload, human)
-    return 0
+    return _emit(ns, payload, human)
 
 
 def _cmd_solve_vacuum(ns: argparse.Namespace) -> int:
@@ -471,8 +486,7 @@ def _cmd_solve_vacuum(ns: argparse.Namespace) -> int:
     payload = {"family": spec.family, "rank": spec.rank, "branch": sign,
                "masses": list(spec.masses), "m_adj": spec.m_adj,
                "solutions": sols, "diagnostics": result.diagnostics}
-    _emit(ns, payload, human)
-    return 0
+    return _emit(ns, payload, human)
 
 
 def _cmd_cross_check(ns: argparse.Namespace) -> int:
@@ -525,8 +539,8 @@ def _battery_gradient(seed: int) -> Dict[str, object]:
                             for j in range(spec.dim)]
                     if any(not 1e-3 < abs(r) < 1e3 for r in refs):
                         continue
-                    lhs = vacuum_from_gradient(spec, sigma)
                     grad = superpotential_grad(spec, sigma)
+                    lhs = np.exp(1j * grad)  # vacuum_from_gradient, from the one gradient
                     h = 1e-6
                     for j in range(spec.dim):
                         worst_prod = max(worst_prod, abs(lhs[j] - refs[j]))
@@ -567,15 +581,15 @@ def _battery_transfer(seed: int) -> Dict[str, object]:
         u, v = rng.uniform(0.1, 0.9, size=2)
         ybe = yang_baxter_residual(u, v, BracketContext(eta))
         draw_ok = ybe <= 1e-12
-        worst_comm = 0.0
         worst_cert = 0.0
         chains = [ChainSpec("closed-xxz", 3, m, eta, (0.5,) * 3, tuple(th))
                   for m in (1, 2)]
         xi = rng.uniform(-0.4, 0.4, size=2)
         chains.append(ChainSpec("open-xxz", 2, 1, eta, (0.5,) * 2, tuple(th[:2]),
                                 xi_plus=xi[0], xi_minus=xi[1]))
+        # t(u) does not depend on the magnon number: the closed chains share it
+        worst_comm = max(commutator_residual(chain, u, v) for chain in chains[1:])
         for chain in chains:
-            worst_comm = max(worst_comm, commutator_residual(chain, u, v))
             sols = solve_bethe(chain, SolveConfig(n_starts=48, tol=1e-10,
                                                   max_iter=40, seed=seed + draw))
             for roots in sols:
@@ -651,14 +665,10 @@ def _cmd_report_all(ns: argparse.Namespace) -> int:
         _battery_duality(ns.seed),
         _criterion("special_functions", _specfun_checks(ns.seed)),
     ]
-    ok = all(b["pass"] for b in batteries)
-    human = ["criterion %d %-28s %s" % (k + 1, b["name"], _verdict(b["pass"]))
-             for k, b in enumerate(batteries)]
-    human.append("report-all: %s" % _verdict(ok))
     rows: List[List[object]] = [["criterion", "pass"]]
     rows += [[b["name"], b["pass"]] for b in batteries]
-    _emit(ns, {"criteria": batteries, "pass": ok}, human, rows)
-    return 0 if ok else 1
+    return _emit_graded(ns, "report-all", "criteria", batteries,
+                        "criterion %(number)d %(name)-28s %(verdict)s", rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -745,21 +755,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True, choices=preset_ids, metavar="ID")
     p.add_argument("--rank", type=_positive_int, default=2)
     p.add_argument("--nf", type=_nonneg_int, default=4)
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
+    p.add_argument("--samples", type=_positive_int, default=_VERIFY["samples"])
+    p.add_argument("--tol", type=_positive_float, default=_VERIFY["tol"])
     p.add_argument("--branch", type=_branch_arg, default=None)
 
     p = command("calibrate", _cmd_calibrate, "grid-scan preset conventions")
     p.add_argument("--family", required=True, choices=CLASSICAL)
     p.add_argument("--regime", required=True, choices=list(REGIME_SCALE))
-    p.add_argument("--samples", type=_positive_int, default=50)
+    p.add_argument("--samples", type=_positive_int, default=_CALIBRATE["samples"])
 
     p = command("duality-compare", _cmd_duality_compare, "compare squared realizations")
     p.add_argument("--family", required=True, choices=CLASSICAL)
     p.add_argument("--rank", type=_positive_int, required=True)
     p.add_argument("--nf", type=_positive_int, default=4)
-    p.add_argument("--samples", type=_positive_int, default=50)
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
+    p.add_argument("--samples", type=_positive_int, default=_DUALITY["samples"])
+    p.add_argument("--tol", type=_positive_float, default=_DUALITY["tol"])
 
     p = command("solve-bethe", _cmd_solve_bethe, "find Bethe root sets")
     chain_flags(p, with_roots=False)

@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bridge import DictionaryPreset, VerificationReport, map_gauge_to_chain
+from .bridge import DictionaryPreset, VerificationReport, _worst_report, map_gauge_to_chain
 from .chain import BetheRoots, ChainSpec, _bethe_system, _root_clashes
 from .gauge import (CLASSICAL, REGIME_FORM, REGIME_SCALE, GaugeTheorySpec, VacuumBranch,
                     _vacuum_lhs_stack, _vacuum_system)
@@ -462,19 +462,15 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
 def cross_check(spec: GaugeTheorySpec, preset: DictionaryPreset,
                 cfg: SolveConfig) -> VerificationReport:
     """Solve the chain side, transport roots back (sigma = scale * u), grade the
-    vacuum residual against MAP_TOL."""
+    vacuum residual against MAP_TOL: a singular set reads inf, and no set at all
+    reads inf with the fate ledger as its notes' cause."""
     sols = solve_bethe(map_gauge_to_chain(preset, spec), cfg)
     if sols.solutions:
         sigma = np.array([r.values for r in sols]) * preset.scale
         res = deviation(*_vacuum_lhs_stack(spec, preset.regime, sigma), preset.branch.sign)
-        k = int(np.argmax(res))  # the first worst set; a singular one reads inf
-        max_residual, worst = float(res[k]), {"u": [repr(v) for v in sols[k].values]}
-        notes = {"n_root_sets": len(sols), **sols.diagnostics}
+        notes = {"n_root_sets": len(sols)}
     else:
-        max_residual, worst = math.inf, None
-        notes = {"cause": fates_summary(sols.diagnostics["fates"]), **sols.diagnostics}
-    return VerificationReport(
-        preset_id=preset.id, samples=len(sols), seed=cfg.seed, tol=MAP_TOL,
-        max_residual=max_residual, worst_point=worst,
-        branch_used=preset.branch.sign, notes=notes,
-    )
+        res, notes = np.empty(0), {"cause": fates_summary(sols.diagnostics["fates"])}
+    return _worst_report(preset.id, res, cfg.seed, MAP_TOL, preset.branch.sign,
+                         {**notes, **sols.diagnostics},
+                         lambda k: {"u": [repr(v) for v in sols[k].values]})

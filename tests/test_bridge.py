@@ -449,6 +449,24 @@ def test_fewer_samples_give_a_prefix_of_the_ledger(preset_id):
         assert report.notes["draws"] == _ledger([OUTCOMES[k] for k in outcome[:stop]])
 
 
+def test_one_reduction_grades_every_report():
+    # the first worst entry, with its point; none at a zero worst; inf when empty
+    asked = []
+
+    def point(k):
+        asked.append(k)
+        return {"k": k}
+
+    rep = bridge._worst_report("x", np.array([1e-12, 3e-11, 3e-11]), 5, 1e-10, -1, {"n": 1}, point)
+    assert (rep.samples, rep.max_residual, rep.worst_point, rep.passed) == (3, 3e-11, {"k": 1}, True)
+    assert (rep.seed, rep.branch_used, rep.notes) == (5, -1, {"n": 1})
+    assert bridge._worst_report("x", np.zeros(2), 0, 1e-10, 1, {}, point).worst_point is None
+    empty = bridge._worst_report("x", np.empty(0), 0, 1e-10, 1, {}, point)
+    assert (empty.samples, empty.max_residual, empty.worst_point, empty.passed) == (
+        0, math.inf, None, False)
+    assert asked == [1]
+
+
 @pytest.mark.parametrize("preset_id", ["A-3d", "B-3d-P5", "D-3d"])
 def test_worst_point_replays_the_worst_draw(preset_id):
     preset = preset_by_id(preset_id)

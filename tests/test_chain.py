@@ -77,6 +77,21 @@ def test_reflection_identity():
     assert reflection_residual(0.37, -0.22, -0.41, ctx) < 1e-12
 
 
+def test_a_sign_fault_in_the_shared_k_diagonal_fails_both_of_its_witnesses(monkeypatch):
+    # the reflection check and the open transfer matrices read one K statement,
+    # so a fault in it cannot pass the first while the second multiplies it
+    ctx, u, v = BracketContext(OPEN_XXZ.eta), 0.31, 0.57
+    chain = ChainSpec("open-xxz", 3, 1, OPEN_XXZ.eta, (0.5,) * 3, (0.04, -0.06, 0.02),
+                      xi_plus=0.23, xi_minus=-0.41)
+    assert reflection_residual(u, v, 0.23, ctx) < 1e-12
+    assert commutator_residual(chain, u, v) < 1e-10
+    real = chain_module._k_diag
+    monkeypatch.setattr(chain_module, "_k_diag",
+                        lambda ctx, x, xi: real(ctx, x, xi) * np.array([1.0, -1.0]))
+    assert reflection_residual(u, v, 0.23, ctx) > 0.1
+    assert commutator_residual(chain, u, v) > 0.1
+
+
 def test_r_matrix_structure():
     ctx = BracketContext(0.25)
     r = r_matrix(0.0, ctx)

@@ -49,6 +49,42 @@ def test_exit_two_on_parse_failure(capsys):
     capsys.readouterr()
 
 
+#: one run of each subcommand, a failing verify and cross-check among them
+_EVERY_SUBCOMMAND = [
+    ["roots", "--family", "E8", "--rank", "8"],
+    ["specfun-selftest"],
+    ["vacuum", "--family", "B", "--rank", "2"],
+    ["bethe", "--kind", "closed-xxx", "--sites", "4", "--magnons", "2", "--eta", "0.3",
+     "--u", "0.1+0.2j,-0.25"],
+    ["chain-oracle", "--kind", "open-xxz"],
+    ["verify", "--preset", "B-3d-P1", "--samples", "5"],
+    ["verify", "--preset", "B-3d-P5", "--branch", "+", "--samples", "5"],
+    ["calibrate", "--family", "B", "--regime", "3d", "--samples", "5"],
+    ["duality-compare", "--family", "C", "--rank", "2", "--samples", "5"],
+    ["solve-bethe", "--kind", "closed-xxz", "--sites", "4", "--magnons", "1", "--eta", "0.3",
+     "--starts", "8"],
+    ["solve-vacuum", "--family", "B", "--rank", "2", "--starts", "8"],
+    ["cross-check", "--preset", "A-3d", "--starts", "8"],
+    ["cross-check", "--preset", "D-3d", "--rank", "1", "--nf", "2"],
+    ["report-all"],
+]
+#: the subcommands that evaluate without grading: no ``pass``, exit 0
+_UNGRADED = {"vacuum", "bethe", "solve-bethe", "solve-vacuum"}
+
+
+def test_the_exit_code_contract_runs_every_subcommand():
+    names = cli.build_parser()._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in _EVERY_SUBCOMMAND} == set(names) and len(names) == 12
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=" ".join)
+def test_exit_code_is_one_exactly_when_the_report_fails(capsys, argv):
+    code = run(argv + ["--json", "--no-timestamp"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == (1 if doc.get("pass") is False else 0)
+    assert ("pass" in doc) == (argv[0] not in _UNGRADED)
+
+
 def test_csv_unsupported_payload(capsys):
     with pytest.raises(SystemExit):
         run(["specfun-selftest", "--csv"])
