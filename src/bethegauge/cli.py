@@ -27,6 +27,7 @@ import os
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -75,7 +76,8 @@ from .gauge import (
     vacuum_lhs_squared,
 )
 from .lie_roots import expected_root_count, generate_roots, root_family, weight_factor
-from .solve import SolveConfig, cross_check, fates_summary, solve_bethe, solve_vacuum
+from .solve import (SolveConfig, SolveResult, cross_check, fates_summary, solve_bethe,
+                    solve_vacuum)
 from .specfun import (
     BracketContext,
     SingularPointError,
@@ -123,18 +125,17 @@ def _positive_float(text: str) -> float:
     return v
 
 
-def _csv_floats(text: str) -> Tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of reals")
+def _csv_list(kind: Callable[[str], T], noun: str) -> Callable[[str], Tuple[T, ...]]:
+    """The parser of a comma-separated list of ``kind`` values, named ``noun``."""
+    def parse(text: str) -> Tuple[T, ...]:
+        try:
+            return tuple(kind(t) for t in text.split(",") if t.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected a comma-separated list of " + noun)
+    return parse
 
 
-def _csv_complex(text: str) -> Tuple[complex, ...]:
-    try:
-        return tuple(complex(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
+_csv_floats, _csv_complex = _csv_list(float, "reals"), _csv_list(complex, "numbers")
 
 
 def _branch_arg(text: str):
@@ -183,8 +184,6 @@ def _jsonable(x):
     if isinstance(x, (np.complexfloating, complex)):
         z = complex(x)
         return {"re": _jsonable(z.real), "im": _jsonable(z.imag)}
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
     return x
 
 
@@ -221,6 +220,21 @@ def _emit_report(ns: argparse.Namespace, rep: VerificationReport, summary: str,
                  rows: Optional[List[List[object]]] = None) -> int:
     """Emit a verification report under its one summary line."""
     return _emit(ns, rep.to_dict(), ["%s -> %s" % (summary, _verdict(rep.passed))], rows)
+
+
+def _emit_solutions(ns: argparse.Namespace, head: str, result: SolveResult, key: str,
+                    name: str, values: Sequence[Sequence], show: Callable[..., str],
+                    residual: str, payload: Dict[str, object]) -> int:
+    """Emit a solve's solutions: the ``head`` line, one human line per
+    solution (its ``values`` under ``name``, each formatted by ``show``, and its
+    ``residual``), then the fate ledger; the payload lists them under ``key``
+    with the solve's diagnostics."""
+    items, human = [], [head]
+    for vals, worst in zip(values, result.residuals):
+        items.append({name: list(vals), "max_residual": worst})
+        human.append("  %s=%s  %s=%.3e" % (name, [show(v) for v in vals], residual, worst))
+    human.append("  " + fates_summary(result.diagnostics["fates"]))
+    return _emit(ns, {**payload, key: items, "diagnostics": result.diagnostics}, human)
 
 
 def _emit_graded(ns: argparse.Namespace, title: str, key: str, items: List[Dict[str, object]],
@@ -387,7 +401,7 @@ def _cmd_chain_oracle(ns: argparse.Namespace) -> int:
     if ns.kind.startswith("open"):
         xi_p, xi_m = rng.uniform(-0.4, 0.4, size=2)
     chain = _from_flags(
-        ChainSpec, kind=ns.kind, n_sites=ns.sites, n_magnons=ns.magnons, eta=eta,
+        ChainSpec, kind=ns.kind, n_sites=ns.sites, n_magnons=0, eta=eta,
         spins=(0.5,) * ns.sites,
         inhomogeneities=tuple(rng.uniform(-0.1, 0.1, size=ns.sites)),
         xi_plus=xi_p, xi_minus=xi_m,
@@ -456,18 +470,12 @@ def _cmd_duality_compare(ns: argparse.Namespace) -> int:
 def _cmd_solve_bethe(ns: argparse.Namespace) -> int:
     chain = _chain_spec(ns)
     result = solve_bethe(chain, _solve_config(ns))
-    sets = []
-    human = ["solve-bethe %s L=%d M=%d: %d root set(s)"
-             % (chain.kind, chain.n_sites, chain.n_magnons, len(result))]
-    for roots, worst in zip(result, result.residuals):
-        sets.append({"u": list(roots.values), "max_residual": worst})
-        human.append("  u=%s  max|LHS-1|=%.3e"
-                     % (["%.12g%+.12gj" % (z.real, z.imag) for z in roots.values], worst))
-    human.append("  " + fates_summary(result.diagnostics["fates"]))
-    payload = {"kind": chain.kind, "sites": chain.n_sites,
-               "magnons": chain.n_magnons, "root_sets": sets,
-               "diagnostics": result.diagnostics}
-    return _emit(ns, payload, human)
+    return _emit_solutions(
+        ns, "solve-bethe %s L=%d M=%d: %d root set(s)"
+        % (chain.kind, chain.n_sites, chain.n_magnons, len(result)),
+        result, "root_sets", "u", [roots.values for roots in result],
+        lambda z: "%.12g%+.12gj" % (z.real, z.imag), "max|LHS-1|",
+        {"kind": chain.kind, "sites": chain.n_sites, "magnons": chain.n_magnons})
 
 
 def _cmd_solve_vacuum(ns: argparse.Namespace) -> int:
@@ -475,18 +483,12 @@ def _cmd_solve_vacuum(ns: argparse.Namespace) -> int:
     spec = _gauge_spec(ns, ns.family, REGIME_SCALE[ns.regime], rng)
     sign = ns.branch.sign
     result = solve_vacuum(spec, ns.branch, _solve_config(ns), rational=ns.regime == "2d")
-    sols = []
-    human = ["solve-vacuum %s rank %d branch %+d: %d solution(s)"
-             % (spec.family, spec.rank, sign, len(result))]
-    for sig, worst in zip(result, result.residuals):
-        sols.append({"sigma": list(sig), "max_residual": worst})
-        human.append("  sigma=%s  max|LHS-branch|=%.3e"
-                     % (["%.12g" % s for s in sig], worst))
-    human.append("  " + fates_summary(result.diagnostics["fates"]))
-    payload = {"family": spec.family, "rank": spec.rank, "branch": sign,
-               "masses": list(spec.masses), "m_adj": spec.m_adj,
-               "solutions": sols, "diagnostics": result.diagnostics}
-    return _emit(ns, payload, human)
+    return _emit_solutions(
+        ns, "solve-vacuum %s rank %d branch %+d: %d solution(s)"
+        % (spec.family, spec.rank, sign, len(result)),
+        result, "solutions", "sigma", result, lambda s: "%.12g" % s, "max|LHS-branch|",
+        {"family": spec.family, "rank": spec.rank, "branch": sign,
+         "masses": list(spec.masses), "m_adj": spec.m_adj})
 
 
 def _cmd_cross_check(ns: argparse.Namespace) -> int:
@@ -614,13 +616,9 @@ def _battery_degeneration(seed: int) -> Dict[str, object]:
         sigma0 = rng.uniform(0.3, 1.1, size=2)
         gaps = []
         for e in eps:
-            spec = GaugeTheorySpec(
-                family=family, rank=2, n_fund=2,
-                masses=tuple(e * m for m in spec0.masses),
-                m_adj=e * spec0.m_adj,
-                masses_anti=tuple(e * m for m in spec0.masses_anti)
-                if family == "A" else None,
-            )
+            spec = replace(spec0, masses=tuple(e * m for m in spec0.masses), m_adj=e * spec0.m_adj,
+                           masses_anti=tuple(e * m for m in spec0.masses_anti)
+                           if family == "A" else None)
             sig = e * sigma0
             # the two forms are compared on purpose: their gap is what scales as eps^2
             gap = max(abs(vacuum_lhs(spec, sig, j) - vacuum_lhs_2d(spec, sig, j))
@@ -748,7 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("chain-oracle", _cmd_chain_oracle, "R-matrix and transfer checks")
     p.add_argument("--kind", default="closed-xxz", choices=KINDS)
     p.add_argument("--sites", type=_positive_int, default=3)
-    p.add_argument("--magnons", type=_nonneg_int, default=1)
     p.add_argument("--eta", type=float)
 
     p = command("verify", _cmd_verify, "certify one preset dictionary", table=True)

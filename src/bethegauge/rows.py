@@ -8,9 +8,10 @@ over the ratios k of that equation: x = unknowns || parameters is a point,
 the unknowns being Coulomb parameters sigma or Bethe roots u and the
 parameters masses, m_adj, eta, spins, inhomogeneities or boundary
 parameters; n_k and d_k are rational coefficient vectors and f one of sin,
-sin(pi .) or the identity (the rational limit).  A table stores ratio k as
-two rows, 2k its numerator at +power_k and 2k + 1 its denominator at
--power_k, and equation j's rows are the one range offsets[j]:offsets[j+1].
+sin(pi .) or the identity (the rational limit).  A table's data are real:
+it stores ratio k as two rows of float coefficients, 2k its numerator at
++power_k and 2k + 1 its denominator at -power_k, with float powers, and
+equation j's rows are the one range offsets[j]:offsets[j+1].
 ``gauge`` builds the vacuum ratios from root data and ``chain`` the Bethe
 ratios from chain data; a table depends only on the shape of its system,
 never on the values of the parameters.
@@ -107,7 +108,9 @@ class RowTable:
     singular guard belongs to the side that built the table: ``"zero_set"``
     rejects any argument within ``guard_tol`` of the zero set of f (sin:
     pi*Z in the complex plane, linear: 0); ``"denominator"`` rejects any
-    factor of negative power with |f| < ``guard_tol``.
+    factor of negative power with |f| < ``guard_tol``.  The data are real:
+    ``coeffs`` (R, cols) and ``power`` (R,) are float arrays, on which
+    numpy refuses a complex coefficient or power.
     """
 
     def __init__(self, kind: str, n_eq: int, n_unknowns: int, n_params: int,
@@ -116,16 +119,14 @@ class RowTable:
         self.kind, self.n_unknowns = kind, n_unknowns
         self.guard, self.guard_tol = guard, guard_tol
         self.scale = math.pi if kind == "sin_pi" else 1.0
-        self.coeffs = np.zeros((2 * len(ratios), n_unknowns + n_params), dtype=complex)
+        self.coeffs = np.zeros((2 * len(ratios), n_unknowns + n_params))
         for k, (_, _, num, den) in enumerate(ratios):
             for row, coeffs in ((2 * k, num), (2 * k + 1, den)):
                 for col, c in coeffs.items():
                     self.coeffs[row, col] = c
         self.coeffs *= self.scale
-        self.power = np.array([sign * r[1] for r in ratios for sign in (1, -1)], dtype=complex)
-        if np.any(self.coeffs.imag) or np.any(self.power.imag):
-            raise ValueError("ratio coefficients and powers must be real")
-        n = self.power.real  # numpy's complex power multiplies out integers below 100
+        n = self.power = np.array([sign * r[1] for r in ratios for sign in (1, -1)], dtype=float)
+        # numpy's complex power multiplies out integers below 100
         if np.any((n != np.rint(n)) | (n == 0) | (np.abs(n) >= 100)):
             raise ValueError("powers must be non-zero integers below 100 in magnitude")
         eq = np.array([r[0] for r in ratios], dtype=int)
@@ -152,7 +153,7 @@ class RowTable:
 
     def _guarded(self, power: np.ndarray):
         """The rows of ``power`` the guard reads: those of negative power, or all."""
-        return np.flatnonzero(power.real < 0) if self.guard == "denominator" else slice(None)
+        return np.flatnonzero(power < 0) if self.guard == "denominator" else slice(None)
 
     # The real matrices of stacked evaluation, each as kron(m, identity(2)) (the
     # log sums halve the real part): a complex stack times a real matrix is
@@ -162,19 +163,19 @@ class RowTable:
     @cached_property
     def _columns(self) -> np.ndarray:
         """C^T (cols, R): the arguments of a stack."""
-        return np.kron(self.coeffs.real.T, np.eye(2))
+        return np.kron(self.coeffs.T, np.eye(2))
 
     @cached_property
     def _sums(self) -> np.ndarray:
         """diag(power) by_eq^T (R, n_eq): the solver's per-equation log sums,
         taken from (log |f|^2, arg f), hence the 1/2 on the real part."""
-        return np.kron(self.power.real[:, None] * self.by_eq.T, np.diag([0.5, 1.0]))
+        return np.kron(self.power[:, None] * self.by_eq.T, np.diag([0.5, 1.0]))
 
     @cached_property
     def _jacobian(self) -> np.ndarray:
         """(R, n_eq * n): the solver's Jacobian rows, power times C^T per equation."""
-        jac = (self.power.real[:, None] * self.by_eq.T)[:, :, None] \
-            * self.coeffs.real[:, None, : self.n_unknowns]
+        jac = (self.power[:, None] * self.by_eq.T)[:, :, None] \
+            * self.coeffs[:, None, : self.n_unknowns]
         return np.kron(jac.reshape(self.n_rows, self.n_eq * self.n_unknowns), np.eye(2))
 
     def arguments(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

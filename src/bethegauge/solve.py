@@ -1,18 +1,19 @@
 """Multi-start Newton solvers for Bethe and vacuum equation systems.
 
-Both systems are products of sine (or linear) factors equated to +-1, so the
-solver works on the summed principal-branch logarithms of the same row
-tables the product forms evaluate (``chain._bethe_table``,
-``gauge._vacuum_table``): each row contributes power * log f(c.x), x the
-unknowns || parameters, giving an exact cotangent Jacobian C^T diag(power
-f'/f).  Newton's logs, ratios f'/f and pole screen |f| >= 1e-14 come
-from the table's real-arithmetic kernel (:meth:`RowTable.log_terms`),
-which works in one :class:`~bethegauge.rows.LogScratch` per solve and
-gives the ratios only at the trial points the starts take.  The log
-residual is folded back by multiples of 2*pi*i, which removes the winding
-ambiguity of the product form; acceptance of a candidate always goes
-through the guarded product-form evaluators, never the solver's own
-residual.
+Both systems are products of sine (or linear) factors equated to one
+target, the product form's: 1 for Bethe roots, the branch sign +-1 for a
+vacuum.  The solver works on the summed principal-branch logarithms of the
+same row tables the product forms evaluate (``chain._bethe_table``,
+``gauge._vacuum_table``), equated to the target's logarithm, 0 or pi*i:
+each row contributes power * log f(c.x), x the unknowns || parameters,
+giving an exact cotangent Jacobian C^T diag(power f'/f).  Newton's logs,
+ratios f'/f and pole screen |f| >= 1e-14 come from the table's
+real-arithmetic kernel (:meth:`RowTable.log_terms`), which works in one
+:class:`~bethegauge.rows.LogScratch` per solve and gives the ratios only
+at the trial points the starts take.  The log residual is folded back by
+multiples of 2*pi*i, which removes the winding ambiguity of the product
+form; acceptance of a candidate always goes through the guarded
+product-form evaluators, never the solver's own residual.
 
 Both solvers are one solve (:func:`_solve`) and differ only in their row
 table and parameters, target, radius, start draw and screen.  A solve
@@ -44,6 +45,7 @@ can so lie up to 5e-10 below 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -156,13 +158,17 @@ def _fold(z: np.ndarray) -> np.ndarray:
 
 
 class _LogSystem:
-    """Equations sum_r power_r log f(arg_r) = target (mod 2 pi i) over one row table."""
+    """Equations sum_r power_r log f(arg_r) = log target (mod 2 pi i) over one row table.
+
+    A system carries one target, its product form's (1 or a branch sign);
+    the log residual's is its logarithm, exactly 0 or pi*i."""
 
     def __init__(self, table: RowTable, params: np.ndarray, target: complex,
                  radius: float) -> None:
         self.table = table
         self.params = params
         self.target = target
+        self.log_target = cmath.log(target)
         # products tend to 1 at infinity, so cap the search box: |Im u| <= radius
         # on sin tables, |u| <= radius on linear ones
         self.radius = radius
@@ -188,7 +194,7 @@ class _LogSystem:
         x = self._points(u, scratch.points[: len(u)])
         a = self.table.arguments(x, scratch.logs[: len(u)])  # read before the logs are written
         clear, sums = self.table.log_terms(a, scratch)
-        return inside[clear], _fold(sums - self.target)
+        return inside[clear], _fold(sums - self.log_target)
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -326,11 +332,11 @@ def _canonical(values: np.ndarray, signs: np.ndarray, period: Optional[float]) -
     return np.take_along_axis(images, order, axis=2).reshape(s * k, n)[least]
 
 
-def _distinct(keys: Sequence, tol: float) -> List[int]:
-    """The indices of the keys farther than tol (max-abs) from every earlier kept key.
+def _distinct(keys: Sequence) -> List[int]:
+    """The indices of the keys farther than DEDUP_TOL (max-abs) from every earlier kept key.
 
     Each kept key's row of the pairwise distances marks the keys it covers,
-    those not at least tol away (a NaN distance covers), so a key is kept
+    those not at least DEDUP_TOL away (a NaN distance covers), so a key is kept
     when no earlier kept key covers it: one distance row per kept key.
     """
     arr = np.array(keys)
@@ -339,11 +345,11 @@ def _distinct(keys: Sequence, tol: float) -> List[int]:
     for k in range(len(arr)):
         if not covered[k]:
             kept.append(k)
-            covered |= ~(np.max(np.abs(arr - arr[k]), axis=1, initial=0.0) >= tol)
+            covered |= ~(np.max(np.abs(arr - arr[k]), axis=1, initial=0.0) >= DEDUP_TOL)
     return kept
 
 
-def _solve(system: _LogSystem, cfg: SolveConfig, draw, screen, sign: float) -> SolveResult:
+def _solve(system: _LogSystem, cfg: SolveConfig, draw, screen) -> SolveResult:
     """The one solve behind both solvers: draw the starts, step them by Newton,
     screen the converged points and accept their keys.
 
@@ -351,11 +357,13 @@ def _solve(system: _LogSystem, cfg: SolveConfig, draw, screen, sign: float) -> S
     solver's stream in one call, and Newton takes all cfg.n_starts of them.
     ``screen`` takes the converged points as a stack (S, n), counts in the
     fates the ones it drops and returns the canonical keys of the rest.  The
-    keys are checked by one stacked product-form evaluation: a key whose
-    residual, its largest |value - sign|, is above cfg.tol or that is
-    singular is dropped, and the rest are deduplicated in start order.  A
-    system without rows has nothing to solve: each start stands at 0, a
-    solution exactly when the empty products 1 are the sign.
+    keys are checked by one stacked product-form evaluation against the
+    system's one target, the product form's (Newton aimed at its
+    logarithm): a key whose residual, its largest |value - target|, is
+    above cfg.tol or that is singular is dropped, and the rest are
+    deduplicated in start order.  A system without rows has nothing to
+    solve: each start stands at 0, a solution exactly when the empty
+    products 1 are the target.
     """
     if system.table.n_rows:
         points, codes = _newton(system, draw(cfg.n_starts), cfg)
@@ -365,9 +373,9 @@ def _solve(system: _LogSystem, cfg: SolveConfig, draw, screen, sign: float) -> S
     fates = _ledger(codes)
     converged = points[codes == _CONVERGED]
     keys = screen(converged, fates)
-    worst = deviation(*system.table.products(system._points(keys)), sign)
+    worst = deviation(*system.table.products(system._points(keys)), system.target)
     hit = np.flatnonzero(worst <= cfg.tol)
-    kept = hit[_distinct(keys[hit], DEDUP_TOL)]
+    kept = hit[_distinct(keys[hit])]
     fates["residual"], fates["duplicate"], fates["accepted"] = (
         len(keys) - len(hit), len(hit) - len(kept), len(kept))
     return SolveResult(list(keys[kept]), {"n_converged": len(converged) - fates["complex_vacuum"],
@@ -422,7 +430,7 @@ def solve_bethe(chain: ChainSpec, cfg: SolveConfig) -> SolveResult:
         fates["invalid"] = int(invalid.sum())
         return keys[~invalid]
 
-    result = _solve(_LogSystem(*_bethe_system(chain), 0.0, radius), cfg, draw, screen, 1.0)
+    result = _solve(_LogSystem(*_bethe_system(chain), 1.0, radius), cfg, draw, screen)
     result.solutions = [BetheRoots(u) for u in result.solutions]
     return result
 
@@ -436,8 +444,7 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
     n, regime = spec.dim, "2d" if rational else "3d"
     table, params = _vacuum_system(spec, REGIME_FORM[regime])
     radius = 2.0 + math.pi + spec.dim * max(abs(p) for p in spec.params)
-    system = _LogSystem(table, params, 0.0 if branch.sign == +1 else math.pi * 1j,
-                        10.0 * radius if rational else radius)
+    system = _LogSystem(table, params, branch.sign, 10.0 * radius if rational else radius)
     rng = np.random.default_rng(cfg.seed)
     span = REGIME_SCALE[regime]
     signs = _sign_changes(spec.family, n)
@@ -448,7 +455,7 @@ def solve_vacuum(spec: GaugeTheorySpec, branch: VacuumBranch, cfg: SolveConfig,
         return _canonical(u[real].real, signs, None if rational else math.pi)
 
     result = _solve(system, cfg, lambda count: span * rng.uniform(0.02, 0.98, size=(count, n)),
-                    screen, branch.sign)
+                    screen)
     if not table.n_rows:  # no interactions at all: every point is a vacuum on the + branch
         result.diagnostics["underdetermined"] = True
     return result

@@ -370,6 +370,16 @@ def test_chain_oracle(capsys):
     assert doc["pass"] is True
 
 
+def test_chain_oracle_takes_no_magnon_number(capsys):
+    # no check of the oracle depends on a magnon number, so none is taken or reported
+    assert "unrecognized arguments: --magnons 1" in _usage_error(
+        capsys, ["chain-oracle", "--magnons", "1"])
+    code, doc = _json_doc(capsys, ["chain-oracle"])
+    assert code == 0
+    assert {"kind", "sites", "eta", "checks", "pass"} <= set(doc)
+    assert not [key for key in doc if "magnon" in key]
+
+
 def test_chain_oracle_checks_the_reflection_equation_at_both_boundaries(monkeypatch, capsys):
     seen = []
     reflection = cli.reflection_residual

@@ -103,7 +103,7 @@ def test_vacuum_log_residual_matches_products(family, regime, realization, branc
         )
         sigma = scale * rng.uniform(0.05, 0.95, size=rank) + 1j * rng.normal(0.0, 0.05, size=rank)
         system = _LogSystem(*_vacuum_system(spec, "rational" if regime == "2d" else "root"),
-                            target, math.inf)
+                            branch.sign, math.inf)
         products = [lhs(spec, sigma, j) for j in range(rank)]
         if not _admissible(system, sigma, products):
             continue
@@ -127,7 +127,7 @@ def test_bethe_log_residual_matches_products(kind):
                           xi_plus=xi[0], xi_minus=xi[1])
         lo, hi = (0.05, 0.95) if chain.is_trig else (-1.0, 1.0)
         u = rng.uniform(lo, hi, size=magnons) + 1j * rng.normal(0.0, 0.2, size=magnons)
-        system = _LogSystem(*_bethe_system(chain), 0.0, math.inf)
+        system = _LogSystem(*_bethe_system(chain), 1.0, math.inf)
         try:
             roots = BetheRoots(u)
             products = [bethe_lhs(chain, roots, i) for i in range(magnons)]
@@ -223,6 +223,15 @@ def test_a_table_takes_ratios_and_an_equation_without_rows_is_one():
         RowTable("linear", 3, 1, 1, ratios[::-1], "denominator", 1e-12)
     with pytest.raises(ValueError, match="equation by equation"):
         RowTable("linear", 2, 1, 1, ratios, "denominator", 1e-12)  # equation 2 of 2
+
+
+def test_every_table_stores_real_data_and_a_complex_ratio_is_refused():
+    for table, _ in _table_shapes():
+        assert table.coeffs.dtype == np.float64 and table.power.dtype == np.float64
+    with pytest.raises(TypeError):
+        RowTable("linear", 1, 1, 1, [(0, 1, {0: 1.0, 1: 0.5j}, {0: 1.0})], "denominator", 1e-12)
+    with pytest.raises(TypeError):
+        RowTable("linear", 1, 1, 1, [(0, 1j, {0: 1.0}, {1: 1.0})], "denominator", 1e-12)
 
 
 def _vacuum_specs():

@@ -76,9 +76,17 @@ def test_closed_xxx_finds_exact_root():
     assert any(abs(r.values[0] - (-0.185)) < 1e-8 for r in res)
 
 
+def test_a_system_takes_the_log_of_its_one_product_target_exactly():
+    table, params = _bethe_system(CLOSED_XXZ)
+    minus, plus = (_LogSystem(table, params, target, math.inf) for target in (-1.0, 1.0))
+    assert (minus.target, plus.target) == (-1.0, 1.0)
+    assert minus.log_target == math.pi * 1j
+    assert plus.log_target == 0
+
+
 def test_newton_evaluates_each_point_once(monkeypatch):
     # the Jacobian at an accepted point reuses the arguments of its residual
-    system = _LogSystem(*_bethe_system(CLOSED_XXZ), 0.0, math.inf)
+    system = _LogSystem(*_bethe_system(CLOSED_XXZ), 1.0, math.inf)
     points = []
     arguments = system.table.arguments
     monkeypatch.setattr(system.table, "arguments",
@@ -90,7 +98,7 @@ def test_newton_evaluates_each_point_once(monkeypatch):
 
 
 def test_newton_batch_evaluates_each_point_once(monkeypatch):
-    system = _LogSystem(*_bethe_system(CLOSED_XXZ), 0.0, math.inf)
+    system = _LogSystem(*_bethe_system(CLOSED_XXZ), 1.0, math.inf)
     points = []
     arguments = system.table.arguments
     monkeypatch.setattr(system.table, "arguments",
@@ -105,7 +113,7 @@ def test_newton_batch_matches_each_start_alone():
     # each start keeps its own step length, so stacking changes no start's path
     chain = ChainSpec("open-xxz", 3, 2, 0.289, (0.5,) * 3, (0.04, -0.06, 0.02),
                       xi_plus=0.23, xi_minus=-0.41)
-    system = _LogSystem(*_bethe_system(chain), 0.0, 3.0)
+    system = _LogSystem(*_bethe_system(chain), 1.0, 3.0)
     rng = np.random.default_rng(5)
     starts = rng.uniform(0.02, 0.98, size=(24, 2)) + 1j * rng.normal(0.0, 0.2, size=(24, 2))
     points, codes = _newton(system, starts, CFG)
@@ -131,7 +139,7 @@ def _quadratic_system():
     ratios = [(0, 1, {0: 1.0, 1: -1.0}, {0: 1.0, 1: -2.0}),
               (0, 1, {0: 1.0, 1: 1.0}, {0: 1.0, 1: 2.0})]
     table = RowTable("linear", 1, 1, 1, ratios, "denominator", 1e-12)
-    return _LogSystem(table, np.array([1.0 + 0j]), math.pi * 1j, 5.0)
+    return _LogSystem(table, np.array([1.0 + 0j]), -1.0, 5.0)
 
 
 def test_newton_batch_isolates_failing_starts():
@@ -169,7 +177,7 @@ L6_M4 = [ChainSpec("closed-xxz", 6, 4, eta, (0.5,) * 6, thetas)
 def test_evaluate_allocates_nothing_the_size_of_its_stack():
     # the kernel works in the solve's scratch: after a warm-up, scoring the
     # widest ladder of the solve workload peaks below one float array of its rows
-    system = _LogSystem(*_bethe_system(L6_M4[0]), 0.0, 4.0)
+    system = _LogSystem(*_bethe_system(L6_M4[0]), 1.0, 4.0)
     u = _ladder_stack(system, np.random.default_rng(2))
     scratch = LogScratch(system.table, len(u))
     system.evaluate(u, scratch)
@@ -186,7 +194,7 @@ def test_evaluate_allocates_nothing_the_size_of_its_stack():
 def test_what_the_kernel_returns_does_not_share_its_scratch():
     # two systems of one table, evaluated alternately in one scratch, give
     # bitwise what each gives alone, and nothing returned changes afterwards
-    systems = [_LogSystem(*_bethe_system(chain), 0.0, 4.0) for chain in L6_M4]
+    systems = [_LogSystem(*_bethe_system(chain), 1.0, 4.0) for chain in L6_M4]
     assert systems[0].table is systems[1].table
     u = _ladder_stack(systems[0], np.random.default_rng(3))
 
@@ -256,14 +264,14 @@ def _reference_cases():
 
     closed = ChainSpec("closed-xxz", 6, 3, 0.31, (0.5,) * 6, (0.03, -0.07, 0.09, -0.02, 0.05, 0.0))
     radius = 2.0 + 6 * 0.31 + 0.09  # as solve_bethe takes it
-    yield "closed-xxz", _LogSystem(*_bethe_system(closed), 0.0, radius), \
+    yield "closed-xxz", _LogSystem(*_bethe_system(closed), 1.0, radius), \
         trig_starts(24, 3, radius), CFG
     opened = ChainSpec("open-xxz", 3, 2, 0.289, (0.5,) * 3, (0.04, -0.06, 0.02),
                        xi_plus=0.23, xi_minus=-0.41)
-    yield "open-xxz", _LogSystem(*_bethe_system(opened), 0.0, 3.0), trig_starts(24, 2, 3.0), CFG
+    yield "open-xxz", _LogSystem(*_bethe_system(opened), 1.0, 3.0), trig_starts(24, 2, 3.0), CFG
     spec = GaugeTheorySpec("B", 2, 2, (-0.31, 0.52), 0.3)
     radius = 10.0 * (2.0 + math.pi + 2 * 0.52)  # as solve_vacuum takes it in 2d
-    vacuum = _LogSystem(*_vacuum_system(spec, "rational"), 0.0, radius)
+    vacuum = _LogSystem(*_vacuum_system(spec, "rational"), 1.0, radius)
     yield "B2-2d", vacuum, rng.uniform(0.02, 0.98, size=(24, 2)).astype(complex), CFG
     yield "B2-2d-max_iter", vacuum, rng.uniform(-1.5, 1.5, size=(24, 2)).astype(complex), \
         SolveConfig(max_iter=10)
@@ -367,7 +375,7 @@ def test_vacuum_starts_follow_the_one_at_a_time_stream(monkeypatch, spec, ration
                          for _ in range(cfg.n_starts)])
     assert stack.shape == expected.shape
     assert np.array_equal(stack, expected)
-    system = _LogSystem(*_vacuum_system(spec, "rational" if rational else "root"), 0.0,
+    system = _LogSystem(*_vacuum_system(spec, "rational" if rational else "root"), 1.0,
                         math.inf)
     assert np.count_nonzero(_min_factors(system, stack.astype(complex)) < 1e-3) == near
 
@@ -378,7 +386,7 @@ def test_a_start_near_a_pole_is_stepped_by_newton(monkeypatch, rational):
     # so the start is handed to Newton as drawn, stepped, and met by a Newton fate
     spec = GaugeTheorySpec("B", 2, 2, (0.31, 0.52), 0.23)
     table, params = _vacuum_system(spec, "rational" if rational else "root")
-    system = _LogSystem(table, params, 0.0, 10.0)
+    system = _LogSystem(table, params, 1.0, 10.0)
     span = 1.0 if rational else math.pi
     draws = span * np.random.default_rng(0).uniform(0.02, 0.98, size=(CFG.n_starts, 2))
     a = table.arguments(system._points(draws[:1].astype(complex)))[0].real
@@ -394,7 +402,7 @@ def test_a_start_near_a_pole_is_stepped_by_newton(monkeypatch, rational):
         return points, codes
 
     monkeypatch.setattr(solve, "_newton", spied)
-    res = solve._solve(system, CFG, lambda count: draws[:count], lambda u, fates: u, 1.0)
+    res = solve._solve(system, CFG, lambda count: draws[:count], lambda u, fates: u)
     ((u0, codes),) = seen
     assert np.array_equal(u0, draws)
     assert solve._NEWTON_FATES[codes[0]] != "bad_start"
@@ -606,7 +614,7 @@ def test_root_sets_across_the_fold_deduplicate(kind, roots, data):
         if chain.is_open and data.draw(st.booleans()):
             z = -z
         moved.append(z + complex(data.draw(_rounding), data.draw(_rounding)))
-    assert solve._distinct([key, _root_key(chain, moved)], solve.DEDUP_TOL) == [0]
+    assert solve._distinct([key, _root_key(chain, moved)]) == [0]
 
 
 def _per_root_key(chain, u):
@@ -687,7 +695,7 @@ def test_vacua_across_the_fold_deduplicate(family, sigma, data):
         moved = [x * data.draw(st.sampled_from([1, -1])) for x in moved]
     signs = solve._sign_changes(family, len(sigma))
     keys = solve._canonical(np.array([sigma, moved]), signs, math.pi)
-    assert solve._distinct(keys, solve.DEDUP_TOL) == [0]
+    assert solve._distinct(keys) == [0]
 
 
 def _vacuum_misses_one_by_one(spec, regime, points):
@@ -871,4 +879,4 @@ def test_distinct_keeps_the_keys_of_the_one_at_a_time_rule(n):
     keys = (base[rng.integers(0, 12, size=80)]
             + 3e-7 * rng.normal(size=(80, n)) * rng.integers(0, 3, size=(80, 1)))
     keys[40] = np.nan
-    assert solve._distinct(keys, solve.DEDUP_TOL) == _distinct_one_at_a_time(keys, solve.DEDUP_TOL)
+    assert solve._distinct(keys) == _distinct_one_at_a_time(keys, solve.DEDUP_TOL)
